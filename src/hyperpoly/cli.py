@@ -73,6 +73,10 @@ class RunConfig:
             raise InvalidDocumentError("tol must be positive")
         if self.max_iters < 1:
             raise InvalidDocumentError("max-iters must be at least 1")
+        if self.parallelism < 1:
+            raise InvalidDocumentError("parallelism must be at least 1")
+        # More workers than cores only adds process start-up cost.
+        object.__setattr__(self, "parallelism", min(self.parallelism, os.cpu_count() or 1))
 
 
 def _env(name: str, cast, default):

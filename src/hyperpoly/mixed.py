@@ -26,6 +26,7 @@ from .interlace import real_roots_from_coefficients
 from .oracle import (
     OUTSIDE,
     POSITIVE,
+    DeterminantalPolynomial,
     HyperbolicOracle,
     chebyshev_nodes,
     cone_membership,
@@ -98,18 +99,11 @@ def mixed_discriminant(matrices) -> float:
     if mats.ndim != 3 or mats.shape[0] != mats.shape[1] or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatchError("mixed discriminant needs n symmetric matrices of size n x n")
     n = mats.shape[0]
-    if n > POLARIZATION_CAP:
-        raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
-    total = 0.0
-    shifts = np.arange(n, dtype=np.int64)
-    for start in range(0, 1 << n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        bits = (idx[:, None] >> shifts[None, :]) & 1
-        signs = 1.0 - 2.0 * bits
-        vals = np.linalg.det(np.tensordot(signs, mats, axes=([1], [0])))
-        parity = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
-        total += float(np.dot(vals, parity))
-    return total * 0.5**n
+    # The pencil is left unnormalized (M(e) = I need not hold): only its
+    # determinant is evaluated, at sign vectors, which the identity rows map
+    # to themselves exactly.
+    oracle = HyperbolicOracle(form=DeterminantalPolynomial(pencil=mats), n=n, m=n, direction=np.ones(n))
+    return _polarization(oracle, np.eye(n))[0]
 
 
 def repeated_tuple(points, multiplicities) -> np.ndarray:
@@ -167,13 +161,18 @@ def support(oracle: HyperbolicOracle, points, tol: Optional[float] = None) -> Su
     polarization loses about 2^n * eps of relative accuracy to cancellation,
     so values below that cannot be distinguished from zero.
     """
+    return _support_and_values(oracle, points, tol)[0]
+
+
+def _support_and_values(oracle: HyperbolicOracle, points, tol: Optional[float]) -> tuple[SupportSet, dict]:
+    """The support above the noise floor, and the mixed value of every composition."""
     pts = as_tuple(points)
     if pts.shape[0] != oracle.n:
         raise DimensionMismatchError("support enumeration expects an n-point tuple")
     values, peak = _all_mixed_values(oracle, pts)
     threshold = tol if tol is not None else 1e-9 * math.factorial(oracle.n) * max(1.0, peak)
     members = tuple(r for r in sorted(values) if values[r] > threshold)
-    return SupportSet(members=members, values={r: values[r] for r in members}, threshold=threshold)
+    return SupportSet(members=members, values={r: values[r] for r in members}, threshold=threshold), values
 
 
 def polytope_membership(r, support_set) -> bool:
@@ -220,17 +219,11 @@ def newton_saturation_check(oracle: HyperbolicOracle, points, tol: Optional[floa
     value sits at zero is reported as a violation; an empty list means the
     saturation property holds for this instance.
     """
-    pts = as_tuple(points)
-    if pts.shape[0] != oracle.n:
-        raise DimensionMismatchError("saturation check expects an n-point tuple")
-    values, peak = _all_mixed_values(oracle, pts)
-    threshold = tol if tol is not None else 1e-9 * math.factorial(oracle.n) * max(1.0, peak)
-    members = tuple(r for r in sorted(values) if values[r] > threshold)
-    sup = SupportSet(members=members, values={r: values[r] for r in members}, threshold=threshold)
+    sup, values = _support_and_values(oracle, points, tol)
     violations = []
-    if members:
+    if sup.members:
         for r in sorted(values):
-            if values[r] > threshold:
+            if r in sup.values:
                 continue
             if polytope_membership(r, sup):
                 violations.append(r)

@@ -2,9 +2,12 @@
 
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
-normalized so that p(e) = 1.  Every operation here is a pure function of
-immutable inputs: evaluation, univariate restrictions along a direction, root
-spectra, directional traces, rank, and cone membership.
+normalized so that p(e) = 1.  Every form implements the same three methods,
+``evaluate_batch(points)``, ``grad_log_p(d)`` and ``roots(x, d, tol, polish)``,
+plus its ``kind`` and ``json_fields``.  The pure functions here validate their
+inputs and delegate to those: evaluation, univariate restrictions along a
+direction, root spectra, directional traces, rank, and cone membership.
+Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
 from __future__ import annotations
@@ -42,6 +45,19 @@ class ProductPolynomial:
     """p(z) = z_1 * ... * z_n, hyperbolic in direction (1, ..., 1)."""
 
     n: int
+    kind = "product"
+
+    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
+        return np.prod(pts, axis=1)
+
+    def grad_log_p(self, d: np.ndarray) -> np.ndarray:
+        return 1.0 / d
+
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float, polish: bool) -> np.ndarray:
+        return np.sort(x / d)[::-1]
+
+    def json_fields(self, direction: np.ndarray) -> dict:
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +65,32 @@ class DeterminantalPolynomial:
     """p(x) = det(x_1 B_1 + ... + x_m B_m) with real symmetric B_j and M(e) = I."""
 
     pencil: np.ndarray  # shape (m, n, n)
+    kind = "determinantal"
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
+        return np.tensordot(x, self.pencil, axes=1)
+
+    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
+        return np.linalg.det(self.matrix(pts))
+
+    def grad_log_p(self, d: np.ndarray) -> np.ndarray:
+        """d_j log det M(d) = tr(M(d)^{-1} B_j)."""
+        return np.tensordot(self.pencil, np.linalg.inv(self.matrix(d)), axes=([1, 2], [1, 0]))
+
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float, polish: bool) -> np.ndarray:
+        try:
+            lam = sla.eigh(self.matrix(x), self.matrix(d), eigvals_only=True)
+        except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
+            raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
+        return lam[::-1]
+
+    def json_fields(self, direction: np.ndarray) -> dict:
+        return {
+            "m": self.pencil.shape[0],
+            "matrices": [b.tolist() for b in self.pencil],
+            "direction": direction.tolist(),
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +101,38 @@ class DensePolynomial:
     n: int
     exponents: np.ndarray  # (terms, m) nonnegative integers, each row sums to n
     coefficients: np.ndarray  # (terms,)
+    kind = "dense"
+
+    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
+        monomials = np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
+        return monomials @ self.coefficients
+
+    def grad_log_p(self, d: np.ndarray) -> np.ndarray:
+        """Exact term differentiation of p at d, divided by p(d)."""
+        grad = np.empty(self.m)
+        for i in range(self.m):
+            exps = self.exponents.copy()
+            coefs = self.coefficients * exps[:, i]
+            exps[:, i] = np.maximum(exps[:, i] - 1, 0)
+            grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
+        return grad / self.evaluate_batch(d[None, :])[0]
+
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float, polish: bool) -> np.ndarray:
+        roots = real_roots_from_coefficients(_restriction(self, self.n, x, -d), tol, polish=polish)
+        if roots.size != self.n:
+            raise NonRealRootError(
+                f"expected {self.n} roots, restriction produced {roots.size} (degenerate direction?)"
+            )
+        return roots
+
+    def json_fields(self, direction: np.ndarray) -> dict:
+        return {
+            "m": self.m,
+            "terms": [
+                {"exps": [int(v) for v in e], "coef": float(c)} for e, c in zip(self.exponents, self.coefficients)
+            ],
+            "direction": direction.tolist(),
+        }
 
 
 Form = Union[ProductPolynomial, DeterminantalPolynomial, DensePolynomial]
@@ -76,11 +150,7 @@ class HyperbolicOracle:
 
     @property
     def kind(self) -> str:
-        if isinstance(self.form, ProductPolynomial):
-            return "product"
-        if isinstance(self.form, DeterminantalPolynomial):
-            return "determinantal"
-        return "dense"
+        return self.form.kind
 
 
 def _as_point(oracle: HyperbolicOracle, x) -> np.ndarray:
@@ -161,9 +231,7 @@ def dense_oracle(m: int, n: int, terms, direction) -> HyperbolicOracle:
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
-    form = DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs)
-    oracle = HyperbolicOracle(form=form, n=n, m=m, direction=e)
-    pe = evaluate(oracle, e)
+    pe = float(DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs).evaluate_batch(e[None, :])[0])
     if abs(pe) < NEAR_SINGULAR_FLOOR:
         raise InvalidDocumentError("polynomial vanishes at the declared direction")
     metadata = {"normalization_factor": pe}
@@ -176,14 +244,7 @@ def evaluate_batch(oracle: HyperbolicOracle, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != oracle.m:
         raise DimensionMismatchError(f"batch has shape {pts.shape}, oracle expects (N, {oracle.m})")
-    form = oracle.form
-    if isinstance(form, ProductPolynomial):
-        return np.prod(pts, axis=1)
-    if isinstance(form, DeterminantalPolynomial):
-        mats = np.tensordot(pts, form.pencil, axes=([1], [0]))
-        return np.linalg.det(mats)
-    monomials = np.prod(pts[:, None, :] ** form.exponents[None, :, :], axis=2)
-    return monomials @ form.coefficients
+    return oracle.form.evaluate_batch(pts)
 
 
 def evaluate(oracle: HyperbolicOracle, x) -> float:
@@ -195,7 +256,7 @@ def pencil_matrix(oracle: HyperbolicOracle, x) -> np.ndarray:
     """M(x) = sum_j x_j B_j for a determinantal oracle."""
     if not isinstance(oracle.form, DeterminantalPolynomial):
         raise InvalidDocumentError("pencil_matrix only applies to determinantal oracles")
-    return np.tensordot(_as_point(oracle, x), oracle.form.pencil, axes=([0], [0]))
+    return oracle.form.matrix(_as_point(oracle, x))
 
 
 def chebyshev_nodes(count: int) -> np.ndarray:
@@ -225,14 +286,14 @@ def univariate_restriction(oracle: HyperbolicOracle, x, d) -> np.ndarray:
     unusable already around degree 10.  By construction c_n = p(d) and
     c_0 = p(x).
     """
-    x = _as_point(oracle, x)
-    d = _as_point(oracle, d)
-    n = oracle.n
+    return _restriction(oracle.form, oracle.n, _as_point(oracle, x), _as_point(oracle, d))
+
+
+def _restriction(form: Form, n: int, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     radius = 1.0 + float(np.linalg.norm(x))
     s = chebyshev_nodes(n + 1)
     pts = x[None, :] + (radius * s)[:, None] * d[None, :]
-    vals = evaluate_batch(oracle, pts)
-    return polynomial_from_samples(s, vals, n, radius)
+    return polynomial_from_samples(s, form.evaluate_batch(pts), n, radius)
 
 
 def roots_in_direction(
@@ -257,28 +318,14 @@ def roots_in_direction(
     if check_direction and not np.array_equal(d, oracle.direction):
         if cone_membership(oracle, d) != POSITIVE:
             raise DegenerateDirectionError("direction is not strictly inside the positivity cone")
-    form = oracle.form
-    if isinstance(form, ProductPolynomial):
-        return np.sort(x / d)[::-1]
-    if isinstance(form, DeterminantalPolynomial):
-        try:
-            lam = sla.eigh(pencil_matrix(oracle, x), pencil_matrix(oracle, d), eigvals_only=True)
-        except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-            raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
-        return lam[::-1]
-    coeffs = univariate_restriction(oracle, x, -d)
-    roots = real_roots_from_coefficients(coeffs, tol, polish=polish)
-    if roots.size != oracle.n:
-        raise NonRealRootError(
-            f"expected {oracle.n} roots, restriction produced {roots.size} (degenerate direction?)"
-        )
-    return roots
+    return oracle.form.roots(x, d, tol, polish)
 
 
 def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
     """tr_d(x): the sum of the roots of x in direction d, a linear functional of x.
 
-    Equals the ratio c_(n-1)/c_n of the restriction t -> p(t d + x).
+    Equals the ratio c_(n-1)/c_n of the restriction t -> p(t d + x), which is
+    <grad p(d), x> / p(d) = x . grad log p(d).
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)
@@ -291,13 +338,7 @@ def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
             NearSingularDirectionWarning,
             stacklevel=2,
         )
-    form = oracle.form
-    if isinstance(form, ProductPolynomial):
-        return float(np.sum(x / d))
-    if isinstance(form, DeterminantalPolynomial):
-        return float(np.trace(np.linalg.solve(pencil_matrix(oracle, d), pencil_matrix(oracle, x))))
-    coeffs = univariate_restriction(oracle, x, d)
-    return float(coeffs[oracle.n - 1] / coeffs[oracle.n])
+    return float(x @ oracle.form.grad_log_p(d))
 
 
 def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -360,26 +401,7 @@ def hyperbolicity_sample_test(
 
 
 def oracle_to_json(oracle: HyperbolicOracle) -> dict:
-    if isinstance(oracle.form, ProductPolynomial):
-        return {"kind": "product", "n": oracle.n}
-    if isinstance(oracle.form, DeterminantalPolynomial):
-        return {
-            "kind": "determinantal",
-            "n": oracle.n,
-            "m": oracle.m,
-            "matrices": [b.tolist() for b in oracle.form.pencil],
-            "direction": oracle.direction.tolist(),
-        }
-    return {
-        "kind": "dense",
-        "n": oracle.n,
-        "m": oracle.m,
-        "terms": [
-            {"exps": [int(v) for v in e], "coef": float(c)}
-            for e, c in zip(oracle.form.exponents, oracle.form.coefficients)
-        ],
-        "direction": oracle.direction.tolist(),
-    }
+    return {"kind": oracle.kind, "n": oracle.n, **oracle.form.json_fields(oracle.direction)}
 
 
 def oracle_from_json(doc) -> HyperbolicOracle:

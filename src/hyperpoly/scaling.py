@@ -4,40 +4,37 @@ The scaling map divides each tuple element by its directional trace against
 the tuple's sum; iterating it drives the doubly-stochastic defect to zero
 exactly when the tuple has positive capacity, which in turn is equivalent to
 the generalized Edmonds-Rado rank condition.  Capacity itself is computed by
-convex minimization of log p over exponentiated weights.
+convex minimization of log p over exponentiated weights, whose gradient is
+again made of traces.  Every trace comes from tr_d(x) = <grad p(d), x> / p(d),
+so the traces of a whole tuple are the one product points @ grad_log_p(d).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     BudgetExceededError,
     DegenerateDirectionError,
     DimensionMismatchError,
+    HyperpolyError,
     InvalidDocumentError,
     ZeroCapacityError,
 )
 from .mixed import as_tuple, mixed_value, repeated_tuple
 from .oracle import (
-    DensePolynomial,
-    DeterminantalPolynomial,
     HyperbolicOracle,
     POSITIVE,
-    ProductPolynomial,
     cone_membership,
     evaluate,
+    evaluate_batch,
     hyperbolic_rank,
-    pencil_matrix,
     roots_in_direction,
-    trace_in_direction,
 )
 
 SUBSET_CAP = 24
@@ -53,57 +50,38 @@ STATUS_LIMIT = "iteration_limit"
 
 def traces_in_direction(oracle: HyperbolicOracle, points: np.ndarray, d: np.ndarray) -> np.ndarray:
     """tr_d(x_i) for every row x_i; the direction is assumed strictly inside the cone."""
-    pts = as_tuple(points)
-    form = oracle.form
-    if isinstance(form, ProductPolynomial):
-        return (pts / d[None, :]).sum(axis=1)
-    if isinstance(form, DeterminantalPolynomial):
-        factor = sla.cho_factor(pencil_matrix(oracle, d))
-        return np.asarray([float(np.trace(sla.cho_solve(factor, pencil_matrix(oracle, x)))) for x in pts])
-    return np.asarray([trace_in_direction(oracle, x, d) for x in pts])
+    return as_tuple(points) @ oracle.form.grad_log_p(d)
 
 
 def partial_derivative(oracle: HyperbolicOracle, alpha, i: int) -> float:
-    """dp/dx_i at alpha.
+    """dp/dx_i at alpha: component i of gradient."""
+    grad = gradient(oracle, alpha)
+    if not 0 <= i < oracle.m:
+        raise InvalidDocumentError(f"index {i} out of range for dimension {oracle.m}")
+    return float(grad[i])
 
-    Exact term differentiation for dense and product forms; determinantal
-    forms use d_i det(M) = det(M) tr(M^{-1} B_i) when M(alpha) is invertible
-    and fall back to a central difference with step cbrt(eps)*(1+|alpha_i|)
-    otherwise.
+
+def gradient(oracle: HyperbolicOracle, alpha) -> np.ndarray:
+    """grad p(alpha) = p(alpha) * grad log p(alpha).
+
+    Where p(alpha) = 0 or the form's gradient cannot be formed (a singular
+    pencil), each component falls back to a central difference with step
+    cbrt(eps)*(1+|alpha_i|).
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (oracle.m,):
         raise DimensionMismatchError(f"point has shape {alpha.shape}, oracle expects ({oracle.m},)")
-    if not 0 <= i < oracle.m:
-        raise InvalidDocumentError(f"index {i} out of range for dimension {oracle.m}")
-    form = oracle.form
-    if isinstance(form, ProductPolynomial):
-        return float(np.prod(np.delete(alpha, i)))
-    if isinstance(form, DensePolynomial):
-        exps = form.exponents
-        mask = exps[:, i] >= 1
-        if not np.any(mask):
-            return 0.0
-        e = exps[mask].copy()
-        c = form.coefficients[mask] * e[:, i]
-        e[:, i] -= 1
-        return float(np.prod(alpha[None, :] ** e, axis=1) @ c)
-    mat = pencil_matrix(oracle, alpha)
-    try:
-        solved = np.linalg.solve(mat, oracle.form.pencil[i])
-        det = np.linalg.det(mat)
-        if np.isfinite(det) and det != 0.0:
-            return float(det * np.trace(solved))
-    except np.linalg.LinAlgError:
-        pass
-    h = np.cbrt(np.finfo(float).eps) * (1.0 + abs(float(alpha[i])))
-    step = np.zeros(oracle.m)
-    step[i] = h
-    return float((evaluate(oracle, alpha + step) - evaluate(oracle, alpha - step)) / (2.0 * h))
-
-
-def gradient(oracle: HyperbolicOracle, alpha) -> np.ndarray:
-    return np.asarray([partial_derivative(oracle, alpha, i) for i in range(oracle.m)])
+    value = evaluate(oracle, alpha)
+    if np.isfinite(value) and value != 0.0:
+        try:
+            grad = value * oracle.form.grad_log_p(alpha)
+            if np.all(np.isfinite(grad)):
+                return grad
+        except np.linalg.LinAlgError:
+            pass
+    h = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(alpha))
+    steps = np.diag(h)
+    return (evaluate_batch(oracle, alpha + steps) - evaluate_batch(oracle, alpha - steps)) / (2.0 * h)
 
 
 def _tuple_sum_direction(oracle: HyperbolicOracle, pts: np.ndarray) -> np.ndarray:
@@ -169,6 +147,9 @@ class ScalingReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "defect_history": list(self.defect_history),
+            "defect": self.final_state.defect,
+            "energy_history": list(self.energy_history),
+            "boundary_collapse": self.boundary_collapse,
             "capacity_verdict": self.capacity_verdict,
         }
 
@@ -182,6 +163,17 @@ class EdmondsRadoReport:
         return {"holds": self.holds, "witness": None if self.witness is None else list(self.witness)}
 
 
+def lexicographic_subsets(k: int) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of range(k) in lexicographic order, generated depth first without a list."""
+
+    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for i in range(prefix[-1] + 1 if prefix else 0, k):
+            yield prefix + (i,)
+            yield from extend(prefix + (i,))
+
+    return extend(())
+
+
 def edmonds_rado_check(oracle: HyperbolicOracle, points, tol: float = 1e-9) -> EdmondsRadoReport:
     """rank(sum of x_i over S) >= |S| for every nonempty subset S of the tuple.
 
@@ -192,10 +184,7 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points, tol: float = 1e-9) -> E
     k = pts.shape[0]
     if k > SUBSET_CAP:
         raise BudgetExceededError(f"subset enumeration capped at {SUBSET_CAP} tuple elements")
-    subsets = sorted(
-        itertools.chain.from_iterable(itertools.combinations(range(k), size) for size in range(1, k + 1))
-    )
-    for subset in subsets:
+    for subset in lexicographic_subsets(k):
         total = pts[list(subset)].sum(axis=0)
         if hyperbolic_rank(oracle, total, tol) < len(subset):
             return EdmondsRadoReport(holds=False, witness=subset)
@@ -209,25 +198,15 @@ _COLLAPSE_RATIO = 1e-10
 
 def _soft_traces(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> Optional[np.ndarray]:
     """Traces against d, or None once d has collapsed onto the numerical cone boundary."""
-    form = oracle.form
-    if isinstance(form, ProductPolynomial):
-        if np.min(d) <= _COLLAPSE_RATIO * np.max(d):
-            return None
-        traces = (pts / d[None, :]).sum(axis=1)
-    elif isinstance(form, DeterminantalPolynomial):
-        vals, vecs = np.linalg.eigh(pencil_matrix(oracle, d))
-        if vals[0] <= _COLLAPSE_RATIO * vals[-1]:
-            return None
-        inv = vecs @ np.diag(1.0 / vals) @ vecs.T
-        traces = np.asarray([float(np.trace(inv @ pencil_matrix(oracle, x))) for x in pts])
-    else:
-        try:
-            lam = roots_in_direction(oracle, d, oracle.direction, check_direction=False)
-        except Exception:
-            return None
-        if lam[-1] <= _COLLAPSE_RATIO * max(1e-300, abs(lam[0])):
-            return None
-        traces = np.asarray([trace_in_direction(oracle, x, d) for x in pts])
+    if not np.all(np.isfinite(d)):
+        return None
+    try:
+        lam = roots_in_direction(oracle, d, oracle.direction, check_direction=False)
+    except (HyperpolyError, np.linalg.LinAlgError):
+        return None
+    if lam[-1] <= _COLLAPSE_RATIO * max(1e-300, abs(lam[0])):
+        return None
+    traces = traces_in_direction(oracle, pts, d)
     floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
     if not np.all(np.isfinite(traces)) or np.any(traces <= floor):
         return None
@@ -257,7 +236,7 @@ def sinkhorn_iteration(
     then stops with boundary_collapse=True rather than fabricating traces.
     """
     pts = as_tuple(points)
-    _tuple_sum_direction(oracle, pts)
+    d = _tuple_sum_direction(oracle, pts)
     verdict = VERDICT_UNDETERMINED
     if precheck and not edmonds_rado_check(oracle, pts).holds:
         verdict = VERDICT_ZERO
@@ -269,7 +248,6 @@ def sinkhorn_iteration(
     collapsed = False
     iterations = 0
     current = pts
-    d = current.sum(axis=0)
     traces = _soft_traces(oracle, current, d)
     if traces is None:
         raise DegenerateDirectionError("directional traces are not computable at the starting tuple")
@@ -320,6 +298,7 @@ class CapacityResult:
             "minimizer": [float(v) for v in self.minimizer],
             "gradient_norm": self.gradient_norm,
             "status": self.status,
+            "iterations": self.iterations,
         }
 
 

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from hyperpoly import generators as gen
-from hyperpoly.cli import main
+from hyperpoly.cli import RunConfig, main
 
 
 def write(path, doc):
@@ -90,6 +91,22 @@ class TestScalingCommands:
         tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
         code, report = run(capsys, "sinkhorn", oracle, tup)
         assert code == 1 and report["capacity_verdict"] == "zero"
+
+    def test_sinkhorn_reports_boundary_collapse(self, tmp_path, capsys):
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
+        mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(2), 3)
+        tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
+        code, report = run(capsys, "sinkhorn", oracle, tup)
+        assert code == 1 and report["boundary_collapse"] is True
+        assert len(report["energy_history"]) == len(report["defect_history"])
+        assert report["defect"] == report["defect_history"][-1]
+
+    def test_capacity_reports_iterations(self, tmp_path, capsys):
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
+        mats = gen.doubly_stochastic_matrix_tuple(np.random.default_rng(3), 3)
+        tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
+        code, report = run(capsys, "capacity", oracle, tup)
+        assert code == 0 and report["iterations"] >= 1
 
     def test_capacity_doubly_stochastic(self, tmp_path, capsys):
         oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
@@ -213,6 +230,20 @@ class TestGenAndDeterminism:
         code1, doc1 = run(capsys, "gen", "--kind", "hyperbolic_pair", "--n", "3")
         code2, doc2 = run(capsys, "--seed", "9", "gen", "--kind", "hyperbolic_pair", "--n", "3")
         assert doc1 == doc2
+
+
+class TestParallelism:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_rejected(self, tmp_path, product2, capsys, value):
+        point = write(tmp_path / "p.json", [2.0, 3.0])
+        code = main(["--parallelism", value, "eval", product2, point])
+        assert code == 2 and "parallelism" in capsys.readouterr().err
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = RunConfig(seed=0, tol=1e-8, max_iters=1, output_format="json", parallelism=3)
+        assert config.parallelism == 2
+        assert RunConfig(seed=0, tol=1e-8, max_iters=1, output_format="json", parallelism=1).parallelism == 1
 
 
 class TestExperimentsCommand:

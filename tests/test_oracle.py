@@ -183,6 +183,27 @@ class TestTrace:
             coeffs[sym3.n - 1] / coeffs[sym3.n], rel=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: hp.product_oracle(3),
+            lambda: gen.symmetric_matrix_oracle(3),
+            lambda: hp.dense_from_oracle(gen.random_determinantal_oracle(np.random.default_rng(13), 3, 3)),
+        ],
+        ids=["product", "determinantal", "dense"],
+    )
+    def test_traces_match_restriction_ratio_on_every_form(self, make):
+        oracle = make()
+        rng = np.random.default_rng(8)
+        d = gen.positive_point_tuple(oracle, rng, 1)[0]
+        points = rng.standard_normal((4, oracle.m))
+        ratios = []
+        for x in points:
+            coeffs = hp.univariate_restriction(oracle, x, d)
+            ratios.append(coeffs[oracle.n - 1] / coeffs[oracle.n])
+            assert hp.trace_in_direction(oracle, x, d) == pytest.approx(ratios[-1], rel=1e-9)
+        assert hp.traces_in_direction(oracle, points, d) == pytest.approx(ratios, rel=1e-9)
+
     def test_zero_direction_value_rejected(self):
         oracle = hp.product_oracle(2)
         with pytest.raises(DegenerateDirectionError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import hyperpoly as hp
 from hyperpoly import generators as gen
+from hyperpoly import scaling
 from hyperpoly.errors import (
     DegenerateDirectionError,
     InvalidDocumentError,
@@ -178,6 +180,26 @@ class TestSinkhornIteration:
         for a, b in zip(rep_base.defect_history, rep_dense.defect_history):
             assert b == pytest.approx(a, rel=1e-6, abs=1e-10)
 
+    def test_unrelated_error_in_collapse_test_propagates(self, monkeypatch):
+        # Only typed root-finding failures mean a collapsed direction; any
+        # other error inside the collapse test is a fault and must surface.
+        rng = np.random.default_rng(17)
+        base = gen.random_determinantal_oracle(rng, 3, 3)
+        dense = hp.dense_from_oracle(base)
+        pts = gen.positive_point_tuple(base, rng, 3)
+        original = scaling.roots_in_direction
+        calls = []
+
+        def failing_after_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise RuntimeError("unrelated failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "roots_in_direction", failing_after_first)
+        with pytest.raises(RuntimeError, match="unrelated failure"):
+            hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14, precheck=False)
+
     def test_multiplier_grows_each_step(self):
         oracle = gen.symmetric_matrix_oracle(3)
         rng = np.random.default_rng(5)
@@ -196,6 +218,13 @@ class TestSinkhornIteration:
 
 
 class TestEdmondsRado:
+    @pytest.mark.parametrize("k", range(9))
+    def test_subsets_in_lexicographic_order(self, k):
+        expected = sorted(
+            itertools.chain.from_iterable(itertools.combinations(range(k), size) for size in range(1, k + 1))
+        )
+        assert list(scaling.lexicographic_subsets(k)) == expected
+
     def test_duplicated_point_fails(self):
         oracle, _ = gen.matrix_tuple_points([np.eye(2)] * 2)
         x = gen.matrix_to_point(np.outer([1.0, 0.0], [1.0, 0.0]))
