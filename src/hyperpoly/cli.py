@@ -5,6 +5,12 @@ generators, and the batch experiment suites.  Reports go to stdout (JSON by
 default, or plain text), diagnostics to stderr.  Exit codes: 0 success or
 property holds, 1 definite negative, 2 malformed input, 3 undetermined or
 inconclusive.
+
+The point commands (eval, roots, trace) and the tuple commands (mixed,
+support, af, sinkhorn, capacity, edmonds-rado) each load their oracle and
+inputs in one wrapper, so a handler receives loaded objects.  Every document
+and flag is checked where it is read and a malformed one raises
+InvalidDocumentError, which main turns into exit code 2.
 """
 
 from __future__ import annotations
@@ -18,16 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments
-from .errors import (
-    BudgetExceededError,
-    DegenerateDirectionError,
-    DimensionMismatchError,
-    GenerationError,
-    HyperpolyError,
-    InvalidDocumentError,
-    NonRealRootError,
-    ZeroCapacityError,
-)
+from .errors import HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
 from .generators import GeneratorSpec, generate_document, matrix_tuple_points, symmetric_matrix_oracle
 from .interlace import (
     HYPERBOLIC,
@@ -42,7 +39,7 @@ from .interlace import (
     shifted_pencil_majorization,
     symmetric_convex_line_check,
 )
-from .mixed import alexandrov_fenchel_terms, mixed_value, newton_saturation_check
+from .mixed import alexandrov_fenchel_verdict, mixed_value, newton_saturation_check
 from .oracle import evaluate, oracle_from_json, roots_in_direction, trace_in_direction
 from .scaling import (
     STATUS_CONVERGED,
@@ -79,14 +76,21 @@ class RunConfig:
         object.__setattr__(self, "parallelism", min(self.parallelism, os.cpu_count() or 1))
 
 
+def _parse(cast, value, what: str):
+    """cast(value), with a malformed value reported as an input error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDocumentError(f"bad {what}: {exc}") from exc
+
+
+def _floats(value, what: str) -> np.ndarray:
+    return _parse(lambda v: np.asarray(v, dtype=float), value, what)
+
+
 def _env(name: str, cast, default):
     raw = os.environ.get(f"HYPERPOLY_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise InvalidDocumentError(f"bad HYPERPOLY_{name}={raw!r}: {exc}") from exc
+    return default if raw is None else _parse(cast, raw, f"HYPERPOLY_{name}={raw!r}")
 
 
 def _load_json(path: str):
@@ -97,10 +101,18 @@ def _load_json(path: str):
         raise InvalidDocumentError(f"cannot read {path}: {exc}") from exc
 
 
+def _require(doc, path: str, *names: str) -> list:
+    """The named fields of a JSON object document, in order."""
+    if not isinstance(doc, dict) or any(name not in doc for name in names):
+        raise InvalidDocumentError(f"{path}: the document is an object with the fields {', '.join(names)}")
+    return [doc[name] for name in names]
+
+
 def _load_oracle(path: str):
     doc = _load_json(path)
     if isinstance(doc, dict) and doc.get("kind") == "symmetric":
-        return symmetric_matrix_oracle(int(doc["n"]))
+        (n,) = _require(doc, path, "n")
+        return symmetric_matrix_oracle(_parse(int, n, f"{path}: 'n'"))
     return oracle_from_json(doc)
 
 
@@ -110,18 +122,18 @@ def _load_point(path: str) -> np.ndarray:
         doc = doc["point"]
     if not isinstance(doc, list):
         raise InvalidDocumentError(f"{path}: a point document is a JSON array of numbers")
-    return np.asarray(doc, dtype=float)
+    return _floats(doc, f"{path}: point")
 
 
 def _load_tuple(path: str, oracle):
     doc = _load_json(path)
     if isinstance(doc, dict) and "points" in doc:
-        pts = np.asarray(doc["points"], dtype=float)
+        pts = _floats(doc["points"], f"{path}: 'points'")
         if pts.ndim != 2:
             raise InvalidDocumentError(f"{path}: 'points' must be a 2-d array")
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
-        mat_oracle, pts = matrix_tuple_points(doc["matrices"])
+        mat_oracle, pts = matrix_tuple_points(_floats(doc["matrices"], f"{path}: 'matrices'"))
         if oracle is None:
             return mat_oracle, pts
         # Matrix coordinates only make sense against the symmetric-basis pencil.
@@ -141,20 +153,22 @@ def _load_tuple(path: str, oracle):
 
 
 def _load_pair(path: str) -> tuple[MonicPolynomial, MonicPolynomial]:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "q" not in doc or "r" not in doc:
-        raise InvalidDocumentError(f"{path}: pair document needs 'q' and 'r' fields")
-    return MonicPolynomial.from_json(doc["q"]), MonicPolynomial.from_json(doc["r"])
+    q, r = _require(_load_json(path), path, "q", "r")
+    return MonicPolynomial.from_json(q), MonicPolynomial.from_json(r)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InvalidDocumentError("grid must be 'start:stop:step' or comma-separated values")
-        start, stop, step = (float(v) for v in parts)
-        return np.round(np.arange(start, stop + 1e-12, step), 12)
-    return np.asarray([float(v) for v in spec.split(",")], dtype=float)
+    try:
+        if ":" in spec:
+            start, stop, step = (float(v) for v in spec.split(":"))
+            grid = np.round(np.arange(start, stop + 1e-12, step), 12)
+        else:
+            grid = np.asarray([float(v) for v in spec.split(",")], dtype=float)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidDocumentError("grid must be 'start:stop:step' or comma-separated values") from exc
+    if grid.size == 0:
+        raise InvalidDocumentError(f"grid '{spec}' has no points")
+    return grid
 
 
 def _emit(report: dict, config: RunConfig, out_path: str | None) -> None:
@@ -174,85 +188,90 @@ def _emit(report: dict, config: RunConfig, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def cmd_eval(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    value = evaluate(oracle, _load_point(ns.point))
-    return EXIT_OK, {"value": value}
+def _code(ok: bool, negative: bool = True) -> int:
+    """EXIT_OK when ok, else EXIT_NEGATIVE for a definite negative and EXIT_UNDETERMINED otherwise."""
+    if ok:
+        return EXIT_OK
+    return EXIT_NEGATIVE if negative else EXIT_UNDETERMINED
 
 
-def cmd_roots(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    x = _load_point(ns.point)
-    d = _load_point(ns.direction) if ns.direction else oracle.direction
+def cmd_eval(config: RunConfig, oracle, x, d) -> tuple[int, dict]:
+    return EXIT_OK, {"value": evaluate(oracle, x)}
+
+
+def cmd_roots(config: RunConfig, oracle, x, d) -> tuple[int, dict]:
     lam = roots_in_direction(oracle, x, d, tol=config.tol)
     return EXIT_OK, {"roots": [float(v) for v in lam]}
 
 
-def cmd_trace(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    x = _load_point(ns.point)
-    d = _load_point(ns.direction) if ns.direction else oracle.direction
+def cmd_trace(config: RunConfig, oracle, x, d) -> tuple[int, dict]:
     return EXIT_OK, {"trace": trace_in_direction(oracle, x, d)}
 
 
-def cmd_mixed(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    oracle, pts = _load_tuple(ns.tuple, oracle)
+def cmd_mixed(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     if oracle.n >= 15:
         print(f"note: polarizing over 2^{oracle.n} sign vectors", file=sys.stderr)
     return EXIT_OK, {"mixed_value": mixed_value(oracle, pts)}
 
 
-def cmd_support(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    oracle, pts = _load_tuple(ns.tuple, oracle)
+def cmd_support(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     report = newton_saturation_check(oracle, pts)
-    code = EXIT_OK if report.saturated else EXIT_NEGATIVE
-    return code, report.to_json()
+    return _code(report.saturated), report.to_json()
 
 
-def cmd_af(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    oracle, pts = _load_tuple(ns.tuple, oracle)
-    m_ab, m_aa, m_bb = alexandrov_fenchel_terms(oracle, pts)
-    residual = m_ab * m_ab - m_aa * m_bb
-    scale = max(1.0, m_ab * m_ab, abs(m_aa * m_bb))
-    holds = residual >= -1e-9 * scale
-    report = {"residual": residual, "scale": scale, "holds": bool(holds)}
-    return (EXIT_OK if holds else EXIT_NEGATIVE), report
+def cmd_af(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
+    report = alexandrov_fenchel_verdict(oracle, pts)
+    return _code(report["holds"]), report
 
 
-def cmd_sinkhorn(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    oracle, pts = _load_tuple(ns.tuple, oracle)
+def cmd_sinkhorn(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     report = sinkhorn_iteration(oracle, pts, max_iters=config.max_iters, threshold=ns.threshold)
-    if report.capacity_verdict == VERDICT_POSITIVE and report.converged:
-        code = EXIT_OK
-    elif report.capacity_verdict == VERDICT_ZERO:
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_UNDETERMINED
-    return code, report.to_json()
+    ok = report.capacity_verdict == VERDICT_POSITIVE and report.converged
+    return _code(ok, report.capacity_verdict == VERDICT_ZERO), report.to_json()
 
 
-def cmd_capacity(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    oracle, pts = _load_tuple(ns.tuple, oracle)
+def cmd_capacity(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     result = capacity(oracle, pts, tol=config.tol, max_iters=config.max_iters)
-    if result.status == STATUS_CONVERGED:
-        code = EXIT_OK
-    elif result.status == STATUS_ZERO:
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_UNDETERMINED
-    return code, result.to_json()
+    return _code(result.status == STATUS_CONVERGED, result.status == STATUS_ZERO), result.to_json()
 
 
-def cmd_edmonds_rado(ns, config: RunConfig) -> tuple[int, dict]:
-    oracle = _load_oracle(ns.oracle)
-    oracle, pts = _load_tuple(ns.tuple, oracle)
+def cmd_edmonds_rado(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     report = edmonds_rado_check(oracle, pts, tol=config.tol)
-    return (EXIT_OK if report.holds else EXIT_NEGATIVE), report.to_json()
+    return _code(report.holds), report.to_json()
+
+
+POINT_COMMANDS = {
+    "eval": ("evaluate the polynomial at a point", cmd_eval),
+    "roots": ("root spectrum of a point in a direction", cmd_roots),
+    "trace": ("directional trace of a point", cmd_trace),
+}
+
+TUPLE_COMMANDS = {
+    "mixed": ("polarized mixed value of an n-point tuple", cmd_mixed),
+    "support": ("support, Newton polytope saturation", cmd_support),
+    "af": ("Alexandrov-Fenchel residual of a tuple", cmd_af),
+    "sinkhorn": ("run the scaling iteration", cmd_sinkhorn),
+    "capacity": ("capacity of a tuple via convex optimization", cmd_capacity),
+    "edmonds-rado": ("generalized rank condition over all subsets", cmd_edmonds_rado),
+}
+
+
+def _point_command(handler):
+    def run(ns, config: RunConfig) -> tuple[int, dict]:
+        oracle = _load_oracle(ns.oracle)
+        x = _load_point(ns.point)
+        d = _load_point(ns.direction) if getattr(ns, "direction", None) else oracle.direction
+        return handler(config, oracle, x, d)
+
+    return run
+
+
+def _tuple_command(handler):
+    def run(ns, config: RunConfig) -> tuple[int, dict]:
+        oracle, pts = _load_tuple(ns.tuple, _load_oracle(ns.oracle))
+        return handler(ns, config, oracle, pts)
+
+    return run
 
 
 def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
@@ -264,7 +283,7 @@ def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
         first.verdict in definite and second.verdict in definite
     )
     report = {"obreschkoff": first.to_json(), "sampled": second.to_json(), "agree": agree}
-    if first.verdict == second.verdict and first.verdict in (HYPERBOLIC, NOT_HYPERBOLIC):
+    if first.verdict == second.verdict and first.verdict in definite:
         verdict = first.verdict
     elif second.verdict == NOT_HYPERBOLIC or first.verdict == NOT_HYPERBOLIC:
         # A found counterexample (or mixed residues) is decisive even if the
@@ -273,41 +292,41 @@ def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
     else:
         verdict = INCONCLUSIVE
     report["verdict"] = verdict
-    if verdict == HYPERBOLIC:
-        return EXIT_OK, report
-    if verdict == NOT_HYPERBOLIC:
-        return EXIT_NEGATIVE, report
-    return EXIT_UNDETERMINED, report
+    return _code(verdict == HYPERBOLIC, verdict == NOT_HYPERBOLIC), report
 
 
 def cmd_majorize(ns, config: RunConfig) -> tuple[int, dict]:
     doc = _load_json(ns.file)
     if ns.mode == "vectors":
-        report = majorization_check(doc["u"], doc["v"], tol=config.tol)
+        u, v = (_floats(f, f"{ns.file}: vector") for f in _require(doc, ns.file, "u", "v"))
+        report = majorization_check(u, v, tol=config.tol)
     elif ns.mode == "lidskii":
-        report = lidskii_check(np.asarray(doc["A"], float), np.asarray(doc["B"], float), tol=config.tol)
+        a, b = (_floats(f, f"{ns.file}: matrix") for f in _require(doc, ns.file, "A", "B"))
+        report = lidskii_check(a, b, tol=config.tol)
     else:
-        q = MonicPolynomial.from_json(doc["q"])
-        r = MonicPolynomial.from_json(doc["r"])
-        report = shifted_pencil_majorization(q, r, doc["point"], doc["delta"], tol=config.tol)
-    return (EXIT_OK if report.majorized else EXIT_NEGATIVE), report.to_json()
+        q, r, point, delta = _require(doc, ns.file, "q", "r", "point", "delta")
+        report = shifted_pencil_majorization(
+            MonicPolynomial.from_json(q),
+            MonicPolynomial.from_json(r),
+            _floats(point, f"{ns.file}: 'point'"),
+            _floats(delta, f"{ns.file}: 'delta'"),
+            tol=config.tol,
+        )
+    return _code(report.majorized), report.to_json()
 
 
 def cmd_line_convexity(ns, config: RunConfig) -> tuple[int, dict]:
     grid = _parse_grid(ns.grid)
-    doc = _load_json(ns.file)
     if ns.check == "derivative":
-        q = MonicPolynomial.from_json(doc["q"])
-        report = derivative_line_convexity(q, ns.b, ns.c, ns.k, grid, tol=config.tol)
-        ok = report.convex and report.min_at_zero is not False and report.fn_constant
-        return (EXIT_OK if ok else EXIT_NEGATIVE), report.to_json()
-    q = MonicPolynomial.from_json(doc["q"])
-    r = MonicPolynomial.from_json(doc["r"])
+        (q,) = _require(_load_json(ns.file), ns.file, "q")
+        report = derivative_line_convexity(MonicPolynomial.from_json(q), ns.b, ns.c, ns.k, grid, tol=config.tol)
+        return _code(report.convex and report.min_at_zero is not False and report.fn_constant), report.to_json()
+    q, r = _load_pair(ns.file)
     try:
         report = symmetric_convex_line_check(q, r, ns.b, ns.c, ns.statistic, grid, tol=config.tol)
     except NonRealRootError as exc:
         return EXIT_NEGATIVE, {"convex": None, "verdict": "not_hyperbolic", "detail": str(exc)}
-    return (EXIT_OK if report.convex else EXIT_NEGATIVE), report.to_json()
+    return _code(report.convex), report.to_json()
 
 
 def cmd_gen(ns, config: RunConfig) -> tuple[int, dict]:
@@ -320,7 +339,7 @@ def cmd_experiments(ns, config: RunConfig) -> tuple[int, dict]:
         summary = experiments.run_suite(ns.suite, config.seed, trials=ns.trials, parallelism=config.parallelism)
     except KeyError as exc:
         raise InvalidDocumentError(str(exc)) from exc
-    return (EXIT_OK if summary["failures"] == 0 else EXIT_NEGATIVE), summary
+    return _code(summary["failures"] == 0), summary
 
 
 def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -343,53 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate the polynomial at a point")
-    p.add_argument("oracle")
-    p.add_argument("point")
-    p.set_defaults(fn=cmd_eval)
+    for name, (help_text, handler) in POINT_COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("oracle")
+        p.add_argument("point")
+        if name != "eval":
+            p.add_argument("direction", nargs="?", default=None)
+        p.set_defaults(fn=_point_command(handler))
 
-    p = sub.add_parser("roots", parents=[common], help="root spectrum of a point in a direction")
-    p.add_argument("oracle")
-    p.add_argument("point")
-    p.add_argument("direction", nargs="?", default=None)
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("trace", parents=[common], help="directional trace of a point")
-    p.add_argument("oracle")
-    p.add_argument("point")
-    p.add_argument("direction", nargs="?", default=None)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("mixed", parents=[common], help="polarized mixed value of an n-point tuple")
-    p.add_argument("oracle")
-    p.add_argument("tuple")
-    p.set_defaults(fn=cmd_mixed)
-
-    p = sub.add_parser("support", parents=[common], help="support, Newton polytope saturation")
-    p.add_argument("oracle")
-    p.add_argument("tuple")
-    p.set_defaults(fn=cmd_support)
-
-    p = sub.add_parser("af", parents=[common], help="Alexandrov-Fenchel residual of a tuple")
-    p.add_argument("oracle")
-    p.add_argument("tuple")
-    p.set_defaults(fn=cmd_af)
-
-    p = sub.add_parser("sinkhorn", parents=[common], help="run the scaling iteration")
-    p.add_argument("oracle")
-    p.add_argument("tuple")
-    p.add_argument("--threshold", type=float, default=1e-10)
-    p.set_defaults(fn=cmd_sinkhorn)
-
-    p = sub.add_parser("capacity", parents=[common], help="capacity of a tuple via convex optimization")
-    p.add_argument("oracle")
-    p.add_argument("tuple")
-    p.set_defaults(fn=cmd_capacity)
-
-    p = sub.add_parser("edmonds-rado", parents=[common], help="generalized rank condition over all subsets")
-    p.add_argument("oracle")
-    p.add_argument("tuple")
-    p.set_defaults(fn=cmd_edmonds_rado)
+    for name, (help_text, handler) in TUPLE_COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("oracle")
+        p.add_argument("tuple")
+        if name == "sinkhorn":
+            p.add_argument("--threshold", type=float, default=1e-10)
+        p.set_defaults(fn=_tuple_command(handler))
 
     p = sub.add_parser("pair-test", parents=[common], help="hyperbolic pair test (residues + sampled pencil)")
     p.add_argument("pair")
@@ -425,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        # The defaults read HYPERPOLY_* variables, so a bad value fails here.
+        ns = build_parser().parse_args(argv)
         config = RunConfig(
             seed=ns.seed,
             tol=ns.tol,
@@ -438,25 +425,12 @@ def main(argv=None) -> int:
         code, report = ns.fn(ns, config)
         _emit(report, config, ns.out)
         return code
-    except NonRealRootError as exc:
+    except (NonRealRootError, ZeroCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except ZeroCapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (
-        InvalidDocumentError,
-        DimensionMismatchError,
-        DegenerateDirectionError,
-        BudgetExceededError,
-        GenerationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except HyperpolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
 
 if __name__ == "__main__":
     sys.exit(main())

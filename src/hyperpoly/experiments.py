@@ -10,12 +10,14 @@ report does not depend on the worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import generators as gen
+from .errors import InvalidDocumentError
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -32,7 +34,7 @@ from .interlace import (
     taylor_shift,
 )
 from .mixed import (
-    alexandrov_fenchel_terms,
+    alexandrov_fenchel_verdict,
     dense_from_oracle,
     log_concavity_profile,
     mixed_discriminant,
@@ -52,6 +54,8 @@ from .scaling import (
 
 
 def _run_trials(worker: Callable, args: Sequence, parallelism: int) -> list:
+    # More workers than cores only adds process start-up cost.
+    parallelism = min(parallelism, os.cpu_count() or 1)
     if parallelism <= 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
@@ -67,19 +71,16 @@ def _summary(name: str, results: list[dict], extra: dict | None = None) -> dict:
     return out
 
 
-def _instance_for(kind: str, rng: np.random.Generator, n: int, nonneg: bool):
+def _instance_for(kind: str, rng: np.random.Generator, n: int, count: int, nonneg: bool):
+    """A degree-n oracle of the given kind and `count` points in its (closed, if nonneg) cone."""
+    if kind == "product":
+        return gen.product_oracle(n), rng.uniform(0.0 if nonneg else 0.2, 2.0, size=(count, n))
     if kind == "determinantal":
         oracle = gen.symmetric_matrix_oracle(n)
-        maker = gen.nonnegative_point_tuple if nonneg else gen.positive_point_tuple
-        return oracle, maker(oracle, rng, n)
-    if kind == "product":
-        oracle = gen.product_oracle(n)
-        pts = rng.uniform(0.0 if nonneg else 0.2, 2.0, size=(n, n))
-        return oracle, pts
-    base = gen.random_determinantal_oracle(rng, n, m=3)
-    oracle = dense_from_oracle(base)
+    else:
+        oracle = dense_from_oracle(gen.random_determinantal_oracle(rng, n, m=3))
     maker = gen.nonnegative_point_tuple if nonneg else gen.positive_point_tuple
-    return oracle, maker(oracle, rng, n)
+    return oracle, maker(oracle, rng, count)
 
 
 _KINDS = ("determinantal", "product", "dense")
@@ -88,13 +89,10 @@ _KINDS = ("determinantal", "product", "dense")
 def _af_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 90, trial)
-    kind = _KINDS[trial % 3]
     n = 2 + trial % 4
-    oracle, pts = _instance_for(kind, rng, n, nonneg=True)
-    m_ab, m_aa, m_bb = alexandrov_fenchel_terms(oracle, pts)
-    residual = m_ab * m_ab - m_aa * m_bb
-    scale = max(1.0, m_ab * m_ab, abs(m_aa * m_bb))
-    return {"ok": residual >= -1e-9 * scale, "slack": residual / scale}
+    oracle, pts = _instance_for(_KINDS[trial % 3], rng, n, n, nonneg=True)
+    verdict = alexandrov_fenchel_verdict(oracle, pts)
+    return {"ok": verdict["holds"], "slack": verdict["residual"] / verdict["scale"]}
 
 
 def run_af(seed: int, trials: int = 300, parallelism: int = 1) -> dict:
@@ -161,11 +159,7 @@ def _hsi_positive_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 94, trial)
     n = 2 + trial % 4
-    if trial % 2 == 0:
-        oracle = gen.symmetric_matrix_oracle(n)
-        pts = gen.positive_point_tuple(oracle, rng, n)
-    else:
-        oracle, pts = gen.positive_product_tuple(rng, n)
+    oracle, pts = _instance_for(_KINDS[trial % 2], rng, n, n, nonneg=False)
     report = sinkhorn_iteration(oracle, pts, max_iters=10000, threshold=1e-10)
     defects = np.asarray(report.defect_history)
     energies = np.asarray(report.energy_history)
@@ -193,8 +187,7 @@ def _hsi_rescale_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 96, trial)
     n = 2 + trial % 3
-    oracle = gen.symmetric_matrix_oracle(n)
-    pts = gen.positive_point_tuple(oracle, rng, n)
+    oracle, pts = _instance_for("determinantal", rng, n, n, nonneg=False)
     d = pts.sum(axis=0)
     traces = traces_in_direction(oracle, pts, d)
     cap_before = capacity(oracle, pts).value
@@ -304,19 +297,8 @@ def run_interlace(seed: int, trials: int = 1000, parallelism: int = 1) -> dict:
 def _logconcavity_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 101, trial)
-    kind = _KINDS[trial % 3]
     n = 2 + trial % 4
-    # two strictly positive points of an n-slot oracle
-    if kind == "determinantal":
-        oracle = gen.symmetric_matrix_oracle(n)
-        xy = gen.positive_point_tuple(oracle, rng, 2)
-    elif kind == "product":
-        oracle = gen.product_oracle(n)
-        xy = rng.uniform(0.2, 2.0, size=(2, n))
-    else:
-        oracle = dense_from_oracle(gen.random_determinantal_oracle(rng, n, m=3))
-        xy = gen.positive_point_tuple(oracle, rng, 2)
-    x, y = xy[0], xy[1]
+    oracle, (x, y) = _instance_for(_KINDS[trial % 3], rng, n, 2, nonneg=False)
     profile = log_concavity_profile(oracle, x, y)
     ok = bool(np.all(profile > 0.0))
     slack = math.inf
@@ -377,6 +359,8 @@ SUITES = {
 def run_suite(name: str, seed: int, trials: int | None = None, parallelism: int = 1) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
+    if trials is not None and trials < 1:
+        raise InvalidDocumentError("trials must be at least 1")
     fn = SUITES[name]
     if trials is None:
         return fn(seed, parallelism=parallelism)

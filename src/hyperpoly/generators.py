@@ -80,7 +80,9 @@ def point_to_matrix(point: np.ndarray, n: int) -> np.ndarray:
 def matrix_tuple_points(matrices) -> tuple[HyperbolicOracle, np.ndarray]:
     """Wrap a list of symmetric matrices as points of the symmetric-basis oracle."""
     mats = [np.asarray(a, dtype=float) for a in matrices]
-    n = mats[0].shape[0]
+    n = mats[0].shape[0] if mats and mats[0].ndim == 2 else 0
+    if n == 0 or any(a.shape != (n, n) for a in mats):
+        raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
     oracle = symmetric_matrix_oracle(n)
     return oracle, np.vstack([matrix_to_point(a) for a in mats])
 
@@ -107,11 +109,8 @@ def doubly_stochastic_matrix_tuple(
     iteration and then pushed to the identity frame by congruence with
     d^{-1/2}, which preserves every trace tr(d^{-1} A_i).
     """
-    oracle, points = matrix_tuple_points(psd_matrix_tuple(rng, n))
-    report = sinkhorn_iteration(oracle, points, max_iters=max_iters, threshold=defect_tol, precheck=False)
-    if not report.converged:
-        raise GenerationError(f"scaling failed to reach defect {defect_tol} in {max_iters} iterations")
-    scaled = [point_to_matrix(x, n) for x in report.final_state.points]
+    _, points = d_doubly_stochastic_tuple(rng, n, defect_tol, max_iters)
+    scaled = [point_to_matrix(x, n) for x in points]
     d = sum(scaled)
     vals, vecs = np.linalg.eigh(d)
     w = vecs @ np.diag(vals**-0.5) @ vecs.T
@@ -219,8 +218,7 @@ def structured_product_points(rng: np.random.Generator, n: int) -> tuple[Hyperbo
 
 def random_square_determinantal_oracle(rng: np.random.Generator, n: int) -> HyperbolicOracle:
     """Determinantal oracle with as many variables as its degree (PSD pencil)."""
-    pencil = [random_psd_matrix(rng, n) for _ in range(n)]
-    return determinantal_oracle(pencil, np.ones(n))
+    return random_determinantal_oracle(rng, n, n)
 
 
 def random_determinantal_oracle(rng: np.random.Generator, n: int, m: int) -> HyperbolicOracle:
@@ -300,6 +298,8 @@ def generate_document(spec: GeneratorSpec, seed: int) -> dict:
     """Produce the JSON document for a generator request; deterministic in the seed."""
     rng = rng_for(seed, 0)
     n = spec.n
+    if n < 1:
+        raise InvalidDocumentError(f"generator size must be at least 1, got {n}")
     if spec.kind == "psd_tuple":
         return {"matrices": [a.tolist() for a in psd_matrix_tuple(rng, n)]}
     if spec.kind == "doubly_stochastic_tuple":

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidDocumentError, NonRealRootError
+from .errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError
+from .report import Report
 
 HYPERBOLIC = "hyperbolic"
 NOT_HYPERBOLIC = "not_hyperbolic"
@@ -188,23 +189,13 @@ def real_roots_from_coefficients(coeffs, tol: float = 1e-8, polish: bool = False
 
 
 @dataclass(frozen=True)
-class PairReport:
+class PairReport(Report):
     """Outcome of a hyperbolic-pair test."""
 
     verdict: str
     residues: Optional[tuple[float, ...]] = None
     counterexample_direction: Optional[tuple[float, float]] = None
     roots_of_q: Optional[np.ndarray] = None
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "residues": None if self.residues is None else list(self.residues),
-            "counterexample_direction": None
-            if self.counterexample_direction is None
-            else list(self.counterexample_direction),
-            "roots_of_q": None if self.roots_of_q is None else [float(v) for v in self.roots_of_q],
-        }
 
 
 def obreschkoff_pair_test(q: MonicPolynomial, r, tol: float = 1e-8) -> PairReport:
@@ -276,19 +267,12 @@ def pencil_characteristic_polynomial(q: MonicPolynomial, r: MonicPolynomial, x: 
 
 
 @dataclass(frozen=True)
-class MajorizationReport:
+class MajorizationReport(Report):
     """u majorized by v: descending prefix sums of u dominated by those of v, equal totals."""
 
     majorized: bool
     prefix_gaps: tuple[float, ...]
     total_gap: float
-
-    def to_json(self) -> dict:
-        return {
-            "majorized": self.majorized,
-            "prefix_gaps": list(self.prefix_gaps),
-            "total_gap": self.total_gap,
-        }
 
 
 def majorization_check(u, v, tol: float = 1e-9) -> MajorizationReport:
@@ -311,6 +295,8 @@ def lidskii_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> Majorizati
     """Check that lambda(A+B) - lambda(A) is majorized by lambda(B) for symmetric A, B."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
+        raise DimensionMismatchError(f"Lidskii needs two square matrices of one size, got {a.shape} and {b.shape}")
     a = 0.5 * (a + a.T)
     b = 0.5 * (b + b.T)
     u = _descending_spectrum(a + b) - _descending_spectrum(a)
@@ -349,6 +335,8 @@ def shifted_pencil_majorization(
     """
     if q.degree != r.degree:
         raise InvalidDocumentError("shifted-pencil majorization needs equal-degree monic polynomials")
+    if np.shape(point) != (3,) or np.shape(delta) != (3,):
+        raise DimensionMismatchError("point and delta must be triples")
     x, y, z = (float(v) for v in point)
     d1, d2, d3 = (float(v) for v in delta)
     lsum = x + y
@@ -369,19 +357,11 @@ def shifted_pencil_majorization(
 
 
 @dataclass(frozen=True)
-class LineConvexityReport:
+class LineConvexityReport(Report):
     convex: bool
     min_at_zero: Optional[bool]
     fn_constant: bool
     values: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "convex": self.convex,
-            "min_at_zero": self.min_at_zero,
-            "fn_constant": self.fn_constant,
-            "values": list(self.values),
-        }
 
 
 def _midpoint_convex(f: Callable[[float], float], grid: Sequence[float], tol: float) -> bool:
@@ -453,7 +433,10 @@ def root_statistic(f_id: str) -> Callable[[np.ndarray], float]:
     if name in ("topk_sum", "neg_bottomk_sum"):
         if not arg:
             raise InvalidDocumentError(f"statistic '{name}' needs a ':k' suffix")
-        k = int(arg)
+        try:
+            k = int(arg)
+        except ValueError as exc:
+            raise InvalidDocumentError(f"statistic '{name}' needs an integer k, got '{arg}'") from exc
         if name == "topk_sum":
             return lambda lam: float(np.sum(lam[:k]))
         return lambda lam: -float(np.sum(lam[lam.size - k :]))
@@ -461,12 +444,9 @@ def root_statistic(f_id: str) -> Callable[[np.ndarray], float]:
 
 
 @dataclass(frozen=True)
-class SymmetricConvexReport:
+class SymmetricConvexReport(Report):
     convex: bool
     values: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {"convex": self.convex, "values": list(self.values)}
 
 
 def symmetric_convex_line_check(

@@ -34,6 +34,7 @@ from .oracle import (
     evaluate_batch,
     polynomial_from_samples,
 )
+from .report import Report
 
 # Polarization sums 2^n evaluations; anything past this is not desk scale.
 POLARIZATION_CAP = 20
@@ -128,13 +129,14 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class SupportSet:
+class SupportSet(Report):
     """Compositions with strictly positive mixed value, plus the values themselves."""
 
     members: tuple[tuple[int, ...], ...]
     values: dict
     threshold: float
 
+    # The wire format pairs each member with its value; JSON keys cannot be tuples.
     def to_json(self) -> dict:
         return {"support": [{"r": list(r), "value": self.values[r]} for r in self.members]}
 
@@ -199,17 +201,16 @@ def polytope_membership(r, support_set) -> bool:
 
 
 @dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(Report):
     saturated: bool
     violations: tuple[tuple[int, ...], ...]
     support: SupportSet
 
+    # The wire format puts the support's member list next to the verdict instead of nesting it.
     def to_json(self) -> dict:
-        return {
-            "saturated": self.saturated,
-            "violations": [list(v) for v in self.violations],
-            **self.support.to_json(),
-        }
+        doc = super().to_json()
+        doc.update(doc.pop("support"))
+        return doc
 
 
 def newton_saturation_check(oracle: HyperbolicOracle, points, tol: Optional[float] = None) -> SaturationReport:
@@ -253,8 +254,16 @@ def alexandrov_fenchel_residual(oracle: HyperbolicOracle, points) -> float:
         if cone_membership(oracle, row) == OUTSIDE:
             warnings.warn("tuple is not e-nonnegative; the residual may legitimately be negative", stacklevel=2)
             break
-    m_ab, m_aa, m_bb = alexandrov_fenchel_terms(oracle, pts)
-    return m_ab * m_ab - m_aa * m_bb
+    return alexandrov_fenchel_verdict(oracle, pts)["residual"]
+
+
+def alexandrov_fenchel_verdict(oracle: HyperbolicOracle, points) -> dict:
+    """The residual, its scale max(1, M(x1,x2,Y)^2, |M(x1,x1,Y) M(x2,x2,Y)|), and
+    whether the residual clears -1e-9 * scale."""
+    m_ab, m_aa, m_bb = alexandrov_fenchel_terms(oracle, points)
+    residual = m_ab * m_ab - m_aa * m_bb
+    scale = max(1.0, m_ab * m_ab, abs(m_aa * m_bb))
+    return {"residual": residual, "scale": scale, "holds": bool(residual >= -1e-9 * scale)}
 
 
 def k_hyperbolicity_polynomial(oracle: HyperbolicOracle, x, tail, k: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import (
     NonRealRootError,
 )
 from .interlace import real_roots_from_coefficients, roots_from_coefficients
+from .report import Report
 
 POSITIVE = "positive"
 NONNEGATIVE = "nonnegative"
@@ -364,15 +365,9 @@ def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) 
 
 
 @dataclass(frozen=True)
-class HyperbolicityReport:
+class HyperbolicityReport(Report):
     verdict: bool
     counterexample: Optional[np.ndarray]
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "counterexample": None if self.counterexample is None else [float(v) for v in self.counterexample],
-        }
 
 
 def hyperbolicity_sample_test(

@@ -36,6 +36,7 @@ from .oracle import (
     hyperbolic_rank,
     roots_in_direction,
 )
+from .report import Report
 
 SUBSET_CAP = 24
 
@@ -115,25 +116,16 @@ def sinkhorn_map(oracle: HyperbolicOracle, points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalingState:
+class ScalingState(Report):
     points: np.ndarray
     d: np.ndarray
     traces: np.ndarray
     defect: float
     multiplier: float
 
-    def to_json(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "d": self.d.tolist(),
-            "traces": self.traces.tolist(),
-            "defect": self.defect,
-            "multiplier": self.multiplier,
-        }
-
 
 @dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(Report):
     converged: bool
     iterations: int
     defect_history: tuple[float, ...]
@@ -142,25 +134,17 @@ class ScalingReport:
     energy_history: tuple[float, ...] = ()
     boundary_collapse: bool = False
 
+    # The wire format carries the final defect instead of the whole final state.
     def to_json(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "defect_history": list(self.defect_history),
-            "defect": self.final_state.defect,
-            "energy_history": list(self.energy_history),
-            "boundary_collapse": self.boundary_collapse,
-            "capacity_verdict": self.capacity_verdict,
-        }
+        doc = super().to_json()
+        doc["defect"] = doc.pop("final_state")["defect"]
+        return doc
 
 
 @dataclass(frozen=True)
-class EdmondsRadoReport:
+class EdmondsRadoReport(Report):
     holds: bool
     witness: Optional[tuple[int, ...]]
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "witness": None if self.witness is None else list(self.witness)}
 
 
 def lexicographic_subsets(k: int) -> Iterator[tuple[int, ...]]:
@@ -285,21 +269,12 @@ def sinkhorn_iteration(
 
 
 @dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(Report):
     value: float
     minimizer: np.ndarray
     gradient_norm: Optional[float]
     status: str
     iterations: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "minimizer": [float(v) for v in self.minimizer],
-            "gradient_norm": self.gradient_norm,
-            "status": self.status,
-            "iterations": self.iterations,
-        }
 
 
 def capacity(
@@ -391,13 +366,10 @@ def capacity(
 
 
 @dataclass(frozen=True)
-class ConcavityReport:
+class ConcavityReport(Report):
     holds: bool
     lhs: float
     rhs: float
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "lhs": self.lhs, "rhs": self.rhs}
 
 
 def _combined_composition(comps, weights, k: int) -> np.ndarray:
@@ -417,6 +389,26 @@ def _combined_composition(comps, weights, k: int) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def _concavity_report(value, points, comps, weights, rhs: float, rel_slack: float) -> ConcavityReport:
+    """value(X_{r0}) >= rhs * prod_i value(X_{ri})^{w_i}, r0 the combined composition.
+
+    A nonpositive value with positive weight makes the product zero.
+    """
+    pts = as_tuple(points)
+    r0 = _combined_composition(comps, weights, pts.shape[0])
+    lhs = value(repeated_tuple(pts, r0))
+    for w, r in zip(np.asarray(weights, dtype=float), comps):
+        val = value(repeated_tuple(pts, np.asarray(r, dtype=np.int64)))
+        if val <= 0.0:
+            if w > 0.0:
+                rhs = 0.0
+                break
+        else:
+            rhs *= val**w
+    holds = lhs >= rhs * (1.0 - rel_slack) - 1e-15
+    return ConcavityReport(holds=bool(holds), lhs=lhs, rhs=rhs)
+
+
 def capacity_concavity_check(
     oracle: HyperbolicOracle,
     points,
@@ -431,20 +423,9 @@ def capacity_concavity_check(
     combination of the given compositions; this is concavity of log Cap over
     repetition vectors.
     """
-    pts = as_tuple(points)
-    r0 = _combined_composition(comps, weights, pts.shape[0])
-    lhs = capacity(oracle, repeated_tuple(pts, r0), tol=tol).value
-    rhs = 1.0
-    for w, r in zip(np.asarray(weights, dtype=float), comps):
-        cap_r = capacity(oracle, repeated_tuple(pts, np.asarray(r, dtype=np.int64)), tol=tol).value
-        if cap_r == 0.0:
-            if w > 0.0:
-                rhs = 0.0
-                break
-        else:
-            rhs *= cap_r**w
-    holds = lhs >= rhs * (1.0 - rel_slack) - 1e-15
-    return ConcavityReport(holds=bool(holds), lhs=lhs, rhs=rhs)
+    return _concavity_report(
+        lambda tup: capacity(oracle, tup, tol=tol).value, points, comps, weights, 1.0, rel_slack
+    )
 
 
 def mixed_concavity_check(
@@ -460,21 +441,10 @@ def mixed_concavity_check(
     the capacity with the two-sided comparison between mixed value and
     capacity.
     """
-    pts = as_tuple(points)
     n = oracle.n
-    r0 = _combined_composition(comps, weights, pts.shape[0])
-    lhs = mixed_value(oracle, repeated_tuple(pts, r0))
-    rhs = math.factorial(n) / n**n
-    for w, r in zip(np.asarray(weights, dtype=float), comps):
-        val = mixed_value(oracle, repeated_tuple(pts, np.asarray(r, dtype=np.int64)))
-        if val <= 0.0:
-            if w > 0.0:
-                rhs = 0.0
-                break
-        else:
-            rhs *= val**w
-    holds = lhs >= rhs * (1.0 - rel_slack) - 1e-15
-    return ConcavityReport(holds=bool(holds), lhs=lhs, rhs=rhs)
+    return _concavity_report(
+        lambda tup: mixed_value(oracle, tup), points, comps, weights, math.factorial(n) / n**n, rel_slack
+    )
 
 
 def van_der_waerden_ratio(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int = 10000) -> float:
@@ -487,13 +457,10 @@ def van_der_waerden_ratio(oracle: HyperbolicOracle, points, tol: float = 1e-8, m
 
 
 @dataclass(frozen=True)
-class ReciprocalGradientReport:
+class ReciprocalGradientReport(Report):
     lhs: float
     rhs: float
     holds: bool
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
 def gradient_reciprocal_check(oracle: HyperbolicOracle, alpha, tol: float = 1e-9) -> ReciprocalGradientReport:

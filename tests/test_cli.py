@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from hyperpoly import experiments
 from hyperpoly import generators as gen
-from hyperpoly.cli import RunConfig, main
+from hyperpoly.cli import RunConfig, build_parser, main
 
 
 def write(path, doc):
@@ -255,3 +256,131 @@ class TestExperimentsCommand:
         code = main(["experiments", "nonsense"])
         capsys.readouterr()
         assert code == 2
+
+
+def _write_inputs(tmp_path):
+    """Small fixed input documents, by name."""
+    rng = np.random.default_rng(11)
+    mats = gen.psd_matrix_tuple(rng, 2)
+    docs = {
+        "product2": {"kind": "product", "n": 2},
+        "symmetric2": {"kind": "symmetric", "n": 2},
+        "point": [2.0, 3.0],
+        "direction": [1.0, 2.0],
+        "basis": {"points": [[1.0, 0.0], [0.0, 1.0]]},
+        "psd": {"matrices": [a.tolist() for a in mats]},
+        "pair": {"q": {"degree": 2, "a": [0.0, 1.0]}, "r": {"degree": 1, "a": [0.0]}},
+        "equal_degree_pair": {"q": {"degree": 2, "a": [0.0, 1.0]}, "r": {"degree": 2, "a": [0.5, 2.0]}},
+        "vectors": {"u": [1.0, 1.0], "v": [2.0, 0.0]},
+        "q": {"q": {"degree": 2, "a": [0.0, 1.0]}},
+        # malformed documents
+        "no_u": {"v": [1.0, 2.0]},
+        "list": [1.0, 2.0],
+        "no_q": {"r": {"degree": 1, "a": [0.0]}},
+        "symmetric_no_n": {"kind": "symmetric"},
+        "no_matrices": {"matrices": []},
+        "string_point": ["a", "b"],
+        "lidskii_1x2": {"A": [[1.0, 0.0], [0.0, 2.0]], "B": [[1.0, 2.0]]},
+        "short_triple": {"q": {"a": [0.0, 1.0]}, "r": {"a": [0.5, 2.0]}, "point": [1.0, 0.5], "delta": [0.4, 0.2, 0.9]},
+    }
+    return {name: write(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
+
+
+def _argv(files, *args):
+    return [files.get(a, a) for a in args]
+
+
+SINKHORN_KEYS = {
+    "boundary_collapse",
+    "capacity_verdict",
+    "converged",
+    "defect",
+    "defect_history",
+    "energy_history",
+    "iterations",
+}
+
+EVERY_SUBCOMMAND = [
+    (("eval", "product2", "point"), 0, {"value"}),
+    (("roots", "product2", "point", "direction"), 0, {"roots"}),
+    (("trace", "product2", "point"), 0, {"trace"}),
+    (("mixed", "product2", "basis"), 0, {"mixed_value"}),
+    (("support", "product2", "basis"), 0, {"saturated", "support", "violations"}),
+    (("af", "symmetric2", "psd"), 0, {"holds", "residual", "scale"}),
+    (("sinkhorn", "symmetric2", "psd"), 0, SINKHORN_KEYS),
+    (("capacity", "symmetric2", "psd"), 0, {"gradient_norm", "iterations", "minimizer", "status", "value"}),
+    (("edmonds-rado", "product2", "basis"), 0, {"holds", "witness"}),
+    (("pair-test", "pair"), 0, {"agree", "obreschkoff", "sampled", "verdict"}),
+    (("majorize", "vectors"), 0, {"majorized", "prefix_gaps", "total_gap"}),
+    (("line-convexity", "q"), 0, {"convex", "fn_constant", "min_at_zero", "values"}),
+    (("gen", "--kind", "psd_tuple", "--n", "2"), 0, {"matrices"}),
+    (("experiments", "lidskii", "--trials", "2"), 0, {"failures", "suite", "trials", "worst_slack"}),
+]
+
+
+class TestEverySubcommand:
+    def test_covers_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert {argv[0] for argv, _, _ in EVERY_SUBCOMMAND} == set(sub.choices)
+
+    @pytest.mark.parametrize("args, code, keys", EVERY_SUBCOMMAND, ids=[a[0][0] for a in EVERY_SUBCOMMAND])
+    def test_exit_code_and_report_keys(self, tmp_path, capsys, args, code, keys):
+        got, report = run(capsys, *_argv(_write_inputs(tmp_path), *args))
+        assert got == code
+        assert sorted(report) == sorted(keys)
+
+    @pytest.mark.parametrize("suite", sorted(experiments.SUITES))
+    def test_every_suite_passes(self, capsys, suite):
+        code, report = run(capsys, "--seed", "2", "experiments", suite, "--trials", "4")
+        assert code == 0 and report["failures"] == 0 and report["suite"] == suite
+
+
+MALFORMED = [
+    ("majorize-no-u", ("majorize", "no_u")),
+    ("majorize-list", ("majorize", "list")),
+    ("line-convexity-no-q", ("line-convexity", "no_q")),
+    ("grid-not-numbers", ("line-convexity", "q", "--grid", "a:b:c")),
+    ("grid-zero-step", ("line-convexity", "q", "--grid", "0:1:0")),
+    ("grid-empty", ("line-convexity", "q", "--grid", "1:0:0.25")),
+    ("statistic-bad-k", ("line-convexity", "equal_degree_pair", "--check", "symmetric", "--statistic", "topk_sum:x")),
+    ("symmetric-no-n", ("eval", "symmetric_no_n", "point")),
+    ("empty-matrix-tuple", ("mixed", "symmetric2", "no_matrices")),
+    ("string-point", ("eval", "product2", "string_point")),
+    ("lidskii-1x2", ("majorize", "lidskii_1x2", "--mode", "lidskii")),
+    ("shifted-pencil-pair", ("majorize", "short_triple", "--mode", "shifted-pencil")),
+]
+
+TOO_SMALL = [
+    ("gen-hyperbolic-pair-0", ("gen", "--kind", "hyperbolic_pair", "--n", "0")),
+    ("gen-psd-tuple-minus-1", ("gen", "--kind", "psd_tuple", "--n", "-1")),
+    ("gen-doubly-stochastic-0", ("gen", "--kind", "doubly_stochastic_tuple", "--n", "0")),
+    ("experiments-af-0", ("experiments", "af", "--trials", "0")),
+    ("experiments-vdw-minus-1", ("experiments", "vdw", "--trials", "-1")),
+]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("args", [a for _, a in MALFORMED + TOO_SMALL], ids=[i for i, _ in MALFORMED + TOO_SMALL])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, args):
+        code = main(_argv(_write_inputs(tmp_path), *args))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_bad_environment_default_exit_two(self, tmp_path, product2, monkeypatch, capsys):
+        monkeypatch.setenv("HYPERPOLY_SEED", "x")
+        code = main(["eval", product2, write(tmp_path / "p.json", [2.0, 3.0])])
+        assert code == 2 and "HYPERPOLY_SEED" in capsys.readouterr().err
+
+
+class TestSuiteParallelism:
+    def test_capped_at_cpu_count_without_workers(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        summary = experiments.run_suite("lidskii", 0, trials=4, parallelism=8)
+        assert summary["trials"] == 4 and summary["failures"] == 0

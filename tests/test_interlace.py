@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import hyperpoly as hp
 from hyperpoly import generators as gen
-from hyperpoly.errors import InvalidDocumentError, NonRealRootError
+from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError
 from hyperpoly.interlace import (
     HYPERBOLIC,
     INCONCLUSIVE,
@@ -373,3 +373,17 @@ class TestSymmetricConvexLine:
     def test_unknown_statistic(self):
         with pytest.raises(InvalidDocumentError):
             hp.symmetric_convex_line_check(Q2, R2, 0.0, 1.0, "median", [0.0, 1.0])
+
+
+class TestLidskiiShapes:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.eye(2), np.array([[1.0, 2.0]])),
+            (np.ones((2, 3)), np.ones((2, 3))),
+            (np.eye(2), np.eye(3)),
+        ],
+    )
+    def test_rejects_non_square_or_mismatched(self, a, b):
+        with pytest.raises(DimensionMismatchError):
+            hp.lidskii_check(a, b)
