@@ -9,6 +9,7 @@ univariate polynomial pencils.
 
 from .errors import (
     BudgetExceededError,
+    ConvergenceError,
     DegenerateDirectionError,
     DimensionMismatchError,
     GenerationError,

@@ -26,7 +26,11 @@ class NonRealRootError(HyperpolyError):
 
 
 class BudgetExceededError(HyperpolyError):
-    """A requested enumeration (sign vectors, subsets, compositions) exceeds the size cap."""
+    """A requested enumeration (sign vectors, compositions, dense terms, permutations) exceeds the size cap."""
+
+
+class ConvergenceError(HyperpolyError):
+    """An iterative solver stopped without a certified answer."""
 
 
 class GenerationError(HyperpolyError):

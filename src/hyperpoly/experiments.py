@@ -53,13 +53,26 @@ from .scaling import (
 )
 
 
-def _run_trials(worker: Callable, args: Sequence, parallelism: int) -> list:
+def _call(job: tuple[Callable, object]) -> dict:
+    worker, args = job
+    return worker(args)
+
+
+def _run_trials(trials: int, parallelism: int, *batches: tuple[Callable, Sequence]) -> list:
+    """Results of every (worker, arguments) batch in order, from one pool of workers.
+
+    `trials` is the count the suite was asked for; it is checked here so that
+    every suite rejects a count below one, however it is called.
+    """
+    if trials < 1:
+        raise InvalidDocumentError("trials must be at least 1")
+    jobs = [(worker, args) for worker, batch in batches for args in batch]
     # More workers than cores only adds process start-up cost.
     parallelism = min(parallelism, os.cpu_count() or 1)
     if parallelism <= 1:
-        return [worker(a) for a in args]
+        return [_call(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(worker, args))
+        return list(pool.map(_call, jobs))
 
 
 def _summary(name: str, results: list[dict], extra: dict | None = None) -> dict:
@@ -96,7 +109,7 @@ def _af_trial(args) -> dict:
 
 
 def run_af(seed: int, trials: int = 300, parallelism: int = 1) -> dict:
-    results = _run_trials(_af_trial, [(seed, t) for t in range(trials)], parallelism)
+    results = _run_trials(trials, parallelism, (_af_trial, [(seed, t) for t in range(trials)]))
     return _summary("af", results)
 
 
@@ -115,7 +128,7 @@ def _vdw_trial(args) -> dict:
 
 
 def run_vdw(seed: int, trials: int = 200, parallelism: int = 1) -> dict:
-    results = _run_trials(_vdw_trial, [(seed, t) for t in range(trials)], parallelism)
+    results = _run_trials(trials, parallelism, (_vdw_trial, [(seed, t) for t in range(trials)]))
     return _summary("vdw", results, {"min_ratio": min(r["ratio"] for r in results)})
 
 
@@ -133,7 +146,7 @@ def _lidskii_trial(args) -> dict:
 
 
 def run_lidskii(seed: int, trials: int = 500, parallelism: int = 1) -> dict:
-    results = _run_trials(_lidskii_trial, [(seed, t) for t in range(trials)], parallelism)
+    results = _run_trials(trials, parallelism, (_lidskii_trial, [(seed, t) for t in range(trials)]))
     return _summary("lidskii", results)
 
 
@@ -151,7 +164,7 @@ def _newton_trial(args) -> dict:
 
 def run_newton(seed: int, trials: int = 200, parallelism: int = 1) -> dict:
     args = [(seed, t, "determinantal" if t < trials // 2 else "product") for t in range(trials)]
-    results = _run_trials(_newton_trial, args, parallelism)
+    results = _run_trials(trials, parallelism, (_newton_trial, args))
     return _summary("newton", results)
 
 
@@ -201,9 +214,13 @@ def run_hsi(seed: int, trials: int = 80, parallelism: int = 1) -> dict:
     n_pos = trials // 2
     n_zero = trials // 4
     n_rescale = trials - n_pos - n_zero
-    results = _run_trials(_hsi_positive_trial, [(seed, t) for t in range(n_pos)], parallelism)
-    results += _run_trials(_hsi_zero_trial, [(seed, t) for t in range(n_zero)], parallelism)
-    results += _run_trials(_hsi_rescale_trial, [(seed, t) for t in range(n_rescale)], parallelism)
+    results = _run_trials(
+        trials,
+        parallelism,
+        (_hsi_positive_trial, [(seed, t) for t in range(n_pos)]),
+        (_hsi_zero_trial, [(seed, t) for t in range(n_zero)]),
+        (_hsi_rescale_trial, [(seed, t) for t in range(n_rescale)]),
+    )
     return _summary("hsi", results)
 
 
@@ -287,10 +304,14 @@ def run_interlace(seed: int, trials: int = 1000, parallelism: int = 1) -> dict:
     side = max(4, trials // 5)
     lines = max(2, min(12, trials // 80))
     args = [(seed, t, True) for t in range(half)] + [(seed, t, False) for t in range(trials - half)]
-    results = _run_trials(_pair_agreement_trial, args, parallelism)
-    results += _run_trials(_pencil_cross_trial, [(seed, t) for t in range(side)], parallelism)
-    results += _run_trials(_shifted_majorization_trial, [(seed, t) for t in range(side)], parallelism)
-    results += _run_trials(_derivative_line_trial, [(seed, t) for t in range(lines)], parallelism)
+    results = _run_trials(
+        trials,
+        parallelism,
+        (_pair_agreement_trial, args),
+        (_pencil_cross_trial, [(seed, t) for t in range(side)]),
+        (_shifted_majorization_trial, [(seed, t) for t in range(side)]),
+        (_derivative_line_trial, [(seed, t) for t in range(lines)]),
+    )
     return _summary("interlace", results)
 
 
@@ -316,7 +337,7 @@ def _logconcavity_trial(args) -> dict:
 
 
 def run_logconcavity(seed: int, trials: int = 150, parallelism: int = 1) -> dict:
-    results = _run_trials(_logconcavity_trial, [(seed, t) for t in range(trials)], parallelism)
+    results = _run_trials(trials, parallelism, (_logconcavity_trial, [(seed, t) for t in range(trials)]))
     return _summary("logconcavity", results)
 
 
@@ -340,7 +361,7 @@ def _capacity_concavity_trial(args) -> dict:
 
 
 def run_capacity_concavity(seed: int, trials: int = 40, parallelism: int = 1) -> dict:
-    results = _run_trials(_capacity_concavity_trial, [(seed, t) for t in range(trials)], parallelism)
+    results = _run_trials(trials, parallelism, (_capacity_concavity_trial, [(seed, t) for t in range(trials)]))
     return _summary("capacity-concavity", results)
 
 
@@ -359,8 +380,6 @@ SUITES = {
 def run_suite(name: str, seed: int, trials: int | None = None, parallelism: int = 1) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
-    if trials is not None and trials < 1:
-        raise InvalidDocumentError("trials must be at least 1")
     fn = SUITES[name]
     if trials is None:
         return fn(seed, parallelism=parallelism)

@@ -21,8 +21,8 @@ from .interlace import (
     obreschkoff_pair_test,
     sampled_pencil_test,
 )
-from .oracle import HyperbolicOracle, determinantal_oracle, product_oracle, roots_in_direction
-from .scaling import doubly_stochastic_defect, edmonds_rado_check, sinkhorn_iteration
+from .oracle import HyperbolicOracle, determinantal_oracle, hyperbolic_rank, product_oracle, roots_in_direction
+from .scaling import doubly_stochastic_defect, sinkhorn_iteration
 
 PSD_RIDGE = 1e-6
 
@@ -150,8 +150,8 @@ def rank_deficient_matrix_tuple(rng: np.random.Generator, n: int) -> tuple[list[
     low = np.outer(v, v)
     mats = [low, low.copy()] + [random_psd_matrix(rng, n) for _ in range(n - 2)]
     oracle, points = matrix_tuple_points(mats)
-    check = edmonds_rado_check(oracle, points)
-    if check.holds or check.witness != (0, 1):
+    # Every other subset holds a full-rank element, so {0, 1} is the only violating subset.
+    if hyperbolic_rank(oracle, points[0] + points[1]) != 1 or any(hyperbolic_rank(oracle, x) != n for x in points[2:]):
         raise GenerationError("construction failed to violate the rank condition at {0, 1}")
     return mats, (0, 1)
 

@@ -437,6 +437,8 @@ def root_statistic(f_id: str) -> Callable[[np.ndarray], float]:
             k = int(arg)
         except ValueError as exc:
             raise InvalidDocumentError(f"statistic '{name}' needs an integer k, got '{arg}'") from exc
+        if k < 1:
+            raise InvalidDocumentError(f"statistic '{name}' needs k >= 1, got {k}")
         if name == "topk_sum":
             return lambda lam: float(np.sum(lam[:k]))
         return lambda lam: -float(np.sum(lam[lam.size - k :]))
@@ -468,6 +470,9 @@ def symmetric_convex_line_check(
     if q.degree != r.degree:
         raise InvalidDocumentError("line check needs equal-degree monic polynomials")
     stat = root_statistic(f_id)
+    k = f_id.partition(":")[2]
+    if k and int(k) > q.degree:
+        raise InvalidDocumentError(f"statistic '{f_id}' needs k <= the degree {q.degree}")
     qc = q.standard_coefficients()
     rc = r.standard_coefficients()
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    HyperpolyError,
     InvalidDocumentError,
     NonRealRootError,
 )
@@ -35,6 +35,14 @@ from .oracle import (
     polynomial_from_samples,
 )
 from .report import Report
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP: the import costs more than most commands."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
 
 # Polarization sums 2^n evaluations; anything past this is not desk scale.
 POLARIZATION_CAP = 20
@@ -197,7 +205,7 @@ def polytope_membership(r, support_set) -> bool:
         return True
     if res.status == 2:
         return False
-    raise RuntimeError(f"membership LP terminated abnormally: {res.message}")
+    raise HyperpolyError(f"membership LP terminated abnormally: {res.message}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hyperpoly
 from hyperpoly import experiments
 from hyperpoly import generators as gen
 from hyperpoly.cli import RunConfig, build_parser, main
+from hyperpoly.errors import InvalidDocumentError
 
 
 def write(path, doc):
@@ -343,6 +347,11 @@ MALFORMED = [
     ("grid-zero-step", ("line-convexity", "q", "--grid", "0:1:0")),
     ("grid-empty", ("line-convexity", "q", "--grid", "1:0:0.25")),
     ("statistic-bad-k", ("line-convexity", "equal_degree_pair", "--check", "symmetric", "--statistic", "topk_sum:x")),
+    *(
+        (f"statistic-{stat}", ("line-convexity", "equal_degree_pair", "--check", "symmetric", "--statistic", stat))
+        # k outside 1..degree of the degree-2 pair.
+        for stat in ("topk_sum:0", "topk_sum:-1", "topk_sum:5", "neg_bottomk_sum:0", "neg_bottomk_sum:3")
+    ),
     ("symmetric-no-n", ("eval", "symmetric_no_n", "point")),
     ("empty-matrix-tuple", ("mixed", "symmetric2", "no_matrices")),
     ("string-point", ("eval", "product2", "string_point")),
@@ -384,3 +393,16 @@ class TestSuiteParallelism:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
         summary = experiments.run_suite("lidskii", 0, trials=4, parallelism=8)
         assert summary["trials"] == 4 and summary["failures"] == 0
+
+    @pytest.mark.parametrize("suite", sorted(experiments.SUITES))
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_direct_suite_call_rejects_no_trials(self, suite, trials):
+        with pytest.raises(InvalidDocumentError, match="trials"):
+            experiments.SUITES[suite](0, trials=trials)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, hyperpoly.cli; sys.exit('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

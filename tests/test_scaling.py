@@ -217,6 +217,9 @@ class TestSinkhornIteration:
         assert multiplier >= 1.0 - 1e-12
 
 
+_RANK_FAMILIES = ("product", "psd", "dense")
+
+
 class TestEdmondsRado:
     @pytest.mark.parametrize("k", range(9))
     def test_subsets_in_lexicographic_order(self, k):
@@ -241,11 +244,102 @@ class TestEdmondsRado:
         assert hp.edmonds_rado_check(hp.product_oracle(3), np.eye(3)).holds
 
     def test_subset_budget(self):
-        from hyperpoly.errors import BudgetExceededError
+        # No enumeration cap remains: 25 elements, and a permuted 30-element
+        # rank-deficient tuple, are decided in polynomial time.
+        assert hp.edmonds_rado_check(hp.product_oracle(25), np.ones((25, 25))) == hp.EdmondsRadoReport(True, None)
+        rng = np.random.default_rng(30)
+        mats, pair = gen.rank_deficient_matrix_tuple(rng, 30)
+        perm = rng.permutation(30)
+        oracle, pts = gen.matrix_tuple_points([mats[i] for i in perm])
+        report = hp.edmonds_rado_check(oracle, pts)
+        assert not report.holds
+        position = np.argsort(perm)
+        assert report.witness == tuple(sorted(int(position[i]) for i in pair))
 
-        oracle = hp.product_oracle(25)
-        with pytest.raises(BudgetExceededError):
-            hp.edmonds_rado_check(oracle, np.ones((25, 25)))
+    @pytest.mark.parametrize("family", _RANK_FAMILIES)
+    def test_matches_exhaustive_minimal_minimizer(self, family):
+        violating = 0
+        for seed in range(70):
+            oracle, pts = _rank_instance(family, np.random.default_rng([_RANK_FAMILIES.index(family), seed]))
+            expected = _exhaustive_minimal_minimizer(oracle, pts)
+            report = hp.edmonds_rado_check(oracle, pts)
+            assert (report.holds, report.witness) == (expected is None, expected), seed
+            violating += expected is not None
+        assert 20 <= violating <= 60
+
+    @pytest.mark.parametrize("family", _RANK_FAMILIES)
+    def test_witness_follows_a_permutation(self, family):
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            oracle, pts = _rank_instance(family, rng)
+            report = hp.edmonds_rado_check(oracle, pts)
+            perm = rng.permutation(len(pts))
+            permuted = hp.edmonds_rado_check(oracle, pts[perm])
+            assert permuted.holds == report.holds
+            if not report.holds:
+                position = np.argsort(perm)
+                assert permuted.witness == tuple(sorted(int(position[i]) for i in report.witness))
+
+    def test_rank_calls_polynomial(self, monkeypatch):
+        # The exhaustive scan makes 2^12 - 1 = 4095 rank calls on a full-rank tuple.
+        rng = np.random.default_rng(12)
+        full_rank = gen.psd_matrix_tuple(rng, 12)
+        deficient, _ = gen.rank_deficient_matrix_tuple(rng, 12)
+        original = scaling.hyperbolic_rank
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "hyperbolic_rank", counting)
+        for mats, holds in ((full_rank, True), (deficient[::-1], False)):
+            calls.clear()
+            assert hp.edmonds_rado_check(*gen.matrix_tuple_points(mats)).holds is holds
+            assert 1 <= len(calls) <= 3 * 12**2
+
+
+def _rank_instance(family: str, rng: np.random.Generator):
+    """A tuple of k <= 8 cone points whose rank condition often fails on a proper subset."""
+    k = int(rng.integers(1, 9))
+    if family == "dense":
+        # Scaled copies of three points of a generic form, most on the cone's
+        # boundary (one zero root); repeated roots would defeat the dense root finder.
+        base = gen.random_determinantal_oracle(rng, int(rng.integers(2, 4)), 3)
+        sources = gen.nonnegative_point_tuple(base, rng, 3, boundary_fraction=0.7)
+        return hp.dense_from_oracle(base), sources[rng.integers(0, 3, size=k)] * rng.uniform(0.5, 2.0, (k, 1))
+    n = int(rng.integers(2, 8))
+    if family == "product":
+        pattern = rng.random((k, n)) < rng.uniform(0.2, 0.6)
+        return hp.product_oracle(n), pattern * rng.uniform(0.5, 2.0, (k, n))
+    # Elements share a few rank-one and rank-two ranges, or have full rank.
+    n = min(n, 5)
+    lines = rng.standard_normal((2, n))
+    planes = rng.standard_normal((2, n, 2))
+    mats = []
+    for _ in range(k):
+        choice = int(rng.integers(0, 5))
+        if choice < 2:
+            v = lines[choice] * rng.uniform(0.5, 2.0)
+            mats.append(np.outer(v, v))
+        elif choice < 4:
+            b = planes[choice - 2] @ rng.standard_normal((2, 2))
+            mats.append(b @ b.T)
+        else:
+            mats.append(gen.random_psd_matrix(rng, n))
+    return gen.matrix_tuple_points(mats)
+
+
+def _exhaustive_minimal_minimizer(oracle, pts):
+    """Intersection of the subsets of largest deficiency |S| - rank(S), or None when none is positive."""
+    deficiency = {
+        subset: len(subset) - hp.hyperbolic_rank(oracle, pts[list(subset)].sum(axis=0), 1e-9)
+        for subset in scaling.lexicographic_subsets(len(pts))
+    }
+    worst = max(deficiency.values())
+    if worst <= 0:
+        return None
+    return tuple(sorted(set.intersection(*(set(s) for s, d in deficiency.items() if d == worst))))
 
 
 class TestCapacity:
