@@ -236,7 +236,7 @@ def cmd_capacity(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
 
 
 def cmd_edmonds_rado(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
-    report = edmonds_rado_check(oracle, pts, tol=config.tol)
+    report = edmonds_rado_check(oracle, pts)
     return _code(report.holds), report.to_json()
 
 

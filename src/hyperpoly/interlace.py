@@ -160,32 +160,28 @@ def real_roots(q: MonicPolynomial, tol: float = 1e-8, polish: bool = False) -> n
     return _accept_real(lam, tol)
 
 
-def roots_from_coefficients(coeffs, trim: float = LEADING_TRIM, polish: bool = False) -> np.ndarray:
+def roots_from_coefficients(coeffs) -> np.ndarray:
     """Complex roots of an ascending coefficient vector via the companion matrix.
 
-    Leading coefficients smaller than trim * max|c| are dropped first, so a
-    pencil direction that kills the top coefficient is handled as the lower
-    degree polynomial it actually is.  With polish=True each eigenvalue gets a
-    single Newton correction; there is no iterative polishing by default.
+    Leading coefficients smaller than LEADING_TRIM * max|c| are dropped first,
+    so a pencil direction that kills the top coefficient is handled as the
+    lower degree polynomial it actually is.
     """
     c = np.asarray(coeffs, dtype=float)
     peak = np.max(np.abs(c)) if c.size else 0.0
     if peak == 0.0:
         return np.empty(0, dtype=complex)
     k = c.size
-    while k > 1 and abs(c[k - 1]) <= trim * peak:
+    while k > 1 and abs(c[k - 1]) <= LEADING_TRIM * peak:
         k -= 1
     c = c[:k]
     if c.size == 1:
         return np.empty(0, dtype=complex)
-    lam = np.linalg.eigvals(companion(MonicPolynomial.from_standard(c)))
-    if polish:
-        lam = _newton_polish(c, lam)
-    return lam
+    return np.linalg.eigvals(companion(MonicPolynomial.from_standard(c)))
 
 
-def real_roots_from_coefficients(coeffs, tol: float = 1e-8, polish: bool = False) -> np.ndarray:
-    return _accept_real(roots_from_coefficients(coeffs, polish=polish), tol)
+def real_roots_from_coefficients(coeffs, tol: float = 1e-8) -> np.ndarray:
+    return _accept_real(roots_from_coefficients(coeffs), tol)
 
 
 @dataclass(frozen=True)

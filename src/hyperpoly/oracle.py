@@ -3,7 +3,7 @@
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
 normalized so that p(e) = 1.  Every form implements the same three methods,
-``evaluate_batch(points)``, ``grad_log_p(d)`` and ``roots(x, d, tol, polish)``,
+``evaluate_batch(points)``, ``grad_log_p(d)`` and ``roots(x, d, tol)``,
 plus its ``kind`` and ``json_fields``.  The pure functions here validate their
 inputs and delegate to those: evaluation, univariate restrictions along a
 direction, root spectra, directional traces, rank, and cone membership.
@@ -54,7 +54,7 @@ class ProductPolynomial:
     def grad_log_p(self, d: np.ndarray) -> np.ndarray:
         return 1.0 / d
 
-    def roots(self, x: np.ndarray, d: np.ndarray, tol: float, polish: bool) -> np.ndarray:
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(x / d)[::-1]
 
     def json_fields(self, direction: np.ndarray) -> dict:
@@ -79,7 +79,7 @@ class DeterminantalPolynomial:
         """d_j log det M(d) = tr(M(d)^{-1} B_j)."""
         return np.tensordot(self.pencil, np.linalg.inv(self.matrix(d)), axes=([1, 2], [1, 0]))
 
-    def roots(self, x: np.ndarray, d: np.ndarray, tol: float, polish: bool) -> np.ndarray:
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         try:
             lam = sla.eigh(self.matrix(x), self.matrix(d), eigvals_only=True)
         except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
@@ -118,8 +118,8 @@ class DensePolynomial:
             grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
         return grad / self.evaluate_batch(d[None, :])[0]
 
-    def roots(self, x: np.ndarray, d: np.ndarray, tol: float, polish: bool) -> np.ndarray:
-        roots = real_roots_from_coefficients(_restriction(self, self.n, x, -d), tol, polish=polish)
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+        roots = real_roots_from_coefficients(_restriction(self, self.n, x, -d), tol)
         if roots.size != self.n:
             raise NonRealRootError(
                 f"expected {self.n} roots, restriction produced {roots.size} (degenerate direction?)"
@@ -303,7 +303,6 @@ def roots_in_direction(
     d,
     tol: float = DEFAULT_ROOT_TOL,
     check_direction: bool = True,
-    polish: bool = False,
 ) -> np.ndarray:
     """The n roots of t -> p(x - t d), sorted descending.
 
@@ -311,15 +310,14 @@ def roots_in_direction(
     guarantees real roots for hyperbolic p.  Determinantal oracles use the
     symmetric generalized eigenproblem (M(x), M(d)); the product form has the
     roots x_i/d_i in closed form; dense forms go through the companion matrix
-    of the restriction along -d (polish=True adds one Newton correction per
-    root, off by default).
+    of the restriction along -d.
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)
     if check_direction and not np.array_equal(d, oracle.direction):
         if cone_membership(oracle, d) != POSITIVE:
             raise DegenerateDirectionError("direction is not strictly inside the positivity cone")
-    return oracle.form.roots(x, d, tol, polish)
+    return oracle.form.roots(x, d, tol)
 
 
 def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
@@ -345,11 +343,13 @@ def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
 def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of nonzero roots of an e-nonnegative point: |{i : lambda_i(x) > cutoff}|.
 
-    The cutoff is tol * max(1, lambda_1(x)); the all-zero point has rank 0.
+    The cutoff is tol * lambda_1(x), so rank(c x) = rank(x) for every c > 0; a
+    point whose largest root is not positive has rank 0.
     """
     lam = roots_in_direction(oracle, x, oracle.direction, check_direction=False)
-    cutoff = tol * max(1.0, float(lam[0]))
-    return int(np.sum(lam > cutoff))
+    if lam[0] <= 0.0:
+        return 0
+    return int(np.sum(lam > tol * float(lam[0])))
 
 
 def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) -> str:

@@ -12,7 +12,6 @@ so the traces of a whole tuple are the one product points @ grad_log_p(d).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -27,15 +26,7 @@ from .errors import (
     ZeroCapacityError,
 )
 from .mixed import as_tuple, mixed_value, repeated_tuple
-from .oracle import (
-    HyperbolicOracle,
-    POSITIVE,
-    cone_membership,
-    evaluate,
-    evaluate_batch,
-    hyperbolic_rank,
-    roots_in_direction,
-)
+from .oracle import HyperbolicOracle, evaluate, evaluate_batch, hyperbolic_rank, roots_in_direction
 from .report import Report
 
 # Slack for rounding in the integer certificates of edmonds_rado_check.
@@ -86,18 +77,9 @@ def gradient(oracle: HyperbolicOracle, alpha) -> np.ndarray:
     return (evaluate_batch(oracle, alpha + steps) - evaluate_batch(oracle, alpha - steps)) / (2.0 * h)
 
 
-def _tuple_sum_direction(oracle: HyperbolicOracle, pts: np.ndarray) -> np.ndarray:
-    d = pts.sum(axis=0)
-    if cone_membership(oracle, d) != POSITIVE:
-        raise DegenerateDirectionError("the tuple's sum is not strictly inside the positivity cone")
-    return d
-
-
 def doubly_stochastic_defect(oracle: HyperbolicOracle, points) -> float:
     """Sum of (tr_d(x_i) - 1)^2 against d = sum of the tuple; zero iff d-doubly stochastic."""
-    pts = as_tuple(points)
-    d = _tuple_sum_direction(oracle, pts)
-    traces = traces_in_direction(oracle, pts, d)
+    _, traces = _sum_and_traces(oracle, as_tuple(points))
     return float(np.sum((traces - 1.0) ** 2))
 
 
@@ -108,11 +90,7 @@ def sinkhorn_map(oracle: HyperbolicOracle, points) -> np.ndarray:
     fixed point, and p evaluated at the tuple's sum never increases.
     """
     pts = as_tuple(points)
-    d = _tuple_sum_direction(oracle, pts)
-    traces = traces_in_direction(oracle, pts, d)
-    floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
-    if np.any(traces <= floor):
-        raise DegenerateDirectionError("a tuple element has zero directional trace")
+    _, traces = _sum_and_traces(oracle, pts)
     return pts / traces[:, None]
 
 
@@ -264,6 +242,15 @@ def _soft_traces(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> Op
     return traces
 
 
+def _sum_and_traces(oracle: HyperbolicOracle, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tuple's sum d and the traces against it; a collapse at the start is an error."""
+    d = pts.sum(axis=0)
+    traces = _soft_traces(oracle, pts, d)
+    if traces is None:
+        raise DegenerateDirectionError("the tuple's sum is not strictly inside the positivity cone")
+    return d, traces
+
+
 def sinkhorn_iteration(
     oracle: HyperbolicOracle,
     points,
@@ -287,7 +274,7 @@ def sinkhorn_iteration(
     then stops with boundary_collapse=True rather than fabricating traces.
     """
     pts = as_tuple(points)
-    d = _tuple_sum_direction(oracle, pts)
+    d, traces = _sum_and_traces(oracle, pts)
     verdict = VERDICT_UNDETERMINED
     if precheck and not edmonds_rado_check(oracle, pts).holds:
         verdict = VERDICT_ZERO
@@ -299,9 +286,6 @@ def sinkhorn_iteration(
     collapsed = False
     iterations = 0
     current = pts
-    traces = _soft_traces(oracle, current, d)
-    if traces is None:
-        raise DegenerateDirectionError("directional traces are not computable at the starting tuple")
     defect = float(np.sum((traces - 1.0) ** 2))
     while True:
         defects.append(defect)
@@ -344,13 +328,7 @@ class CapacityResult(Report):
     iterations: int = 0
 
 
-def capacity(
-    oracle: HyperbolicOracle,
-    points,
-    tol: float = 1e-8,
-    max_iters: int = 10000,
-    precheck: bool = True,
-) -> CapacityResult:
+def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int = 10000) -> CapacityResult:
     """inf of p(sum_i alpha_i x_i) over positive weights with product one.
 
     Minimizes g(a) = log p(sum exp(a_i) x_i) on the hyperplane sum(a) = 0 by
@@ -358,25 +336,26 @@ def capacity(
     constant 1e-4).  g is convex because the composed polynomial has
     nonnegative coefficients and log p is concave on the cone; the gradient
     components are the directional traces tr_d(exp(a_i) x_i), which all equal
-    one exactly at a doubly stochastic scaling.  A failed rank pre-check
-    short-circuits to capacity zero; if the objective ever drifts below
-    log(1e-14 * initial scale) the run is also declared zero-capacity, since
-    the boundary regime is not otherwise quantifiable.
+    one exactly at a doubly stochastic scaling.  Only a failed rank
+    certificate returns capacity zero: by the hyperbolic Edmonds-Rado theorem
+    the capacity is positive whenever the certificate holds.  A trial step at
+    which p rounds to a value that is not positive and finite is rejected and
+    the step halves; when the infimum is not attained (a tight subset) the run
+    ends at its iteration limit with the best value found.
     """
     pts = as_tuple(points)
     k = pts.shape[0]
-    if precheck and not edmonds_rado_check(oracle, pts).holds:
+    if not edmonds_rado_check(oracle, pts).holds:
         return CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status=STATUS_ZERO)
 
     def objective(a: np.ndarray) -> float:
         val = evaluate(oracle, np.exp(a) @ pts)
-        return math.log(val) if val > 0.0 else -math.inf
+        return math.log(val) if 0.0 < val < math.inf else math.inf
 
     a = np.zeros(k)
     g = objective(a)
-    if g == -math.inf:
-        return CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status=STATUS_ZERO)
-    g_floor = g + math.log(1e-14)
+    if g == math.inf:
+        raise DegenerateDirectionError("p at the tuple's sum is not positive and finite")
     status = STATUS_LIMIT
     gnorm = math.inf
     iterations = 0
@@ -422,11 +401,6 @@ def capacity(
         if not accepted:
             break
         a, g = trial, g_trial
-        if g < g_floor:
-            warnings.warn("objective collapsed toward zero; declaring zero capacity", stacklevel=2)
-            return CapacityResult(
-                value=0.0, minimizer=np.exp(a), gradient_norm=gnorm, status=STATUS_ZERO, iterations=iterations
-            )
     return CapacityResult(
         value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations
     )

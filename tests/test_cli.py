@@ -128,6 +128,27 @@ class TestScalingCommands:
         code, report = run(capsys, "edmonds-rado", oracle, tup)
         assert code == 1 and report["holds"] is False and report["witness"] == [0, 1]
 
+    def test_tight_set_is_undetermined_not_zero(self, tmp_path, capsys, tight_set_matrices):
+        # The rank condition holds; the unattained infimum ends at the
+        # iteration limit (exit 3), never as zero capacity (exit 1).
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 4})
+        tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in tight_set_matrices]})
+        code, report = run(capsys, "capacity", oracle, tup, "--max-iters", "500")
+        assert code == 3 and report["status"] == "iteration_limit"
+        code, report = run(capsys, "edmonds-rado", oracle, tup)
+        assert code == 0 and report["holds"] is True
+
+    def test_rank_commands_share_one_certificate(self, tmp_path, product2, capsys):
+        # A small second coordinate is a relative root ratio of 5e-9: above
+        # the rank cutoff, whatever --tol the solvers use.
+        tup = write(tmp_path / "t.json", {"points": [[1.0, 5e-9], [1.0, 5e-9]]})
+        code, report = run(capsys, "edmonds-rado", product2, tup)
+        assert code == 0 and report["holds"] is True
+        code, report = run(capsys, "capacity", product2, tup)
+        assert code == 0 and report["value"] == pytest.approx(2e-8, rel=1e-6)
+        code, report = run(capsys, "sinkhorn", product2, tup)
+        assert code == 0 and report["capacity_verdict"] == "positive"
+
 
 class TestPairCommands:
     def test_hyperbolic_pair_exit_zero(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestDefectAndMap:
         x = gen.matrix_to_point(np.diag([1.0, 0.0]))
         with pytest.raises(DegenerateDirectionError):
             hp.doubly_stochastic_defect(oracle, np.vstack([x, x]))
+
+    @pytest.mark.parametrize("entry", [hp.sinkhorn_map, hp.sinkhorn_iteration])
+    def test_boundary_sum_rejected_by_every_entry(self, entry):
+        # The map and the iteration share the defect's collapse rule.
+        oracle, _ = gen.matrix_tuple_points([np.diag([1.0, 0.0])] * 2)
+        x = gen.matrix_to_point(np.diag([1.0, 0.0]))
+        with pytest.raises(DegenerateDirectionError):
+            entry(oracle, np.vstack([x, x]))
+
+    def test_collapse_rule_is_scale_free(self):
+        # Traces against the sum are invariant under scaling the tuple, and
+        # so is the collapse rule that guards them.
+        oracle = gen.symmetric_matrix_oracle(3)
+        pts = gen.positive_point_tuple(oracle, np.random.default_rng(5), 3)
+        small = 1e-12 * pts
+        assert hp.doubly_stochastic_defect(oracle, small) == pytest.approx(
+            hp.doubly_stochastic_defect(oracle, pts), rel=1e-9
+        )
+        assert hp.sinkhorn_map(oracle, small) == pytest.approx(1e-12 * hp.sinkhorn_map(oracle, pts), rel=1e-9)
 
     def test_fixed_point(self):
         # Traces sit within sqrt(defect) of one, so the map's motion scales
@@ -401,6 +421,35 @@ class TestCapacity:
         result = hp.capacity(oracle, pts, tol=1e-10)
         scaled = result.minimizer[:, None] * pts
         assert hp.doubly_stochastic_defect(oracle, scaled) <= 1e-14
+
+    def test_outside_cone_start_raises(self):
+        # p(1, -1) = -1: no line search can start from a negative value.
+        with pytest.raises(DegenerateDirectionError):
+            hp.capacity(hp.product_oracle(2), [[1.0, -1.0]])
+
+    def test_tight_set_is_not_zero_capacity(self, tight_set_matrices):
+        # The rank condition holds, so the capacity is positive; a tight
+        # subset makes the infimum unattained, which is an iteration limit.
+        oracle, pts = gen.matrix_tuple_points(tight_set_matrices)
+        assert hp.edmonds_rado_check(oracle, pts).holds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            result = hp.capacity(oracle, pts, max_iters=500)
+        assert result.status != "zero_capacity"
+        n = len(tight_set_matrices)
+        lower = hp.mixed_discriminant(tight_set_matrices)
+        assert lower * (1.0 - 1e-9) <= result.value <= lower * n**n / math.factorial(n)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-4, 1e-10])
+    def test_scale_free_certificate(self, c):
+        # Cap(c x) = c^n Cap(x), and the rank certificate ignores c.
+        oracle = gen.symmetric_matrix_oracle(3)
+        pts = gen.positive_point_tuple(oracle, np.random.default_rng(1), 3)
+        base = hp.capacity(oracle, pts).value
+        assert hp.edmonds_rado_check(oracle, c * pts).holds
+        result = hp.capacity(oracle, c * pts)
+        assert result.status == "converged"
+        assert result.value / c**3 == pytest.approx(base, rel=1e-6)
 
     def test_dense_expansion_gives_same_capacity(self):
         # Dual route: the dense expansion of a determinantal oracle must give
