@@ -16,6 +16,7 @@ InvalidDocumentError, which main turns into exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,13 +29,13 @@ from .errors import HyperpolyError, InvalidDocumentError, NonRealRootError, Zero
 from .generators import GeneratorSpec, generate_document, matrix_tuple_points, symmetric_matrix_oracle
 from .interlace import (
     HYPERBOLIC,
-    INCONCLUSIVE,
     NOT_HYPERBOLIC,
     MonicPolynomial,
     derivative_line_convexity,
     lidskii_check,
     majorization_check,
     obreschkoff_pair_test,
+    pair_agreement,
     sampled_pencil_test,
     shifted_pencil_majorization,
     symmetric_convex_line_check,
@@ -72,6 +73,8 @@ class RunConfig:
             raise InvalidDocumentError("max-iters must be at least 1")
         if self.parallelism < 1:
             raise InvalidDocumentError("parallelism must be at least 1")
+        if self.output_format not in ("json", "text"):
+            raise InvalidDocumentError(f"format must be 'json' or 'text', got {self.output_format!r}")
         # More workers than cores only adds process start-up cost.
         object.__setattr__(self, "parallelism", min(self.parallelism, os.cpu_count() or 1))
 
@@ -278,20 +281,8 @@ def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
     q, r = _load_pair(ns.pair)
     first = obreschkoff_pair_test(q, r, tol=config.tol)
     second = sampled_pencil_test(q, r, num_dirs=ns.num_dirs, tol=config.tol)
-    definite = (HYPERBOLIC, NOT_HYPERBOLIC)
-    agree = first.verdict == second.verdict or not (
-        first.verdict in definite and second.verdict in definite
-    )
-    report = {"obreschkoff": first.to_json(), "sampled": second.to_json(), "agree": agree}
-    if first.verdict == second.verdict and first.verdict in definite:
-        verdict = first.verdict
-    elif second.verdict == NOT_HYPERBOLIC or first.verdict == NOT_HYPERBOLIC:
-        # A found counterexample (or mixed residues) is decisive even if the
-        # other route could not commit.
-        verdict = NOT_HYPERBOLIC if first.verdict != HYPERBOLIC else INCONCLUSIVE
-    else:
-        verdict = INCONCLUSIVE
-    report["verdict"] = verdict
+    agree, verdict = pair_agreement(first, second)
+    report = {"obreschkoff": first.to_json(), "sampled": second.to_json(), "agree": agree, "verdict": verdict}
     return _code(verdict == HYPERBOLIC, verdict == NOT_HYPERBOLIC), report
 
 
@@ -330,7 +321,7 @@ def cmd_line_convexity(ns, config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_gen(ns, config: RunConfig) -> tuple[int, dict]:
-    spec = GeneratorSpec(kind=ns.kind, n=ns.n, params={})
+    spec = GeneratorSpec(kind=ns.kind, n=ns.n)
     return EXIT_OK, generate_document(spec, config.seed)
 
 
@@ -342,24 +333,28 @@ def cmd_experiments(ns, config: RunConfig) -> tuple[int, dict]:
     return _code(summary["failures"] == 0), summary
 
 
-def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
+# The global flags as (name, type, default), in RunConfig's field order.  A
+# flag given nowhere on the command line takes HYPERPOLY_<NAME>, else the
+# default; main reads the environment, so the parser does not depend on it.
+GLOBAL_FLAGS = (
+    ("seed", int, 0),
+    ("tol", float, 1e-8),
+    ("max_iters", int, 10000),
+    ("format", str, "json"),
+    ("parallelism", int, 1),
+)
 
-    parser.add_argument("--seed", type=int, default=default(_env("SEED", int, 0)))
-    parser.add_argument("--tol", type=float, default=default(_env("TOL", float, 1e-8)))
-    parser.add_argument("--max-iters", type=int, default=default(_env("MAX_ITERS", int, 10000)))
-    parser.add_argument("--format", choices=("json", "text"), default=default(_env("FORMAT", str, "json")))
-    parser.add_argument("--parallelism", type=int, default=default(_env("PARALLELISM", int, 1)))
-    parser.add_argument("--out", default=default(None), help="also write the report to this file")
 
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hyperpoly", description=__doc__)
-    _add_common_options(parser, suppress=False)
-    # The same options are accepted after the subcommand; values given there win.
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common_options(common, suppress=True)
+    # The global flags are accepted before and after the subcommand; a value
+    # given after it wins.  Every default is SUPPRESS, so the namespace holds
+    # only the flags given.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for name, cast, _ in GLOBAL_FLAGS:
+        common.add_argument("--" + name.replace("_", "-"), type=cast)
+    common.add_argument("--out", help="also write the report to this file")
+    parser = argparse.ArgumentParser(prog="hyperpoly", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     for name, (help_text, handler) in POINT_COMMANDS.items():
@@ -413,17 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # The defaults read HYPERPOLY_* variables, so a bad value fails here.
         ns = build_parser().parse_args(argv)
         config = RunConfig(
-            seed=ns.seed,
-            tol=ns.tol,
-            max_iters=ns.max_iters,
-            output_format=ns.format,
-            parallelism=ns.parallelism,
+            *(
+                getattr(ns, name) if hasattr(ns, name) else _env(name.upper(), cast, default)
+                for name, cast, default in GLOBAL_FLAGS
+            )
         )
         code, report = ns.fn(ns, config)
-        _emit(report, config, ns.out)
+        _emit(report, config, getattr(ns, "out", None))
         return code
     except (NonRealRootError, ZeroCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,15 +23,16 @@ from .interlace import (
     NOT_HYPERBOLIC,
     MonicPolynomial,
     derivative_line_convexity,
+    derivative_line_polynomial,
     lidskii_check,
     majorization_check,
     obreschkoff_pair_test,
+    pair_agreement,
     pencil_characteristic_polynomial,
     real_roots_from_coefficients,
     sampled_pencil_test,
     shifted_pencil_majorization,
     standard_coefficients,
-    taylor_shift,
 )
 from .mixed import (
     alexandrov_fenchel_verdict,
@@ -42,6 +43,7 @@ from .mixed import (
 )
 from .oracle import evaluate
 from .scaling import (
+    CONCAVITY_REL_SLACK,
     VERDICT_POSITIVE,
     VERDICT_ZERO,
     capacity,
@@ -233,9 +235,7 @@ def _pair_agreement_trial(args) -> dict:
     else:
         q, r = gen.nonhyperbolic_pair(rng, degree)
     first = obreschkoff_pair_test(q, r)
-    second = sampled_pencil_test(q, r)
-    definite = first.verdict in (HYPERBOLIC, NOT_HYPERBOLIC) and second.verdict in (HYPERBOLIC, NOT_HYPERBOLIC)
-    agree = (not definite) or (first.verdict == second.verdict)
+    agree, _ = pair_agreement(first, sampled_pencil_test(q, r))
     expected = HYPERBOLIC if want_hyperbolic else NOT_HYPERBOLIC
     ok = agree and first.verdict == expected
     return {"ok": bool(ok), "slack": 1.0 if ok else -1.0}
@@ -287,9 +287,7 @@ def _derivative_line_trial(args) -> dict:
         ok = ok and report.convex and bool(report.min_at_zero) and report.fn_constant
     spectra = {}
     for a in grid:
-        base = taylor_shift(q.standard_coefficients(), float(a))
-        coeffs = base - float(a) * np.pad(np.polynomial.polynomial.polyder(base), (0, 1))
-        spectra[float(a)] = real_roots_from_coefficients(coeffs, 1e-7)
+        spectra[float(a)] = real_roots_from_coefficients(derivative_line_polynomial(q, 0.0, 1.0, float(a)), 1e-7)
     nonneg = sorted(a for a in spectra if a >= 0.0)
     for i, a in enumerate(nonneg):
         for b in nonneg[i + 1 :]:
@@ -354,8 +352,8 @@ def _capacity_concavity_trial(args) -> dict:
     mix_report = mixed_concavity_check(oracle, pair, comps, weights)
     ok = cap_report.holds and mix_report.holds
     slack = min(
-        cap_report.lhs - cap_report.rhs * (1 - 1e-6),
-        mix_report.lhs - mix_report.rhs * (1 - 1e-6),
+        cap_report.lhs - cap_report.rhs * (1 - CONCAVITY_REL_SLACK),
+        mix_report.lhs - mix_report.rhs * (1 - CONCAVITY_REL_SLACK),
     )
     return {"ok": bool(ok), "slack": float(slack)}
 

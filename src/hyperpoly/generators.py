@@ -9,7 +9,7 @@ sampled pencil grid, so every emitted instance carries a grid-visible witness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,29 +87,24 @@ def matrix_tuple_points(matrices) -> tuple[HyperbolicOracle, np.ndarray]:
     return oracle, np.vstack([matrix_to_point(a) for a in mats])
 
 
-def random_psd_matrix(rng: np.random.Generator, n: int, ridge: float = PSD_RIDGE) -> np.ndarray:
+def random_psd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n))
-    return g @ g.T + ridge * np.eye(n)
+    return g @ g.T + PSD_RIDGE * np.eye(n)
 
 
-def psd_matrix_tuple(rng: np.random.Generator, n: int, ridge: float = PSD_RIDGE) -> list[np.ndarray]:
+def psd_matrix_tuple(rng: np.random.Generator, n: int) -> list[np.ndarray]:
     """n random positive semidefinite matrices; the ridge keeps them full rank."""
-    return [random_psd_matrix(rng, n, ridge) for _ in range(n)]
+    return [random_psd_matrix(rng, n) for _ in range(n)]
 
 
-def doubly_stochastic_matrix_tuple(
-    rng: np.random.Generator,
-    n: int,
-    defect_tol: float = 1e-10,
-    max_iters: int = 50000,
-) -> list[np.ndarray]:
+def doubly_stochastic_matrix_tuple(rng: np.random.Generator, n: int, defect_tol: float = 1e-10) -> list[np.ndarray]:
     """PSD tuple with trace one each and identity sum, to the requested defect.
 
     A random PSD tuple is scaled to a d-doubly stochastic one by the Sinkhorn
     iteration and then pushed to the identity frame by congruence with
     d^{-1/2}, which preserves every trace tr(d^{-1} A_i).
     """
-    _, points = d_doubly_stochastic_tuple(rng, n, defect_tol, max_iters)
+    _, points = d_doubly_stochastic_tuple(rng, n, defect_tol)
     scaled = [point_to_matrix(x, n) for x in points]
     d = sum(scaled)
     vals, vecs = np.linalg.eigh(d)
@@ -125,13 +120,12 @@ def d_doubly_stochastic_tuple(
     rng: np.random.Generator,
     n: int,
     defect_tol: float = 1e-10,
-    max_iters: int = 50000,
 ) -> tuple[HyperbolicOracle, np.ndarray]:
-    """A d-doubly stochastic point tuple (traces one against its own sum)."""
+    """A d-doubly stochastic point tuple (traces one against its own sum), scaled in at most 50000 steps."""
     oracle, points = matrix_tuple_points(psd_matrix_tuple(rng, n))
-    report = sinkhorn_iteration(oracle, points, max_iters=max_iters, threshold=defect_tol, precheck=False)
+    report = sinkhorn_iteration(oracle, points, max_iters=50000, threshold=defect_tol, precheck=False)
     if not report.converged:
-        raise GenerationError(f"scaling failed to reach defect {defect_tol} in {max_iters} iterations")
+        raise GenerationError(f"scaling failed to reach defect {defect_tol} in 50000 iterations")
     if doubly_stochastic_defect(oracle, report.final_state.points) > 10.0 * defect_tol:
         raise GenerationError("emitted tuple fails its own defect validation")
     return oracle, report.final_state.points
@@ -156,18 +150,14 @@ def rank_deficient_matrix_tuple(rng: np.random.Generator, n: int) -> tuple[list[
     return mats, (0, 1)
 
 
-def positive_point_tuple(
-    oracle: HyperbolicOracle,
-    rng: np.random.Generator,
-    count: int,
-    margin: float = 0.2,
-) -> np.ndarray:
-    """Points strictly inside the cone: shift random points along the direction."""
+def positive_point_tuple(oracle: HyperbolicOracle, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Points strictly inside the cone: shift random points along the direction until
+    their smallest root lies in [0.2, 1.2)."""
     rows = []
     for _ in range(count):
         y = rng.standard_normal(oracle.m)
         lam = roots_in_direction(oracle, y, oracle.direction, check_direction=False)
-        lift = margin + float(rng.uniform(0.0, 1.0)) - float(lam[-1])
+        lift = 0.2 + float(rng.uniform(0.0, 1.0)) - float(lam[-1])
         rows.append(y + lift * oracle.direction)
     return np.vstack(rows)
 
@@ -251,21 +241,17 @@ def hyperbolic_pair(rng: np.random.Generator, degree: int) -> tuple[MonicPolynom
     return q, r
 
 
-def nonhyperbolic_pair(
-    rng: np.random.Generator,
-    degree: int,
-    num_dirs: int = 64,
-    max_attempts: int = 200,
-) -> tuple[MonicPolynomial, MonicPolynomial]:
+def nonhyperbolic_pair(rng: np.random.Generator, degree: int) -> tuple[MonicPolynomial, MonicPolynomial]:
     """Pair with mixed-sign residues whose failure is visible on the sampled grid.
 
     Mixed residues already guarantee some direction has non-real roots; the
     emission check additionally requires the default grid to catch one, since
-    a fixed grid cannot certify arbitrarily narrow failure arcs.
+    a fixed grid cannot certify arbitrarily narrow failure arcs.  Gives up
+    after 200 candidates.
     """
     if degree < 2:
         raise GenerationError("a non-hyperbolic pair needs degree >= 2")
-    for _ in range(max_attempts):
+    for _ in range(200):
         roots = _separated_roots(rng, degree)
         residues = rng.uniform(0.2, 2.0, size=degree) * rng.choice([-1.0, 1.0], size=degree)
         if np.all(residues > 0) or np.all(residues < 0):
@@ -273,16 +259,15 @@ def nonhyperbolic_pair(
         q, r = _pair_from_residues(roots, residues)
         if obreschkoff_pair_test(q, r).verdict != NOT_HYPERBOLIC:
             continue
-        if sampled_pencil_test(q, r, num_dirs=num_dirs).verdict == NOT_HYPERBOLIC:
+        if sampled_pencil_test(q, r).verdict == NOT_HYPERBOLIC:
             return q, r
-    raise GenerationError(f"no grid-visible non-hyperbolic pair found in {max_attempts} attempts")
+    raise GenerationError("no grid-visible non-hyperbolic pair found in 200 attempts")
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str
     n: int
-    params: dict = field(default_factory=dict)
 
 
 GENERATOR_KINDS = (
@@ -303,8 +288,7 @@ def generate_document(spec: GeneratorSpec, seed: int) -> dict:
     if spec.kind == "psd_tuple":
         return {"matrices": [a.tolist() for a in psd_matrix_tuple(rng, n)]}
     if spec.kind == "doubly_stochastic_tuple":
-        tol = float(spec.params.get("defect_tol", 1e-10))
-        return {"matrices": [a.tolist() for a in doubly_stochastic_matrix_tuple(rng, n, defect_tol=tol)]}
+        return {"matrices": [a.tolist() for a in doubly_stochastic_matrix_tuple(rng, n)]}
     if spec.kind == "rank_deficient_tuple":
         mats, witness = rank_deficient_matrix_tuple(rng, n)
         return {"matrices": [a.tolist() for a in mats], "witness": list(witness)}
@@ -312,6 +296,6 @@ def generate_document(spec: GeneratorSpec, seed: int) -> dict:
         q, r = hyperbolic_pair(rng, n)
         return {"q": q.to_json(), "r": r.to_json()}
     if spec.kind == "nonhyperbolic_pair":
-        q, r = nonhyperbolic_pair(rng, n, num_dirs=int(spec.params.get("num_dirs", 64)))
+        q, r = nonhyperbolic_pair(rng, n)
         return {"q": q.to_json(), "r": r.to_json()}
     raise InvalidDocumentError(f"unknown generator kind '{spec.kind}'")

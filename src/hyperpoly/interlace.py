@@ -250,6 +250,26 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
     return PairReport(verdict=HYPERBOLIC)
 
 
+def pair_agreement(first: PairReport, second: PairReport) -> tuple[bool, str]:
+    """Whether a residue report and a sampled-pencil report agree, and their joint verdict.
+
+    They disagree only when both are definite and differ.  The joint verdict
+    is their common definite verdict; otherwise a found counterexample (or
+    mixed residues) is decisive even if the other route could not commit,
+    unless the residue test found the pair hyperbolic, which leaves it
+    inconclusive.
+    """
+    definite = (HYPERBOLIC, NOT_HYPERBOLIC)
+    agree = first.verdict == second.verdict or not (first.verdict in definite and second.verdict in definite)
+    if first.verdict == second.verdict and first.verdict in definite:
+        verdict = first.verdict
+    elif NOT_HYPERBOLIC in (first.verdict, second.verdict):
+        verdict = NOT_HYPERBOLIC if first.verdict != HYPERBOLIC else INCONCLUSIVE
+    else:
+        verdict = INCONCLUSIVE
+    return agree, verdict
+
+
 def pencil_characteristic_polynomial(q: MonicPolynomial, r: MonicPolynomial, x: float, y: float) -> np.ndarray:
     """Ascending characteristic polynomial coefficients of x*C_q + y*C_r.
 
@@ -377,6 +397,12 @@ def _midpoint_convex(f: Callable[[float], float], grid: Sequence[float], tol: fl
     return True
 
 
+def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float) -> np.ndarray:
+    """Ascending coefficients of P_a(x) = q(x + b + c a) - a q'(x + b + c a)."""
+    base = taylor_shift(q.standard_coefficients(), b + c * a)
+    return base - a * np.pad(np.polynomial.polynomial.polyder(base), (0, 1))
+
+
 def derivative_line_convexity(
     q: MonicPolynomial,
     b: float,
@@ -397,12 +423,8 @@ def derivative_line_convexity(
     if not 1 <= k <= n:
         raise InvalidDocumentError(f"k must lie in 1..{n}")
 
-    def poly_at(a: float) -> np.ndarray:
-        base = taylor_shift(q.standard_coefficients(), b + c * a)
-        return base - a * np.pad(np.polynomial.polynomial.polyder(base), (0, 1))
-
     def topk(a: float) -> float:
-        lam = real_roots_from_coefficients(poly_at(a), tol)
+        lam = real_roots_from_coefficients(derivative_line_polynomial(q, b, c, a), tol)
         return float(np.sum(lam[:k]))
 
     values = tuple(topk(float(a)) for a in grid)
@@ -411,7 +433,7 @@ def derivative_line_convexity(
     if b == 0.0 and c == 1.0:
         min_at_zero = bool(min(values) >= topk(0.0) - tol)
     # Root sum read off the subleading coefficient: exact, no root extraction.
-    sums = [-poly_at(float(a))[n - 1] for a in grid]
+    sums = [-derivative_line_polynomial(q, b, c, float(a))[n - 1] for a in grid]
     fn_constant = bool(np.max(sums) - np.min(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
     return LineConvexityReport(convex=convex, min_at_zero=min_at_zero, fn_constant=fn_constant, values=values)
 

@@ -11,7 +11,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -164,23 +164,23 @@ def _all_mixed_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[dic
     return values, peak
 
 
-def support(oracle: HyperbolicOracle, points, tol: Optional[float] = None) -> SupportSet:
+def support(oracle: HyperbolicOracle, points) -> SupportSet:
     """All compositions r with mixed value of the repeated tuple above the noise floor.
 
-    With tol=None the cutoff is 1e-9 * n! * max(1, peak evaluation magnitude):
-    polarization loses about 2^n * eps of relative accuracy to cancellation,
-    so values below that cannot be distinguished from zero.
+    The cutoff is 1e-9 * n! * max(1, peak evaluation magnitude): polarization
+    loses about 2^n * eps of relative accuracy to cancellation, so values
+    below that cannot be distinguished from zero.
     """
-    return _support_and_values(oracle, points, tol)[0]
+    return _support_and_values(oracle, points)[0]
 
 
-def _support_and_values(oracle: HyperbolicOracle, points, tol: Optional[float]) -> tuple[SupportSet, dict]:
+def _support_and_values(oracle: HyperbolicOracle, points) -> tuple[SupportSet, dict]:
     """The support above the noise floor, and the mixed value of every composition."""
     pts = as_tuple(points)
     if pts.shape[0] != oracle.n:
         raise DimensionMismatchError("support enumeration expects an n-point tuple")
     values, peak = _all_mixed_values(oracle, pts)
-    threshold = tol if tol is not None else 1e-9 * math.factorial(oracle.n) * max(1.0, peak)
+    threshold = 1e-9 * math.factorial(oracle.n) * max(1.0, peak)
     members = tuple(r for r in sorted(values) if values[r] > threshold)
     return SupportSet(members=members, values={r: values[r] for r in members}, threshold=threshold), values
 
@@ -221,14 +221,14 @@ class SaturationReport(Report):
         return doc
 
 
-def newton_saturation_check(oracle: HyperbolicOracle, points, tol: Optional[float] = None) -> SaturationReport:
+def newton_saturation_check(oracle: HyperbolicOracle, points) -> SaturationReport:
     """Are all integer points of the Newton polytope already in the support?
 
     Every composition inside the convex hull of the support whose own mixed
     value sits at zero is reported as a violation; an empty list means the
     saturation property holds for this instance.
     """
-    sup, values = _support_and_values(oracle, points, tol)
+    sup, values = _support_and_values(oracle, points)
     violations = []
     if sup.members:
         for r in sorted(values):
@@ -300,11 +300,11 @@ def k_hyperbolicity_polynomial(oracle: HyperbolicOracle, x, tail, k: int) -> np.
     return polynomial_from_samples(nodes, values, k, radius)
 
 
-def k_hyperbolic_check(oracle: HyperbolicOracle, x, tail, k: int, tol: float = 1e-7) -> bool:
-    """True when the k-slot polynomial at this x is real-rooted within tolerance."""
+def k_hyperbolic_check(oracle: HyperbolicOracle, x, tail, k: int) -> bool:
+    """True when the k-slot polynomial at this x is real-rooted, to a relative imaginary part of 1e-7."""
     coeffs = k_hyperbolicity_polynomial(oracle, x, tail, k)
     try:
-        real_roots_from_coefficients(coeffs, tol)
+        real_roots_from_coefficients(coeffs, 1e-7)
     except NonRealRootError:
         return False
     return True

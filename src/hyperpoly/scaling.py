@@ -26,11 +26,22 @@ from .errors import (
     ZeroCapacityError,
 )
 from .mixed import as_tuple, mixed_value, repeated_tuple
-from .oracle import HyperbolicOracle, evaluate, evaluate_batch, hyperbolic_rank, roots_in_direction
+from .oracle import (
+    POSITIVE,
+    HyperbolicOracle,
+    classify_spectrum,
+    evaluate,
+    evaluate_batch,
+    hyperbolic_rank,
+    roots_in_direction,
+)
 from .report import Report
 
 # Slack for rounding in the integer certificates of edmonds_rado_check.
 _CERTIFICATE_MARGIN = 1e-6
+
+# Relative slack of the concavity checks: lhs >= rhs * (1 - CONCAVITY_REL_SLACK) holds.
+CONCAVITY_REL_SLACK = 1e-6
 
 VERDICT_POSITIVE = "positive"
 VERDICT_ZERO = "zero"
@@ -157,7 +168,7 @@ def _wolfe_step(corral: np.ndarray, weights: np.ndarray, q: np.ndarray) -> tuple
         corral, weights = corral[keep], weights[keep] / weights[keep].sum()
 
 
-def edmonds_rado_check(oracle: HyperbolicOracle, points, tol: float = 1e-9) -> EdmondsRadoReport:
+def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
     """rank(sum of x_i over S) >= |S| for every nonempty subset S of the tuple.
 
     S -> rank(sum_S x_i) is a polymatroid rank function, so g(S) = rank - |S|
@@ -184,7 +195,7 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points, tol: float = 1e-9) -> E
         previous = 0
         for i in np.argsort(x, kind="stable"):
             prefix = prefix + pts[i]
-            rank = hyperbolic_rank(oracle, prefix, tol)
+            rank = hyperbolic_rank(oracle, prefix)
             vertex[i] += rank - previous
             previous = rank
             if rank >= n:
@@ -209,7 +220,7 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points, tol: float = 1e-9) -> E
         norm = float(y @ y)
         if norm - float(y @ q) < gap_floor:
             witness = np.flatnonzero(y < -0.5 / k)
-            deficiency = witness.size - hyperbolic_rank(oracle, pts[witness].sum(axis=0), tol)
+            deficiency = witness.size - hyperbolic_rank(oracle, pts[witness].sum(axis=0))
             if deficiency < 1 or negative <= -deficiency - 1.0 + _CERTIFICATE_MARGIN:
                 raise ConvergenceError("the rank function is not numerically submodular on this tuple")
             return EdmondsRadoReport(holds=False, witness=tuple(int(i) for i in witness))
@@ -233,7 +244,7 @@ def _soft_traces(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> Op
         lam = roots_in_direction(oracle, d, oracle.direction, check_direction=False)
     except (HyperpolyError, np.linalg.LinAlgError):
         return None
-    if lam[-1] <= _COLLAPSE_RATIO * max(1e-300, abs(lam[0])):
+    if classify_spectrum(lam, _COLLAPSE_RATIO) != POSITIVE:
         return None
     traces = traces_in_direction(oracle, pts, d)
     floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
@@ -349,7 +360,9 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         return CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status=STATUS_ZERO)
 
     def objective(a: np.ndarray) -> float:
-        val = evaluate(oracle, np.exp(a) @ pts)
+        # A trial step may overflow p; the value is then rejected, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = evaluate(oracle, np.exp(a) @ pts)
         return math.log(val) if 0.0 < val < math.inf else math.inf
 
     a = np.zeros(k)
@@ -430,7 +443,7 @@ def _combined_composition(comps, weights, k: int) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _concavity_report(value, points, comps, weights, rhs: float, rel_slack: float) -> ConcavityReport:
+def _concavity_report(value, points, comps, weights, rhs: float) -> ConcavityReport:
     """value(X_{r0}) >= rhs * prod_i value(X_{ri})^{w_i}, r0 the combined composition.
 
     A nonpositive value with positive weight makes the product zero.
@@ -446,36 +459,21 @@ def _concavity_report(value, points, comps, weights, rhs: float, rel_slack: floa
                 break
         else:
             rhs *= val**w
-    holds = lhs >= rhs * (1.0 - rel_slack) - 1e-15
+    holds = lhs >= rhs * (1.0 - CONCAVITY_REL_SLACK) - 1e-15
     return ConcavityReport(holds=bool(holds), lhs=lhs, rhs=rhs)
 
 
-def capacity_concavity_check(
-    oracle: HyperbolicOracle,
-    points,
-    comps,
-    weights,
-    tol: float = 1e-8,
-    rel_slack: float = 1e-6,
-) -> ConcavityReport:
+def capacity_concavity_check(oracle: HyperbolicOracle, points, comps, weights) -> ConcavityReport:
     """Cap at the combined composition dominates the weighted geometric mean.
 
     Checks Cap(X_{r0}) >= prod_i Cap(X_{ri})^{w_i} with r0 the integral convex
     combination of the given compositions; this is concavity of log Cap over
     repetition vectors.
     """
-    return _concavity_report(
-        lambda tup: capacity(oracle, tup, tol=tol).value, points, comps, weights, 1.0, rel_slack
-    )
+    return _concavity_report(lambda tup: capacity(oracle, tup).value, points, comps, weights, 1.0)
 
 
-def mixed_concavity_check(
-    oracle: HyperbolicOracle,
-    points,
-    comps,
-    weights,
-    rel_slack: float = 1e-6,
-) -> ConcavityReport:
+def mixed_concavity_check(oracle: HyperbolicOracle, points, comps, weights) -> ConcavityReport:
     """Sharper multiplicative bound for the mixed values themselves.
 
     M(X_{r0}) >= n!/n^n * prod_i M(X_{ri})^{w_i}, combining log-concavity of
@@ -483,15 +481,13 @@ def mixed_concavity_check(
     capacity.
     """
     n = oracle.n
-    return _concavity_report(
-        lambda tup: mixed_value(oracle, tup), points, comps, weights, math.factorial(n) / n**n, rel_slack
-    )
+    return _concavity_report(lambda tup: mixed_value(oracle, tup), points, comps, weights, math.factorial(n) / n**n)
 
 
-def van_der_waerden_ratio(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int = 10000) -> float:
+def van_der_waerden_ratio(oracle: HyperbolicOracle, points) -> float:
     """Mixed value divided by capacity; lies in (0, 1] for strictly positive tuples."""
     pts = as_tuple(points)
-    cap = capacity(oracle, pts, tol=tol, max_iters=max_iters)
+    cap = capacity(oracle, pts)
     if cap.value <= 0.0:
         raise ZeroCapacityError("ratio undefined: the tuple has zero capacity")
     return mixed_value(oracle, pts) / cap.value

@@ -258,6 +258,37 @@ class TestGenAndDeterminism:
         assert doc1 == doc2
 
 
+GEN_ARGS = ("gen", "--kind", "hyperbolic_pair", "--n", "3")
+
+
+class TestGlobalFlags:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_environment_read_on_every_call(self, monkeypatch, capsys):
+        expected = {seed: run(capsys, "--seed", seed, *GEN_ARGS) for seed in ("9", "3")}
+        for seed in ("9", "3"):
+            monkeypatch.setenv("HYPERPOLY_SEED", seed)
+            assert run(capsys, *GEN_ARGS) == expected[seed]
+
+    def test_value_after_subcommand_wins(self, monkeypatch, capsys):
+        # A variable is read only when its flag is absent, so a bad one is ignored here.
+        monkeypatch.setenv("HYPERPOLY_SEED", "x")
+        code, doc = run(capsys, "--seed", "3", *GEN_ARGS, "--seed", "9")
+        assert code == 0 and (code, doc) == run(capsys, "--seed", "9", *GEN_ARGS)
+
+    @pytest.mark.parametrize("where", ["environment", "before", "after"])
+    def test_bad_format_exit_two(self, tmp_path, product2, monkeypatch, capsys, where):
+        argv = ["eval", product2, write(tmp_path / "p.json", [2.0, 3.0])]
+        if where == "environment":
+            monkeypatch.setenv("HYPERPOLY_FORMAT", "xml")
+        else:
+            argv = ["--format", "xml", *argv] if where == "before" else [*argv, "--format", "xml"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+
+
 class TestParallelism:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_rejected(self, tmp_path, product2, capsys, value):

@@ -11,6 +11,8 @@ from hyperpoly.interlace import (
     INCONCLUSIVE,
     NOT_HYPERBOLIC,
     MonicPolynomial,
+    derivative_line_polynomial,
+    pair_agreement,
     standard_coefficients,
     taylor_shift,
 )
@@ -346,6 +348,35 @@ class TestDerivativeLineConvexity:
     def test_bad_k_rejected(self):
         with pytest.raises(InvalidDocumentError):
             hp.derivative_line_convexity(Q2, 0.0, 1.0, 3, [0.0, 1.0])
+
+
+class TestDerivativeLinePolynomial:
+    @pytest.mark.parametrize("b, c, a", [(0.0, 1.0, 0.5), (0.5, 2.0, -0.75)])
+    def test_matches_definition(self, b, c, a):
+        # P_a(x) = q(x + b + c a) - a q'(x + b + c a), evaluated directly.
+        q = MonicPolynomial.from_roots([-2.0, 0.5, 1.5])
+        xs = np.linspace(-2.0, 2.0, 7)
+        shifted = xs + b + c * a
+        direct = q(shifted) - a * np.polynomial.polynomial.polyval(shifted, q.derivative_coefficients())
+        coeffs = derivative_line_polynomial(q, b, c, a)
+        assert np.polynomial.polynomial.polyval(xs, coeffs) == pytest.approx(direct, abs=1e-12)
+
+
+class TestPairAgreement:
+    # The residue test may be inconclusive; the sampled test is always definite.
+    @pytest.mark.parametrize(
+        "first, second, agree, verdict",
+        [
+            (HYPERBOLIC, HYPERBOLIC, True, HYPERBOLIC),
+            (NOT_HYPERBOLIC, NOT_HYPERBOLIC, True, NOT_HYPERBOLIC),
+            (HYPERBOLIC, NOT_HYPERBOLIC, False, INCONCLUSIVE),
+            (NOT_HYPERBOLIC, HYPERBOLIC, False, NOT_HYPERBOLIC),
+            (INCONCLUSIVE, NOT_HYPERBOLIC, True, NOT_HYPERBOLIC),
+            (INCONCLUSIVE, HYPERBOLIC, True, INCONCLUSIVE),
+        ],
+    )
+    def test_agreement_and_joint_verdict(self, first, second, agree, verdict):
+        assert pair_agreement(hp.PairReport(first), hp.PairReport(second)) == (agree, verdict)
 
 
 class TestSymmetricConvexLine:

@@ -232,6 +232,28 @@ class TestRankAndCone:
         assert hp.cone_membership(oracle, [-1.0, -1.0]) == hp.OUTSIDE
         assert hp.cone_membership(oracle, [1.0, 0.0]) == hp.NONNEGATIVE
 
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+    def test_cone_classification_is_scale_free(self, sym3, c):
+        # The threshold is relative to the largest root, so c x has the class of x.
+        product = hp.product_oracle(3)
+        cases = [
+            (product, [1.0, 2.0, 3.0], hp.POSITIVE),
+            (product, [1.0, 0.0, 2.0], hp.NONNEGATIVE),
+            (product, [1.0, -1.0, 2.0], hp.OUTSIDE),
+            (sym3, gen.matrix_to_point(np.diag([1.0, 2.0, 3.0]) + 0.2), hp.POSITIVE),
+            (sym3, gen.matrix_to_point(np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0])), hp.NONNEGATIVE),
+            (sym3, gen.matrix_to_point(np.diag([1.0, -1.0, 2.0])), hp.OUTSIDE),
+        ]
+        for oracle, x, expected in cases:
+            assert hp.cone_membership(oracle, c * np.asarray(x)) == expected
+
+    def test_roots_along_a_tiny_interior_direction(self, sym3):
+        # 1e-12 e is strictly inside the cone, and its roots are 1e12 times those along e.
+        cases = [(hp.product_oracle(3), [1.0, 2.0, 3.0]), (sym3, gen.matrix_to_point(np.diag([1.0, 2.0, 3.0])))]
+        for oracle, x in cases:
+            expected = 1e12 * hp.roots_in_direction(oracle, x, oracle.direction)
+            assert hp.roots_in_direction(oracle, x, 1e-12 * oracle.direction) == pytest.approx(expected, rel=1e-12)
+
 
 class TestHyperbolicitySampling:
     def test_product_passes(self):

@@ -440,6 +440,19 @@ class TestCapacity:
         lower = hp.mixed_discriminant(tight_set_matrices)
         assert lower * (1.0 - 1e-9) <= result.value <= lower * n**n / math.factorial(n)
 
+    def test_overflowing_trial_step_is_silent(self, tight_set_matrices):
+        # Scaled by c with c^4 = 1e300, p sits near the top of the float range,
+        # so some Barzilai-Borwein trial steps overflow det.  Such a step is
+        # rejected, and numpy must not warn about it.
+        oracle, pts = gen.matrix_tuple_points(tight_set_matrices)
+        c = 1e75
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = hp.capacity(oracle, c * pts, max_iters=500)
+        n = len(tight_set_matrices)
+        lower = hp.mixed_discriminant(tight_set_matrices)
+        assert lower * (1.0 - 1e-9) <= result.value / c**n <= lower * n**n / math.factorial(n)
+
     @pytest.mark.parametrize("c", [1.0, 1e-4, 1e-10])
     def test_scale_free_certificate(self, c):
         # Cap(c x) = c^n Cap(x), and the rank certificate ignores c.
