@@ -26,7 +26,7 @@ import numpy as np
 
 from . import experiments
 from .errors import HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
-from .generators import GeneratorSpec, generate_document, matrix_tuple_points, symmetric_matrix_oracle
+from .generators import GeneratorSpec, generate_document, matrix_points, symmetric_basis, symmetric_matrix_oracle
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -136,20 +136,19 @@ def _load_tuple(path: str, oracle):
             raise InvalidDocumentError(f"{path}: 'points' must be a 2-d array")
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
-        mat_oracle, pts = matrix_tuple_points(_floats(doc["matrices"], f"{path}: 'matrices'"))
-        if oracle is None:
-            return mat_oracle, pts
+        mats = _floats(doc["matrices"], f"{path}: 'matrices'")
+        pts = matrix_points(mats)
         # Matrix coordinates only make sense against the symmetric-basis pencil.
+        basis = symmetric_basis(mats.shape[1])
         same = (
-            oracle.kind == mat_oracle.kind
-            and oracle.m == mat_oracle.m
-            and oracle.n == mat_oracle.n
-            and np.max(np.abs(oracle.form.pencil - mat_oracle.form.pencil)) <= 1e-12
+            oracle.kind == "determinantal"
+            and oracle.form.pencil.shape == basis.shape
+            and np.max(np.abs(oracle.form.pencil - basis)) <= 1e-12
         )
         if not same:
             raise InvalidDocumentError(
                 f"{path}: matrix tuples pair with the symmetric-basis oracle "
-                f'({{"kind": "symmetric", "n": {mat_oracle.n}}})'
+                f'({{"kind": "symmetric", "n": {mats.shape[1]}}})'
             )
         return oracle, pts
     raise InvalidDocumentError(f"{path}: tuple document needs a 'points' or 'matrices' field")
@@ -213,7 +212,7 @@ def cmd_trace(config: RunConfig, oracle, x, d) -> tuple[int, dict]:
 
 def cmd_mixed(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     if oracle.n >= 15:
-        print(f"note: polarizing over 2^{oracle.n} sign vectors", file=sys.stderr)
+        print(f"note: polarizing over 2^{oracle.n - 1} sign vectors", file=sys.stderr)
     return EXIT_OK, {"mixed_value": mixed_value(oracle, pts)}
 
 
@@ -345,6 +344,14 @@ GLOBAL_FLAGS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidDocumentError, so that
+    main returns EXIT_INPUT with an error line instead of exiting."""
+
+    def error(self, message: str):
+        raise InvalidDocumentError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # The global flags are accepted before and after the subcommand; a value
@@ -354,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cast, _ in GLOBAL_FLAGS:
         common.add_argument("--" + name.replace("_", "-"), type=cast)
     common.add_argument("--out", help="also write the report to this file")
-    parser = argparse.ArgumentParser(prog="hyperpoly", description=__doc__, parents=[common])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    parser = _Parser(prog="hyperpoly", description=__doc__, parents=[common])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     for name, (help_text, handler) in POINT_COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)

@@ -32,59 +32,63 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(v) for v in key))
 
 
+def _coordinate_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each coordinate of a symmetric n x n matrix: the diagonal,
+    then the upper triangle row by row."""
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    return np.concatenate([diag, rows]), np.concatenate([diag, cols])
+
+
+def symmetric_basis(n: int) -> np.ndarray:
+    """The (n(n+1)/2, n, n) pencil E_ii followed by E_ij + E_ji (i < j), in coordinate order."""
+    i, j = _coordinate_indices(n)
+    basis = np.zeros((i.size, n, n))
+    k = np.arange(i.size)
+    basis[k, i, j] = 1.0
+    basis[k, j, i] = 1.0
+    return basis
+
+
 def symmetric_matrix_oracle(n: int) -> HyperbolicOracle:
     """Determinantal oracle over the full space of symmetric n x n matrices.
 
-    The pencil runs over the basis E_ii followed by E_ij + E_ji (i < j), so a
-    point is exactly a symmetric matrix written in coordinates and the
-    direction maps to the identity matrix.
+    The pencil is ``symmetric_basis(n)``, so a point is exactly a symmetric
+    matrix written in coordinates and the direction maps to the identity
+    matrix.
     """
-    basis = []
-    direction = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-        direction.append(1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            direction.append(0.0)
-    return determinantal_oracle(basis, direction)
+    basis = symmetric_basis(n)
+    return determinantal_oracle(basis, np.concatenate([np.ones(n), np.zeros(basis.shape[0] - n)]))
 
 
 def matrix_to_point(mat: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in the basis used by symmetric_matrix_oracle."""
     a = np.asarray(mat, dtype=float)
-    n = a.shape[0]
-    coords = [a[i, i] for i in range(n)]
-    coords.extend(a[i, j] for i in range(n) for j in range(i + 1, n))
-    return np.asarray(coords)
+    return a[_coordinate_indices(a.shape[0])]
 
 
 def point_to_matrix(point: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(point, dtype=float)
+    i, j = _coordinate_indices(n)
     mat = np.zeros((n, n))
-    for i in range(n):
-        mat[i, i] = x[i]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = mat[j, i] = x[k]
-            k += 1
+    mat[i, j] = mat[j, i] = np.asarray(point, dtype=float)
     return mat
+
+
+def matrix_points(matrices) -> np.ndarray:
+    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each."""
+    try:
+        mats = np.asarray(matrices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDocumentError(f"a matrix tuple is a list of numeric matrices: {exc}") from exc
+    if mats.ndim != 3 or 0 in mats.shape or mats.shape[1] != mats.shape[2]:
+        raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
+    return mats[(slice(None),) + _coordinate_indices(mats.shape[1])]
 
 
 def matrix_tuple_points(matrices) -> tuple[HyperbolicOracle, np.ndarray]:
     """Wrap a list of symmetric matrices as points of the symmetric-basis oracle."""
-    mats = [np.asarray(a, dtype=float) for a in matrices]
-    n = mats[0].shape[0] if mats and mats[0].ndim == 2 else 0
-    if n == 0 or any(a.shape != (n, n) for a in mats):
-        raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
-    oracle = symmetric_matrix_oracle(n)
-    return oracle, np.vstack([matrix_to_point(a) for a in mats])
+    pts = matrix_points(matrices)
+    return symmetric_matrix_oracle(len(matrices[0])), pts
 
 
 def random_psd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

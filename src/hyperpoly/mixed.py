@@ -44,7 +44,7 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-# Polarization sums 2^n evaluations; anything past this is not desk scale.
+# Polarization sums 2^(n-1) evaluations; anything past this is not desk scale.
 POLARIZATION_CAP = 20
 _CHUNK = 1 << 14
 
@@ -62,26 +62,34 @@ def as_tuple(points) -> np.ndarray:
 def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[float, float]:
     """Polarized multilinear value and the largest |p| seen across sign combinations.
 
-    2^{-n} * sum over sign vectors b of p(sum_i b_i x_i) * prod(b).  The sum is
+    2^{-n} * sum over sign vectors b of p(sum_i b_i x_i) * prod(b).  The term
+    of b equals the term of its complement, since p(-y) = (-1)^n p(y) and the
+    parity sign also flips by (-1)^n; so only the 2^(n-1) vectors with
+    b_(n-1) = +1 are evaluated and the sum is doubled, and the peak over them
+    is the peak over all.  The form is the one ``tuple_form`` returns for the
+    tuple, which contracts a determinantal pencil once per tuple.  The sum is
     accumulated in a fixed chunk order so results are bitwise reproducible;
     the peak magnitude calibrates the cancellation noise floor (~eps * peak).
     """
     n = points.shape[0]
     if n > POLARIZATION_CAP:
         raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
+    form, coords = oracle.form.tuple_form(points)
+    # Only evaluated, so the direction is a placeholder.
+    tuple_oracle = HyperbolicOracle(form=form, n=n, m=coords.shape[1], direction=np.ones(coords.shape[1]))
     total = 0.0
     peak = 0.0
     shifts = np.arange(n, dtype=np.int64)
-    for start in range(0, 1 << n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
+    half = 1 << (n - 1)
+    for start in range(0, half, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, half), dtype=np.int64)
         bits = (idx[:, None] >> shifts[None, :]) & 1
         signs = 1.0 - 2.0 * bits
-        vals = evaluate_batch(oracle, signs @ points)
+        vals = evaluate_batch(tuple_oracle, signs @ coords)
         parity = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
         total += float(np.dot(vals, parity))
         peak = max(peak, float(np.max(np.abs(vals))))
-    scale = 0.5**n
-    return total * scale, peak
+    return total * 0.5 ** (n - 1), peak
 
 
 def mixed_value(oracle: HyperbolicOracle, points) -> float:
@@ -221,21 +229,37 @@ class SaturationReport(Report):
         return doc
 
 
+def _unseparated(zeros: list, members) -> list:
+    """The compositions in ``zeros`` that no subset inequality puts outside the hull of ``members``.
+
+    For every coordinate subset S, r(S) <= f(S) = max over members x of x(S)
+    holds on the convex hull, so a composition breaking one lies outside it.
+    When the support is M-convex, as for stable polynomials (Branden 2007),
+    the hull is the base polyhedron of f and every zero composition is
+    separated.
+    """
+    if not zeros:
+        return []
+    k = len(members[0])
+    subsets = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k, dtype=np.int64)) & 1
+    bound = (np.asarray(members, dtype=np.int64) @ subsets.T).max(axis=0)
+    inside = np.all(np.asarray(zeros, dtype=np.int64) @ subsets.T <= bound, axis=1)
+    return [r for r, keep in zip(zeros, inside) if keep]
+
+
 def newton_saturation_check(oracle: HyperbolicOracle, points) -> SaturationReport:
     """Are all integer points of the Newton polytope already in the support?
 
     Every composition inside the convex hull of the support whose own mixed
     value sits at zero is reported as a violation; an empty list means the
-    saturation property holds for this instance.
+    saturation property holds for this instance.  Subset inequalities rule
+    compositions out first; only those left go to the membership LP.
     """
     sup, values = _support_and_values(oracle, points)
     violations = []
     if sup.members:
-        for r in sorted(values):
-            if r in sup.values:
-                continue
-            if polytope_membership(r, sup):
-                violations.append(r)
+        zeros = [r for r in sorted(values) if r not in sup.values]
+        violations = [r for r in _unseparated(zeros, sup.members) if polytope_membership(r, sup)]
     return SaturationReport(saturated=not violations, violations=tuple(violations), support=sup)
 
 

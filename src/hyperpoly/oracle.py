@@ -2,11 +2,13 @@
 
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
-normalized so that p(e) = 1.  Every form implements the same three methods,
-``evaluate_batch(points)``, ``grad_log_p(d)`` and ``roots(x, d, tol)``,
-plus its ``kind`` and ``json_fields``.  The pure functions here validate their
-inputs and delegate to those: evaluation, univariate restrictions along a
-direction, root spectra, directional traces, rank, and cone membership.
+normalized so that p(e) = 1.  Every form implements the same four methods,
+``evaluate_batch(points)``, ``grad_log_p(d)``, ``roots(x, d, tol)`` and
+``tuple_form(points)``, plus its ``kind`` and ``json_fields``.  The pure
+functions here validate their inputs and delegate to those: evaluation,
+univariate restrictions along a direction, root spectra, directional traces,
+rank, and cone membership.  Polarization in ``mixed`` evaluates the form that
+``tuple_form`` returns.
 Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
@@ -57,6 +59,10 @@ class ProductPolynomial:
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(x / d)[::-1]
 
+    def tuple_form(self, pts: np.ndarray) -> tuple[ProductPolynomial, np.ndarray]:
+        """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
+        return self, pts
+
     def json_fields(self, direction: np.ndarray) -> dict:
         return {}
 
@@ -85,6 +91,14 @@ class DeterminantalPolynomial:
         except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
             raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
         return lam[::-1]
+
+    def tuple_form(self, pts: np.ndarray) -> tuple[DeterminantalPolynomial, np.ndarray]:
+        """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s.
+
+        p(sum_i s_i x_i) = det(sum_i s_i M(x_i)), so q is the pencil of the
+        matrices M(x_i), contracted once, and C is the identity.
+        """
+        return DeterminantalPolynomial(pencil=self.matrix(pts)), np.eye(pts.shape[0])
 
     def json_fields(self, direction: np.ndarray) -> dict:
         return {
@@ -125,6 +139,10 @@ class DensePolynomial:
                 f"expected {self.n} roots, restriction produced {roots.size} (degenerate direction?)"
             )
         return roots
+
+    def tuple_form(self, pts: np.ndarray) -> tuple[DensePolynomial, np.ndarray]:
+        """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
+        return self, pts
 
     def json_fields(self, direction: np.ndarray) -> dict:
         return {
@@ -167,11 +185,15 @@ def product_oracle(n: int) -> HyperbolicOracle:
     return HyperbolicOracle(form=ProductPolynomial(n=n), n=n, m=n, direction=np.ones(n))
 
 
-def _check_symmetric(mat: np.ndarray, index: int) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-9 * scale:
-        raise InvalidDocumentError(f"pencil matrix {index} is not symmetric within tolerance")
-    return 0.5 * (mat + mat.T)
+def _symmetrized(pencil: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack averaged with its transpose, once all are symmetric within
+    1e-9 * max(1, max |entry|) of their own scale."""
+    transposed = np.transpose(pencil, (0, 2, 1))
+    scale = np.maximum(1.0, np.max(np.abs(pencil), axis=(1, 2)))
+    bad = np.flatnonzero(np.max(np.abs(pencil - transposed), axis=(1, 2)) > 1e-9 * scale)
+    if bad.size:
+        raise InvalidDocumentError(f"pencil matrix {bad[0]} is not symmetric within tolerance")
+    return 0.5 * (pencil + transposed)
 
 
 def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
@@ -189,12 +211,11 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
     for i, b in enumerate(mats):
         if b.shape != (n, n):
             raise InvalidDocumentError(f"pencil matrix {i} has shape {b.shape}, expected ({n}, {n})")
-        mats[i] = _check_symmetric(b, i)
+    pencil = _symmetrized(np.stack(mats))
     m = len(mats)
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
-    pencil = np.stack(mats)
     gram = np.tensordot(e, pencil, axes=([0], [0]))
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):

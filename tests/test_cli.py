@@ -335,6 +335,13 @@ def _write_inputs(tmp_path):
         "no_q": {"r": {"degree": 1, "a": [0.0]}},
         "symmetric_no_n": {"kind": "symmetric"},
         "no_matrices": {"matrices": []},
+        "scalar_matrices": {"matrices": 5},
+        # Same shape as the symmetric basis of n = 2, but the off-diagonal element is doubled.
+        "scaled_basis2": {
+            "kind": "determinantal",
+            "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [2.0, 0.0]]],
+            "direction": [1.0, 1.0, 0.0],
+        },
         "string_point": ["a", "b"],
         "lidskii_1x2": {"A": [[1.0, 0.0], [0.0, 2.0]], "B": [[1.0, 2.0]]},
         "short_triple": {"q": {"a": [0.0, 1.0]}, "r": {"a": [0.5, 2.0]}, "point": [1.0, 0.5], "delta": [0.4, 0.2, 0.9]},
@@ -406,6 +413,13 @@ MALFORMED = [
     ),
     ("symmetric-no-n", ("eval", "symmetric_no_n", "point")),
     ("empty-matrix-tuple", ("mixed", "symmetric2", "no_matrices")),
+    ("scalar-matrix-tuple", ("mixed", "symmetric2", "scalar_matrices")),
+    ("matrices-with-product-oracle", ("mixed", "product2", "psd")),
+    ("matrices-with-other-basis", ("mixed", "scaled_basis2", "psd")),
+    ("seed-not-int", ("--seed", "x", "gen", "--kind", "psd_tuple", "--n", "2")),
+    ("gen-n-not-int", ("gen", "--kind", "psd_tuple", "--n", "x")),
+    ("trials-not-int", ("experiments", "af", "--trials", "x")),
+    ("unknown-subcommand", ("nonsense",)),
     ("string-point", ("eval", "product2", "string_point")),
     ("lidskii-1x2", ("majorize", "lidskii_1x2", "--mode", "lidskii")),
     ("shifted-pencil-pair", ("majorize", "short_triple", "--mode", "shifted-pencil")),
@@ -428,6 +442,11 @@ class TestInputErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
     def test_bad_environment_default_exit_two(self, tmp_path, product2, monkeypatch, capsys):
         monkeypatch.setenv("HYPERPOLY_SEED", "x")
@@ -458,3 +477,18 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_support_on_psd_tuple_leaves_scipy_optimize_unloaded(tmp_path):
+    # Subset inequalities settle every zero composition of this support, so no LP runs.
+    _, pts = gen.structured_psd_points(np.random.default_rng(3), 4)
+    oracle = write(tmp_path / "oracle.json", {"kind": "symmetric", "n": 4})
+    tup = write(tmp_path / "tuple.json", {"matrices": [gen.point_to_matrix(x, 4).tolist() for x in pts]})
+    code = (
+        "import sys; from hyperpoly.cli import main; "
+        f"code = main(['support', {oracle!r}, {tup!r}]); "
+        "sys.exit(code or 10 * ('scipy.optimize' in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120).returncode == 0

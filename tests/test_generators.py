@@ -91,3 +91,35 @@ class TestDocumentRoundTrips:
         report = hp.edmonds_rado_check(oracle, pts)
         assert not report.holds
         assert list(report.witness) == doc["witness"]
+
+
+def loop_built_basis(n):
+    """The symmetric basis and direction as element-by-element loops build them."""
+    basis, direction = [], []
+    for i in range(n):
+        e = np.zeros((n, n))
+        e[i, i] = 1.0
+        basis.append(e)
+        direction.append(1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n))
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e)
+            direction.append(0.0)
+    return np.stack(basis), np.asarray(direction)
+
+
+class TestSymmetricBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_equal_to_loop_reference(self, n):
+        basis, direction = loop_built_basis(n)
+        oracle = gen.symmetric_matrix_oracle(n)
+        assert np.array_equal(oracle.form.pencil, basis) and np.array_equal(gen.symmetric_basis(n), basis)
+        assert np.array_equal(oracle.direction, direction)
+        a = np.random.default_rng(n).standard_normal((n, n))
+        a = a + a.T
+        coords = [a[i, i] for i in range(n)] + [a[i, j] for i in range(n) for j in range(i + 1, n)]
+        assert np.array_equal(gen.matrix_to_point(a), np.asarray(coords))
+        assert np.array_equal(gen.point_to_matrix(gen.matrix_to_point(a), n), a)
+        assert np.array_equal(gen.matrix_points([a, 2 * a]), np.vstack([coords, 2 * np.asarray(coords)]))

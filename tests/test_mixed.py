@@ -6,8 +6,11 @@ import pytest
 
 import hyperpoly as hp
 from hyperpoly import generators as gen
+from hyperpoly import mixed
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
 from hyperpoly.mixed import SupportSet, compositions
+
+EPS = np.finfo(float).eps
 
 
 def permanent_of_columns(points):
@@ -283,3 +286,110 @@ class TestBudgets:
         oracle = hp.product_oracle(9)
         with pytest.raises(BudgetExceededError):
             hp.support(oracle, np.ones((9, 9)))
+
+
+def full_sign_sum(oracle, points):
+    """2^-n * sum over all 2^n sign vectors b of p(sum_i b_i x_i) * prod(b), and the largest |p| among them."""
+    n = points.shape[0]
+    signs = np.asarray(list(itertools.product((1.0, -1.0), repeat=n)))
+    vals = hp.evaluate_batch(oracle, signs @ points)
+    return float(vals @ np.prod(signs, axis=1)) / 2**n, float(np.max(np.abs(vals)))
+
+
+def dense_test_oracle(rng, n):
+    """Every degree-n monomial in three variables, with coefficients in [0.5, 1.5]."""
+    return hp.dense_oracle(3, n, {r: rng.uniform(0.5, 1.5) for r in compositions(n, 3)}, np.ones(3))
+
+
+POLARIZATION_FORMS = {
+    "product": lambda rng, n: (hp.product_oracle(n), rng.uniform(-1.0, 2.0, size=(n, n))),
+    "symmetric": lambda rng, n: (
+        gen.symmetric_matrix_oracle(n),
+        rng.standard_normal((n, n * (n + 1) // 2)),
+    ),
+    "pencil3": lambda rng, n: (gen.random_determinantal_oracle(rng, n, 3), rng.standard_normal((n, 3))),
+    "dense": lambda rng, n: (dense_test_oracle(rng, n), rng.standard_normal((n, 3))),
+}
+
+
+def ryser_permanent(w):
+    """perm(W) = (-1)^n sum over nonempty column subsets S of (-1)^|S| prod_i sum_{j in S} w_ij."""
+    n = w.shape[0]
+    columns = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    signs = (-1.0) ** columns.sum(axis=1)
+    return (-1.0) ** n * float(signs @ np.prod(columns @ w.T, axis=1))
+
+
+class TestPolarizationKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("form", sorted(POLARIZATION_FORMS))
+    def test_half_sum_matches_full_sign_sum(self, form, n):
+        rng = np.random.default_rng(100 + n)
+        oracle, pts = POLARIZATION_FORMS[form](rng, n)
+        expected, peak = full_sign_sum(oracle, pts)
+        value, half_peak = mixed._polarization(oracle, pts)
+        assert abs(value - expected) <= max(1e-12 * abs(expected), 8 * n * EPS * peak)
+        assert half_peak == pytest.approx(peak, rel=1e-12)
+        assert hp.mixed_value(oracle, pts) == value
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_mixed_discriminant_of_commuting_tuple_is_permanent(self, n):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.5, 1.5, size=(n, n))
+        mats = [(q * w[:, i]) @ q.T for i in range(n)]
+        got = hp.mixed_discriminant([0.5 * (a + a.T) for a in mats])
+        assert abs(got - ryser_permanent(w)) <= 8 * n * EPS * float(np.prod(w.sum(axis=1)))
+
+
+# The instance families of acceptance criterion 14.
+CRITERION_14_SEED = 20240731
+
+
+def criterion_14_instances():
+    for t in range(100):
+        n = 2 + t % 4
+        yield gen.structured_psd_points(gen.rng_for(CRITERION_14_SEED, 14, t), n)
+        yield gen.structured_product_points(gen.rng_for(CRITERION_14_SEED, 141, t), n)
+
+
+class TestSaturationRoutes:
+    def test_separation_alone_settles_criterion_14(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a membership LP ran")
+
+        monkeypatch.setattr(mixed, "linprog", no_lp)
+        for oracle, pts in criterion_14_instances():
+            assert hp.newton_saturation_check(oracle, pts).saturated
+
+    def test_hole_between_two_vertices(self):
+        oracle = hp.dense_oracle(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 1.0}, [1.0, 1.0, 1.0])
+        report = hp.newton_saturation_check(oracle, np.eye(3))
+        assert not report.saturated
+        assert report.violations == ((1, 2, 0), (2, 1, 0))
+
+    def test_lp_fallback_finds_no_hole(self, monkeypatch):
+        calls = []
+        real = mixed.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixed, "linprog", counted)
+        oracle = hp.dense_oracle(3, 3, {(3, 0, 0): 1.0, (1, 1, 1): 1.0}, [1.0, 1.0, 1.0])
+        report = hp.newton_saturation_check(oracle, np.eye(3))
+        assert report.saturated and report.violations == ()
+        assert len(calls) >= 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_lp_only_route(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 3
+        comps = list(compositions(n, n))
+        picks = rng.choice(len(comps), size=int(rng.integers(2, 7)), replace=False)
+        oracle = hp.dense_oracle(n, n, {comps[i]: rng.uniform(0.5, 2.0) for i in picks}, np.ones(n))
+        report = hp.newton_saturation_check(oracle, np.eye(n))
+        sup = report.support
+        lp_only = tuple(r for r in comps if r not in sup.values and hp.polytope_membership(r, sup))
+        assert report.violations == lp_only
