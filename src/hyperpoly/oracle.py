@@ -76,7 +76,9 @@ class DeterminantalPolynomial:
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
-        return np.tensordot(x, self.pencil, axes=1)
+        # One matrix product: np.tensordot costs several times as much on small inputs.
+        m, n, _ = self.pencil.shape
+        return (x @ self.pencil.reshape(m, n * n)).reshape(x.shape[:-1] + (n, n))
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.det(self.matrix(pts))
