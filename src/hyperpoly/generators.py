@@ -10,6 +10,7 @@ sampled pencil grid, so every emitted instance carries a grid-visible witness).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -154,16 +155,23 @@ def rank_deficient_matrix_tuple(rng: np.random.Generator, n: int) -> tuple[list[
     return mats, (0, 1)
 
 
-def positive_point_tuple(oracle: HyperbolicOracle, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Points strictly inside the cone: shift random points along the direction until
-    their smallest root lies in [0.2, 1.2)."""
+def _lifted_points(
+    oracle: HyperbolicOracle, rng: np.random.Generator, count: int, lift: Callable[[float], float]
+) -> np.ndarray:
+    """count standard normal points, each moved along the direction by lift(its smallest root);
+    the rule draws from rng after the point and its roots, in that order."""
     rows = []
     for _ in range(count):
         y = rng.standard_normal(oracle.m)
         lam = roots_in_direction(oracle, y, oracle.direction, check_direction=False)
-        lift = 0.2 + float(rng.uniform(0.0, 1.0)) - float(lam[-1])
-        rows.append(y + lift * oracle.direction)
+        rows.append(y + lift(float(lam[-1])) * oracle.direction)
     return np.vstack(rows)
+
+
+def positive_point_tuple(oracle: HyperbolicOracle, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Points strictly inside the cone: shift random points along the direction until
+    their smallest root lies in [0.2, 1.2)."""
+    return _lifted_points(oracle, rng, count, lambda low: 0.2 + float(rng.uniform(0.0, 1.0)) - low)
 
 
 def nonnegative_point_tuple(
@@ -173,16 +181,11 @@ def nonnegative_point_tuple(
     boundary_fraction: float = 0.3,
 ) -> np.ndarray:
     """e-nonnegative points, a fraction of them pushed onto the cone boundary."""
-    rows = []
-    for _ in range(count):
-        y = rng.standard_normal(oracle.m)
-        lam = roots_in_direction(oracle, y, oracle.direction, check_direction=False)
-        if rng.uniform() < boundary_fraction:
-            lift = -float(lam[-1])
-        else:
-            lift = float(rng.uniform(0.05, 1.0)) - float(lam[-1])
-        rows.append(y + lift * oracle.direction)
-    return np.vstack(rows)
+
+    def lift(low: float) -> float:
+        return -low if rng.uniform() < boundary_fraction else float(rng.uniform(0.05, 1.0)) - low
+
+    return _lifted_points(oracle, rng, count, lift)
 
 
 def positive_product_tuple(rng: np.random.Generator, n: int) -> tuple[HyperbolicOracle, np.ndarray]:

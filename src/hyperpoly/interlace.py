@@ -98,9 +98,21 @@ class MonicPolynomial:
 
 
 def taylor_shift(coeffs, s: float) -> np.ndarray:
-    """Ascending coefficients of p(x + s) given ascending coefficients of p."""
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    return p(np.polynomial.Polynomial([float(s), 1.0])).coef
+    """Ascending coefficients of p(x + s) given ascending coefficients of p.
+
+    Horner's rule on x + s with the floats numpy.polynomial composes it with:
+    each product coefficient is summed onto +0.0, as its convolution does, and
+    trailing zero coefficients are dropped, keeping at least one.
+    """
+    c = np.asarray(coeffs, dtype=float).tolist()
+    s = float(s) + 0.0
+    out = [c[-1] + (s * 0.0 + 0.0)]
+    for a in reversed(c[:-1]):
+        out = [out[0] * s + 0.0] + [out[j] * s + out[j - 1] + 0.0 for j in range(1, len(out))] + [out[-1] + 0.0]
+        if out[-1] == 0.0:
+            out.pop()
+        out[0] += a
+    return np.asarray(out)
 
 
 def standard_coefficients(poly, length: Optional[int] = None) -> np.ndarray:
@@ -380,7 +392,11 @@ class LineConvexityReport(Report):
     values: tuple[float, ...]
 
 
-def _midpoint_convex(f: Callable[[float], float], grid: Sequence[float], tol: float) -> bool:
+def _midpoint_convex(f: Callable[[float], float], grid: Sequence[float], tol: float) -> tuple[bool, tuple[float, ...]]:
+    """Whether f is midpoint convex over every grid pair, and f on the grid in its order.
+
+    One memo serves both, so each distinct grid point and midpoint is evaluated once.
+    """
     cache: dict[float, float] = {}
 
     def fv(a: float) -> float:
@@ -388,13 +404,14 @@ def _midpoint_convex(f: Callable[[float], float], grid: Sequence[float], tol: fl
             cache[a] = f(a)
         return cache[a]
 
+    values = tuple(fv(float(a)) for a in grid)
     pts = sorted(float(a) for a in grid)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             mid = 0.5 * (pts[i] + pts[j])
             if fv(mid) > 0.5 * (fv(pts[i]) + fv(pts[j])) + tol:
-                return False
-    return True
+                return False, values
+    return True, values
 
 
 def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float) -> np.ndarray:
@@ -427,8 +444,7 @@ def derivative_line_convexity(
         lam = real_roots_from_coefficients(derivative_line_polynomial(q, b, c, a), tol)
         return float(np.sum(lam[:k]))
 
-    values = tuple(topk(float(a)) for a in grid)
-    convex = _midpoint_convex(topk, grid, tol)
+    convex, values = _midpoint_convex(topk, grid, tol)
     min_at_zero: Optional[bool] = None
     if b == 0.0 and c == 1.0:
         min_at_zero = bool(min(values) >= topk(0.0) - tol)
@@ -491,14 +507,9 @@ def symmetric_convex_line_check(
     k = f_id.partition(":")[2]
     if k and int(k) > q.degree:
         raise InvalidDocumentError(f"statistic '{f_id}' needs k <= the degree {q.degree}")
-    qc = q.standard_coefficients()
-    rc = r.standard_coefficients()
 
     def value(a: float) -> float:
-        s = b + c * a
-        coeffs = a * taylor_shift(qc, s) + (1.0 - a) * taylor_shift(rc, s)
-        return stat(real_roots_from_coefficients(coeffs, tol))
+        return stat(_pencil_spectrum(q, r, a, 1.0 - a, -(b + c * a), tol))
 
-    values = tuple(value(float(a)) for a in grid)
-    convex = _midpoint_convex(value, grid, tol)
+    convex, values = _midpoint_convex(value, grid, tol)
     return SymmetricConvexReport(convex=convex, values=values)

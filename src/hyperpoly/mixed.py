@@ -2,7 +2,8 @@
 
 Polarization, mixed discriminants, supports and Newton-polytope membership,
 Alexandrov-Fenchel residuals, k-hyperbolicity polynomials, and log-concavity
-profiles.
+profiles.  Supports and dense expansions share one composition enumeration
+under one row budget, ENUMERATION_ROW_BUDGET.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .oracle import (
     POSITIVE,
     DeterminantalPolynomial,
     HyperbolicOracle,
-    chebyshev_nodes,
+    chebyshev_restriction,
     cone_membership,
     dense_oracle,
     evaluate_batch,
-    polynomial_from_samples,
 )
 from .report import Report
 
@@ -48,8 +48,10 @@ def linprog(*args, **kwargs):
 POLARIZATION_CAP = 20
 _CHUNK = 1 << 14
 
-# Composition enumeration cap: C(2n-1, n-1) stays below ~6500 for n <= 8.
-SUPPORT_CAP = 8
+# Enumerating the C(n+k-1, k-1) compositions of n into k parts polarizes
+# 2^(n-1) rows for each; support (k = n) and the dense expansion (k = m) stop
+# before any evaluation past this many rows.
+ENUMERATION_ROW_BUDGET = 2_000_000
 
 
 def as_tuple(points) -> np.ndarray:
@@ -158,11 +160,13 @@ class SupportSet(Report):
 
 
 def _all_mixed_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[dict, float]:
+    """The mixed value of the k points repeated r times, for every composition r of n into k
+    parts, and the largest |p| seen; within ENUMERATION_ROW_BUDGET polarized rows."""
     n = oracle.n
     k = points.shape[0]
     count = math.comb(n + k - 1, k - 1)
-    if k > SUPPORT_CAP or count > 7000:
-        raise BudgetExceededError(f"{count} compositions exceed the enumeration budget")
+    if count * 2 ** (n - 1) > ENUMERATION_ROW_BUDGET:
+        raise BudgetExceededError(f"{count} compositions of 2^{n - 1} polarized rows exceed the enumeration budget")
     values: dict[tuple[int, ...], float] = {}
     peak = 0.0
     for r in compositions(n, k):
@@ -193,13 +197,13 @@ def _support_and_values(oracle: HyperbolicOracle, points) -> tuple[SupportSet, d
     return SupportSet(members=members, values={r: values[r] for r in members}, threshold=threshold), values
 
 
-def polytope_membership(r, support_set) -> bool:
-    """Is r in the convex hull of the support?  Decided by linear feasibility.
+def polytope_membership(r, support_set: SupportSet) -> bool:
+    """Is r in the convex hull of the support's members?  Decided by linear feasibility.
 
     Solves for convex weights on the support members reproducing r; the sizes
     here are tiny, so the LP answer is effectively exact.
     """
-    members = support_set.members if isinstance(support_set, SupportSet) else tuple(support_set)
+    members = support_set.members
     if not members:
         raise InvalidDocumentError("empty support has no polytope")
     target = np.asarray(r, dtype=float)
@@ -301,10 +305,11 @@ def alexandrov_fenchel_verdict(oracle: HyperbolicOracle, points) -> dict:
 def k_hyperbolicity_polynomial(oracle: HyperbolicOracle, x, tail, k: int) -> np.ndarray:
     """Ascending coefficients of t -> M(x + t e, ..., x + t e, tail) with k moving slots.
 
-    Recovered by evaluating the mixed value at k+1 Chebyshev nodes and
-    interpolating.  Real-rootedness of this polynomial for every real x is the
-    k-hyperbolicity property; at k = 2 a nonnegative discriminant is exactly
-    the Alexandrov-Fenchel inequality.
+    Recovered by ``chebyshev_restriction``, the sampler every restriction
+    uses, from the mixed value at k+1 Chebyshev nodes.  Real-rootedness of
+    this polynomial for every real x is the k-hyperbolicity property; at
+    k = 2 a nonnegative discriminant is exactly the Alexandrov-Fenchel
+    inequality.
     """
     x = np.asarray(x, dtype=float)
     tail = np.asarray(tail, dtype=float).reshape(-1, oracle.m)
@@ -315,13 +320,11 @@ def k_hyperbolicity_polynomial(oracle: HyperbolicOracle, x, tail, k: int) -> np.
     for row in tail:
         if cone_membership(oracle, row) != POSITIVE:
             raise InvalidDocumentError("tail points must be strictly inside the cone")
-    radius = 1.0 + float(np.linalg.norm(x))
-    nodes = chebyshev_nodes(k + 1)
-    values = np.empty(k + 1)
-    for i, s in enumerate(nodes):
-        moving = x[None, :] + (radius * s) * oracle.direction[None, :]
-        values[i] = mixed_value(oracle, np.vstack([np.repeat(moving, k, axis=0), tail]))
-    return polynomial_from_samples(nodes, values, k, radius)
+
+    def moving_slots(rows: np.ndarray) -> np.ndarray:
+        return np.array([mixed_value(oracle, np.vstack([np.repeat(row[None, :], k, axis=0), tail])) for row in rows])
+
+    return chebyshev_restriction(moving_slots, k, x, oracle.direction)
 
 
 def k_hyperbolic_check(oracle: HyperbolicOracle, x, tail, k: int) -> bool:
@@ -357,23 +360,14 @@ def dense_from_oracle(oracle: HyperbolicOracle) -> HyperbolicOracle:
     """Expand any oracle into dense form via polarization at basis tuples.
 
     The coefficient of x^r is the mixed value of the basis tuple repeated with
-    multiplicities r, divided by prod(r_i!).
+    multiplicities r, divided by prod(r_i!); the enumeration is the support's,
+    under the same ENUMERATION_ROW_BUDGET.
     """
-    m, n = oracle.m, oracle.n
-    count = math.comb(n + m - 1, m - 1)
-    if count * (1 << n) > 4_000_000:
-        raise BudgetExceededError("dense expansion budget exceeded")
-    basis = np.eye(m)
-    terms = {}
-    peak = 0.0
-    for r in compositions(n, m):
-        val, scale = _polarization(oracle, repeated_tuple(basis, r))
-        coef = val / np.prod([math.factorial(v) for v in r])
-        terms[r] = coef
-        peak = max(peak, abs(coef))
-    cutoff = 1e-13 * max(1.0, peak)
+    values, _ = _all_mixed_values(oracle, np.eye(oracle.m))
+    terms = {r: val / np.prod([math.factorial(v) for v in r]) for r, val in values.items()}
+    cutoff = 1e-13 * max(1.0, *(abs(c) for c in terms.values()))
     kept = {r: c for r, c in terms.items() if abs(c) > cutoff}
-    return dense_oracle(m, n, kept, oracle.direction)
+    return dense_oracle(oracle.m, oracle.n, kept, oracle.direction)
 
 
 def brute_force_permanent(matrix) -> float:

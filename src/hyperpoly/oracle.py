@@ -8,7 +8,8 @@ normalized so that p(e) = 1.  Every form implements the same four methods,
 functions here validate their inputs and delegate to those: evaluation,
 univariate restrictions along a direction, root spectra, directional traces,
 rank, and cone membership.  Polarization in ``mixed`` evaluates the form that
-``tuple_form`` returns.
+``tuple_form`` returns.  Every univariate restriction, of p or of a mixed
+value, is sampled and fitted by ``chebyshev_restriction``.
 Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import linalg as sla
@@ -28,7 +29,7 @@ from .errors import (
     NearSingularDirectionWarning,
     NonRealRootError,
 )
-from .interlace import real_roots_from_coefficients
+from .interlace import MonicPolynomial, real_roots, real_roots_from_coefficients
 from .report import Report
 
 POSITIVE = "positive"
@@ -76,7 +77,7 @@ class DeterminantalPolynomial:
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
-        # One matrix product: np.tensordot costs several times as much on small inputs.
+        # One matrix product: a general tensor contraction costs several times as much on small inputs.
         m, n, _ = self.pencil.shape
         return (x @ self.pencil.reshape(m, n * n)).reshape(x.shape[:-1] + (n, n))
 
@@ -84,8 +85,9 @@ class DeterminantalPolynomial:
         return np.linalg.det(self.matrix(pts))
 
     def grad_log_p(self, d: np.ndarray) -> np.ndarray:
-        """d_j log det M(d) = tr(M(d)^{-1} B_j)."""
-        return np.tensordot(self.pencil, np.linalg.inv(self.matrix(d)), axes=([1, 2], [1, 0]))
+        """d_j log det M(d) = tr(M(d)^{-1} B_j), contracted in one matrix product like ``matrix``."""
+        m, n, _ = self.pencil.shape
+        return self.pencil.reshape(m, n * n) @ np.linalg.inv(self.matrix(d)).T.reshape(n * n)
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         try:
@@ -135,12 +137,10 @@ class DensePolynomial:
         return grad / self.evaluate_batch(d[None, :])[0]
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
-        roots = real_roots_from_coefficients(_restriction(self, self.n, x, -d), tol)
-        if roots.size != self.n:
-            raise NonRealRootError(
-                f"expected {self.n} roots, restriction produced {roots.size} (degenerate direction?)"
-            )
-        return roots
+        """All n roots of t -> p(x - t d).  The leading coefficient of that restriction is
+        p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which grows as |x|^n."""
+        coeffs = chebyshev_restriction(self.evaluate_batch, self.n, x, -d)
+        return real_roots(MonicPolynomial.from_standard(coeffs), tol)
 
     def tuple_form(self, pts: np.ndarray) -> tuple[DensePolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
@@ -218,14 +218,14 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
-    gram = np.tensordot(e, pencil, axes=([0], [0]))
+    gram = DeterminantalPolynomial(pencil=pencil).matrix(e)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
         raise InvalidDocumentError("pencil at the direction is not positive definite")
     metadata = {"gram_determinant": float(np.prod(eigvals)), "congruence_applied": False}
     if np.max(np.abs(gram - np.eye(n))) > 1e-12:
         w = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-        pencil = np.stack([w @ b @ w for b in pencil])
+        pencil = w @ pencil @ w
         pencil = 0.5 * (pencil + np.transpose(pencil, (0, 2, 1)))
         metadata["congruence_applied"] = True
     return HyperbolicOracle(form=DeterminantalPolynomial(pencil=pencil), n=n, m=m, direction=e, metadata=metadata)
@@ -283,41 +283,31 @@ def pencil_matrix(oracle: HyperbolicOracle, x) -> np.ndarray:
     return oracle.form.matrix(_as_point(oracle, x))
 
 
-def chebyshev_nodes(count: int) -> np.ndarray:
-    """count Chebyshev nodes of the first kind on (-1, 1)."""
-    j = np.arange(count)
-    return np.cos((2 * j + 1) * np.pi / (2 * count))
+def chebyshev_restriction(
+    evaluate: Callable[[np.ndarray], np.ndarray], degree: int, x: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Ascending coefficients c_0..c_degree of t -> f(x + t d), for f of that degree along the line.
 
-
-def polynomial_from_samples(nodes: np.ndarray, values: np.ndarray, degree: int, radius: float) -> np.ndarray:
-    """Ascending coefficients of the degree-`degree` polynomial through the samples.
-
-    ``nodes`` live on (-1, 1); the returned coefficients are for the unscaled
-    variable t = radius * node.  Fitting in the Chebyshev basis keeps the
-    interpolation well-conditioned before converting to the power basis.
+    ``evaluate`` maps a batch of points (rows) to the values of f.  f is
+    sampled at degree+1 Chebyshev nodes of the first kind scaled to
+    [-1-|x|, 1+|x|]; equispaced nodes would make the interpolation matrix
+    unusable already around degree 10.  Fitting in the Chebyshev basis keeps
+    the interpolation well-conditioned before converting to the power basis.
     """
-    cheb = np.polynomial.chebyshev.chebfit(nodes, values, degree)
-    power = np.polynomial.chebyshev.cheb2poly(cheb)
-    power = np.pad(power, (0, degree + 1 - power.size))
-    return power / radius ** np.arange(degree + 1)
+    radius = 1.0 + float(np.linalg.norm(x))
+    count = degree + 1
+    s = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+    pts = x[None, :] + (radius * s)[:, None] * d[None, :]
+    power = np.polynomial.chebyshev.cheb2poly(np.polynomial.chebyshev.chebfit(s, evaluate(pts), degree))
+    return np.pad(power, (0, count - power.size)) / radius ** np.arange(count)
 
 
 def univariate_restriction(oracle: HyperbolicOracle, x, d) -> np.ndarray:
-    """Ascending coefficients c_0..c_n of t -> p(t d + x).
+    """Ascending coefficients c_0..c_n of t -> p(t d + x), from ``chebyshev_restriction``.
 
-    Recovered by sampling p at n+1 Chebyshev nodes scaled to
-    [-1-|x|, 1+|x|]; equispaced nodes would make the interpolation matrix
-    unusable already around degree 10.  By construction c_n = p(d) and
-    c_0 = p(x).
+    By construction c_n = p(d) and c_0 = p(x).
     """
-    return _restriction(oracle.form, oracle.n, _as_point(oracle, x), _as_point(oracle, d))
-
-
-def _restriction(form: Form, n: int, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    radius = 1.0 + float(np.linalg.norm(x))
-    s = chebyshev_nodes(n + 1)
-    pts = x[None, :] + (radius * s)[:, None] * d[None, :]
-    return polynomial_from_samples(s, form.evaluate_batch(pts), n, radius)
+    return chebyshev_restriction(oracle.form.evaluate_batch, oracle.n, _as_point(oracle, x), _as_point(oracle, d))
 
 
 def roots_in_direction(
@@ -333,7 +323,7 @@ def roots_in_direction(
     guarantees real roots for hyperbolic p.  Determinantal oracles use the
     symmetric generalized eigenproblem (M(x), M(d)); the product form has the
     roots x_i/d_i in closed form; dense forms go through the companion matrix
-    of the restriction along -d.
+    of the restriction along -d, whose degree is always n.
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)

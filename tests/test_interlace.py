@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import hyperpoly as hp
 from hyperpoly import generators as gen
+from hyperpoly import interlace
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError
 from hyperpoly.interlace import (
     HYPERBOLIC,
@@ -379,7 +382,39 @@ class TestPairAgreement:
         assert pair_agreement(hp.PairReport(first), hp.PairReport(second)) == (agree, verdict)
 
 
+class TestTaylorShift:
+    @pytest.mark.parametrize(
+        "coeffs, s",
+        [([1.0, 2.0, 3.0], 1.0), ([0.5, -1.0, 0.0, 2.0], -1.5), ([4.0, 0.0, 0.0, 0.0, 1.0], 0.25), ([3.0], 2.0)],
+    )
+    def test_matches_binomial_expansion(self, coeffs, s):
+        # p(x + s) = sum_k c_k (x + s)^k, whose x^j coefficient is sum_k c_k C(k, j) s^(k - j).
+        n = len(coeffs) - 1
+        expected = [sum(coeffs[k] * math.comb(k, j) * s ** (k - j) for k in range(j, n + 1)) for j in range(n + 1)]
+        assert taylor_shift(coeffs, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_trailing_zeros_are_dropped(self):
+        # 1 + 2x + 0x^2 shifted by 1 is 3 + 2x: the zero top coefficient does not come back.
+        assert taylor_shift([1.0, 2.0, 0.0], 1.0).tolist() == [3.0, 2.0]
+        assert taylor_shift([0.0, 0.0], 2.0).tolist() == [0.0]
+
+
 class TestSymmetricConvexLine:
+    def test_one_evaluation_per_grid_point_and_midpoint(self, monkeypatch):
+        calls = []
+        original = interlace.real_roots_from_coefficients
+
+        def counted(coeffs, tol=1e-8):
+            calls.append(1)
+            return original(coeffs, tol)
+
+        monkeypatch.setattr(interlace, "real_roots_from_coefficients", counted)
+        grid = np.linspace(0.0, 1.0, 9)
+        report = hp.symmetric_convex_line_check(Q2, R2, 0.0, 0.0, "max", grid)
+        points = {float(a) for a in grid} | {0.5 * (float(a) + float(b)) for a in grid for b in grid}
+        assert report.convex and len(report.values) == 9
+        assert len(calls) == len(points) == 17
+
     def test_full_sum_affine(self):
         grid = np.linspace(-1.5, 1.5, 11)
         report = hp.symmetric_convex_line_check(Q2, R2, 0.0, 1.0, "topk_sum:2", grid)

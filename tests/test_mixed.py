@@ -287,6 +287,21 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             hp.support(oracle, np.ones((9, 9)))
 
+    def test_dense_expansion_budget_refuses_before_polarizing(self, monkeypatch):
+        from hyperpoly.errors import BudgetExceededError
+
+        # Degree 2 in m = 1414 variables: C(1415, 2) * 2 = 2,000,810 polarized rows, just past the budget.
+        m = 1414
+        oracle = hp.dense_oracle(m, 2, {(2,) + (0,) * (m - 1): 1.0}, np.eye(m)[0])
+        assert math.comb(2 + m - 1, m - 1) * 2 == 2_000_810 > mixed.ENUMERATION_ROW_BUDGET
+
+        def refuse(*args):
+            raise AssertionError("polarized past the budget")
+
+        monkeypatch.setattr(mixed, "_polarization", refuse)
+        with pytest.raises(BudgetExceededError):
+            hp.dense_from_oracle(oracle)
+
 
 def full_sign_sum(oracle, points):
     """2^-n * sum over all 2^n sign vectors b of p(sum_i b_i x_i) * prod(b), and the largest |p| among them."""

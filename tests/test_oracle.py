@@ -247,6 +247,18 @@ class TestRankAndCone:
         for oracle, x, expected in cases:
             assert hp.cone_membership(oracle, c * np.asarray(x)) == expected
 
+    @pytest.mark.parametrize("c", [1.0, 1e4, 1e6])
+    def test_dense_form_matches_product_form_at_large_scale(self, c):
+        # p(x) ~ c^3 dwarfs the restriction's leading coefficient p(-d) = -1; all three roots must survive.
+        product = hp.product_oracle(3)
+        dense = hp.dense_from_oracle(product)
+        for x in ([1.0, 2.0, 3.0], [1.0, -2.0, 3.0]):
+            x = c * np.asarray(x)
+            expected = hp.roots_in_direction(product, x, [1.0, 1.0, 1.0])
+            assert hp.roots_in_direction(dense, x, [1.0, 1.0, 1.0]) == pytest.approx(expected, rel=1e-9)
+            assert hp.hyperbolic_rank(dense, x) == hp.hyperbolic_rank(product, x)
+            assert hp.cone_membership(dense, x) == hp.cone_membership(product, x)
+
     def test_roots_along_a_tiny_interior_direction(self, sym3):
         # 1e-12 e is strictly inside the cone, and its roots are 1e12 times those along e.
         cases = [(hp.product_oracle(3), [1.0, 2.0, 3.0]), (sym3, gen.matrix_to_point(np.diag([1.0, 2.0, 3.0])))]
