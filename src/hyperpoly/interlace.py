@@ -2,7 +2,7 @@
 
 Companion matrices, root extraction, hyperbolic-pair tests (partial-fraction
 residues and sampled pencils), majorization utilities, and convexity sweeps
-along lines of root-shifted polynomial combinations.
+along pencil lines a q + (1 - a) r, the derivative line q - a q' among them.
 """
 
 from __future__ import annotations
@@ -430,28 +430,27 @@ def derivative_line_convexity(
 ) -> LineConvexityReport:
     """Convexity sweep for P_a(x) = q(x + b + c a) - a q'(x + b + c a).
 
-    f_k(a) is the sum of the k largest roots of P_a.  Midpoint convexity is
-    checked over every grid pair.  When (b, c) = (0, 1) the minimum over the
-    grid is additionally compared against f_k(0); for other shifts that claim
-    does not apply and min_at_zero is None.  fn_constant reports whether the
-    full root sum stays constant across the grid (true whenever c = 1).
+    f_k(a) is the sum of the k largest roots of P_a, a shift of
+    a (q - q') + (1 - a) q, so this is the top-k pair sweep of
+    ``symmetric_convex_line_check`` on (q - q', q).  When (b, c) = (0, 1) the
+    minimum over the grid is additionally compared against f_k(0); for other
+    shifts that claim does not apply and min_at_zero is None.  fn_constant
+    reports whether the full root sum stays constant across the grid (true
+    whenever c = 1).
     """
     n = q.degree
-    if not 1 <= k <= n:
-        raise InvalidDocumentError(f"k must lie in 1..{n}")
-
-    def topk(a: float) -> float:
-        lam = real_roots_from_coefficients(derivative_line_polynomial(q, b, c, a), tol)
-        return float(np.sum(lam[:k]))
-
-    convex, values = _midpoint_convex(topk, grid, tol)
+    q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
+    pair = symmetric_convex_line_check(q_minus_dq, q, b, c, f"topk_sum:{k}", grid, tol)
     min_at_zero: Optional[bool] = None
     if b == 0.0 and c == 1.0:
-        min_at_zero = bool(min(values) >= topk(0.0) - tol)
-    # Root sum read off the subleading coefficient: exact, no root extraction.
-    sums = [-derivative_line_polynomial(q, b, c, float(a))[n - 1] for a in grid]
+        at_zero = dict(zip((float(a) for a in grid), pair.values)).get(0.0)
+        if at_zero is None:
+            at_zero = float(np.sum(real_roots(q, tol)[:k]))
+        min_at_zero = bool(min(pair.values) >= at_zero - tol)
+    # The root sum of P_a in closed form: q.a[0] is the root sum of q.
+    sums = [q.a[0] - n * (b + c * float(a)) + n * float(a) for a in grid]
     fn_constant = bool(np.max(sums) - np.min(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
-    return LineConvexityReport(convex=convex, min_at_zero=min_at_zero, fn_constant=fn_constant, values=values)
+    return LineConvexityReport(convex=pair.convex, min_at_zero=min_at_zero, fn_constant=fn_constant, values=pair.values)
 
 
 def root_statistic(f_id: str) -> Callable[[np.ndarray], float]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     DegenerateDirectionError,
@@ -91,8 +90,9 @@ class DeterminantalPolynomial:
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         try:
-            lam = sla.eigh(self.matrix(x), self.matrix(d), eigvals_only=True)
-        except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
+            low = np.linalg.cholesky(self.matrix(d))
+            lam = np.linalg.eigvalsh(np.linalg.solve(low, np.linalg.solve(low, self.matrix(x)).T))
+        except np.linalg.LinAlgError as exc:
             raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
         return lam[::-1]
 
@@ -320,10 +320,10 @@ def roots_in_direction(
     """The n roots of t -> p(x - t d), sorted descending.
 
     The direction must be strictly inside the positivity cone, which
-    guarantees real roots for hyperbolic p.  Determinantal oracles use the
-    symmetric generalized eigenproblem (M(x), M(d)); the product form has the
-    roots x_i/d_i in closed form; dense forms go through the companion matrix
-    of the restriction along -d, whose degree is always n.
+    guarantees real roots for hyperbolic p.  Determinantal oracles take the
+    eigenvalues of L^-1 M(x) L^-T, with M(d) = L L^T by Cholesky; the product
+    form has the roots x_i/d_i in closed form; dense forms go through the
+    companion matrix of the restriction along -d, whose degree is always n.
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)

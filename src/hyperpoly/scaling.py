@@ -275,8 +275,8 @@ def sinkhorn_iteration(
     small already certifies positive capacity.  When the rank pre-check fails
     the verdict is zero and the trajectory is still recorded (it can never
     converge), which is what lets callers watch the defect stay above 1/n.
-    With the pre-check disabled an exhausted iteration budget yields the
-    honest verdict "undetermined": the limit is guaranteed, a rate is not.
+    Otherwise an exhausted iteration budget yields the honest verdict
+    "undetermined": the limit is guaranteed, a rate is not.
 
     Zero-capacity trajectories are genuinely divergent: each element only ever
     gets rescaled, so the element scales drift apart geometrically and the

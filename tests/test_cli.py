@@ -479,6 +479,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, hyperpoly.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
 def test_support_on_psd_tuple_leaves_scipy_optimize_unloaded(tmp_path):
     # Subset inequalities settle every zero composition of this support, so no LP runs.
     _, pts = gen.structured_psd_points(np.random.default_rng(3), 4)

@@ -352,6 +352,45 @@ class TestDerivativeLineConvexity:
         with pytest.raises(InvalidDocumentError):
             hp.derivative_line_convexity(Q2, 0.0, 1.0, 3, [0.0, 1.0])
 
+    def test_one_extraction_per_distinct_point_and_no_builds(self, monkeypatch):
+        # Nine points of linspace(-1, 1, 9) and their midpoints are 17 distinct points, 0 among them.
+        q = MonicPolynomial.from_roots(gen._separated_roots(np.random.default_rng(13), 4))
+        counts = {"extractions": 0, "builds": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("real_roots_from_coefficients", "real_roots"):
+            monkeypatch.setattr(interlace, name, counted("extractions", getattr(interlace, name)))
+        monkeypatch.setattr(interlace, "derivative_line_polynomial", counted("builds", derivative_line_polynomial))
+        report = interlace.derivative_line_convexity(q, 0.0, 1.0, 2, np.linspace(-1.0, 1.0, 9))
+        assert report.convex and report.min_at_zero and report.fn_constant
+        assert counts == {"extractions": 17, "builds": 0}
+
+    @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 9), np.linspace(-0.9, 1.3, 7)])
+    @pytest.mark.parametrize("b, c", [(0.0, 1.0), (0.5, 2.0), (-0.3, 0.7)])
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_sweep_matches_definition(self, degree, b, c, grid):
+        # The pair sweep on (q - q', q) against the spectra of P_a built from its definition.
+        q = MonicPolynomial.from_roots(gen._separated_roots(np.random.default_rng(200 + degree), degree))
+        spectra = [hp.real_roots_from_coefficients(derivative_line_polynomial(q, b, c, float(a)), 1e-7) for a in grid]
+        sums = [float(np.sum(lam)) for lam in spectra]
+        fn_constant = bool(np.ptp(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
+        for k in range(1, degree + 1):
+            report = hp.derivative_line_convexity(q, b, c, k, grid)
+            direct = [float(np.sum(lam[:k])) for lam in spectra]
+            assert report.values == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            min_at_zero = None
+            if (b, c) == (0.0, 1.0):
+                at_zero = float(np.sum(hp.real_roots_from_coefficients(q.standard_coefficients(), 1e-7)[:k]))
+                min_at_zero = bool(min(direct) >= at_zero - 1e-7)
+            assert report.min_at_zero == min_at_zero
+            assert report.fn_constant == fn_constant
+
 
 class TestDerivativeLinePolynomial:
     @pytest.mark.parametrize("b, c, a", [(0.0, 1.0, 0.5), (0.5, 2.0, -0.75)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 import hyperpoly as hp
 from hyperpoly import generators as gen
@@ -127,6 +128,22 @@ class TestRoots:
         coeffs = hp.univariate_restriction(sym3, x, -d)
         lam2 = hp.real_roots_from_coefficients(coeffs, 1e-6)
         assert lam == pytest.approx(lam2, abs=1e-7)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_determinantal_roots_match_generalized_eigh(self, n):
+        # scipy's generalized symmetric eigensolver is the reference for the Cholesky reduction.
+        rng = np.random.default_rng(40 + n)
+        for oracle in (gen.symmetric_matrix_oracle(n), gen.random_determinantal_oracle(rng, n, 4)):
+            x = rng.standard_normal(oracle.m)
+            for d in (oracle.direction, gen.positive_point_tuple(oracle, rng, 1)[0]):
+                expected = linalg.eigh(oracle.form.matrix(x), oracle.form.matrix(d), eigvals_only=True)[::-1]
+                lam = hp.roots_in_direction(oracle, x, d)
+                assert lam == pytest.approx(expected, rel=1e-12, abs=1e-12 * float(np.max(np.abs(expected))))
+
+    def test_determinantal_indefinite_direction_unchecked(self, sym3):
+        d = gen.matrix_to_point(np.diag([1.0, -1.0, 1.0]))
+        with pytest.raises(DegenerateDirectionError):
+            hp.roots_in_direction(sym3, sym3.direction, d, check_direction=False)
 
     def test_root_product_is_value(self, sym3):
         rng = np.random.default_rng(5)
