@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ def _parse(cast, value, what: str):
     """cast(value), with a malformed value reported as an input error."""
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocumentError(f"bad {what}: {exc}") from exc
 
 
@@ -96,11 +97,18 @@ def _env(name: str, cast, default):
     return default if raw is None else _parse(cast, raw, f"HYPERPOLY_{name}={raw!r}")
 
 
+def _finite(text: str) -> float:
+    """A number from a document or a flag as a float; NaN, infinities and overflowing literals are malformed."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise InvalidDocumentError(f"cannot read {path}: {exc}") from exc
 
 
@@ -162,10 +170,10 @@ def _load_pair(path: str) -> tuple[MonicPolynomial, MonicPolynomial]:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
-            start, stop, step = (float(v) for v in spec.split(":"))
+            start, stop, step = (_finite(v) for v in spec.split(":"))
             grid = np.round(np.arange(start, stop + 1e-12, step), 12)
         else:
-            grid = np.asarray([float(v) for v in spec.split(",")], dtype=float)
+            grid = np.asarray([_finite(v) for v in spec.split(",")], dtype=float)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidDocumentError("grid must be 'start:stop:step' or comma-separated values") from exc
     if grid.size == 0:
@@ -337,7 +345,7 @@ def cmd_experiments(ns, config: RunConfig) -> tuple[int, dict]:
 # default; main reads the environment, so the parser does not depend on it.
 GLOBAL_FLAGS = (
     ("seed", int, 0),
-    ("tol", float, 1e-8),
+    ("tol", _finite, 1e-8),
     ("max_iters", int, 10000),
     ("format", str, "json"),
     ("parallelism", int, 1),
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("oracle")
         p.add_argument("tuple")
         if name == "sinkhorn":
-            p.add_argument("--threshold", type=float, default=1e-10)
+            p.add_argument("--threshold", type=_finite, default=1e-10)
         p.set_defaults(fn=_tuple_command(handler))
 
     p = sub.add_parser("pair-test", parents=[common], help="hyperbolic pair test (residues + sampled pencil)")
@@ -394,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--check", choices=("derivative", "symmetric"), default="derivative")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--b", type=_finite, default=0.0)
+    p.add_argument("--c", type=_finite, default=1.0)
     p.add_argument("--grid", default="-1:1:0.25")
     p.add_argument("--statistic", default="max")
     p.set_defaults(fn=cmd_line_convexity)

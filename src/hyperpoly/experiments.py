@@ -22,17 +22,16 @@ from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
     MonicPolynomial,
-    derivative_line_convexity,
-    derivative_line_polynomial,
     lidskii_check,
     majorization_check,
     obreschkoff_pair_test,
     pair_agreement,
+    pair_spectrum,
     pencil_characteristic_polynomial,
     real_roots_from_coefficients,
     sampled_pencil_test,
     shifted_pencil_majorization,
-    standard_coefficients,
+    spectral_line_convexity,
 )
 from .mixed import (
     alexandrov_fenchel_verdict,
@@ -251,8 +250,7 @@ def _pencil_cross_trial(args) -> dict:
         if abs(x + y) > 0.1:
             break
     eig_route = np.sort(real_roots_from_coefficients(pencil_characteristic_polynomial(q, r, x, y), 1e-6))
-    combo = x * standard_coefficients(q) + y * standard_coefficients(r, length=q.degree + 1)
-    poly_route = np.sort((x + y) * real_roots_from_coefficients(combo, 1e-6))
+    poly_route = np.sort(pair_spectrum(q, r, 1e-6)((x, y, 0.0)))
     scale = max(1.0, float(np.max(np.abs(poly_route))))
     err = float(np.max(np.abs(eig_route - poly_route))) / scale
     return {"ok": err <= 1e-8, "slack": 1e-8 - err}
@@ -277,21 +275,25 @@ def _derivative_line_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 100, trial)
     degree = 2 + trial % 4
-    roots = gen._separated_roots(rng, degree)
-    q = MonicPolynomial.from_roots(roots)
+    q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
     grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
+    # P_a = q(x + a) - a q'(x + a) has the spectrum of the pair (q - q', q) at (a, 1 - a, -a); that map
+    # remembers its points, so the sweeps of every k and the majorization pairs share each extraction.
+    q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
+    spectrum = pair_spectrum(q_minus_dq, q, 1e-7)
+    x0, dx = np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0])
+    at_zero = grid.tolist().index(0.0)
     ok = True
     slack = math.inf
     for k in range(1, degree + 1):
-        report = derivative_line_convexity(q, 0.0, 1.0, k, grid, tol=1e-7)
-        ok = ok and report.convex and bool(report.min_at_zero) and report.fn_constant
-    spectra = {}
-    for a in grid:
-        spectra[float(a)] = real_roots_from_coefficients(derivative_line_polynomial(q, 0.0, 1.0, float(a)), 1e-7)
-    nonneg = sorted(a for a in spectra if a >= 0.0)
+        sweep = spectral_line_convexity(spectrum, degree, x0, dx, f"topk_sum:{k}", grid, 1e-7)
+        ok = ok and sweep.convex and min(sweep.values) >= sweep.values[at_zero] - 1e-7
+    # k = degree sums every root: q.a[0], the same at every a.
+    ok = ok and np.ptp(sweep.values) <= 1e-9 * max(1.0, float(np.max(np.abs(sweep.values))))
+    nonneg = [float(a) for a in grid if a >= 0.0]
     for i, a in enumerate(nonneg):
         for b in nonneg[i + 1 :]:
-            rep = majorization_check(spectra[a], spectra[b], tol=1e-7)
+            rep = majorization_check(spectrum(x0 + a * dx), spectrum(x0 + b * dx), tol=1e-7)
             ok = ok and rep.majorized
             slack = min(slack, min(rep.prefix_gaps))
     return {"ok": bool(ok), "slack": float(slack)}

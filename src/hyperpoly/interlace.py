@@ -1,8 +1,10 @@
 """Univariate real-rootedness machinery.
 
 Companion matrices, root extraction, hyperbolic-pair tests (partial-fraction
-residues and sampled pencils), majorization utilities, and convexity sweeps
-along pencil lines a q + (1 - a) r, the derivative line q - a q' among them.
+residues and sampled pencils), and majorization.  The hyperbolic Lidskii check
+and the line-convexity sweep are written once over a spectrum map, a callable
+from a point to its descending roots: eigvalsh for symmetric matrices,
+pair_spectrum for a pencil pair (q, r), and roots_in_direction for any oracle.
 """
 
 from __future__ import annotations
@@ -92,9 +94,12 @@ class MonicPolynomial:
         a = doc["a"]
         if not isinstance(a, (list, tuple)):
             raise InvalidDocumentError("'a' must be a list of coefficients")
-        if "degree" in doc and int(doc["degree"]) != len(a):
-            raise InvalidDocumentError("declared degree does not match coefficient count")
-        return cls(tuple(float(v) for v in a))
+        try:
+            if "degree" in doc and int(doc["degree"]) != len(a):
+                raise InvalidDocumentError("declared degree does not match coefficient count")
+            return cls(tuple(a))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidDocumentError(f"bad monic polynomial: {exc}") from exc
 
 
 def taylor_shift(coeffs, s: float) -> np.ndarray:
@@ -315,8 +320,19 @@ def majorization_check(u, v, tol: float = 1e-9) -> MajorizationReport:
     return MajorizationReport(majorized=ok, prefix_gaps=tuple(float(g) for g in gaps), total_gap=total)
 
 
-def _descending_spectrum(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(mat)[::-1]
+# A spectrum map: a point to its descending roots (see the module docstring).
+Spectrum = Callable[[np.ndarray], np.ndarray]
+
+
+def hyperbolic_lidskii(spectrum: Spectrum, x, y, tol: float) -> MajorizationReport:
+    """Check that lambda(x+y) - lambda(x) is majorized by lambda(y) for one spectrum map.
+
+    This holds for the roots of every hyperbolic polynomial (Lax's theorem,
+    Lewis, Parrilo & Ramana 2005).  For an oracle, pass
+    ``lambda v: roots_in_direction(oracle, v, oracle.direction)``.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return majorization_check(spectrum(x + y) - spectrum(x), spectrum(y), tol)
 
 
 def lidskii_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> MajorizationReport:
@@ -325,63 +341,52 @@ def lidskii_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> Majorizati
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
         raise DimensionMismatchError(f"Lidskii needs two square matrices of one size, got {a.shape} and {b.shape}")
-    a = 0.5 * (a + a.T)
-    b = 0.5 * (b + b.T)
-    u = _descending_spectrum(a + b) - _descending_spectrum(a)
-    return majorization_check(u, _descending_spectrum(b), tol)
+    return hyperbolic_lidskii(lambda m: np.linalg.eigvalsh(m)[::-1], 0.5 * (a + a.T), 0.5 * (b + b.T), tol)
 
 
-def _pencil_spectrum(q: MonicPolynomial, r: MonicPolynomial, cx: float, cy: float, shift: float, tol: float) -> np.ndarray:
-    coeffs = cx * taylor_shift(q.standard_coefficients(), -shift) + cy * taylor_shift(
-        r.standard_coefficients(), -shift
-    )
-    return real_roots_from_coefficients(coeffs, tol)
+def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectrum:
+    """The spectrum map of a pencil pair: (x, y, z) -> (x+y) u + z, descending, u the roots of x q + y r.
+
+    These are the roots in direction (0, 0, 1) of the pair form
+    Phi(x, y, z) = (-1)^n (x+y)^(n-1) (x q + y r)(-z / (x+y)), and the
+    eigenvalues of x C_q + y C_r + z I.  Phi is hyperbolic exactly when the
+    pair is; otherwise NonRealRootError.  The map remembers every point it
+    was given, so each distinct point costs one root extraction.
+    """
+    if q.degree != r.degree:
+        raise InvalidDocumentError("a pair spectrum needs two monic polynomials of equal degree")
+    qc, rc = q.standard_coefficients(), r.standard_coefficients()
+    memo: dict[tuple[float, ...], np.ndarray] = {}
+
+    def spectrum(point) -> np.ndarray:
+        key = tuple(float(v) for v in point)
+        if key not in memo:
+            x, y, z = key
+            memo[key] = np.sort((x + y) * real_roots_from_coefficients(x * qc + y * rc, tol) + z)[::-1]
+        return memo[key]
+
+    return spectrum
 
 
 def shifted_pencil_majorization(
-    q: MonicPolynomial,
-    r: MonicPolynomial,
-    point,
-    delta,
-    tol: float = 1e-7,
-    descending: bool = True,
+    q: MonicPolynomial, r: MonicPolynomial, point, delta, tol: float = 1e-7, descending: bool = True
 ) -> MajorizationReport:
-    """Majorization of root spectra for a shifted pencil perturbation.
+    """Hyperbolic Lidskii on the pair form: lambda(point + delta) - lambda(delta) is majorized by lambda(point).
 
-    For a hyperbolic pair (q, r), a base triple point = (x, y, z) and a
-    perturbation delta = (d1, d2, d3), form
-
-        P_point(t)       = x q(t - z/L) + y r(t - z/L),            L = x + y,
-        P_point+delta(t) = (x+d1) q(t - (z+d3)/K) + (y+d2) r(t - (z+d3)/K),
-                                                                   K = L + d1 + d2,
-        P_delta(t)       = d1 q(t - d3/M) + d2 r(t - d3/M),        M = d1 + d2,
-
-    take their descending root vectors, rescale by L, K, M respectively and
-    re-sort.  The rescaled spectra are exactly the root spectra of the three
-    triples under the companion-pencil polynomial, so the difference of the
-    first two must be majorized by the third.
+    For point = (x, y, z), lambda(point) is L times the roots of the shifted
+    pencil x q(t - z/L) + y r(t - z/L), L = x + y (see pair_spectrum).  x + y,
+    d1 + d2 and their sum must not vanish.  Either value of descending gives
+    the same report, since majorization re-sorts.
     """
-    if q.degree != r.degree:
-        raise InvalidDocumentError("shifted-pencil majorization needs equal-degree monic polynomials")
+    spectrum = pair_spectrum(q, r, tol)
     if np.shape(point) != (3,) or np.shape(delta) != (3,):
         raise DimensionMismatchError("point and delta must be triples")
-    x, y, z = (float(v) for v in point)
-    d1, d2, d3 = (float(v) for v in delta)
-    lsum = x + y
-    msum = d1 + d2
-    ksum = lsum + msum
+    x, y, _ = (float(v) for v in point)
+    d1, d2, _ = (float(v) for v in delta)
     floor = 1e-12 * max(1.0, abs(x), abs(y), abs(d1), abs(d2))
-    if min(abs(lsum), abs(msum), abs(ksum)) < floor:
+    if min(abs(x + y), abs(d1 + d2), abs(x + y + (d1 + d2))) < floor:
         raise InvalidDocumentError("degenerate combination: one of x+y, d1+d2, or their sum vanishes")
-
-    def ordered(scale: float, lam: np.ndarray) -> np.ndarray:
-        v = np.sort(scale * lam)
-        return v[::-1] if descending else v
-
-    ord_point = ordered(lsum, _pencil_spectrum(q, r, x, y, z / lsum, tol))
-    ord_total = ordered(ksum, _pencil_spectrum(q, r, x + d1, y + d2, (z + d3) / ksum, tol))
-    ord_delta = ordered(msum, _pencil_spectrum(q, r, d1, d2, d3 / msum, tol))
-    return majorization_check(ord_total - ord_delta, ord_point, tol)
+    return hyperbolic_lidskii(spectrum, delta, point, tol)
 
 
 @dataclass(frozen=True)
@@ -392,28 +397,6 @@ class LineConvexityReport(Report):
     values: tuple[float, ...]
 
 
-def _midpoint_convex(f: Callable[[float], float], grid: Sequence[float], tol: float) -> tuple[bool, tuple[float, ...]]:
-    """Whether f is midpoint convex over every grid pair, and f on the grid in its order.
-
-    One memo serves both, so each distinct grid point and midpoint is evaluated once.
-    """
-    cache: dict[float, float] = {}
-
-    def fv(a: float) -> float:
-        if a not in cache:
-            cache[a] = f(a)
-        return cache[a]
-
-    values = tuple(fv(float(a)) for a in grid)
-    pts = sorted(float(a) for a in grid)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            mid = 0.5 * (pts[i] + pts[j])
-            if fv(mid) > 0.5 * (fv(pts[i]) + fv(pts[j])) + tol:
-                return False, values
-    return True, values
-
-
 def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float) -> np.ndarray:
     """Ascending coefficients of P_a(x) = q(x + b + c a) - a q'(x + b + c a)."""
     base = taylor_shift(q.standard_coefficients(), b + c * a)
@@ -421,12 +404,7 @@ def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float)
 
 
 def derivative_line_convexity(
-    q: MonicPolynomial,
-    b: float,
-    c: float,
-    k: int,
-    grid: Sequence[float],
-    tol: float = 1e-7,
+    q: MonicPolynomial, b: float, c: float, k: int, grid: Sequence[float], tol: float = 1e-7
 ) -> LineConvexityReport:
     """Convexity sweep for P_a(x) = q(x + b + c a) - a q'(x + b + c a).
 
@@ -440,23 +418,22 @@ def derivative_line_convexity(
     """
     n = q.degree
     q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
-    pair = symmetric_convex_line_check(q_minus_dq, q, b, c, f"topk_sum:{k}", grid, tol)
+    spectrum = pair_spectrum(q_minus_dq, q, tol)
+    pair = spectral_line_convexity(spectrum, n, (0.0, 1.0, -b), (1.0, -1.0, -c), f"topk_sum:{k}", grid, tol)
     min_at_zero: Optional[bool] = None
     if b == 0.0 and c == 1.0:
-        at_zero = dict(zip((float(a) for a in grid), pair.values)).get(0.0)
-        if at_zero is None:
-            at_zero = float(np.sum(real_roots(q, tol)[:k]))
-        min_at_zero = bool(min(pair.values) >= at_zero - tol)
+        # P_0 = q: its spectrum is the pair spectrum at (0, 1, 0), a grid point when 0 is on the grid.
+        min_at_zero = bool(min(pair.values) >= float(np.sum(spectrum((0.0, 1.0, 0.0))[:k])) - tol)
     # The root sum of P_a in closed form: q.a[0] is the root sum of q.
     sums = [q.a[0] - n * (b + c * float(a)) + n * float(a) for a in grid]
     fn_constant = bool(np.max(sums) - np.min(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
     return LineConvexityReport(convex=pair.convex, min_at_zero=min_at_zero, fn_constant=fn_constant, values=pair.values)
 
 
-def root_statistic(f_id: str) -> Callable[[np.ndarray], float]:
-    """Symmetric convex root statistics selectable by name.
+def root_statistic(f_id: str, degree: int) -> Callable[[np.ndarray], float]:
+    """Symmetric convex statistics, selectable by name, of a descending root vector of the given length.
 
-    Supported: "max", "sum_abs", "topk_sum:k", "neg_bottomk_sum:k".
+    Supported: "max", "sum_abs", "topk_sum:k", "neg_bottomk_sum:k" with 1 <= k <= degree.
     """
     if f_id == "max":
         return lambda lam: float(lam[0])
@@ -470,8 +447,8 @@ def root_statistic(f_id: str) -> Callable[[np.ndarray], float]:
             k = int(arg)
         except ValueError as exc:
             raise InvalidDocumentError(f"statistic '{name}' needs an integer k, got '{arg}'") from exc
-        if k < 1:
-            raise InvalidDocumentError(f"statistic '{name}' needs k >= 1, got {k}")
+        if not 1 <= k <= degree:
+            raise InvalidDocumentError(f"statistic '{name}' needs 1 <= k <= the degree {degree}, got {k}")
         if name == "topk_sum":
             return lambda lam: float(np.sum(lam[:k]))
         return lambda lam: -float(np.sum(lam[lam.size - k :]))
@@ -484,31 +461,40 @@ class SymmetricConvexReport(Report):
     values: tuple[float, ...]
 
 
+def spectral_line_convexity(
+    spectrum: Spectrum, degree: int, x0, dx, f_id: str, grid: Sequence[float], tol: float
+) -> SymmetricConvexReport:
+    """Midpoint convexity over every grid pair of F(a) = f(lambda(x0 + a dx)), and F on the grid in its order.
+
+    Every symmetric convex function f of the roots of a hyperbolic polynomial
+    is convex along lines (Bauschke, Guler, Lewis & Sendov 2001); degree is
+    the length of the root vectors.  F is remembered per a, so each distinct
+    grid point and midpoint costs one spectrum.
+    """
+    stat = root_statistic(f_id, degree)
+    x0, dx = np.asarray(x0, dtype=float), np.asarray(dx, dtype=float)
+    cache: dict[float, float] = {}
+
+    def fv(a: float) -> float:
+        if a not in cache:
+            cache[a] = stat(spectrum(x0 + a * dx))
+        return cache[a]
+
+    values = tuple(fv(float(a)) for a in grid)
+    pts = sorted(float(a) for a in grid)
+    pairs = ((a, b) for i, a in enumerate(pts) for b in pts[i + 1 :])
+    convex = not any(fv(0.5 * (a + b)) > 0.5 * (fv(a) + fv(b)) + tol for a, b in pairs)
+    return SymmetricConvexReport(convex=convex, values=values)
+
+
 def symmetric_convex_line_check(
-    q: MonicPolynomial,
-    r: MonicPolynomial,
-    b: float,
-    c: float,
-    f_id: str,
-    grid: Sequence[float],
-    tol: float = 1e-7,
+    q: MonicPolynomial, r: MonicPolynomial, b: float, c: float, f_id: str, grid: Sequence[float], tol: float = 1e-7
 ) -> SymmetricConvexReport:
     """Convexity of F(a) = f(roots of a q(x+b+ca) + (1-a) r(x+b+ca)).
 
-    Needs a hyperbolic pair of equal-degree monic polynomials; a degree drop
-    at some a would make the root vector change length and the sweep
-    meaningless.  Non-real roots raise NonRealRootError, which is the signal
-    that the pair is not hyperbolic.
+    That root vector is the pair spectrum at (a, 1 - a, -(b + c a)), so this
+    is the line sweep through (0, 1, -b) in direction (1, -1, -c).  Needs a
+    hyperbolic pair of equal-degree monic polynomials; non-real roots raise
+    NonRealRootError, which is the signal that the pair is not hyperbolic.
     """
-    if q.degree != r.degree:
-        raise InvalidDocumentError("line check needs equal-degree monic polynomials")
-    stat = root_statistic(f_id)
-    k = f_id.partition(":")[2]
-    if k and int(k) > q.degree:
-        raise InvalidDocumentError(f"statistic '{f_id}' needs k <= the degree {q.degree}")
-
-    def value(a: float) -> float:
-        return stat(_pencil_spectrum(q, r, a, 1.0 - a, -(b + c * a), tol))
-
-    convex, values = _midpoint_convex(value, grid, tol)
-    return SymmetricConvexReport(convex=convex, values=values)
+    return spectral_line_convexity(pair_spectrum(q, r, tol), q.degree, (0.0, 1.0, -b), (1.0, -1.0, -c), f_id, grid, tol)

@@ -442,6 +442,6 @@ def oracle_from_json(doc) -> HyperbolicOracle:
                 raise InvalidDocumentError("dense oracle document needs a 'direction' field")
             pairs = [(tuple(int(v) for v in t["exps"]), float(t["coef"])) for t in terms]
             return dense_oracle(int(doc["m"]), int(doc["n"]), pairs, doc["direction"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocumentError(f"malformed oracle document: {exc}") from exc
     raise InvalidDocumentError(f"unknown oracle kind '{kind}'")

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import hyperpoly as hp
 
 # Property tests run the same examples every time; failures must be
 # reproducible from a plain `pytest` invocation.
@@ -31,3 +35,36 @@ def tight_set_matrices():
             v = rng.standard_normal((n, r)) * rng.uniform(0.2, 3, size=r)
             mats.append(v @ v.T)
     return mats
+
+
+@pytest.fixture(scope="session")
+def esym_oracle():
+    """Builder of e_k(x_1..x_m), the k-th elementary symmetric form, as a dense oracle in direction (1, ..., 1).
+
+    e_k is a Renegar derivative of the product x_1 ... x_m, hence hyperbolic;
+    for 2 <= k < m no symmetric pencil represents it.
+    """
+
+    def build(k: int, m: int):
+        terms = [(tuple(int(i in s) for i in range(m)), 1.0) for s in itertools.combinations(range(m), k)]
+        return hp.dense_oracle(m, k, terms, np.ones(m))
+
+    return build
+
+
+# The four pairs {0,1}, {2,3}, {4,5}, {6,7} of the Vamos matroid V_8; the
+# union of two of them is dependent except for {4,5,6,7}.
+VAMOS_DEPENDENT = [{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 1, 6, 7}, {2, 3, 4, 5}, {2, 3, 6, 7}]
+
+
+@pytest.fixture(scope="session")
+def vamos_oracle():
+    """The basis generating polynomial of V_8: rank 4, 65 bases, hyperbolic in direction (1, ..., 1).
+
+    The matroid has the half-plane property (Wagner & Wei 2009), and no
+    power of this polynomial is determinantal (Branden 2011).
+    """
+    bases = [s for s in itertools.combinations(range(8), 4) if set(s) not in VAMOS_DEPENDENT]
+    assert len(bases) == 65
+    terms = [(tuple(int(i in s) for i in range(8)), 1.0) for s in bases]
+    return hp.dense_oracle(8, 4, terms, np.ones(8))

@@ -499,3 +499,47 @@ def test_support_on_psd_tuple_leaves_scipy_optimize_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120).returncode == 0
+
+
+BIG_INT = "1" * 401  # a JSON integer beyond the float range
+
+# (id, argv, {name: raw JSON text}): every non-finite or overflowing number exits 2 with an error line.
+NON_FINITE = [
+    ("eval-nan-point", ("eval", "symmetric2", "bad"), {"bad": "[NaN, 0.0, 1.0]"}),
+    ("eval-big-int-point", ("eval", "symmetric2", "bad"), {"bad": f"[{BIG_INT}, 0.0, 1.0]"}),
+    ("roots-infinite-point", ("roots", "product2", "bad"), {"bad": "[Infinity, 1.0]"}),
+    ("roots-overflowing-direction", ("roots", "product2", "point", "bad"), {"bad": "[1e400, 1.0]"}),
+    (
+        "oracle-minus-infinity-direction",
+        ("eval", "bad", "point"),
+        {"bad": '{"kind": "determinantal", "matrices": [[[1.0]], [[1.0]]], "direction": [-Infinity, 1.0]}'},
+    ),
+    (
+        "oracle-big-int-coefficient",
+        ("eval", "bad", "point"),
+        {"bad": json.dumps(dict(kind="dense", m=2, n=1, direction=[1, 1], terms=[dict(exps=[1, 0], coef=10**400)]))},
+    ),
+    ("tuple-nan-points", ("mixed", "product2", "bad"), {"bad": '{"points": [[1.0, NaN], [0.0, 1.0]]}'}),
+    ("tuple-big-int-matrices", ("mixed", "symmetric2", "bad"), {"bad": f'{{"matrices": [[[{BIG_INT}]]]}}'}),
+    ("pair-big-int-coefficient", ("line-convexity", "bad"), {"bad": f'{{"q": {{"a": [0.0, {BIG_INT}]}}}}'}),
+    # The same numbers in flags.
+    ("grid-nan", ("line-convexity", "q", "--grid", "nan,0,1"), {}),
+    ("grid-infinite-stop", ("line-convexity", "q", "--grid", "0:inf:0.5"), {}),
+    ("tol-nan", ("--tol", "nan", "majorize", "vectors"), {}),
+    ("b-overflowing", ("line-convexity", "q", "--b", "1e400"), {}),
+    ("threshold-infinite", ("sinkhorn", "symmetric2", "psd", "--threshold", "inf"), {}),
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args, raw", [(a, r) for _, a, r in NON_FINITE], ids=[i for i, _, _ in NON_FINITE])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, args, raw):
+        files = _write_inputs(tmp_path)
+        for name, text in raw.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(text)
+        code = main(_argv(files, *args))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

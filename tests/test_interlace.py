@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperpoly as hp
+from hyperpoly import experiments
 from hyperpoly import generators as gen
 from hyperpoly import interlace
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError
@@ -492,3 +493,113 @@ class TestLidskiiShapes:
     def test_rejects_non_square_or_mismatched(self, a, b):
         with pytest.raises(DimensionMismatchError):
             hp.lidskii_check(a, b)
+
+
+class TestPairSpectrum:
+    def test_matches_companion_pencil_and_taylor_shift_route(self):
+        # The pair spectrum at (x, y, z) against two references on 240 pairs of degree 2..7:
+        # the eigenvalues of x C_q + y C_r + z I, and the retired route that Taylor-shifts
+        # q and r by -z/L, takes the roots of the combination and scales them by L = x + y.
+        rng = np.random.default_rng(5)
+        for i in range(240):
+            degree = 2 + i % 6
+            q, r = gen.hyperbolic_pair(rng, degree)
+            while True:
+                x, y, z = rng.uniform(-2.0, 2.0, size=3)
+                if abs(x + y) > 0.1:
+                    break
+            lam = hp.pair_spectrum(q, r, 1e-7)((x, y, z))
+            pencil = x * hp.companion(q) + y * hp.companion(r) + z * np.eye(degree)
+            eig_route = np.sort(np.linalg.eigvals(pencil).real)[::-1]
+            shift = -z / (x + y)
+            qs, rs = (taylor_shift(p.standard_coefficients(), shift) for p in (q, r))
+            coeffs = x * qs + y * rs
+            shift_route = np.sort((x + y) * hp.real_roots_from_coefficients(coeffs, 1e-7))[::-1]
+            scale = max(1.0, float(np.max(np.abs(lam))))
+            assert lam == pytest.approx(eig_route, rel=1e-8, abs=1e-8 * scale)
+            assert lam == pytest.approx(shift_route, rel=1e-8, abs=1e-8 * scale)
+
+    def test_unequal_degrees_rejected(self):
+        with pytest.raises(InvalidDocumentError):
+            hp.pair_spectrum(Q2, MonicPolynomial((0.0,)), 1e-7)
+
+    def test_non_hyperbolic_pair_raises(self):
+        q, r = gen.nonhyperbolic_pair(np.random.default_rng(1), 3)
+        spectrum = hp.pair_spectrum(q, r, 1e-8)
+        with pytest.raises(NonRealRootError):
+            for t in np.linspace(0.0, np.pi, 65):
+                spectrum((math.cos(t), math.sin(t), 0.0))
+
+
+def _roots_along_direction(oracle):
+    """The spectrum map of an oracle: its roots along its own direction."""
+    return lambda v: hp.roots_in_direction(oracle, v, oracle.direction)
+
+
+@pytest.fixture(scope="module")
+def seven_forms(esym_oracle, vamos_oracle):
+    """Seven hyperbolic forms, three of which no symmetric pencil represents."""
+    return {
+        "product5": hp.product_oracle(5),
+        "symmetric4": gen.symmetric_matrix_oracle(4),
+        "pencil4x6": gen.random_determinantal_oracle(np.random.default_rng(4), 4, m=6),
+        "e2_5": esym_oracle(2, 5),
+        "e3_6": esym_oracle(3, 6),
+        "e4_7": esym_oracle(4, 7),
+        "vamos": vamos_oracle,
+    }
+
+
+class TestGenericSpectralChecks:
+    FORMS = ["product5", "symmetric4", "pencil4x6", "e2_5", "e3_6", "e4_7", "vamos"]
+
+    @pytest.mark.parametrize("name", FORMS)
+    def test_lidskii_on_every_form(self, seven_forms, name):
+        oracle = seven_forms[name]
+        rng = np.random.default_rng(30)
+        for _ in range(30):
+            x, y = rng.standard_normal((2, oracle.m))
+            report = hp.hyperbolic_lidskii(_roots_along_direction(oracle), x, y, 1e-7)
+            assert report.majorized, report
+
+    @pytest.mark.parametrize("stat", ["max", "sum_abs", "topk_sum:2", "neg_bottomk_sum:2"])
+    @pytest.mark.parametrize("name", FORMS)
+    def test_line_convexity_on_every_form(self, seven_forms, name, stat):
+        oracle = seven_forms[name]
+        x0, dx = np.random.default_rng(31).standard_normal((2, oracle.m))
+        grid = np.linspace(-1.0, 1.0, 9)
+        assert hp.spectral_line_convexity(_roots_along_direction(oracle), oracle.n, x0, dx, stat, grid, 1e-7).convex
+
+    def test_matrix_spectrum_is_lidskii_check(self):
+        # eigvalsh is the spectrum map of symmetric matrices: the generic check returns lidskii_check's report.
+        rng = np.random.default_rng(32)
+        a, b = (0.5 * (m + m.T) for m in rng.standard_normal((2, 4, 4)))
+        generic = hp.hyperbolic_lidskii(lambda m: np.linalg.eigvalsh(m)[::-1], a, b, 1e-8)
+        assert generic == hp.lidskii_check(a, b, 1e-8)
+
+    def test_statistic_k_above_degree_rejected(self, seven_forms):
+        oracle = seven_forms["e2_5"]
+        spectrum = _roots_along_direction(oracle)
+        with pytest.raises(InvalidDocumentError):
+            hp.spectral_line_convexity(spectrum, oracle.n, np.ones(5), np.ones(5), "topk_sum:3", [0.0, 1.0], 1e-7)
+
+
+class TestDerivativeLineTrial:
+    @pytest.mark.parametrize("trial", range(4))
+    def test_one_extraction_per_distinct_point(self, monkeypatch, trial):
+        # The 9-point grid of the trial and its midpoints are 17 distinct points; every k and
+        # the majorization pairs share their spectra.
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(1)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (interlace, experiments):
+            monkeypatch.setattr(module, "real_roots_from_coefficients", counted(module.real_roots_from_coefficients))
+        result = experiments._derivative_line_trial((0, trial))
+        assert result["ok"]
+        assert len(calls) == 17
