@@ -58,6 +58,9 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 
+# Memory the pencil of a {"kind": "symmetric", "n": N} oracle may take.
+SYMMETRIC_BASIS_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -123,7 +126,14 @@ def _load_oracle(path: str):
     doc = _load_json(path)
     if isinstance(doc, dict) and doc.get("kind") == "symmetric":
         (n,) = _require(doc, path, "n")
-        return symmetric_matrix_oracle(_parse(int, n, f"{path}: 'n'"))
+        n = _parse(int, n, f"{path}: 'n'")
+        # The oracle's pencil is the (n(n+1)/2, n, n) symmetric basis of float64 matrices.
+        if n < 1 or n * (n + 1) // 2 * n * n * 8 > SYMMETRIC_BASIS_BYTES:
+            raise InvalidDocumentError(
+                f"{path}: 'n' must be at least 1 and keep the symmetric basis within "
+                f"{SYMMETRIC_BASIS_BYTES >> 20} MiB"
+            )
+        return symmetric_matrix_oracle(n)
     return oracle_from_json(doc)
 
 
@@ -147,11 +157,12 @@ def _load_tuple(path: str, oracle):
         mats = _floats(doc["matrices"], f"{path}: 'matrices'")
         pts = matrix_points(mats)
         # Matrix coordinates only make sense against the symmetric-basis pencil.
-        basis = symmetric_basis(mats.shape[1])
+        # Its shape is compared first, so no basis larger than the oracle's own pencil is built.
+        n = mats.shape[1]
         same = (
             oracle.kind == "determinantal"
-            and oracle.form.pencil.shape == basis.shape
-            and np.max(np.abs(oracle.form.pencil - basis)) <= 1e-12
+            and oracle.form.pencil.shape == (n * (n + 1) // 2, n, n)
+            and np.max(np.abs(oracle.form.pencil - symmetric_basis(n))) <= 1e-12
         )
         if not same:
             raise InvalidDocumentError(

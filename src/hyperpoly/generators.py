@@ -23,7 +23,7 @@ from .interlace import (
     sampled_pencil_test,
 )
 from .oracle import HyperbolicOracle, determinantal_oracle, hyperbolic_rank, product_oracle, roots_in_direction
-from .scaling import doubly_stochastic_defect, sinkhorn_iteration
+from .scaling import capacity, doubly_stochastic_defect, sinkhorn_iteration
 
 PSD_RIDGE = 1e-6
 
@@ -105,9 +105,9 @@ def psd_matrix_tuple(rng: np.random.Generator, n: int) -> list[np.ndarray]:
 def doubly_stochastic_matrix_tuple(rng: np.random.Generator, n: int, defect_tol: float = 1e-10) -> list[np.ndarray]:
     """PSD tuple with trace one each and identity sum, to the requested defect.
 
-    A random PSD tuple is scaled to a d-doubly stochastic one by the Sinkhorn
-    iteration and then pushed to the identity frame by congruence with
-    d^{-1/2}, which preserves every trace tr(d^{-1} A_i).
+    A random PSD tuple is scaled to a d-doubly stochastic one by
+    d_doubly_stochastic_tuple and then pushed to the identity frame by
+    congruence with d^{-1/2}, which preserves every trace tr(d^{-1} A_i).
     """
     _, points = d_doubly_stochastic_tuple(rng, n, defect_tol)
     scaled = [point_to_matrix(x, n) for x in points]
@@ -126,8 +126,15 @@ def d_doubly_stochastic_tuple(
     n: int,
     defect_tol: float = 1e-10,
 ) -> tuple[HyperbolicOracle, np.ndarray]:
-    """A d-doubly stochastic point tuple (traces one against its own sum), scaled in at most 50000 steps."""
+    """A d-doubly stochastic point tuple (traces one against its own sum).
+
+    The random PSD tuple is first scaled by the capacity minimizer, which is
+    the doubly stochastic scaling itself; Sinkhorn steps then only polish it
+    to defect_tol and certify it, within a 50000-step budget.  A cold
+    Sinkhorn start takes thousands of steps on ill-conditioned tuples.
+    """
     oracle, points = matrix_tuple_points(psd_matrix_tuple(rng, n))
+    points = capacity(oracle, points).minimizer[:, None] * points
     report = sinkhorn_iteration(oracle, points, max_iters=50000, threshold=defect_tol, precheck=False)
     if not report.converged:
         raise GenerationError(f"scaling failed to reach defect {defect_tol} in 50000 iterations")

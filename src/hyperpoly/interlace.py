@@ -369,14 +369,13 @@ def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectru
 
 
 def shifted_pencil_majorization(
-    q: MonicPolynomial, r: MonicPolynomial, point, delta, tol: float = 1e-7, descending: bool = True
+    q: MonicPolynomial, r: MonicPolynomial, point, delta, tol: float = 1e-7
 ) -> MajorizationReport:
     """Hyperbolic Lidskii on the pair form: lambda(point + delta) - lambda(delta) is majorized by lambda(point).
 
     For point = (x, y, z), lambda(point) is L times the roots of the shifted
     pencil x q(t - z/L) + y r(t - z/L), L = x + y (see pair_spectrum).  x + y,
-    d1 + d2 and their sum must not vanish.  Either value of descending gives
-    the same report, since majorization re-sorts.
+    d1 + d2 and their sum must not vanish.
     """
     spectrum = pair_spectrum(q, r, tol)
     if np.shape(point) != (3,) or np.shape(delta) != (3,):

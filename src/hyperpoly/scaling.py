@@ -272,11 +272,13 @@ def sinkhorn_iteration(
     """Iterate the scaling map, tracking the doubly-stochastic defect.
 
     Stops converged once the defect reaches min(1/n, threshold); a defect that
-    small already certifies positive capacity.  When the rank pre-check fails
-    the verdict is zero and the trajectory is still recorded (it can never
-    converge), which is what lets callers watch the defect stay above 1/n.
-    Otherwise an exhausted iteration budget yields the honest verdict
-    "undetermined": the limit is guaranteed, a rate is not.
+    small already certifies positive capacity, so a converged run is
+    "positive" without a rank check.  A run that stops without converging (a
+    boundary collapse or an exhausted budget) runs edmonds_rado_check once
+    when precheck is set: a failed check makes the verdict "zero", since such
+    a trajectory can never converge, and the recorded trajectory is what lets
+    callers watch the defect stay above 1/n.  Otherwise the verdict is the
+    honest "undetermined": the limit is guaranteed, a rate is not.
 
     Zero-capacity trajectories are genuinely divergent: each element only ever
     gets rescaled, so the element scales drift apart geometrically and the
@@ -286,9 +288,6 @@ def sinkhorn_iteration(
     """
     pts = as_tuple(points)
     d, traces = _sum_and_traces(oracle, pts)
-    verdict = VERDICT_UNDETERMINED
-    if precheck and not edmonds_rado_check(oracle, pts).holds:
-        verdict = VERDICT_ZERO
     effective = min(1.0 / oracle.n, threshold)
     defects: list[float] = []
     energies: list[float] = []
@@ -303,8 +302,6 @@ def sinkhorn_iteration(
         energies.append(evaluate(oracle, d))
         if defect <= effective:
             converged = True
-            if verdict != VERDICT_ZERO:
-                verdict = VERDICT_POSITIVE
             break
         if iterations >= max_iters:
             break
@@ -318,6 +315,12 @@ def sinkhorn_iteration(
         current, d, traces = next_points, next_d, next_traces
         defect = float(np.sum((traces - 1.0) ** 2))
         iterations += 1
+    if converged:
+        verdict = VERDICT_POSITIVE
+    elif precheck and not edmonds_rado_check(oracle, pts).holds:
+        verdict = VERDICT_ZERO
+    else:
+        verdict = VERDICT_UNDETERMINED
     state = ScalingState(points=current, d=d, traces=traces, defect=defect, multiplier=multiplier)
     return ScalingReport(
         converged=converged,

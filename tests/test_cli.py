@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hyperpoly
-from hyperpoly import experiments
+from hyperpoly import cli, experiments
 from hyperpoly import generators as gen
 from hyperpoly.cli import RunConfig, build_parser, main
 from hyperpoly.errors import InvalidDocumentError
@@ -542,4 +542,45 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+class TestSymmetricOracleSize:
+    """Symmetric bases are allocated only within bounds: {"kind": "symmetric", "n": N} is checked
+    before its N(N+1)/2 basis matrices exist, and a matrix tuple is compared against one only when
+    the oracle's pencil already has its shape."""
+
+    @staticmethod
+    def refuse(n):
+        raise AssertionError(f"symmetric basis of size {n} built")
+
+    @pytest.mark.parametrize("n", ["0", "-3", BIG_INT, "64"], ids=["zero", "negative", "401-digit", "first-past-budget"])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, monkeypatch, n):
+        monkeypatch.setattr(cli, "symmetric_matrix_oracle", self.refuse)
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(f'{{"kind": "symmetric", "n": {n}}}')
+        point = write(tmp_path / "p.json", [1.0])
+        code = main(["eval", str(oracle), point])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_largest_size_within_budget(self):
+        # 63 * 64 / 2 matrices of 63 x 63 float64 entries fit in the budget; 64 do not.
+        assert 63 * 64 // 2 * 63 * 63 * 8 <= cli.SYMMETRIC_BASIS_BYTES < 64 * 65 // 2 * 64 * 64 * 8
+
+    def test_n_50_loads(self, tmp_path):
+        # A 25 MB basis stays admissible.
+        oracle = cli._load_oracle(write(tmp_path / "oracle.json", {"kind": "symmetric", "n": 50}))
+        assert oracle.n == 50 and oracle.m == 50 * 51 // 2
+
+    @pytest.mark.parametrize("oracle_doc", [{"kind": "product", "n": 2}, {"kind": "symmetric", "n": 2}])
+    def test_matrix_tuple_of_another_size_builds_no_basis(self, tmp_path, capsys, monkeypatch, oracle_doc):
+        monkeypatch.setattr(cli, "symmetric_basis", self.refuse)
+        oracle = write(tmp_path / "oracle.json", oracle_doc)
+        tup = write(tmp_path / "t.json", {"matrices": [np.eye(64).tolist()]})
+        code = main(["mixed", oracle, tup])
+        captured = capsys.readouterr()
+        assert code == 2
         assert captured.err.startswith("error: ")

@@ -35,6 +35,21 @@ class TestMatrixTuples:
         oracle, pts = gen.d_doubly_stochastic_tuple(np.random.default_rng(2), 3)
         assert hp.doubly_stochastic_defect(oracle, pts) < 1e-9
 
+    def test_d_doubly_stochastic_starts_from_capacity_minimizer(self, monkeypatch):
+        # A cold Sinkhorn run on this ill-conditioned n = 2 tuple takes 9,089 steps.
+        steps = []
+        original = gen.sinkhorn_iteration
+
+        def counted(*args, **kwargs):
+            report = original(*args, **kwargs)
+            steps.append(report.iterations)
+            return report
+
+        monkeypatch.setattr(gen, "sinkhorn_iteration", counted)
+        oracle, pts = gen.d_doubly_stochastic_tuple(gen.rng_for(745, 91, 0), 2)
+        assert hp.doubly_stochastic_defect(oracle, pts) <= 1e-10
+        assert len(steps) == 1 and steps[0] <= 5
+
     def test_rank_deficient_witness(self):
         mats, witness = gen.rank_deficient_matrix_tuple(np.random.default_rng(3), 4)
         assert witness == (0, 1)

@@ -309,11 +309,6 @@ class TestShiftedPencilMajorization:
             assert report.majorized
             assert min(report.prefix_gaps) >= -1e-6
 
-    def test_ordering_flag(self):
-        down = hp.shifted_pencil_majorization(Q2, R2, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), descending=True)
-        up = hp.shifted_pencil_majorization(Q2, R2, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), descending=False)
-        assert down.majorized and up.majorized  # symmetric instance: equality either way
-
 
 class TestDerivativeLineConvexity:
     def test_quadratic_closed_form(self):

@@ -236,6 +236,21 @@ class TestSinkhornIteration:
             current = hp.sinkhorn_map(oracle, current)
         assert multiplier >= 1.0 - 1e-12
 
+    def test_only_runs_that_do_not_converge_run_the_rank_check(self, monkeypatch):
+        calls = []
+        original = scaling.edmonds_rado_check
+        monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: calls.append(args) or original(*args))
+        oracle = gen.symmetric_matrix_oracle(3)
+        pts = gen.positive_point_tuple(oracle, np.random.default_rng(3), 3)
+        report = hp.sinkhorn_iteration(oracle, pts)
+        assert report.converged and report.capacity_verdict == "positive"
+        assert calls == []
+        mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(4), 4)
+        oracle, pts = gen.matrix_tuple_points(mats)
+        report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
+        assert not report.converged and report.capacity_verdict == "zero"
+        assert len(calls) == 1
+
 
 _RANK_FAMILIES = ("product", "psd", "dense")
 
