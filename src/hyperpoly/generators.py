@@ -22,7 +22,14 @@ from .interlace import (
     obreschkoff_pair_test,
     sampled_pencil_test,
 )
-from .oracle import HyperbolicOracle, determinantal_oracle, hyperbolic_rank, product_oracle, roots_in_direction
+from .oracle import (
+    HyperbolicOracle,
+    _pencil_oracle,
+    determinantal_oracle,
+    hyperbolic_rank,
+    product_oracle,
+    roots_in_direction,
+)
 from .scaling import capacity, doubly_stochastic_defect, sinkhorn_iteration
 
 PSD_RIDGE = 1e-6
@@ -56,10 +63,11 @@ def symmetric_matrix_oracle(n: int) -> HyperbolicOracle:
 
     The pencil is ``symmetric_basis(n)``, so a point is exactly a symmetric
     matrix written in coordinates and the direction maps to the identity
-    matrix.
+    matrix.  That basis is exactly symmetric with M(e) = I, so the oracle keeps
+    it as built, with no copy to check and average.
     """
     basis = symmetric_basis(n)
-    return determinantal_oracle(basis, np.concatenate([np.ones(n), np.zeros(basis.shape[0] - n)]))
+    return _pencil_oracle(basis, np.concatenate([np.ones(n), np.zeros(basis.shape[0] - n)]))
 
 
 def matrix_to_point(mat: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
 normalized so that p(e) = 1.  Every form implements the same four methods,
 ``evaluate_batch(points)``, ``grad_log_p(d)``, ``roots(x, d, tol)`` and
-``tuple_form(points)``, plus its ``kind`` and ``json_fields``.  The pure
-functions here validate their inputs and delegate to those: evaluation,
-univariate restrictions along a direction, root spectra, directional traces,
-rank, and cone membership.  Polarization in ``mixed`` evaluates the form that
-``tuple_form`` returns.  Every univariate restriction, of p or of a mixed
-value, is sampled and fitted by ``chebyshev_restriction``.
+``tuple_form(points)``, plus its ``kind`` and ``json_fields``; ``roots``
+takes one point or a stack of them, shape (..., m), and returns shape
+(..., n).  The pure functions here validate their inputs and delegate to
+those: evaluation, univariate restrictions along a direction, root spectra,
+directional traces, rank, and cone membership.  Polarization in ``mixed``
+evaluates the form that ``tuple_form`` returns.  Every univariate
+restriction, of p or of a mixed value, is sampled and fitted by
+``chebyshev_restriction``.
 Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
@@ -57,7 +59,7 @@ class ProductPolynomial:
         return 1.0 / d
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
-        return np.sort(x / d)[::-1]
+        return np.sort(x / d, axis=-1)[..., ::-1]
 
     def tuple_form(self, pts: np.ndarray) -> tuple[ProductPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
@@ -89,12 +91,14 @@ class DeterminantalPolynomial:
         return self.pencil.reshape(m, n * n) @ np.linalg.inv(self.matrix(d)).T.reshape(n * n)
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+        """Eigenvalues of L^-1 M(x) L^-T with M(d) = L L^T, one factorization for a whole stack of x."""
         try:
             low = np.linalg.cholesky(self.matrix(d))
-            lam = np.linalg.eigvalsh(np.linalg.solve(low, np.linalg.solve(low, self.matrix(x)).T))
+            half = np.linalg.solve(low, self.matrix(x))
+            lam = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(half, -1, -2)))
         except np.linalg.LinAlgError as exc:
             raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
-        return lam[::-1]
+        return lam[..., ::-1]
 
     def tuple_form(self, pts: np.ndarray) -> tuple[DeterminantalPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s.
@@ -137,8 +141,12 @@ class DensePolynomial:
         return grad / self.evaluate_batch(d[None, :])[0]
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
-        """All n roots of t -> p(x - t d).  The leading coefficient of that restriction is
-        p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which grows as |x|^n."""
+        """All n roots of t -> p(x - t d), row by row for a stack of x.  The leading coefficient of
+        that restriction is p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which
+        grows as |x|^n."""
+        if x.ndim > 1:
+            rows = [self.roots(row, d, tol) for row in x.reshape(-1, self.m)]
+            return np.asarray(rows).reshape(x.shape[:-1] + (self.n,))
         coeffs = chebyshev_restriction(self.evaluate_batch, self.n, x, -d)
         return real_roots(MonicPolynomial.from_standard(coeffs), tol)
 
@@ -187,15 +195,25 @@ def product_oracle(n: int) -> HyperbolicOracle:
     return HyperbolicOracle(form=ProductPolynomial(n=n), n=n, m=n, direction=np.ones(n))
 
 
-def _symmetrized(pencil: np.ndarray) -> np.ndarray:
-    """Each matrix of the stack averaged with its transpose, once all are symmetric within
-    1e-9 * max(1, max |entry|) of their own scale."""
-    transposed = np.transpose(pencil, (0, 2, 1))
-    scale = np.maximum(1.0, np.max(np.abs(pencil), axis=(1, 2)))
-    bad = np.flatnonzero(np.max(np.abs(pencil - transposed), axis=(1, 2)) > 1e-9 * scale)
-    if bad.size:
-        raise InvalidDocumentError(f"pencil matrix {bad[0]} is not symmetric within tolerance")
-    return 0.5 * (pencil + transposed)
+# Matrices of a pencil checked and averaged at a time by _symmetrize, so that its
+# temporaries stay near this many entries however large the pencil is.
+_SYMMETRIZE_BLOCK_ENTRIES = 1 << 16
+
+
+def _symmetrize(pencil: np.ndarray) -> None:
+    """Average each matrix of the stack with its transpose in place, once all are symmetric
+    within 1e-9 * max(1, max |entry|) of their own scale."""
+    m, n, _ = pencil.shape
+    step = max(1, _SYMMETRIZE_BLOCK_ENTRIES // (n * n))
+    for start in range(0, m, step):
+        block = pencil[start : start + step]
+        transposed = np.transpose(block, (0, 2, 1))
+        scale = np.maximum(1.0, np.max(np.abs(block), axis=(1, 2)))
+        bad = np.flatnonzero(np.max(np.abs(block - transposed), axis=(1, 2)) > 1e-9 * scale)
+        if bad.size:
+            raise InvalidDocumentError(f"pencil matrix {start + bad[0]} is not symmetric within tolerance")
+        block += transposed.copy()
+        block *= 0.5
 
 
 def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
@@ -213,8 +231,15 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
     for i, b in enumerate(mats):
         if b.shape != (n, n):
             raise InvalidDocumentError(f"pencil matrix {i} has shape {b.shape}, expected ({n}, {n})")
-    pencil = _symmetrized(np.stack(mats))
-    m = len(mats)
+    pencil = np.stack(mats)
+    _symmetrize(pencil)
+    return _pencil_oracle(pencil, direction)
+
+
+def _pencil_oracle(pencil: np.ndarray, direction) -> HyperbolicOracle:
+    """``determinantal_oracle`` on a stack of exactly symmetric matrices, which becomes the
+    form's pencil itself, not a copy, when M(e) = I already."""
+    m, n, _ = pencil.shape
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
@@ -353,16 +378,20 @@ def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
     return float(x @ oracle.form.grad_log_p(d))
 
 
-def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) -> int:
+def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) -> Union[int, np.ndarray]:
     """Number of nonzero roots of an e-nonnegative point: |{i : lambda_i(x) > cutoff}|.
 
     The cutoff is tol * lambda_1(x), so rank(c x) = rank(x) for every c > 0; a
-    point whose largest root is not positive has rank 0.
+    point whose largest root is not positive has rank 0.  A stack of points,
+    shape (..., m), gets the array of their ranks from one ``roots`` call.
     """
-    lam = roots_in_direction(oracle, x, oracle.direction, check_direction=False)
-    if lam[0] <= 0.0:
-        return 0
-    return int(np.sum(lam > tol * float(lam[0])))
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != oracle.m:
+        raise DimensionMismatchError(f"point has shape {pts.shape}, oracle expects (..., {oracle.m})")
+    lam = oracle.form.roots(pts, oracle.direction, DEFAULT_ROOT_TOL)
+    top = lam[..., :1]
+    ranks = np.where(top[..., 0] > 0.0, np.sum(lam > tol * top, axis=-1), 0)
+    return int(ranks) if pts.ndim == 1 else ranks
 
 
 def classify_spectrum(lam: np.ndarray, tol: float) -> str:

@@ -107,11 +107,21 @@ def sinkhorn_map(oracle: HyperbolicOracle, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalingState(Report):
-    points: np.ndarray
+    """The scaled tuple scales_i x_i, held as its k scales and the input tuple itself (not a copy)."""
+
+    source: np.ndarray
+    scales: np.ndarray
     d: np.ndarray
     traces: np.ndarray
     defect: float
-    multiplier: float
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.scales[:, None] * self.source
+
+    @property
+    def multiplier(self) -> float:
+        return float(np.prod(self.scales))
 
 
 @dataclass(frozen=True)
@@ -180,11 +190,23 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
     Otherwise the witness is {i : y*_i < 0}, the minimal minimizer of g: the
     unique inclusion-minimal subset of largest deficiency |S| - rank(S), as
     increasing 0-based indices.  It does not depend on the order of the tuple.
+
+    Rank is monotone on the cone, rank(sum_S x_i) >= rank(x_i), so no violating
+    S holds an element whose rank is at least the number of elements left.
+    One stacked rank call gives every element's rank; such elements are peeled
+    until none drops, and Wolfe's algorithm runs on the rest only, which holds
+    every minimizer of g when the condition fails.  Nothing left is Hall's
+    bound r_(j) >= j on the sorted element ranks, and the condition holds.
     """
-    pts = as_tuple(points)
-    k = pts.shape[0]
-    if k == 0:
+    all_points = as_tuple(points)
+    ranks = hyperbolic_rank(oracle, all_points)
+    rest = np.arange(all_points.shape[0])
+    while rest.size and np.any(ranks[rest] >= rest.size):
+        rest = rest[ranks[rest] < rest.size]
+    if rest.size == 0:
         return EdmondsRadoReport(holds=True, witness=None)
+    pts = all_points[rest]
+    k = rest.size
     n = oracle.n
 
     def greedy_vertex(x: np.ndarray) -> np.ndarray:
@@ -223,7 +245,7 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
             deficiency = witness.size - hyperbolic_rank(oracle, pts[witness].sum(axis=0))
             if deficiency < 1 or negative <= -deficiency - 1.0 + _CERTIFICATE_MARGIN:
                 raise ConvergenceError("the rank function is not numerically submodular on this tuple")
-            return EdmondsRadoReport(holds=False, witness=tuple(int(i) for i in witness))
+            return EdmondsRadoReport(holds=False, witness=tuple(int(i) for i in rest[witness]))
         corral, weights = _wolfe_step(corral, weights, q)
         y = weights @ corral
         if float(y @ y) >= norm:
@@ -236,8 +258,11 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
 _COLLAPSE_RATIO = 1e-10
 
 
-def _soft_traces(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> Optional[np.ndarray]:
-    """Traces against d, or None once d has collapsed onto the numerical cone boundary."""
+def _soft_traces(
+    oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarray | float, d: np.ndarray
+) -> Optional[np.ndarray]:
+    """Traces of the scaled tuple scales_i x_i against d, tr_d(c x) = c tr_d(x), or None once d
+    has collapsed onto the numerical cone boundary."""
     if not np.all(np.isfinite(d)):
         return None
     try:
@@ -246,7 +271,7 @@ def _soft_traces(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> Op
         return None
     if classify_spectrum(lam, _COLLAPSE_RATIO) != POSITIVE:
         return None
-    traces = traces_in_direction(oracle, pts, d)
+    traces = scales * traces_in_direction(oracle, pts, d)
     floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
     if not np.all(np.isfinite(traces)) or np.any(traces <= floor):
         return None
@@ -256,7 +281,7 @@ def _soft_traces(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> Op
 def _sum_and_traces(oracle: HyperbolicOracle, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tuple's sum d and the traces against it; a collapse at the start is an error."""
     d = pts.sum(axis=0)
-    traces = _soft_traces(oracle, pts, d)
+    traces = _soft_traces(oracle, pts, 1.0, d)
     if traces is None:
         raise DegenerateDirectionError("the tuple's sum is not strictly inside the positivity cone")
     return d, traces
@@ -291,11 +316,10 @@ def sinkhorn_iteration(
     effective = min(1.0 / oracle.n, threshold)
     defects: list[float] = []
     energies: list[float] = []
-    multiplier = 1.0
     converged = False
     collapsed = False
     iterations = 0
-    current = pts
+    scales = np.ones(pts.shape[0])
     defect = float(np.sum((traces - 1.0) ** 2))
     while True:
         defects.append(defect)
@@ -305,14 +329,13 @@ def sinkhorn_iteration(
             break
         if iterations >= max_iters:
             break
-        next_points = current / traces[:, None]
-        next_d = next_points.sum(axis=0)
-        next_traces = _soft_traces(oracle, next_points, next_d)
+        next_scales = scales / traces
+        next_d = next_scales @ pts
+        next_traces = _soft_traces(oracle, pts, next_scales, next_d)
         if next_traces is None:
             collapsed = True
             break
-        multiplier /= float(np.prod(traces))
-        current, d, traces = next_points, next_d, next_traces
+        scales, d, traces = next_scales, next_d, next_traces
         defect = float(np.sum((traces - 1.0) ** 2))
         iterations += 1
     if converged:
@@ -321,7 +344,7 @@ def sinkhorn_iteration(
         verdict = VERDICT_ZERO
     else:
         verdict = VERDICT_UNDETERMINED
-    state = ScalingState(points=current, d=d, traces=traces, defect=defect, multiplier=multiplier)
+    state = ScalingState(source=pts, scales=scales, d=d, traces=traces, defect=defect)
     return ScalingReport(
         converged=converged,
         iterations=iterations,

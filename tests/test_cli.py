@@ -106,6 +106,16 @@ class TestScalingCommands:
         assert len(report["energy_history"]) == len(report["defect_history"])
         assert report["defect"] == report["defect_history"][-1]
 
+    def test_sinkhorn_keys_on_both_verdicts(self, tmp_path, capsys):
+        # The final state holds k scales now; the wire format still carries only its defect.
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
+        positive = gen.doubly_stochastic_matrix_tuple(np.random.default_rng(1), 3)
+        deficient, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(2), 3)
+        for mats, expected in ((positive, 0), (deficient, 1)):
+            tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
+            code, report = run(capsys, "sinkhorn", oracle, tup)
+            assert code == expected and set(report) == SINKHORN_KEYS
+
     def test_capacity_reports_iterations(self, tmp_path, capsys):
         oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
         mats = gen.doubly_stochastic_matrix_tuple(np.random.default_rng(3), 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hyperpoly.errors import (
     InvalidDocumentError,
     NearSingularDirectionWarning,
 )
+from hyperpoly.oracle import DEFAULT_ROOT_TOL
 
 
 @pytest.fixture
@@ -284,6 +287,56 @@ class TestRankAndCone:
             assert hp.roots_in_direction(oracle, x, 1e-12 * oracle.direction) == pytest.approx(expected, rel=1e-12)
 
 
+def _stack_cases():
+    """(oracle, stack of e-nonnegative points with a few zero roots, interior direction) per form."""
+    rng = np.random.default_rng(41)
+    product = hp.product_oracle(4)
+    pattern = rng.random((6, 4)) < 0.6
+    sym = gen.symmetric_matrix_oracle(4)
+    ranges = [rng.standard_normal((4, r)) for r in (1, 2, 2, 3, 4, 4)]
+    pencil = gen.random_determinantal_oracle(rng, 3, 4)
+    # Dense roots need distinct roots, so its boundary points keep a single zero root.
+    dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, 3, 3))
+    return [
+        (product, pattern * rng.uniform(0.5, 2.0, (6, 4)), rng.uniform(0.5, 2.0, 4)),
+        (sym, gen.matrix_points([v @ v.T for v in ranges]), gen.positive_point_tuple(sym, rng, 1)[0]),
+        (pencil, gen.nonnegative_point_tuple(pencil, rng, 6, 0.5), gen.positive_point_tuple(pencil, rng, 1)[0]),
+        (dense, gen.nonnegative_point_tuple(dense, rng, 6, 0.5), gen.positive_point_tuple(dense, rng, 1)[0]),
+    ]
+
+
+class TestStackedRoots:
+    @pytest.mark.parametrize("case", range(4))
+    def test_stack_matches_rows(self, case):
+        oracle, stack, d = _stack_cases()[case]
+        for direction in (oracle.direction, d):
+            rows = np.stack([oracle.form.roots(x, direction, DEFAULT_ROOT_TOL) for x in stack])
+            # M(x) of a stack is one matrix product, whose rounding may differ from a row's.
+            close = {"rtol": 0.0, "atol": 1e-13 * float(np.max(np.abs(rows)))}
+            np.testing.assert_allclose(oracle.form.roots(stack, direction, DEFAULT_ROOT_TOL), rows, **close)
+        # Any leading shape: (2, 3, m) gives (2, 3, n).
+        nested = oracle.form.roots(stack.reshape(2, 3, oracle.m), oracle.direction, DEFAULT_ROOT_TOL)
+        assert nested.shape == (2, 3, oracle.n)
+        flat = oracle.form.roots(stack, oracle.direction, DEFAULT_ROOT_TOL)
+        np.testing.assert_allclose(nested.reshape(6, oracle.n), flat, **close)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_stacked_rank_matches_rows(self, case):
+        oracle, stack, _ = _stack_cases()[case]
+        ranks = hp.hyperbolic_rank(oracle, stack)
+        assert ranks.tolist() == [hp.hyperbolic_rank(oracle, x) for x in stack]
+        assert min(ranks) < oracle.n  # the stack reaches the boundary
+        if oracle.kind != "dense":  # the zero point's repeated roots defeat the dense root finder
+            assert hp.hyperbolic_rank(oracle, np.vstack([stack, np.zeros(oracle.m)]))[-1] == 0
+
+    def test_rank_of_a_point_is_an_int(self, sym3):
+        assert type(hp.hyperbolic_rank(sym3, sym3.direction)) is int
+
+    def test_stack_of_the_wrong_width_is_rejected(self, sym3):
+        with pytest.raises(DimensionMismatchError):
+            hp.hyperbolic_rank(sym3, np.ones((2, sym3.m + 1)))
+
+
 class TestHyperbolicitySampling:
     def test_product_passes(self):
         assert hp.hyperbolicity_sample_test(hp.product_oracle(3), 25, seed=0).verdict
@@ -350,6 +403,36 @@ class TestJson:
         }
         with pytest.raises(InvalidDocumentError):
             hp.oracle_from_json(doc)
+
+    def test_symmetric_oracle_peak_memory(self):
+        # The basis once, not a stacked copy and full-size temporaries on top of it.
+        basis_bytes = gen.symmetric_basis(40).nbytes
+        tracemalloc.start()
+        try:
+            oracle = gen.symmetric_matrix_oracle(40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * basis_bytes
+        assert np.array_equal(oracle.form.pencil, gen.symmetric_basis(40))
+
+    def test_large_pencil_is_symmetrized_block_by_block(self):
+        # 820 matrices of 40 x 40 span many blocks: the peak stays near the one stacked copy.
+        rng = np.random.default_rng(9)
+        mats = gen.symmetric_basis(40)
+        mats[40:] += 1e-12 * rng.standard_normal((780, 40, 40))  # M(e) stays the identity
+        direction = np.concatenate([np.ones(40), np.zeros(780)])
+        tracemalloc.start()
+        try:
+            oracle = hp.determinantal_oracle(mats, direction)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * mats.nbytes
+        assert np.array_equal(oracle.form.pencil, 0.5 * (mats + np.transpose(mats, (0, 2, 1))))
+        mats[-1, 0, 39] += 1e-6
+        with pytest.raises(InvalidDocumentError, match="pencil matrix 819 "):
+            hp.determinantal_oracle(mats, direction)
 
     def test_rejects_inhomogeneous_dense(self):
         doc = {

@@ -252,6 +252,31 @@ class TestSinkhornIteration:
         assert len(calls) == 1
 
 
+    def test_state_keeps_k_scales_of_the_input_tuple(self):
+        # A zero-capacity run ends near the cone boundary, where a trace carries up to
+        # cond(M(d)) * eps <= eps / 1e-10 of relative error, so two routes to its
+        # scaled tuple agree to about 1e-6 only; positive runs agree to rounding.
+        cases = []
+        for n in (3, 4, 6):
+            oracle = gen.symmetric_matrix_oracle(n)
+            cases.append((oracle, gen.positive_point_tuple(oracle, np.random.default_rng(n), n), 10000, 1e-12))
+            cases.append(gen.positive_product_tuple(np.random.default_rng(10 + n), n) + (10000, 1e-12))
+            mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(20 + n), n)
+            cases.append(gen.matrix_tuple_points(mats) + (1000, 1e-6))
+        for oracle, pts, max_iters, rtol in cases:
+            report = hp.sinkhorn_iteration(oracle, pts, max_iters=max_iters)
+            state = report.final_state
+            assert state.scales.shape == (len(pts),)
+            assert state.source is pts
+            expected = pts
+            for _ in range(report.iterations):
+                expected = hp.sinkhorn_map(oracle, expected)
+            np.testing.assert_allclose(state.points, expected, rtol=rtol, atol=0.0)
+            assert state.multiplier == float(np.prod(state.scales))
+            assert state.d == pytest.approx(expected.sum(axis=0), rel=rtol)
+            assert state.defect == report.defect_history[-1]
+
+
 _RANK_FAMILIES = ("product", "psd", "dense")
 
 
@@ -332,6 +357,72 @@ class TestEdmondsRado:
             calls.clear()
             assert hp.edmonds_rado_check(*gen.matrix_tuple_points(mats)).holds is holds
             assert 1 <= len(calls) <= 3 * 12**2
+
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_planted_violations_match_brute_force(self, n):
+        # j elements whose ranges lie in a random u-dimensional subspace: the
+        # condition fails exactly when j > u, on a subset of those j elements.
+        rng = np.random.default_rng([11, n])
+        violating = 0
+        for j in range(1, n + 1):
+            for u in range(1, n):
+                mats = _planted_violation(rng, n, j, u)
+                expected = _brute_force_minimal_minimizer(n, lambda s: np.linalg.matrix_rank(sum(mats[i] for i in s)))
+                report = hp.edmonds_rado_check(*gen.matrix_tuple_points(mats))
+                assert (report.holds, report.witness) == (expected is None, expected), (j, u)
+                assert report.holds == (j <= u)
+                violating += not report.holds
+        assert violating == n * (n - 1) // 2
+
+    def test_zero_one_product_tuples_match_brute_force(self):
+        # On 0/1 points of the product form, the rank of a sum is the size of its support.
+        rng = np.random.default_rng(12)
+        violating = 0
+        for _ in range(120):
+            n, k = int(rng.integers(2, 8)), int(rng.integers(1, 9))
+            pts = (rng.random((k, n)) < rng.uniform(0.15, 0.6)).astype(float)
+            expected = _brute_force_minimal_minimizer(k, lambda s: np.count_nonzero(pts[list(s)].sum(axis=0)))
+            report = hp.edmonds_rado_check(hp.product_oracle(n), pts)
+            assert (report.holds, report.witness) == (expected is None, expected)
+            violating += expected is not None
+        assert 30 <= violating <= 90
+
+    def test_peeling_settles_a_full_rank_tuple_in_one_rank_call(self, monkeypatch):
+        # The tuples of test_rank_calls_polynomial: the full-rank one needs only its
+        # element ranks, and the deficient one runs Wolfe on its rank-one pair alone.
+        rng = np.random.default_rng(12)
+        full_rank = gen.psd_matrix_tuple(rng, 12)
+        deficient, _ = gen.rank_deficient_matrix_tuple(rng, 12)
+        original = scaling.hyperbolic_rank
+        calls = []
+        monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: calls.append(args) or original(*args))
+        assert hp.edmonds_rado_check(*gen.matrix_tuple_points(full_rank)).holds
+        assert len(calls) == 1 and calls[0][1].shape == (12, 78)
+        calls.clear()
+        report = hp.edmonds_rado_check(*gen.matrix_tuple_points(deficient[::-1]))
+        assert report.witness == (10, 11)
+        assert 2 <= len(calls) < 44
+
+
+def _planted_violation(rng: np.random.Generator, n: int, j: int, u: int) -> list:
+    """n PSD matrices in random order, j of them with ranges inside one random u-dimensional subspace."""
+    basis = np.linalg.qr(rng.standard_normal((n, u)))[0]
+    mats = []
+    for _ in range(j):
+        v = basis @ rng.standard_normal((u, int(rng.integers(1, u + 1))))
+        mats.append(v @ v.T)
+    mats += [gen.random_psd_matrix(rng, n) for _ in range(n - j)]
+    return [mats[i] for i in rng.permutation(n)]
+
+
+def _brute_force_minimal_minimizer(k: int, rank):
+    """Intersection of the subsets S of range(k) of largest deficiency |S| - rank(S), or None when none is positive."""
+    deficiency = {subset: len(subset) - rank(subset) for subset in scaling.lexicographic_subsets(k)}
+    worst = max(deficiency.values())
+    if worst <= 0:
+        return None
+    return tuple(sorted(set.intersection(*(set(s) for s, d in deficiency.items() if d == worst))))
 
 
 def _rank_instance(family: str, rng: np.random.Generator):
