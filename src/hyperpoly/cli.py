@@ -27,7 +27,8 @@ import numpy as np
 
 from . import experiments
 from .errors import HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
-from .generators import GeneratorSpec, generate_document, matrix_points, symmetric_basis, symmetric_matrix_oracle
+from .generators import GeneratorSpec, generate_document, is_symmetric_basis, matrix_points, symmetric_matrix_oracle
+from .generators import symmetric_basis  # noqa: F401 -- the size tests replace cli.symmetric_basis
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -157,14 +158,7 @@ def _load_tuple(path: str, oracle):
         mats = _floats(doc["matrices"], f"{path}: 'matrices'")
         pts = matrix_points(mats)
         # Matrix coordinates only make sense against the symmetric-basis pencil.
-        # Its shape is compared first, so no basis larger than the oracle's own pencil is built.
-        n = mats.shape[1]
-        same = (
-            oracle.kind == "determinantal"
-            and oracle.form.pencil.shape == (n * (n + 1) // 2, n, n)
-            and np.max(np.abs(oracle.form.pencil - symmetric_basis(n))) <= 1e-12
-        )
-        if not same:
+        if not (oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, mats.shape[1])):
             raise InvalidDocumentError(
                 f"{path}: matrix tuples pair with the symmetric-basis oracle "
                 f'({{"kind": "symmetric", "n": {mats.shape[1]}}})'
@@ -344,10 +338,7 @@ def cmd_gen(ns, config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_experiments(ns, config: RunConfig) -> tuple[int, dict]:
-    try:
-        summary = experiments.run_suite(ns.suite, config.seed, trials=ns.trials, parallelism=config.parallelism)
-    except KeyError as exc:
-        raise InvalidDocumentError(str(exc)) from exc
+    summary = experiments.run_suite(ns.suite, config.seed, ns.trials, config.parallelism)
     return _code(summary["failures"] == 0), summary
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -59,30 +61,37 @@ def _call(job: tuple[Callable, object]) -> dict:
     return worker(args)
 
 
-def _run_trials(trials: int, parallelism: int, *batches: tuple[Callable, Sequence]) -> list:
-    """Results of every (worker, arguments) batch in order, from one pool of workers.
-
-    `trials` is the count the suite was asked for; it is checked here so that
-    every suite rejects a count below one, however it is called.
-    """
-    if trials < 1:
-        raise InvalidDocumentError("trials must be at least 1")
-    jobs = [(worker, args) for worker, batch in batches for args in batch]
-    # More workers than cores only adds process start-up cost.
-    parallelism = min(parallelism, os.cpu_count() or 1)
-    if parallelism <= 1:
-        return [_call(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_call, jobs))
+def _each(worker: Callable, seed: int, count: int) -> list:
+    """Jobs that run `worker` on trials 0..count-1 at `seed`."""
+    return [(worker, (seed, t)) for t in range(count)]
 
 
-def _summary(name: str, results: list[dict], extra: dict | None = None) -> dict:
-    failures = sum(0 if r["ok"] else 1 for r in results)
-    worst = min((r["slack"] for r in results), default=float("inf"))
-    out = {"suite": name, "trials": len(results), "failures": failures, "worst_slack": worst}
-    if extra:
-        out.update(extra)
-    return out
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite table: its name, its default trial count, the (worker, arguments) jobs
+    of a run at (seed, trials), and the fields, if any, its summary adds to the common four."""
+
+    name: str
+    trials: int
+    jobs: Callable[[int, int], list]
+    extra: Callable[[list[dict]], dict] | None
+
+    def __call__(self, seed: int, trials: int, parallelism: int = 1) -> dict:
+        """The summary of a run, its jobs taken in order from one pool of workers."""
+        if trials < 1:
+            raise InvalidDocumentError("trials must be at least 1")
+        jobs = self.jobs(seed, trials)
+        # More workers than cores only adds process start-up cost.
+        parallelism = min(parallelism, os.cpu_count() or 1)
+        if parallelism <= 1:
+            results = [_call(job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+                results = list(pool.map(_call, jobs))
+        failures = sum(0 if r["ok"] else 1 for r in results)
+        worst = min(r["slack"] for r in results)
+        summary = {"suite": self.name, "trials": len(results), "failures": failures, "worst_slack": worst}
+        return summary | self.extra(results) if self.extra else summary
 
 
 def _instance_for(kind: str, rng: np.random.Generator, n: int, count: int, nonneg: bool):
@@ -109,11 +118,6 @@ def _af_trial(args) -> dict:
     return {"ok": verdict["holds"], "slack": verdict["residual"] / verdict["scale"]}
 
 
-def run_af(seed: int, trials: int = 300, parallelism: int = 1) -> dict:
-    results = _run_trials(trials, parallelism, (_af_trial, [(seed, t) for t in range(trials)]))
-    return _summary("af", results)
-
-
 def _vdw_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 91, trial)
@@ -126,11 +130,6 @@ def _vdw_trial(args) -> dict:
     ratio = disc / cap
     ok = disc >= bound - 1e-6 and ratio >= bound - 1e-6 and ratio <= 1.0 + 1e-6
     return {"ok": bool(ok), "slack": min(disc - bound, ratio - bound, 1.0 - ratio), "ratio": ratio}
-
-
-def run_vdw(seed: int, trials: int = 200, parallelism: int = 1) -> dict:
-    results = _run_trials(trials, parallelism, (_vdw_trial, [(seed, t) for t in range(trials)]))
-    return _summary("vdw", results, {"min_ratio": min(r["ratio"] for r in results)})
 
 
 def _lidskii_trial(args) -> dict:
@@ -146,11 +145,6 @@ def _lidskii_trial(args) -> dict:
     return {"ok": report.majorized, "slack": min(report.prefix_gaps)}
 
 
-def run_lidskii(seed: int, trials: int = 500, parallelism: int = 1) -> dict:
-    results = _run_trials(trials, parallelism, (_lidskii_trial, [(seed, t) for t in range(trials)]))
-    return _summary("lidskii", results)
-
-
 def _newton_trial(args) -> dict:
     seed, trial, kind = args
     rng = gen.rng_for(seed, 93, trial)
@@ -163,10 +157,8 @@ def _newton_trial(args) -> dict:
     return {"ok": report.saturated, "slack": -float(len(report.violations))}
 
 
-def run_newton(seed: int, trials: int = 200, parallelism: int = 1) -> dict:
-    args = [(seed, t, "determinantal" if t < trials // 2 else "product") for t in range(trials)]
-    results = _run_trials(trials, parallelism, (_newton_trial, args))
-    return _summary("newton", results)
+def _newton_jobs(seed: int, trials: int) -> list:
+    return [(_newton_trial, (seed, t, "determinantal" if t < trials // 2 else "product")) for t in range(trials)]
 
 
 def _hsi_positive_trial(args) -> dict:
@@ -211,18 +203,14 @@ def _hsi_rescale_trial(args) -> dict:
     return {"ok": rel <= 1e-5, "slack": 1e-5 - rel}
 
 
-def run_hsi(seed: int, trials: int = 80, parallelism: int = 1) -> dict:
+def _hsi_jobs(seed: int, trials: int) -> list:
     n_pos = trials // 2
     n_zero = trials // 4
-    n_rescale = trials - n_pos - n_zero
-    results = _run_trials(
-        trials,
-        parallelism,
-        (_hsi_positive_trial, [(seed, t) for t in range(n_pos)]),
-        (_hsi_zero_trial, [(seed, t) for t in range(n_zero)]),
-        (_hsi_rescale_trial, [(seed, t) for t in range(n_rescale)]),
+    return (
+        _each(_hsi_positive_trial, seed, n_pos)
+        + _each(_hsi_zero_trial, seed, n_zero)
+        + _each(_hsi_rescale_trial, seed, trials - n_pos - n_zero)
     )
-    return _summary("hsi", results)
 
 
 def _pair_agreement_trial(args) -> dict:
@@ -299,20 +287,19 @@ def _derivative_line_trial(args) -> dict:
     return {"ok": bool(ok), "slack": float(slack)}
 
 
-def run_interlace(seed: int, trials: int = 1000, parallelism: int = 1) -> dict:
+def _interlace_jobs(seed: int, trials: int) -> list:
+    """`trials` pair agreements, then side batches of pencil cross-checks, shifted majorizations and
+    derivative lines; a summary counts them all, so it reports more trials than it was asked for."""
     half = trials // 2
     side = max(4, trials // 5)
     lines = max(2, min(12, trials // 80))
-    args = [(seed, t, True) for t in range(half)] + [(seed, t, False) for t in range(trials - half)]
-    results = _run_trials(
-        trials,
-        parallelism,
-        (_pair_agreement_trial, args),
-        (_pencil_cross_trial, [(seed, t) for t in range(side)]),
-        (_shifted_majorization_trial, [(seed, t) for t in range(side)]),
-        (_derivative_line_trial, [(seed, t) for t in range(lines)]),
+    return (
+        [(_pair_agreement_trial, (seed, t, True)) for t in range(half)]
+        + [(_pair_agreement_trial, (seed, t, False)) for t in range(trials - half)]
+        + _each(_pencil_cross_trial, seed, side)
+        + _each(_shifted_majorization_trial, seed, side)
+        + _each(_derivative_line_trial, seed, lines)
     )
-    return _summary("interlace", results)
 
 
 def _logconcavity_trial(args) -> dict:
@@ -336,11 +323,6 @@ def _logconcavity_trial(args) -> dict:
     return {"ok": bool(ok), "slack": float(slack)}
 
 
-def run_logconcavity(seed: int, trials: int = 150, parallelism: int = 1) -> dict:
-    results = _run_trials(trials, parallelism, (_logconcavity_trial, [(seed, t) for t in range(trials)]))
-    return _summary("logconcavity", results)
-
-
 def _capacity_concavity_trial(args) -> dict:
     seed, trial = args
     rng = gen.rng_for(seed, 102, trial)
@@ -360,27 +342,26 @@ def _capacity_concavity_trial(args) -> dict:
     return {"ok": bool(ok), "slack": float(slack)}
 
 
-def run_capacity_concavity(seed: int, trials: int = 40, parallelism: int = 1) -> dict:
-    results = _run_trials(trials, parallelism, (_capacity_concavity_trial, [(seed, t) for t in range(trials)]))
-    return _summary("capacity-concavity", results)
-
-
+# run_suite calls a suite through SUITES when it runs, so a wrapper put in place of an entry sees
+# every call; the default counts are read off the rows before any such wrapper.
 SUITES = {
-    "af": run_af,
-    "vdw": run_vdw,
-    "lidskii": run_lidskii,
-    "newton": run_newton,
-    "hsi": run_hsi,
-    "interlace": run_interlace,
-    "logconcavity": run_logconcavity,
-    "capacity-concavity": run_capacity_concavity,
+    suite.name: suite
+    for suite in (
+        Suite("af", 300, partial(_each, _af_trial), None),
+        Suite("vdw", 200, partial(_each, _vdw_trial), lambda results: {"min_ratio": min(r["ratio"] for r in results)}),
+        Suite("lidskii", 500, partial(_each, _lidskii_trial), None),
+        Suite("newton", 200, _newton_jobs, None),
+        Suite("hsi", 80, _hsi_jobs, None),
+        Suite("interlace", 1000, _interlace_jobs, None),
+        Suite("logconcavity", 150, partial(_each, _logconcavity_trial), None),
+        Suite("capacity-concavity", 40, partial(_each, _capacity_concavity_trial), None),
+    )
 }
+_DEFAULT_TRIALS = {name: suite.trials for name, suite in SUITES.items()}
 
 
-def run_suite(name: str, seed: int, trials: int | None = None, parallelism: int = 1) -> dict:
+def run_suite(name: str, seed: int, trials: int | None, parallelism: int) -> dict:
+    """The summary of the suite `name`, at its default trial count when `trials` is None."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    if trials is None:
-        return fn(seed, parallelism=parallelism)
-    return fn(seed, trials=trials, parallelism=parallelism)
+        raise InvalidDocumentError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
+    return SUITES[name](seed, _DEFAULT_TRIALS[name] if trials is None else trials, parallelism)

@@ -24,6 +24,7 @@ from .interlace import (
 )
 from .oracle import (
     HyperbolicOracle,
+    _pencil_blocks,
     _pencil_oracle,
     determinantal_oracle,
     hyperbolic_rank,
@@ -48,14 +49,28 @@ def _coordinate_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([diag, rows]), np.concatenate([diag, cols])
 
 
-def symmetric_basis(n: int) -> np.ndarray:
-    """The (n(n+1)/2, n, n) pencil E_ii followed by E_ij + E_ji (i < j), in coordinate order."""
+def _basis_matrices(n: int, start: int, stop: int) -> np.ndarray:
+    """Matrices start..stop-1 of symmetric_basis(n)."""
     i, j = _coordinate_indices(n)
+    i, j = i[start:stop], j[start:stop]
     basis = np.zeros((i.size, n, n))
     k = np.arange(i.size)
     basis[k, i, j] = 1.0
     basis[k, j, i] = 1.0
     return basis
+
+
+def symmetric_basis(n: int) -> np.ndarray:
+    """The (n(n+1)/2, n, n) pencil E_ii followed by E_ij + E_ji (i < j), in coordinate order."""
+    return _basis_matrices(n, 0, n * (n + 1) // 2)
+
+
+def is_symmetric_basis(pencil: np.ndarray, n: int) -> bool:
+    """Whether a pencil is symmetric_basis(n) within 1e-12, built only a block at a time to compare."""
+    return pencil.shape == (n * (n + 1) // 2, n, n) and all(
+        np.max(np.abs(block - _basis_matrices(n, start, start + len(block)))) <= 1e-12
+        for start, block in _pencil_blocks(pencil)
+    )
 
 
 def symmetric_matrix_oracle(n: int) -> HyperbolicOracle:
@@ -292,32 +307,33 @@ class GeneratorSpec:
     n: int
 
 
-GENERATOR_KINDS = (
-    "psd_tuple",
-    "doubly_stochastic_tuple",
-    "rank_deficient_tuple",
-    "hyperbolic_pair",
-    "nonhyperbolic_pair",
-)
+def _rank_deficient_document(rng: np.random.Generator, n: int) -> dict:
+    mats, witness = rank_deficient_matrix_tuple(rng, n)
+    return {"matrices": [a.tolist() for a in mats], "witness": list(witness)}
+
+
+def _pair_document(q: MonicPolynomial, r: MonicPolynomial) -> dict:
+    return {"q": q.to_json(), "r": r.to_json()}
+
+
+# The document of each generator kind, from (rng, n).
+_DOCUMENTS = {
+    "psd_tuple": lambda rng, n: {"matrices": [a.tolist() for a in psd_matrix_tuple(rng, n)]},
+    "doubly_stochastic_tuple": lambda rng, n: {
+        "matrices": [a.tolist() for a in doubly_stochastic_matrix_tuple(rng, n)]
+    },
+    "rank_deficient_tuple": _rank_deficient_document,
+    "hyperbolic_pair": lambda rng, n: _pair_document(*hyperbolic_pair(rng, n)),
+    "nonhyperbolic_pair": lambda rng, n: _pair_document(*nonhyperbolic_pair(rng, n)),
+}
+GENERATOR_KINDS = tuple(_DOCUMENTS)
 
 
 def generate_document(spec: GeneratorSpec, seed: int) -> dict:
     """Produce the JSON document for a generator request; deterministic in the seed."""
     rng = rng_for(seed, 0)
-    n = spec.n
-    if n < 1:
-        raise InvalidDocumentError(f"generator size must be at least 1, got {n}")
-    if spec.kind == "psd_tuple":
-        return {"matrices": [a.tolist() for a in psd_matrix_tuple(rng, n)]}
-    if spec.kind == "doubly_stochastic_tuple":
-        return {"matrices": [a.tolist() for a in doubly_stochastic_matrix_tuple(rng, n)]}
-    if spec.kind == "rank_deficient_tuple":
-        mats, witness = rank_deficient_matrix_tuple(rng, n)
-        return {"matrices": [a.tolist() for a in mats], "witness": list(witness)}
-    if spec.kind == "hyperbolic_pair":
-        q, r = hyperbolic_pair(rng, n)
-        return {"q": q.to_json(), "r": r.to_json()}
-    if spec.kind == "nonhyperbolic_pair":
-        q, r = nonhyperbolic_pair(rng, n)
-        return {"q": q.to_json(), "r": r.to_json()}
-    raise InvalidDocumentError(f"unknown generator kind '{spec.kind}'")
+    if spec.n < 1:
+        raise InvalidDocumentError(f"generator size must be at least 1, got {spec.n}")
+    if spec.kind not in _DOCUMENTS:
+        raise InvalidDocumentError(f"unknown generator kind '{spec.kind}'")
+    return _DOCUMENTS[spec.kind](rng, spec.n)

@@ -195,25 +195,34 @@ def product_oracle(n: int) -> HyperbolicOracle:
     return HyperbolicOracle(form=ProductPolynomial(n=n), n=n, m=n, direction=np.ones(n))
 
 
-# Matrices of a pencil checked and averaged at a time by _symmetrize, so that its
+# Entries of a pencil worked on at a time by the loops over _pencil_blocks, so that their
 # temporaries stay near this many entries however large the pencil is.
-_SYMMETRIZE_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _pencil_blocks(pencil: np.ndarray):
+    """(index of the first matrix, view) of consecutive blocks of a stack of matrices."""
+    m, n, _ = pencil.shape
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    return ((start, pencil[start : start + step]) for start in range(0, m, step))
+
+
+def _average_with_transpose(block: np.ndarray) -> None:
+    """Replace each matrix B of a stack by (B + B^T) / 2 in place."""
+    block += np.transpose(block, (0, 2, 1)).copy()
+    block *= 0.5
 
 
 def _symmetrize(pencil: np.ndarray) -> None:
     """Average each matrix of the stack with its transpose in place, once all are symmetric
     within 1e-9 * max(1, max |entry|) of their own scale."""
-    m, n, _ = pencil.shape
-    step = max(1, _SYMMETRIZE_BLOCK_ENTRIES // (n * n))
-    for start in range(0, m, step):
-        block = pencil[start : start + step]
+    for start, block in _pencil_blocks(pencil):
         transposed = np.transpose(block, (0, 2, 1))
         scale = np.maximum(1.0, np.max(np.abs(block), axis=(1, 2)))
         bad = np.flatnonzero(np.max(np.abs(block - transposed), axis=(1, 2)) > 1e-9 * scale)
         if bad.size:
             raise InvalidDocumentError(f"pencil matrix {start + bad[0]} is not symmetric within tolerance")
-        block += transposed.copy()
-        block *= 0.5
+        _average_with_transpose(block)
 
 
 def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
@@ -237,8 +246,9 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
 
 
 def _pencil_oracle(pencil: np.ndarray, direction) -> HyperbolicOracle:
-    """``determinantal_oracle`` on a stack of exactly symmetric matrices, which becomes the
-    form's pencil itself, not a copy, when M(e) = I already."""
+    """``determinantal_oracle`` on a stack of exactly symmetric matrices, the caller's own (its ``np.stack``
+    copy or a fresh basis): a congruence overwrites it a block at a time and averages each block with its
+    transpose without ``_symmetrize``'s check, as rounding leaves an asymmetry near eps * cond(M(e))."""
     m, n, _ = pencil.shape
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
@@ -250,8 +260,9 @@ def _pencil_oracle(pencil: np.ndarray, direction) -> HyperbolicOracle:
     metadata = {"gram_determinant": float(np.prod(eigvals)), "congruence_applied": False}
     if np.max(np.abs(gram - np.eye(n))) > 1e-12:
         w = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-        pencil = w @ pencil @ w
-        pencil = 0.5 * (pencil + np.transpose(pencil, (0, 2, 1)))
+        for _, block in _pencil_blocks(pencil):
+            np.matmul(w @ block, w, out=block)
+            _average_with_transpose(block)
         metadata["congruence_applied"] = True
     return HyperbolicOracle(form=DeterminantalPolynomial(pencil=pencil), n=n, m=m, direction=e, metadata=metadata)
 

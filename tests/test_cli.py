@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -323,6 +325,25 @@ class TestExperimentsCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_unknown_suite_error_line_is_the_message(self, capsys):
+        code = main(["experiments", "nosuch"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: unknown suite 'nosuch'; choose from ['af', ")
+
+    def test_key_error_inside_a_suite_is_not_an_input_error(self, monkeypatch):
+        def broken(seed, trials, parallelism=1):
+            raise KeyError("a bug inside a trial")
+
+        monkeypatch.setitem(experiments.SUITES, "af", broken)
+        with pytest.raises(KeyError, match="a bug inside a trial"):
+            main(["experiments", "af", "--trials", "1"])
+
+    def test_unknown_generator_kind_exit_two(self, capsys):
+        code = main(["gen", "--kind", "nosuch", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("error: unknown generator kind 'nosuch'")
+
 
 def _write_inputs(tmp_path):
     """Small fixed input documents, by name."""
@@ -481,6 +502,26 @@ class TestSuiteParallelism:
         with pytest.raises(InvalidDocumentError, match="trials"):
             experiments.SUITES[suite](0, trials=trials)
 
+    def test_default_trial_count(self):
+        assert experiments.run_suite("lidskii", 0, None, 1)["trials"] == 500
+
+    def test_worker_pool_gives_the_single_worker_summary(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        assert experiments.run_suite("lidskii", 0, 6, 2) == experiments.run_suite("lidskii", 0, 6, 1)
+        assert pools == [2]
+
+    def test_interlace_reports_its_side_batches(self):
+        # 4 pair agreements, 4 pencil cross-checks, 4 shifted majorizations and 2 derivative lines.
+        assert experiments.run_suite("interlace", 0, 4, 1)["trials"] == 14
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     code = "import sys, hyperpoly.cli; sys.exit('scipy.optimize' in sys.modules)"
@@ -555,6 +596,32 @@ class TestNonFiniteInput:
         assert captured.err.startswith("error: ")
 
 
+class TestMatrixTupleLoading:
+    def test_peak_memory_against_the_symmetric_basis(self, tmp_path):
+        # The oracle's pencil is compared with the basis a block of matrices at a time.
+        oracle = gen.symmetric_matrix_oracle(40)
+        a = np.random.default_rng(3).standard_normal((3, 40, 40))
+        mats = a + np.transpose(a, (0, 2, 1))
+        path = write(tmp_path / "t.json", {"matrices": mats.tolist()})
+        tracemalloc.start()
+        try:
+            loaded, pts = cli._load_tuple(path, oracle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * oracle.form.pencil.nbytes
+        assert loaded is oracle and np.array_equal(pts, gen.matrix_points(mats))
+
+    def test_symmetric_basis_is_matched_within_1e_12(self):
+        basis = gen.symmetric_basis(40)
+        assert gen.is_symmetric_basis(basis, 40)
+        assert not gen.is_symmetric_basis(basis, 39)
+        basis[-1, 38, 39] += 5e-13  # the last block of matrices
+        assert gen.is_symmetric_basis(basis, 40)
+        basis[-1, 38, 39] += 1e-12
+        assert not gen.is_symmetric_basis(basis, 40)
+
+
 class TestSymmetricOracleSize:
     """Symmetric bases are allocated only within bounds: {"kind": "symmetric", "n": N} is checked
     before its N(N+1)/2 basis matrices exist, and a matrix tuple is compared against one only when
@@ -588,6 +655,24 @@ class TestSymmetricOracleSize:
     @pytest.mark.parametrize("oracle_doc", [{"kind": "product", "n": 2}, {"kind": "symmetric", "n": 2}])
     def test_matrix_tuple_of_another_size_builds_no_basis(self, tmp_path, capsys, monkeypatch, oracle_doc):
         monkeypatch.setattr(cli, "symmetric_basis", self.refuse)
+        oracle = write(tmp_path / "oracle.json", oracle_doc)
+        tup = write(tmp_path / "t.json", {"matrices": [np.eye(64).tolist()]})
+        code = main(["mixed", oracle, tup])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("oracle_doc", [{"kind": "product", "n": 2}, {"kind": "symmetric", "n": 2}])
+    def test_matrix_tuple_of_another_size_builds_no_basis_block(self, tmp_path, capsys, monkeypatch, oracle_doc):
+        # The comparison builds basis blocks through _basis_matrices; none of the tuple's size may be built.
+        build = gen._basis_matrices
+
+        def refuse_tuple_size(n, start, stop):
+            if n == 64:
+                self.refuse(n)
+            return build(n, start, stop)
+
+        monkeypatch.setattr(gen, "_basis_matrices", refuse_tuple_size)
         oracle = write(tmp_path / "oracle.json", oracle_doc)
         tup = write(tmp_path / "t.json", {"matrices": [np.eye(64).tolist()]})
         code = main(["mixed", oracle, tup])

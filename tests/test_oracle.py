@@ -434,6 +434,26 @@ class TestJson:
         with pytest.raises(InvalidDocumentError, match="pencil matrix 819 "):
             hp.determinantal_oracle(mats, direction)
 
+    def test_congruence_is_applied_block_by_block(self):
+        # M(e) of a random PSD pencil is far from I: the congruence is applied in place, a block at a time.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((200, 40, 4))
+        mats = a @ np.transpose(a, (0, 2, 1))
+        tracemalloc.start()
+        try:
+            oracle = hp.determinantal_oracle(mats, np.ones(200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.metadata["congruence_applied"]
+        assert peak <= 1.5 * mats.nbytes
+        stack = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+        eigvals, eigvecs = np.linalg.eigh(np.sum(stack, axis=0))
+        w = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
+        expected = w @ stack @ w
+        expected = 0.5 * (expected + np.transpose(expected, (0, 2, 1)))
+        assert np.max(np.abs(oracle.form.pencil - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_rejects_inhomogeneous_dense(self):
         doc = {
             "kind": "dense",
