@@ -28,7 +28,6 @@ import numpy as np
 from . import experiments
 from .errors import HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
 from .generators import GeneratorSpec, generate_document, is_symmetric_basis, matrix_points, symmetric_matrix_oracle
-from .generators import symmetric_basis  # noqa: F401 -- the size tests replace cli.symmetric_basis
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,

@@ -167,8 +167,7 @@ def _hsi_positive_trial(args) -> dict:
     n = 2 + trial % 4
     oracle, pts = _instance_for(_KINDS[trial % 2], rng, n, n, nonneg=False)
     report = sinkhorn_iteration(oracle, pts, max_iters=10000, threshold=1e-10)
-    defects = np.asarray(report.defect_history)
-    energies = np.asarray(report.energy_history)
+    defects, energies = report.defect_history, report.energy_history
     drops = np.diff(energies)
     monotone = bool(np.all(drops <= 1e-10 * np.maximum(1.0, energies[:-1])))
     reached = bool(np.min(defects) <= 1.0 / oracle.n)
@@ -184,7 +183,7 @@ def _hsi_zero_trial(args) -> dict:
     mats, _ = gen.rank_deficient_matrix_tuple(rng, n)
     oracle, pts = gen.matrix_tuple_points(mats)
     report = sinkhorn_iteration(oracle, pts, max_iters=1000, threshold=1e-10)
-    min_defect = min(report.defect_history)
+    min_defect = float(report.defect_history.min())
     ok = report.capacity_verdict == VERDICT_ZERO and min_defect > 1.0 / oracle.n
     return {"ok": bool(ok), "slack": float(min_defect - 1.0 / oracle.n)}
 

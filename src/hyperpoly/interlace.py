@@ -145,17 +145,30 @@ def companion(q: MonicPolynomial) -> np.ndarray:
     return mat
 
 
+def companion_matrices(coeffs: np.ndarray) -> np.ndarray:
+    """``companion`` for each row of a stack of ascending coefficients c_0..c_n, shape (..., n+1):
+    ones on the superdiagonal and -c_0/c_n, ..., -c_(n-1)/c_n in the last row."""
+    n = coeffs.shape[-1] - 1
+    mats = np.zeros(coeffs.shape[:-1] + (n, n))
+    # The superdiagonal entries (i, i + 1) sit at flat offsets 1, n + 2, 2n + 3, ... of each matrix.
+    mats.reshape(-1, n * n)[:, 1 :: n + 1] = 1.0
+    mats[..., n - 1, :] = -coeffs[..., :n] / coeffs[..., n:]
+    return mats
+
+
 def _accept_real(lams: np.ndarray, tol: float) -> np.ndarray:
-    """Sorted-descending real parts; raises if any |Im| exceeds tol*(1+|root|)."""
+    """Real parts sorted descending along the last axis; raises on the root whose |Im| exceeds
+    tol*(1+|root|) by the most, if any does."""
     if lams.size == 0:
         return np.asarray(lams, dtype=float)
-    slack = np.abs(lams.imag) - tol * (1.0 + np.abs(lams))
+    flat = lams.ravel()
+    slack = np.abs(flat.imag) - tol * (1.0 + np.abs(flat))
     worst = int(np.argmax(slack))
     if slack[worst] > 0.0:
         raise NonRealRootError(
-            f"root {lams[worst]} has imaginary part beyond tolerance {tol}", root=complex(lams[worst])
+            f"root {flat[worst]} has imaginary part beyond tolerance {tol}", root=complex(flat[worst])
         )
-    return np.sort(lams.real)[::-1]
+    return np.sort(lams.real, axis=-1)[..., ::-1]
 
 
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -175,6 +188,14 @@ def real_roots(q: MonicPolynomial, tol: float = 1e-8, polish: bool = False) -> n
     if polish:
         lam = _newton_polish(q.standard_coefficients(), lam)
     return _accept_real(lam, tol)
+
+
+def real_roots_of_rows(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """The roots of each row of ascending coefficients, shape (..., n+1), sorted descending, from one
+    eigvals call on the stacked companion matrices; raises NonRealRootError as ``real_roots`` does."""
+    if np.any(coeffs[..., -1] == 0.0):
+        raise InvalidDocumentError("leading coefficient is zero")
+    return _accept_real(np.linalg.eigvals(companion_matrices(coeffs)), tol)
 
 
 def roots_from_coefficients(coeffs) -> np.ndarray:

@@ -2,21 +2,26 @@
 
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
-normalized so that p(e) = 1.  Every form implements the same four methods,
-``evaluate_batch(points)``, ``grad_log_p(d)``, ``roots(x, d, tol)`` and
-``tuple_form(points)``, plus its ``kind`` and ``json_fields``; ``roots``
-takes one point or a stack of them, shape (..., m), and returns shape
-(..., n).  The pure functions here validate their inputs and delegate to
-those: evaluation, univariate restrictions along a direction, root spectra,
-directional traces, rank, and cone membership.  Polarization in ``mixed``
-evaluates the form that ``tuple_form`` returns.  Every univariate
-restriction, of p or of a mixed value, is sampled and fitted by
-``chebyshev_restriction``.
+normalized so that p(e) = 1.  Every form implements the same five methods,
+``evaluate_batch(points)``, ``grad_log_p(d)``, ``roots(x, d, tol)``,
+``roots_and_gradient(d, e)`` and ``tuple_form(points)``, plus its ``kind``
+and ``json_fields``; ``roots`` takes one point or a stack of them, shape
+(..., m), and returns shape (..., n).  ``roots_and_gradient`` gives a
+Sinkhorn step what it needs at d from one factorization: the descending
+roots of d along the oracle's direction e, p(d), and grad log p(d) when
+every root is positive (None otherwise).  The pure functions here validate
+their inputs and delegate to those: evaluation, univariate restrictions
+along a direction, root spectra, directional traces, rank, and cone
+membership.  Polarization in ``mixed`` evaluates the form that
+``tuple_form`` returns.  Every univariate restriction, of p or of a mixed
+value, is sampled and fitted by ``chebyshev_restriction``, a stack of lines
+at a time.
 Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -30,7 +35,7 @@ from .errors import (
     NearSingularDirectionWarning,
     NonRealRootError,
 )
-from .interlace import MonicPolynomial, real_roots, real_roots_from_coefficients
+from .interlace import real_roots_from_coefficients, real_roots_of_rows
 from .report import Report
 
 POSITIVE = "positive"
@@ -60,6 +65,10 @@ class ProductPolynomial:
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(x / d, axis=-1)[..., ::-1]
+
+    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+        lam = self.roots(d, e, 0.0)
+        return lam, float(np.prod(d)), 1.0 / d if lam[-1] > 0.0 else None
 
     def tuple_form(self, pts: np.ndarray) -> tuple[ProductPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
@@ -100,6 +109,18 @@ class DeterminantalPolynomial:
             raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
         return lam[..., ::-1]
 
+    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """One eigh of M(d).  e is the direction the pencil is normalized at, M(e) = I (to 1e-12), so the
+        roots of d along e are the eigenvalues of M(d), p(d) is their product, and
+        d_j log p(d) = tr(M(d)^-1 B_j) with M(d)^-1 = V diag(1/lambda) V^T, formed only when every
+        eigenvalue is positive."""
+        m, n, _ = self.pencil.shape
+        lam, vecs = np.linalg.eigh(self.matrix(d))
+        grad = None
+        if lam[0] > 0.0:
+            grad = self.pencil.reshape(m, n * n) @ ((vecs / lam) @ vecs.T).reshape(n * n)
+        return lam[::-1], float(np.prod(lam)), grad
+
     def tuple_form(self, pts: np.ndarray) -> tuple[DeterminantalPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s.
 
@@ -130,25 +151,29 @@ class DensePolynomial:
         monomials = np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
         return monomials @ self.coefficients
 
-    def grad_log_p(self, d: np.ndarray) -> np.ndarray:
-        """Exact term differentiation of p at d, divided by p(d)."""
+    def _gradient(self, d: np.ndarray) -> np.ndarray:
+        """grad p(d) by exact term differentiation."""
         grad = np.empty(self.m)
         for i in range(self.m):
             exps = self.exponents.copy()
             coefs = self.coefficients * exps[:, i]
             exps[:, i] = np.maximum(exps[:, i] - 1, 0)
             grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
-        return grad / self.evaluate_batch(d[None, :])[0]
+        return grad
+
+    def grad_log_p(self, d: np.ndarray) -> np.ndarray:
+        return self._gradient(d) / self.evaluate_batch(d[None, :])[0]
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
-        """All n roots of t -> p(x - t d), row by row for a stack of x.  The leading coefficient of
-        that restriction is p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which
-        grows as |x|^n."""
-        if x.ndim > 1:
-            rows = [self.roots(row, d, tol) for row in x.reshape(-1, self.m)]
-            return np.asarray(rows).reshape(x.shape[:-1] + (self.n,))
-        coeffs = chebyshev_restriction(self.evaluate_batch, self.n, x, -d)
-        return real_roots(MonicPolynomial.from_standard(coeffs), tol)
+        """All n roots of t -> p(x - t d) for each row of x, from one restriction fit and one eigvals
+        call on the stacked companion matrices.  The leading coefficient of that restriction is
+        p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which grows as |x|^n."""
+        return real_roots_of_rows(chebyshev_restriction(self.evaluate_batch, self.n, x, -d), tol)
+
+    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+        lam = self.roots(d, e, DEFAULT_ROOT_TOL)
+        value = float(self.evaluate_batch(d[None, :])[0])
+        return lam, value, self._gradient(d) / value if lam[-1] > 0.0 and value > 0.0 else None
 
     def tuple_form(self, pts: np.ndarray) -> tuple[DensePolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
@@ -319,23 +344,41 @@ def pencil_matrix(oracle: HyperbolicOracle, x) -> np.ndarray:
     return oracle.form.matrix(_as_point(oracle, x))
 
 
+@functools.lru_cache(maxsize=None)
+def _chebyshev_to_power(count: int) -> np.ndarray:
+    """The integer matrix whose column j holds the ascending power coefficients of T_j, j < count."""
+    table = np.zeros((count, count))
+    table[0, 0] = 1.0
+    if count > 1:
+        table[1, 1] = 1.0
+    for j in range(2, count):
+        table[1:, j] = 2.0 * table[:-1, j - 1]
+        table[:, j] -= table[:, j - 2]
+    table.setflags(write=False)
+    return table
+
+
 def chebyshev_restriction(
     evaluate: Callable[[np.ndarray], np.ndarray], degree: int, x: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
-    """Ascending coefficients c_0..c_degree of t -> f(x + t d), for f of that degree along the line.
+    """Ascending coefficients c_0..c_degree of t -> f(x + t d), for f of that degree along the line,
+    for one point x or each row of a stack of them, shape (..., m) -> (..., degree+1).
 
-    ``evaluate`` maps a batch of points (rows) to the values of f.  f is
-    sampled at degree+1 Chebyshev nodes of the first kind scaled to
-    [-1-|x|, 1+|x|]; equispaced nodes would make the interpolation matrix
-    unusable already around degree 10.  Fitting in the Chebyshev basis keeps
-    the interpolation well-conditioned before converting to the power basis.
+    ``evaluate`` maps a batch of points (rows) to the values of f; it is
+    called once, on the nodes of every line.  f is sampled at degree+1
+    Chebyshev nodes of the first kind scaled to [-1-|x|, 1+|x|]; equispaced
+    nodes would make the interpolation matrix unusable already around degree
+    10.  Fitting in the Chebyshev basis keeps the interpolation
+    well-conditioned; one least-squares fit takes every line as a right-hand
+    side, and one integer matrix converts them all to the power basis.
     """
-    radius = 1.0 + float(np.linalg.norm(x))
+    radius = 1.0 + np.linalg.norm(x, axis=-1)
     count = degree + 1
     s = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
-    pts = x[None, :] + (radius * s)[:, None] * d[None, :]
-    power = np.polynomial.chebyshev.cheb2poly(np.polynomial.chebyshev.chebfit(s, evaluate(pts), degree))
-    return np.pad(power, (0, count - power.size)) / radius ** np.arange(count)
+    pts = x[..., None, :] + (radius[..., None] * s)[..., None] * d
+    values = evaluate(pts.reshape(-1, x.shape[-1])).reshape(-1, count)
+    power = (_chebyshev_to_power(count) @ np.polynomial.chebyshev.chebfit(s, values.T, degree)).T
+    return (power / np.reshape(radius, (-1, 1)) ** np.arange(count)).reshape(x.shape[:-1] + (count,))
 
 
 def univariate_restriction(oracle: HyperbolicOracle, x, d) -> np.ndarray:

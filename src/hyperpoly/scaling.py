@@ -7,6 +7,10 @@ the generalized Edmonds-Rado rank condition.  Capacity itself is computed by
 convex minimization of log p over exponentiated weights, whose gradient is
 again made of traces.  Every trace comes from tr_d(x) = <grad p(d), x> / p(d),
 so the traces of a whole tuple are the one product points @ grad_log_p(d).
+A Sinkhorn step takes its collapse test, its traces and its energy p(d) from
+one ``roots_and_gradient`` call, one factorization of the form at d.  A
+scaling report keeps the scaled tuple as k scales over the input tuple, and
+its defect and energy histories as float64 arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .oracle import (
     evaluate,
     evaluate_batch,
     hyperbolic_rank,
-    roots_in_direction,
 )
 from .report import Report
 
@@ -90,7 +93,8 @@ def gradient(oracle: HyperbolicOracle, alpha) -> np.ndarray:
 
 def doubly_stochastic_defect(oracle: HyperbolicOracle, points) -> float:
     """Sum of (tr_d(x_i) - 1)^2 against d = sum of the tuple; zero iff d-doubly stochastic."""
-    _, traces = _sum_and_traces(oracle, as_tuple(points))
+    pts = as_tuple(points)
+    traces, _ = _traces_and_value(oracle, pts, pts.sum(axis=0))
     return float(np.sum((traces - 1.0) ** 2))
 
 
@@ -101,19 +105,23 @@ def sinkhorn_map(oracle: HyperbolicOracle, points) -> np.ndarray:
     fixed point, and p evaluated at the tuple's sum never increases.
     """
     pts = as_tuple(points)
-    _, traces = _sum_and_traces(oracle, pts)
+    traces, _ = _traces_and_value(oracle, pts, pts.sum(axis=0))
     return pts / traces[:, None]
 
 
 @dataclass(frozen=True)
 class ScalingState(Report):
-    """The scaled tuple scales_i x_i, held as its k scales and the input tuple itself (not a copy)."""
+    """The scaled tuple scales_i x_i, held as its k scales and the input tuple itself (not a copy);
+    its sum d is recomputed as the iteration computes it."""
 
     source: np.ndarray
     scales: np.ndarray
-    d: np.ndarray
     traces: np.ndarray
     defect: float
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.scales @ self.source
 
     @property
     def points(self) -> np.ndarray:
@@ -128,10 +136,10 @@ class ScalingState(Report):
 class ScalingReport(Report):
     converged: bool
     iterations: int
-    defect_history: tuple[float, ...]
+    defect_history: np.ndarray  # float64, one entry per state
     final_state: ScalingState
     capacity_verdict: str
-    energy_history: tuple[float, ...] = ()
+    energy_history: np.ndarray  # float64 p(d), one entry per state
     boundary_collapse: bool = False
 
     # The wire format carries the final defect instead of the whole final state.
@@ -260,31 +268,30 @@ _COLLAPSE_RATIO = 1e-10
 
 def _soft_traces(
     oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarray | float, d: np.ndarray
-) -> Optional[np.ndarray]:
-    """Traces of the scaled tuple scales_i x_i against d, tr_d(c x) = c tr_d(x), or None once d
-    has collapsed onto the numerical cone boundary."""
+) -> Optional[tuple[np.ndarray, float]]:
+    """Traces of the scaled tuple scales_i x_i against d, tr_d(c x) = c tr_d(x), and p(d), from one
+    ``roots_and_gradient`` call; None once d has collapsed onto the numerical cone boundary."""
     if not np.all(np.isfinite(d)):
         return None
     try:
-        lam = roots_in_direction(oracle, d, oracle.direction, check_direction=False)
+        lam, value, grad = oracle.form.roots_and_gradient(d, oracle.direction)
     except (HyperpolyError, np.linalg.LinAlgError):
         return None
-    if classify_spectrum(lam, _COLLAPSE_RATIO) != POSITIVE:
+    if grad is None or classify_spectrum(lam, _COLLAPSE_RATIO) != POSITIVE:
         return None
-    traces = scales * traces_in_direction(oracle, pts, d)
+    traces = scales * (pts @ grad)
     floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
     if not np.all(np.isfinite(traces)) or np.any(traces <= floor):
         return None
-    return traces
+    return traces, value
 
 
-def _sum_and_traces(oracle: HyperbolicOracle, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tuple's sum d and the traces against it; a collapse at the start is an error."""
-    d = pts.sum(axis=0)
-    traces = _soft_traces(oracle, pts, 1.0, d)
-    if traces is None:
+def _traces_and_value(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """The traces of the tuple against its sum d, and p(d); a collapse at the start is an error."""
+    found = _soft_traces(oracle, pts, 1.0, d)
+    if found is None:
         raise DegenerateDirectionError("the tuple's sum is not strictly inside the positivity cone")
-    return d, traces
+    return found
 
 
 def sinkhorn_iteration(
@@ -312,30 +319,29 @@ def sinkhorn_iteration(
     then stops with boundary_collapse=True rather than fabricating traces.
     """
     pts = as_tuple(points)
-    d, traces = _sum_and_traces(oracle, pts)
+    scales = np.ones(pts.shape[0])
+    traces, energy = _traces_and_value(oracle, pts, scales @ pts)
     effective = min(1.0 / oracle.n, threshold)
     defects: list[float] = []
     energies: list[float] = []
     converged = False
     collapsed = False
     iterations = 0
-    scales = np.ones(pts.shape[0])
     defect = float(np.sum((traces - 1.0) ** 2))
     while True:
         defects.append(defect)
-        energies.append(evaluate(oracle, d))
+        energies.append(energy)
         if defect <= effective:
             converged = True
             break
         if iterations >= max_iters:
             break
         next_scales = scales / traces
-        next_d = next_scales @ pts
-        next_traces = _soft_traces(oracle, pts, next_scales, next_d)
-        if next_traces is None:
+        step = _soft_traces(oracle, pts, next_scales, next_scales @ pts)
+        if step is None:
             collapsed = True
             break
-        scales, d, traces = next_scales, next_d, next_traces
+        scales, (traces, energy) = next_scales, step
         defect = float(np.sum((traces - 1.0) ** 2))
         iterations += 1
     if converged:
@@ -344,14 +350,14 @@ def sinkhorn_iteration(
         verdict = VERDICT_ZERO
     else:
         verdict = VERDICT_UNDETERMINED
-    state = ScalingState(source=pts, scales=scales, d=d, traces=traces, defect=defect)
+    state = ScalingState(source=pts, scales=scales, traces=traces, defect=defect)
     return ScalingReport(
         converged=converged,
         iterations=iterations,
-        defect_history=tuple(defects),
+        defect_history=np.asarray(defects),
         final_state=state,
         capacity_verdict=verdict,
-        energy_history=tuple(energies),
+        energy_history=np.asarray(energies),
         boundary_collapse=collapsed,
     )
 

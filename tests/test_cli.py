@@ -654,9 +654,17 @@ class TestSymmetricOracleSize:
 
     @pytest.mark.parametrize("oracle_doc", [{"kind": "product", "n": 2}, {"kind": "symmetric", "n": 2}])
     def test_matrix_tuple_of_another_size_builds_no_basis(self, tmp_path, capsys, monkeypatch, oracle_doc):
-        monkeypatch.setattr(cli, "symmetric_basis", self.refuse)
+        # A 3 x 3 basis is cheap to build, so only the shape check keeps the comparison from building it.
+        build = gen._basis_matrices
+
+        def refuse_tuple_size(n, start, stop):
+            if n == 3:
+                self.refuse(n)
+            return build(n, start, stop)
+
+        monkeypatch.setattr(gen, "_basis_matrices", refuse_tuple_size)
         oracle = write(tmp_path / "oracle.json", oracle_doc)
-        tup = write(tmp_path / "t.json", {"matrices": [np.eye(64).tolist()]})
+        tup = write(tmp_path / "t.json", {"matrices": [np.eye(3).tolist()] * 3})
         code = main(["mixed", oracle, tup])
         captured = capsys.readouterr()
         assert code == 2

@@ -13,7 +13,9 @@ from hyperpoly.errors import (
     DimensionMismatchError,
     InvalidDocumentError,
     NearSingularDirectionWarning,
+    NonRealRootError,
 )
+from hyperpoly.interlace import MonicPolynomial, real_roots
 from hyperpoly.oracle import DEFAULT_ROOT_TOL
 
 
@@ -305,6 +307,17 @@ def _stack_cases():
     ]
 
 
+def _row_roots(oracle, x):
+    """The roots of t -> p(x - t e) from this row's own Chebyshev fit, cheb2poly and companion eigvals."""
+    count = oracle.n + 1
+    radius = 1.0 + float(np.linalg.norm(x))
+    s = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+    values = hp.evaluate_batch(oracle, x[None, :] - (radius * s)[:, None] * oracle.direction[None, :])
+    power = np.polynomial.chebyshev.cheb2poly(np.polynomial.chebyshev.chebfit(s, values, oracle.n))
+    coeffs = np.pad(power, (0, count - power.size)) / radius ** np.arange(count)
+    return real_roots(MonicPolynomial.from_standard(coeffs), DEFAULT_ROOT_TOL)
+
+
 class TestStackedRoots:
     @pytest.mark.parametrize("case", range(4))
     def test_stack_matches_rows(self, case):
@@ -328,6 +341,25 @@ class TestStackedRoots:
         assert min(ranks) < oracle.n  # the stack reaches the boundary
         if oracle.kind != "dense":  # the zero point's repeated roots defeat the dense root finder
             assert hp.hyperbolic_rank(oracle, np.vstack([stack, np.zeros(oracle.m)]))[-1] == 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dense_stack_matches_row_by_row_fits(self, n):
+        rng = np.random.default_rng(50 + n)
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, n, 3))
+        stack = gen.positive_point_tuple(dense, rng, 8)
+        rows = np.stack([_row_roots(dense, x) for x in stack])
+        np.testing.assert_allclose(dense.form.roots(stack, dense.direction, DEFAULT_ROOT_TOL), rows, rtol=1e-10, atol=0)
+
+    def test_non_real_row_in_a_stack_raises_on_the_worst_root(self):
+        # x_1^2 + x_2^2 - x_3^2 has two positive squares, so it is not hyperbolic in direction (1, 0, 0):
+        # the roots x_1 +- sqrt(x_3^2 - x_2^2) of a row are real only when |x_3| >= |x_2|.
+        oracle = hp.dense_oracle(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0}, [1.0, 0.0, 0.0])
+        stack = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 3.0], [0.0, 3.0, 1.0], [1.0, 0.5, 0.0]])
+        real = oracle.form.roots(stack[:2], oracle.direction, DEFAULT_ROOT_TOL)
+        np.testing.assert_allclose(real, [[2.0, 0.0], [5.0, -1.0]], rtol=0.0, atol=1e-12)
+        with pytest.raises(NonRealRootError) as caught:
+            oracle.form.roots(stack, oracle.direction, DEFAULT_ROOT_TOL)
+        assert abs(caught.value.root.imag) == pytest.approx(8.0**0.5)
 
     def test_rank_of_a_point_is_an_int(self, sym3):
         assert type(hp.hyperbolic_rank(sym3, sym3.direction)) is int

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hyperpoly import generators as gen
 from hyperpoly import scaling
 from hyperpoly.errors import (
     DegenerateDirectionError,
+    HyperpolyError,
     InvalidDocumentError,
+    NonRealRootError,
     ZeroCapacityError,
 )
+from hyperpoly.oracle import DeterminantalPolynomial, classify_spectrum
 from hyperpoly.scaling import matrix_as_tuple, row_normalized, tuple_as_matrix
 
 
@@ -207,7 +211,8 @@ class TestSinkhornIteration:
         base = gen.random_determinantal_oracle(rng, 3, 3)
         dense = hp.dense_from_oracle(base)
         pts = gen.positive_point_tuple(base, rng, 3)
-        original = scaling.roots_in_direction
+        form = type(dense.form)
+        original = form.roots_and_gradient
         calls = []
 
         def failing_after_first(*args, **kwargs):
@@ -216,9 +221,32 @@ class TestSinkhornIteration:
                 raise RuntimeError("unrelated failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(scaling, "roots_in_direction", failing_after_first)
+        monkeypatch.setattr(form, "roots_and_gradient", failing_after_first)
         with pytest.raises(RuntimeError, match="unrelated failure"):
             hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14, precheck=False)
+
+    @pytest.mark.parametrize(
+        "error", [NonRealRootError("complex pair"), np.linalg.LinAlgError("no convergence")], ids=["typed", "linalg"]
+    )
+    def test_typed_error_in_collapse_test_is_a_collapse(self, monkeypatch, error):
+        rng = np.random.default_rng(17)
+        base = gen.random_determinantal_oracle(rng, 3, 3)
+        dense = hp.dense_from_oracle(base)
+        pts = gen.positive_point_tuple(base, rng, 3)
+        form = type(dense.form)
+        original = form.roots_and_gradient
+        calls = []
+
+        def failing_after_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise error
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(form, "roots_and_gradient", failing_after_first)
+        report = hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14, precheck=False)
+        assert report.boundary_collapse and report.iterations == 0
+        assert report.capacity_verdict == "undetermined"
 
     def test_multiplier_grows_each_step(self):
         oracle = gen.symmetric_matrix_oracle(3)
@@ -275,6 +303,140 @@ class TestSinkhornIteration:
             assert state.multiplier == float(np.prod(state.scales))
             assert state.d == pytest.approx(expected.sum(axis=0), rel=rtol)
             assert state.defect == report.defect_history[-1]
+
+    def test_a_determinantal_step_contracts_the_pencil_once(self, monkeypatch):
+        oracle = gen.symmetric_matrix_oracle(4)
+        pts = gen.positive_point_tuple(oracle, np.random.default_rng(8), 4)
+        contractions = []
+        original = DeterminantalPolynomial.matrix
+        monkeypatch.setattr(DeterminantalPolynomial, "matrix", lambda form, x: contractions.append(x) or original(form, x))
+        report = hp.sinkhorn_iteration(oracle, pts)
+        assert report.converged and report.iterations >= 5
+        assert len(contractions) <= report.iterations + 2
+
+    def test_state_sum_is_the_loop_sum_and_histories_are_arrays(self, ds_instance):
+        mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(6), 4)
+        oracle = gen.symmetric_matrix_oracle(4)
+        cases = [
+            ds_instance + (10000,),
+            (oracle, gen.positive_point_tuple(oracle, np.random.default_rng(9), 4), 10000),
+            gen.matrix_tuple_points(mats) + (1000,),
+        ]
+        for oracle, pts, max_iters in cases:
+            report = hp.sinkhorn_iteration(oracle, pts, max_iters=max_iters, threshold=1e-9)
+            state = report.final_state
+            assert "d" not in [f.name for f in fields(state)]
+            np.testing.assert_array_equal(state.d, state.scales @ state.source)
+            # The last energy is p at the loop's own d: the same call on state.d reproduces it bit for bit.
+            assert report.energy_history[-1] == oracle.form.roots_and_gradient(state.d, oracle.direction)[1]
+            for history in (report.defect_history, report.energy_history):
+                assert isinstance(history, np.ndarray) and history.dtype == np.float64
+                assert history.shape == (report.iterations + 1,)
+        assert hp.sinkhorn_iteration(*ds_instance, threshold=1e-9).iterations == 0
+
+
+def _three_call_sinkhorn(oracle, pts: np.ndarray, max_iters: int) -> tuple[tuple[str, bool, bool, int], np.ndarray]:
+    """Reference loop for sinkhorn_iteration at its default threshold: each step takes its collapse
+    test from roots_in_direction, its traces from traces_in_direction and its energy from evaluate.
+    Returns (verdict, converged, boundary_collapse, iterations) and the energy history."""
+
+    def soft_traces(scales, d):
+        if not np.all(np.isfinite(d)):
+            return None
+        try:
+            lam = hp.roots_in_direction(oracle, d, oracle.direction, check_direction=False)
+        except (HyperpolyError, np.linalg.LinAlgError):
+            return None
+        if classify_spectrum(lam, scaling._COLLAPSE_RATIO) != "positive":
+            return None
+        traces = scales * hp.traces_in_direction(oracle, pts, d)
+        floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
+        if not np.all(np.isfinite(traces)) or np.any(traces <= floor):
+            return None
+        return traces
+
+    scales = np.ones(len(pts))
+    traces = soft_traces(scales, scales @ pts)
+    assert traces is not None
+    effective = min(1.0 / oracle.n, 1e-10)
+    converged = collapsed = False
+    iterations = 0
+    energies = []
+    while True:
+        energies.append(hp.evaluate(oracle, scales @ pts))
+        if float(np.sum((traces - 1.0) ** 2)) <= effective:
+            converged = True
+            break
+        if iterations >= max_iters:
+            break
+        next_scales = scales / traces
+        next_traces = soft_traces(next_scales, next_scales @ pts)
+        if next_traces is None:
+            collapsed = True
+            break
+        scales, traces = next_scales, next_traces
+        iterations += 1
+    if converged:
+        verdict = "positive"
+    elif not hp.edmonds_rado_check(oracle, pts).holds:
+        verdict = "zero"
+    else:
+        verdict = "undetermined"
+    return (verdict, converged, collapsed, iterations), np.asarray(energies)
+
+
+def _mixed_rank_family(count: int):
+    """The seeded mixed-rank PSD family: rng = default_rng(3), per tuple n in 3..8 and element
+    ranks r in 1..n, A_i = V V^T with V = standard_normal((n, r)) * uniform(0.2, 3, size=r)."""
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        mats = []
+        for r in rng.integers(1, n + 1, size=n):
+            v = rng.standard_normal((n, r)) * rng.uniform(0.2, 3, size=r)
+            mats.append(v @ v.T)
+        yield mats
+
+
+def _assert_same_energies(got: np.ndarray, expected: np.ndarray) -> None:
+    # An eigenvalue product and a det of M(d) agree to about eps * cond(M(d)), and a recorded state has
+    # cond(M(d)) <= 1 / _COLLAPSE_RATIO, so eps / 1e-10 ~ 2e-6 bounds the gap even next to a collapse.
+    np.testing.assert_allclose(got, expected, rtol=1e-5, atol=0.0)
+
+
+class TestOneFactorizationPerStep:
+    """sinkhorn_iteration against the three-call reference loop: same verdict, convergence, collapse
+    and iteration count, and the same energies up to rounding."""
+
+    def test_mixed_rank_family(self):
+        small = [mats for mats in _mixed_rank_family(44) if len(mats) <= 5][:20]
+        assert len(small) == 20
+        outcomes = set()
+        for mats in small:
+            oracle, pts = gen.matrix_tuple_points(mats)
+            report = hp.sinkhorn_iteration(oracle, pts, max_iters=300)
+            got = (report.capacity_verdict, report.converged, report.boundary_collapse, report.iterations)
+            expected, energies = _three_call_sinkhorn(oracle, pts, 300)
+            assert got == expected
+            _assert_same_energies(report.energy_history, energies)
+            outcomes.add(report.capacity_verdict)
+        assert outcomes == {"positive", "undetermined"}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rank_deficient_and_dense_tuples(self, n):
+        mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(30 + n), n)
+        rng = np.random.default_rng(40 + n)
+        base = gen.random_determinantal_oracle(rng, n, 3)
+        dense = hp.dense_from_oracle(base)
+        verdicts = []
+        for oracle, pts in [gen.matrix_tuple_points(mats), (dense, gen.positive_point_tuple(base, rng, n))]:
+            report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
+            got = (report.capacity_verdict, report.converged, report.boundary_collapse, report.iterations)
+            expected, energies = _three_call_sinkhorn(oracle, pts, 1000)
+            assert got == expected
+            _assert_same_energies(report.energy_history, energies)
+            verdicts.append((report.capacity_verdict, report.boundary_collapse))
+        assert verdicts == [("zero", True), ("positive", False)]
 
 
 _RANK_FAMILIES = ("product", "psd", "dense")
