@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments
-from .errors import HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
+from .errors import ConvergenceError, HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
 from .generators import GeneratorSpec, generate_document, is_symmetric_basis, matrix_points, symmetric_matrix_oracle
 from .interlace import (
     HYPERBOLIC,
@@ -42,7 +42,7 @@ from .interlace import (
     symmetric_convex_line_check,
 )
 from .mixed import alexandrov_fenchel_verdict, mixed_value, newton_saturation_check
-from .oracle import evaluate, oracle_from_json, roots_in_direction, trace_in_direction
+from .oracle import _symmetrize, evaluate, oracle_from_json, roots_in_direction, trace_in_direction
 from .scaling import (
     STATUS_CONVERGED,
     STATUS_ZERO,
@@ -155,14 +155,19 @@ def _load_tuple(path: str, oracle):
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
         mats = _floats(doc["matrices"], f"{path}: 'matrices'")
-        pts = matrix_points(mats)
+        matrix_points(mats)  # the shape checks
         # Matrix coordinates only make sense against the symmetric-basis pencil.
         if not (oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, mats.shape[1])):
             raise InvalidDocumentError(
                 f"{path}: matrix tuples pair with the symmetric-basis oracle "
                 f'({{"kind": "symmetric", "n": {mats.shape[1]}}})'
             )
-        return oracle, pts
+        # The coordinates are the upper triangle, so an asymmetric matrix is refused, as in a pencil document.
+        try:
+            _symmetrize(mats)
+        except InvalidDocumentError as exc:
+            raise InvalidDocumentError(f"{path}: {exc}") from exc
+        return oracle, matrix_points(mats)
     raise InvalidDocumentError(f"{path}: tuple document needs a 'points' or 'matrices' field")
 
 
@@ -437,6 +442,9 @@ def main(argv=None) -> int:
     except (NonRealRootError, ZeroCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDETERMINED
     except HyperpolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,7 +1,13 @@
 """Univariate real-rootedness machinery.
 
 Companion matrices, root extraction, hyperbolic-pair tests (partial-fraction
-residues and sampled pencils), and majorization.  The hyperbolic Lidskii check
+residues and sampled pencils), and majorization.  Every companion matrix comes
+from ``companion_matrices`` and every root extraction ends in
+``real_roots_of_rows``.  Leading coefficients are trimmed only where a pencil
+x*q + y*r can lose degree (``real_roots_from_coefficients``, called by
+pair_spectrum, sampled_pencil_test and on characteristic polynomials); the
+restriction of a form along a cone direction keeps its nonzero leading
+coefficient and is never trimmed.  The hyperbolic Lidskii check
 and the line-convexity sweep are written once over a spectrum map, a callable
 from a point to its descending roots: eigvalsh for symmetric matrices,
 pair_spectrum for a pencil pair (q, r), and roots_in_direction for any oracle.
@@ -103,21 +109,9 @@ class MonicPolynomial:
 
 
 def taylor_shift(coeffs, s: float) -> np.ndarray:
-    """Ascending coefficients of p(x + s) given ascending coefficients of p.
-
-    Horner's rule on x + s with the floats numpy.polynomial composes it with:
-    each product coefficient is summed onto +0.0, as its convolution does, and
-    trailing zero coefficients are dropped, keeping at least one.
-    """
-    c = np.asarray(coeffs, dtype=float).tolist()
-    s = float(s) + 0.0
-    out = [c[-1] + (s * 0.0 + 0.0)]
-    for a in reversed(c[:-1]):
-        out = [out[0] * s + 0.0] + [out[j] * s + out[j - 1] + 0.0 for j in range(1, len(out))] + [out[-1] + 0.0]
-        if out[-1] == 0.0:
-            out.pop()
-        out[0] += a
-    return np.asarray(out)
+    """Ascending coefficients of p(x + s) given ascending coefficients of p, by numpy's own
+    composition: trailing zero coefficients are dropped, keeping at least one."""
+    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([s, 1.0])).coef
 
 
 def standard_coefficients(poly, length: Optional[int] = None) -> np.ndarray:
@@ -137,12 +131,7 @@ def standard_coefficients(poly, length: Optional[int] = None) -> np.ndarray:
 
 def companion(q: MonicPolynomial) -> np.ndarray:
     """Companion matrix with ones on the superdiagonal and (a_n, ..., a_1) in the last row."""
-    n = q.degree
-    mat = np.zeros((n, n))
-    for i in range(n - 1):
-        mat[i, i + 1] = 1.0
-    mat[n - 1, :] = np.asarray(q.a)[::-1]
-    return mat
+    return companion_matrices(q.standard_coefficients())
 
 
 def companion_matrices(coeffs: np.ndarray) -> np.ndarray:
@@ -198,28 +187,21 @@ def real_roots_of_rows(coeffs: np.ndarray, tol: float) -> np.ndarray:
     return _accept_real(np.linalg.eigvals(companion_matrices(coeffs)), tol)
 
 
-def roots_from_coefficients(coeffs) -> np.ndarray:
-    """Complex roots of an ascending coefficient vector via the companion matrix.
+def real_roots_from_coefficients(coeffs, tol: float = 1e-8) -> np.ndarray:
+    """``real_roots_of_rows`` for one ascending coefficient vector of a pencil x*q + y*r.
 
-    Leading coefficients smaller than LEADING_TRIM * max|c| are dropped first,
-    so a pencil direction that kills the top coefficient is handled as the
-    lower degree polynomial it actually is.
+    Leading coefficients at most LEADING_TRIM * max|c| are dropped first, so a
+    pencil direction that kills the top coefficient is handled as the lower
+    degree polynomial it actually is; a constant has no roots.
     """
     c = np.asarray(coeffs, dtype=float)
-    peak = np.max(np.abs(c)) if c.size else 0.0
-    if peak == 0.0:
-        return np.empty(0, dtype=complex)
     k = c.size
+    peak = np.max(np.abs(c)) if k else 0.0
     while k > 1 and abs(c[k - 1]) <= LEADING_TRIM * peak:
         k -= 1
-    c = c[:k]
-    if c.size == 1:
-        return np.empty(0, dtype=complex)
-    return np.linalg.eigvals(companion(MonicPolynomial.from_standard(c)))
-
-
-def real_roots_from_coefficients(coeffs, tol: float = 1e-8) -> np.ndarray:
-    return _accept_real(roots_from_coefficients(coeffs), tol)
+    if k <= 1:
+        return np.empty(0)
+    return real_roots_of_rows(c[:k], tol)
 
 
 @dataclass(frozen=True)

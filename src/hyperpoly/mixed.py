@@ -23,7 +23,7 @@ from .errors import (
     InvalidDocumentError,
     NonRealRootError,
 )
-from .interlace import real_roots_from_coefficients
+from .interlace import real_roots_of_rows
 from .oracle import (
     OUTSIDE,
     POSITIVE,
@@ -328,10 +328,14 @@ def k_hyperbolicity_polynomial(oracle: HyperbolicOracle, x, tail, k: int) -> np.
 
 
 def k_hyperbolic_check(oracle: HyperbolicOracle, x, tail, k: int) -> bool:
-    """True when the k-slot polynomial at this x is real-rooted, to a relative imaginary part of 1e-7."""
+    """True when the k-slot polynomial at this x is real-rooted, to a relative imaginary part of 1e-7.
+
+    Its leading coefficient M(e, ..., e, tail) is positive, so it is never trimmed: the answer does not
+    depend on the scale of x.
+    """
     coeffs = k_hyperbolicity_polynomial(oracle, x, tail, k)
     try:
-        real_roots_from_coefficients(coeffs, 1e-7)
+        real_roots_of_rows(coeffs, 1e-7)
     except NonRealRootError:
         return False
     return True

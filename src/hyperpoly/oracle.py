@@ -317,7 +317,9 @@ def dense_oracle(m: int, n: int, terms, direction) -> HyperbolicOracle:
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
     pe = float(DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs).evaluate_batch(e[None, :])[0])
-    if abs(pe) < NEAR_SINGULAR_FLOOR:
+    # Vanishing is judged against the size of the terms at e, sum |c_t| |e|^alpha_t, so it does not depend on scale.
+    size = DensePolynomial(m=m, n=n, exponents=exps, coefficients=np.abs(coefs)).evaluate_batch(np.abs(e)[None, :])[0]
+    if abs(pe) <= 1e-12 * size:
         raise InvalidDocumentError("polynomial vanishes at the declared direction")
     metadata = {"normalization_factor": pe}
     form = DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs / pe)

@@ -12,7 +12,7 @@ import hyperpoly
 from hyperpoly import cli, experiments
 from hyperpoly import generators as gen
 from hyperpoly.cli import RunConfig, build_parser, main
-from hyperpoly.errors import InvalidDocumentError
+from hyperpoly.errors import ConvergenceError, InvalidDocumentError
 
 
 def write(path, doc):
@@ -139,6 +139,17 @@ class TestScalingCommands:
         tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
         code, report = run(capsys, "edmonds-rado", oracle, tup)
         assert code == 1 and report["holds"] is False and report["witness"] == [0, 1]
+
+    def test_convergence_error_is_undetermined(self, tmp_path, product2, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise ConvergenceError("minimum-norm-point iteration stalled on rounding")
+
+        monkeypatch.setattr(cli, "edmonds_rado_check", stall)
+        tup = write(tmp_path / "t.json", {"points": [[1.0, 0.0], [0.0, 1.0]]})
+        code = main(["edmonds-rado", product2, tup])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_tight_set_is_undetermined_not_zero(self, tmp_path, capsys, tight_set_matrices):
         # The rank condition holds; the unattained infimum ends at the
@@ -611,6 +622,22 @@ class TestMatrixTupleLoading:
             tracemalloc.stop()
         assert peak <= 0.25 * oracle.form.pencil.nbytes
         assert loaded is oracle and np.array_equal(pts, gen.matrix_points(mats))
+
+    @pytest.mark.parametrize("first", [[[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.0], [5.0, 1.0]]], ids=["upper", "lower"])
+    def test_asymmetric_matrix_exits_two(self, tmp_path, capsys, first):
+        # Only the upper triangle becomes a coordinate, so either orientation would be read as another tuple.
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 2})
+        tup = write(tmp_path / "t.json", {"matrices": [first, [[2.0, 1.0], [1.0, 2.0]]]})
+        code = main(["mixed", oracle, tup])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {tup}: ") and "matrix 0 is not symmetric" in captured.err
+
+    def test_asymmetry_within_tolerance_is_averaged(self, tmp_path):
+        oracle = gen.symmetric_matrix_oracle(2)
+        path = write(tmp_path / "t.json", {"matrices": [[[1.0, 2.0], [2.0 + 1e-10, 1.0]], np.eye(2).tolist()]})
+        _, pts = cli._load_tuple(path, oracle)
+        assert pts[0].tolist() == gen.matrix_points([[[1.0, 2.0 + 5e-11], [2.0 + 5e-11, 1.0]]])[0].tolist()
 
     def test_symmetric_basis_is_matched_within_1e_12(self):
         basis = gen.symmetric_basis(40)

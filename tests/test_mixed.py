@@ -233,6 +233,13 @@ class TestKHyperbolicity:
         assert disc >= -1e-8 * max(1.0, c1 * c1)
         assert hp.k_hyperbolic_check(oracle, x, tail, 2)
 
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e5, 1e7])
+    def test_answer_does_not_depend_on_the_scale_of_x(self, c):
+        # t -> p(x + t e) = (c + t)^2 + c^2 has the roots -c +- c i at every scale; its leading
+        # coefficient 1 must not be trimmed as negligible next to c_0 = 2 c^2.
+        oracle = hp.dense_oracle(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0}, [1.0, 0.0, 0.0])
+        assert not hp.k_hyperbolic_check(oracle, c * np.array([1.0, 1.0, 0.0]), np.empty((0, 3)), 2)
+
 
 class TestLogConcavityProfile:
     def test_equal_points_constant(self):

@@ -71,6 +71,19 @@ class TestEvaluate:
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
+class TestDenseNormalization:
+    @pytest.mark.parametrize("c", [1.0, 1e13, 1e-13])
+    def test_vanishing_is_judged_against_the_size_of_the_terms(self, c):
+        # p(e) = 1.5 c is far from zero next to sum |c_t| |e|^alpha_t = 1.5 |c| at every scale.
+        oracle = hp.dense_oracle(2, 2, {(1, 1): c, (2, 0): c / 2}, [1.0, 1.0])
+        reference = hp.dense_oracle(2, 2, {(1, 1): 1.0, (2, 0): 0.5}, [1.0, 1.0])
+        assert oracle.form.coefficients == pytest.approx(reference.form.coefficients, rel=1e-15)
+
+    def test_polynomial_vanishing_at_the_direction_is_rejected(self):
+        with pytest.raises(InvalidDocumentError, match="vanishes"):
+            hp.dense_oracle(2, 2, {(2, 0): 1.0, (0, 2): -1.0}, [1.0, 1.0])
+
+
 class TestRestriction:
     def test_product_squared(self):
         coeffs = hp.univariate_restriction(hp.product_oracle(2), [0.0, 0.0], [1.0, 1.0])
