@@ -204,7 +204,7 @@ def real_roots_from_coefficients(coeffs, tol: float = 1e-8) -> np.ndarray:
     return real_roots_of_rows(c[:k], tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairReport(Report):
     """Outcome of a hyperbolic-pair test."""
 
@@ -302,7 +302,7 @@ def pencil_characteristic_polynomial(q: MonicPolynomial, r: MonicPolynomial, x: 
     return np.poly(mat)[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MajorizationReport(Report):
     """u majorized by v: descending prefix sums of u dominated by those of v, equal totals."""
 
@@ -391,7 +391,7 @@ def shifted_pencil_majorization(
     return hyperbolic_lidskii(spectrum, delta, point, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineConvexityReport(Report):
     convex: bool
     min_at_zero: Optional[bool]
@@ -457,7 +457,7 @@ def root_statistic(f_id: str, degree: int) -> Callable[[np.ndarray], float]:
     raise InvalidDocumentError(f"unknown root statistic '{f_id}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymmetricConvexReport(Report):
     convex: bool
     values: tuple[float, ...]

@@ -146,7 +146,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SupportSet(Report):
     """Compositions with strictly positive mixed value, plus the values themselves."""
 
@@ -220,7 +220,7 @@ def polytope_membership(r, support_set: SupportSet) -> bool:
     raise HyperpolyError(f"membership LP terminated abnormally: {res.message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaturationReport(Report):
     saturated: bool
     violations: tuple[tuple[int, ...], ...]
@@ -228,7 +228,7 @@ class SaturationReport(Report):
 
     # The wire format puts the support's member list next to the verdict instead of nesting it.
     def to_json(self) -> dict:
-        doc = super().to_json()
+        doc = Report.to_json(self)
         doc.update(doc.pop("support"))
         return doc
 

@@ -2,20 +2,24 @@
 
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
-normalized so that p(e) = 1.  Every form implements the same five methods,
+normalized so that p(e) = 1.  Every form implements the same six methods,
 ``evaluate_batch(points)``, ``grad_log_p(d)``, ``roots(x, d, tol)``,
-``roots_and_gradient(d, e)`` and ``tuple_form(points)``, plus its ``kind``
-and ``json_fields``; ``roots`` takes one point or a stack of them, shape
-(..., m), and returns shape (..., n).  ``roots_and_gradient`` gives a
+``normalized_roots(x, e, tol)``, ``roots_and_gradient(d, e)`` and
+``tuple_form(points)``, plus its ``kind`` and ``json_fields``; both root
+methods take one point or a stack of them, shape (..., m), and return shape
+(..., n).  ``normalized_roots`` takes the roots along the oracle's own
+direction e, where a pencil has M(e) = I and needs no factorization of M(e);
+``roots`` takes them along any direction.  ``roots_and_gradient`` gives a
 Sinkhorn step what it needs at d from one factorization: the descending
 roots of d along the oracle's direction e, p(d), and grad log p(d) when
 every root is positive (None otherwise).  The pure functions here validate
 their inputs and delegate to those: evaluation, univariate restrictions
 along a direction, root spectra, directional traces, rank, and cone
 membership.  Polarization in ``mixed`` evaluates the form that
-``tuple_form`` returns.  Every univariate restriction, of p or of a mixed
-value, is sampled and fitted by ``chebyshev_restriction``, a stack of lines
-at a time.
+``tuple_form`` returns; that form is not normalized, so it is only ever
+evaluated.  Every univariate restriction, of p or of a mixed value, is
+sampled by ``chebyshev_restriction``, a stack of lines at a time, and turned
+into power coefficients by one product with a cached per-degree table.
 Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
@@ -66,6 +70,9 @@ class ProductPolynomial:
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(x / d, axis=-1)[..., ::-1]
 
+    def normalized_roots(self, x: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
+        return self.roots(x, e, tol)
+
     def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
         lam = self.roots(d, e, 0.0)
         return lam, float(np.prod(d)), 1.0 / d if lam[-1] > 0.0 else None
@@ -107,6 +114,15 @@ class DeterminantalPolynomial:
             lam = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(half, -1, -2)))
         except np.linalg.LinAlgError as exc:
             raise DegenerateDirectionError(f"generalized eigenproblem failed: {exc}") from exc
+        return lam[..., ::-1]
+
+    def normalized_roots(self, x: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
+        """``roots`` along the direction e the pencil is normalized at: M(e) = I (to 1e-12), so the
+        roots are the eigenvalues of M(x) itself, one eigvalsh for a whole stack of x."""
+        try:
+            lam = np.linalg.eigvalsh(self.matrix(x))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDirectionError(f"eigenproblem failed: {exc}") from exc
         return lam[..., ::-1]
 
     def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
@@ -169,6 +185,9 @@ class DensePolynomial:
         call on the stacked companion matrices.  The leading coefficient of that restriction is
         p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which grows as |x|^n."""
         return real_roots_of_rows(chebyshev_restriction(self.evaluate_batch, self.n, x, -d), tol)
+
+    def normalized_roots(self, x: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
+        return self.roots(x, e, tol)
 
     def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
         lam = self.roots(d, e, DEFAULT_ROOT_TOL)
@@ -347,17 +366,29 @@ def pencil_matrix(oracle: HyperbolicOracle, x) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _chebyshev_to_power(count: int) -> np.ndarray:
-    """The integer matrix whose column j holds the ascending power coefficients of T_j, j < count."""
-    table = np.zeros((count, count))
-    table[0, 0] = 1.0
+def _chebyshev_interpolation(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count Chebyshev nodes of the first kind, s_k = cos((2k+1) pi / (2 count)), and the matrix
+    that takes the values of a polynomial of degree < count at them to its ascending power coefficients.
+
+    At these nodes the Chebyshev coefficients are a discrete cosine transform of the values,
+    a_j = (2 - [j = 0]) / count * sum_k f(s_k) T_j(s_k); the matrix is that transform followed by
+    the integer matrix whose column j holds the power coefficients of T_j.  Both arrays are read-only.
+    """
+    k = np.arange(count)
+    s = np.cos((2 * k + 1) * np.pi / (2 * count))
+    transform = np.cos(np.outer(k, 2 * k + 1) * np.pi / (2 * count)) * (2.0 / count)
+    transform[0] *= 0.5
+    to_power = np.zeros((count, count))
+    to_power[0, 0] = 1.0
     if count > 1:
-        table[1, 1] = 1.0
+        to_power[1, 1] = 1.0
     for j in range(2, count):
-        table[1:, j] = 2.0 * table[:-1, j - 1]
-        table[:, j] -= table[:, j - 2]
+        to_power[1:, j] = 2.0 * to_power[:-1, j - 1]
+        to_power[:, j] -= to_power[:, j - 2]
+    table = to_power @ transform
+    s.setflags(write=False)
     table.setflags(write=False)
-    return table
+    return s, table
 
 
 def chebyshev_restriction(
@@ -370,16 +401,17 @@ def chebyshev_restriction(
     called once, on the nodes of every line.  f is sampled at degree+1
     Chebyshev nodes of the first kind scaled to [-1-|x|, 1+|x|]; equispaced
     nodes would make the interpolation matrix unusable already around degree
-    10.  Fitting in the Chebyshev basis keeps the interpolation
-    well-conditioned; one least-squares fit takes every line as a right-hand
-    side, and one integer matrix converts them all to the power basis.
+    10.  Interpolating in the Chebyshev basis keeps the recovery
+    well-conditioned; at these nodes it is a discrete cosine transform, so one
+    product with the cached per-degree table of ``_chebyshev_interpolation``
+    takes the values of every line to power coefficients.
     """
     radius = 1.0 + np.linalg.norm(x, axis=-1)
     count = degree + 1
-    s = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+    s, table = _chebyshev_interpolation(count)
     pts = x[..., None, :] + (radius[..., None] * s)[..., None] * d
     values = evaluate(pts.reshape(-1, x.shape[-1])).reshape(-1, count)
-    power = (_chebyshev_to_power(count) @ np.polynomial.chebyshev.chebfit(s, values.T, degree)).T
+    power = values @ table.T
     return (power / np.reshape(radius, (-1, 1)) ** np.arange(count)).reshape(x.shape[:-1] + (count,))
 
 
@@ -401,16 +433,19 @@ def roots_in_direction(
     """The n roots of t -> p(x - t d), sorted descending.
 
     The direction must be strictly inside the positivity cone, which
-    guarantees real roots for hyperbolic p.  Determinantal oracles take the
-    eigenvalues of L^-1 M(x) L^-T, with M(d) = L L^T by Cholesky; the product
-    form has the roots x_i/d_i in closed form; dense forms go through the
-    companion matrix of the restriction along -d, whose degree is always n.
+    guarantees real roots for hyperbolic p.  Along the oracle's own direction
+    the form's ``normalized_roots`` answer: determinantal oracles take the
+    eigenvalues of M(x), since M(e) = I.  Along any other direction they take
+    the eigenvalues of L^-1 M(x) L^-T, with M(d) = L L^T by Cholesky.  The
+    product form has the roots x_i/d_i in closed form; dense forms go through
+    the companion matrix of the restriction along -d, whose degree is always n.
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)
-    if check_direction and not np.array_equal(d, oracle.direction):
-        if cone_membership(oracle, d) != POSITIVE:
-            raise DegenerateDirectionError("direction is not strictly inside the positivity cone")
+    if np.array_equal(d, oracle.direction):
+        return oracle.form.normalized_roots(x, d, tol)
+    if check_direction and cone_membership(oracle, d) != POSITIVE:
+        raise DegenerateDirectionError("direction is not strictly inside the positivity cone")
     return oracle.form.roots(x, d, tol)
 
 
@@ -439,12 +474,13 @@ def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) 
 
     The cutoff is tol * lambda_1(x), so rank(c x) = rank(x) for every c > 0; a
     point whose largest root is not positive has rank 0.  A stack of points,
-    shape (..., m), gets the array of their ranks from one ``roots`` call.
+    shape (..., m), gets the array of their ranks from one ``normalized_roots``
+    call: one eigvalsh of the stacked M(x) on a pencil.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 0 or pts.shape[-1] != oracle.m:
         raise DimensionMismatchError(f"point has shape {pts.shape}, oracle expects (..., {oracle.m})")
-    lam = oracle.form.roots(pts, oracle.direction, DEFAULT_ROOT_TOL)
+    lam = oracle.form.normalized_roots(pts, oracle.direction, DEFAULT_ROOT_TOL)
     top = lam[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.sum(lam > tol * top, axis=-1), 0)
     return int(ranks) if pts.ndim == 1 else ranks
@@ -468,7 +504,7 @@ def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) 
     return classify_spectrum(roots_in_direction(oracle, x, oracle.direction, check_direction=False), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperbolicityReport(Report):
     verdict: bool
     counterexample: Optional[np.ndarray]

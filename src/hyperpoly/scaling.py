@@ -109,7 +109,7 @@ def sinkhorn_map(oracle: HyperbolicOracle, points) -> np.ndarray:
     return pts / traces[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingState(Report):
     """The scaled tuple scales_i x_i, held as its k scales and the input tuple itself (not a copy);
     its sum d is recomputed as the iteration computes it."""
@@ -132,7 +132,7 @@ class ScalingState(Report):
         return float(np.prod(self.scales))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingReport(Report):
     converged: bool
     iterations: int
@@ -144,12 +144,12 @@ class ScalingReport(Report):
 
     # The wire format carries the final defect instead of the whole final state.
     def to_json(self) -> dict:
-        doc = super().to_json()
+        doc = Report.to_json(self)
         doc["defect"] = doc.pop("final_state")["defect"]
         return doc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdmondsRadoReport(Report):
     holds: bool
     witness: Optional[tuple[int, ...]]
@@ -192,7 +192,8 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
     S -> rank(sum_S x_i) is a polymatroid rank function, so g(S) = rank - |S|
     is submodular and the condition reads min_S g(S) >= 0.  Fujishige's method
     decides it: Wolfe's algorithm walks toward the minimum-norm point y* of the
-    base polytope of g, each greedy vertex costing at most k rank calls.  Every
+    base polytope of g.  Each greedy vertex costs one stacked rank call on the
+    k prefix sums of the tuple in the vertex's order.  Every
     point y of that polytope has y(S) <= g(S) and g is integral, so the
     condition holds as soon as the negative entries of y sum above -1.
     Otherwise the witness is {i : y*_i < 0}, the minimal minimizer of g: the
@@ -218,18 +219,16 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
     n = oracle.n
 
     def greedy_vertex(x: np.ndarray) -> np.ndarray:
-        # g(prefix_j) - g(prefix_{j-1}) along x ascending; rank is monotone and at
-        # most n, so the prefixes after the first of rank n add zero rank.
-        vertex = np.full(k, -1.0)
-        prefix = np.zeros(pts.shape[1])
-        previous = 0
-        for i in np.argsort(x, kind="stable"):
-            prefix = prefix + pts[i]
-            rank = hyperbolic_rank(oracle, prefix)
-            vertex[i] += rank - previous
-            previous = rank
-            if rank >= n:
-                break
+        # g(prefix_j) - g(prefix_{j-1}) along x ascending, every prefix ranked in one
+        # stacked call; rank is monotone and at most n, so every prefix after the
+        # first of rank n has rank n and adds zero rank.
+        order = np.argsort(x, kind="stable")
+        ranks = hyperbolic_rank(oracle, np.cumsum(pts[order], axis=0))
+        full = np.flatnonzero(ranks >= n)
+        if full.size:
+            ranks[full[0] :] = n
+        vertex = np.empty(k)
+        vertex[order] = np.diff(ranks, prepend=0) - 1.0
         return vertex
 
     # The nonzero entries of y* have modulus at least 1/k (they are ratios
@@ -362,7 +361,7 @@ def sinkhorn_iteration(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityResult(Report):
     value: float
     minimizer: np.ndarray
@@ -451,7 +450,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcavityReport(Report):
     holds: bool
     lhs: float
@@ -525,7 +524,7 @@ def van_der_waerden_ratio(oracle: HyperbolicOracle, points) -> float:
     return mixed_value(oracle, pts) / cap.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReciprocalGradientReport(Report):
     lhs: float
     rhs: float

@@ -16,7 +16,15 @@ from hyperpoly.errors import (
     NonRealRootError,
 )
 from hyperpoly.interlace import MonicPolynomial, real_roots
-from hyperpoly.oracle import DEFAULT_ROOT_TOL
+from hyperpoly.oracle import (
+    DEFAULT_CONE_TOL,
+    DEFAULT_RANK_TOL,
+    DEFAULT_ROOT_TOL,
+    DeterminantalPolynomial,
+    _chebyshev_interpolation,
+    chebyshev_restriction,
+    classify_spectrum,
+)
 
 
 @pytest.fixture
@@ -380,6 +388,141 @@ class TestStackedRoots:
     def test_stack_of_the_wrong_width_is_rejected(self, sym3):
         with pytest.raises(DimensionMismatchError):
             hp.hyperbolic_rank(sym3, np.ones((2, sym3.m + 1)))
+
+
+def _generalized_rank_and_class(oracle, x):
+    """Rank and cone class of x from scipy's generalized eigenvalues of (M(x), M(e)), by the rules
+    of ``hyperbolic_rank`` and ``cone_membership``.  Rank is defined on the closed cone only (outside
+    it the largest root may be a zero root whose sign is rounding), so a point outside has rank None."""
+    lam = linalg.eigh(oracle.form.matrix(x), oracle.form.matrix(oracle.direction), eigvals_only=True)[::-1]
+    cls = classify_spectrum(lam, DEFAULT_CONE_TOL)
+    if cls == hp.OUTSIDE:
+        return None, cls
+    return (int(np.sum(lam > DEFAULT_RANK_TOL * lam[0])) if lam[0] > 0.0 else 0), cls
+
+
+def _rank_and_class(oracle, x):
+    cls = hp.cone_membership(oracle, x)
+    return (None if cls == hp.OUTSIDE else hp.hyperbolic_rank(oracle, x)), cls
+
+
+def _signed_low_rank_points(rng, n, count):
+    """Points V diag(signs) V^T of the symmetric basis, V of n x r with r drawn from 1..n; on about 30% of
+    them each sign is -1 with probability 1/3.  Every rank, on the boundary, inside and outside the cone."""
+    mats = []
+    for _ in range(count):
+        v = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        signs = np.where(rng.random(v.shape[1]) < 1 / 3, -1.0, 1.0) if rng.random() < 0.3 else 1.0
+        mats.append((v * signs) @ v.T)
+    return gen.matrix_points(mats)
+
+
+class TestNormalizedRoots:
+    """Along the oracle's own direction a pencil's roots are eigvalsh(M(x)), with no Cholesky of M(e)."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rank_and_cone_match_generalized_eigh_after_congruence(self, n):
+        rng = np.random.default_rng(60 + n)
+        g = rng.standard_normal((n, n))
+        basis = hp.determinantal_oracle(gen.symmetric_basis(n), gen.matrix_to_point(g @ g.T + 0.5 * np.eye(n)))
+        pencil = gen.random_determinantal_oracle(rng, n, 4)
+        cases = [
+            (basis, _signed_low_rank_points(rng, n, 40)),
+            (pencil, gen.nonnegative_point_tuple(pencil, rng, 20, 0.5)),
+            (pencil, rng.standard_normal((20, pencil.m))),
+        ]
+        seen = []
+        for oracle, stack in cases:
+            assert oracle.metadata["congruence_applied"]
+            expected = [_generalized_rank_and_class(oracle, x) for x in stack]
+            assert [_rank_and_class(oracle, x) for x in stack] == expected
+            inside = [rank is not None for rank, _ in expected]
+            ranks = [rank for rank, _ in expected if rank is not None]
+            assert hp.hyperbolic_rank(oracle, stack[inside]).tolist() == ranks
+            seen += expected
+        assert {cls for _, cls in seen} == {hp.POSITIVE, hp.NONNEGATIVE, hp.OUTSIDE}
+        assert min(rank for rank, _ in seen if rank is not None) < n
+
+    def test_rank_and_cone_match_generalized_eigh_without_congruence(self):
+        # M(e) is I up to 4e-13, inside the 1e-12 within which no congruence is applied.
+        n = 5
+        rng = np.random.default_rng(70)
+        g = rng.standard_normal((n, n))
+        basis = gen.symmetric_basis(n).copy()
+        basis[0] += 4e-13 * (g + g.T) / np.max(np.abs(g + g.T))
+        oracle = hp.determinantal_oracle(basis, gen.symmetric_matrix_oracle(n).direction)
+        gram = oracle.form.matrix(oracle.direction)
+        assert not oracle.metadata["congruence_applied"]
+        assert 0.0 < np.max(np.abs(gram - np.eye(n))) <= 1e-12
+        stack = _signed_low_rank_points(rng, n, 40)
+        expected = [_generalized_rank_and_class(oracle, x) for x in stack]
+        assert [_rank_and_class(oracle, x) for x in stack] == expected
+        assert {rank for rank, _ in expected} == {None, *range(1, n + 1)}
+        assert {cls for _, cls in expected} == {hp.POSITIVE, hp.NONNEGATIVE, hp.OUTSIDE}
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_stack_matches_rows(self, case):
+        oracle, stack, _ = _stack_cases()[case]
+        e = oracle.direction
+        rows = np.stack([oracle.form.normalized_roots(x, e, DEFAULT_ROOT_TOL) for x in stack])
+        close = {"rtol": 0.0, "atol": 1e-13 * float(np.max(np.abs(rows)))}
+        np.testing.assert_allclose(oracle.form.normalized_roots(stack, e, DEFAULT_ROOT_TOL), rows, **close)
+        np.testing.assert_allclose(oracle.form.roots(stack, e, DEFAULT_ROOT_TOL), rows, **close)
+
+    def test_unnormalized_pencils_are_only_evaluated(self, monkeypatch):
+        # mixed_discriminant's pencil and polarization's tuple pencil do not have M(e) = I.
+        def refuse(*args):
+            raise AssertionError("an unnormalized pencil reached normalized_roots")
+
+        rng = np.random.default_rng(71)
+        mats = [gen.random_psd_matrix(rng, 3) for _ in range(3)]
+        oracle = gen.random_determinantal_oracle(rng, 3, 3)
+        points = gen.positive_point_tuple(oracle, rng, 3)
+        monkeypatch.setattr(DeterminantalPolynomial, "normalized_roots", refuse)
+        assert hp.mixed_discriminant(mats) > 0.0
+        assert hp.mixed_value(oracle, points) > 0.0
+
+
+def _chebfit_restriction(values, radius):
+    """Ascending power coefficients of the interpolant of each row of node values, from a least-squares
+    ``chebfit`` and ``cheb2poly`` per row, in the variable t = radius * s."""
+    count = values.shape[-1]
+    s = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+    rows = []
+    for row, r in zip(values, radius):
+        power = np.polynomial.chebyshev.cheb2poly(np.polynomial.chebyshev.chebfit(s, row, count - 1))
+        rows.append(np.pad(power, (0, count - power.size)) / r ** np.arange(count))
+    return np.array(rows)
+
+
+class TestChebyshevRestriction:
+    @pytest.mark.parametrize("degree", range(1, 21))
+    def test_matches_chebfit_route(self, degree):
+        rng = np.random.default_rng(80 + degree)
+        m = 3
+        seen = []
+
+        def evaluate(pts):
+            # Values of no particular polynomial: the interpolation itself is under test.
+            seen.append(rng.standard_normal(len(pts)) * 10.0 ** rng.uniform(-3, 3))
+            return seen[-1]
+
+        d = rng.standard_normal(m)
+        for x in (rng.standard_normal(m), rng.standard_normal((4, m)), rng.standard_normal((2, 3, m))):
+            seen.clear()
+            coeffs = chebyshev_restriction(evaluate, degree, x, d)
+            assert coeffs.shape == x.shape[:-1] + (degree + 1,)
+            radius = 1.0 + np.linalg.norm(x.reshape(-1, m), axis=-1)
+            expected = _chebfit_restriction(seen[0].reshape(-1, degree + 1), radius)
+            got = coeffs.reshape(-1, degree + 1)
+            scale = np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    def test_table_is_read_only(self):
+        for array in _chebyshev_interpolation(6):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestHyperbolicitySampling:

@@ -566,6 +566,37 @@ class TestEdmondsRado:
         assert report.witness == (10, 11)
         assert 2 <= len(calls) < 44
 
+    @pytest.mark.parametrize("family", _RANK_FAMILIES)
+    def test_one_stacked_rank_call_per_greedy_vertex(self, family, monkeypatch):
+        # After the peeling call, every rank call ranks the prefix sums of one greedy vertex: one vertex to
+        # start, one per major cycle, and on a failure the vertex that closes the gap, then the witness.
+        original_rank, original_step = scaling.hyperbolic_rank, scaling._wolfe_step
+        calls, steps = [], []
+        monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: calls.append(args[1]) or original_rank(*args))
+        monkeypatch.setattr(scaling, "_wolfe_step", lambda *args: steps.append(args) or original_step(*args))
+        ran = 0
+        for seed in range(40):
+            oracle, pts = _rank_instance(family, np.random.default_rng([_RANK_FAMILIES.index(family), seed]))
+            calls.clear()
+            steps.clear()
+            report = hp.edmonds_rado_check(oracle, pts)
+            if len(calls) == 1:  # peeling alone settled it
+                assert report.holds and not steps
+                continue
+            ran += 1
+            vertices = calls[1:] if report.holds else calls[1:-1]
+            assert len(vertices) == len(steps) + 1 + (not report.holds)
+            k = vertices[0].shape[0]
+            for prefixes in vertices:
+                assert prefixes.shape == (k, oracle.m)
+                # The rows are the prefix sums of one ordering of the same k elements.
+                elements = np.diff(prefixes, axis=0, prepend=0.0)
+                gaps = np.abs(elements[:, None, :] - pts[None, :, :]).max(axis=2).min(axis=1)
+                assert np.all(gaps <= 1e-12 * max(1.0, float(np.max(np.abs(prefixes)))))
+            if not report.holds:
+                assert calls[-1].shape == (oracle.m,)
+        assert ran >= 10
+
 
 def _planted_violation(rng: np.random.Generator, n: int, j: int, u: int) -> list:
     """n PSD matrices in random order, j of them with ranges inside one random u-dimensional subspace."""
