@@ -2,15 +2,16 @@
 
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
-normalized so that p(e) = 1.  Every form implements the same six methods,
-``evaluate_batch(points)``, ``grad_log_p(d)``, ``roots(x, d, tol)``,
-``normalized_roots(x, e, tol)``, ``roots_and_gradient(d, e)`` and
-``tuple_form(points)``, plus its ``kind`` and ``json_fields``; both root
-methods take one point or a stack of them, shape (..., m), and return shape
-(..., n).  ``normalized_roots`` takes the roots along the oracle's own
-direction e, where a pencil has M(e) = I and needs no factorization of M(e);
-``roots`` takes them along any direction.  ``roots_and_gradient`` gives a
-Sinkhorn step what it needs at d from one factorization: the descending
+normalized so that p(e) = 1.  A form supplies ``kind``, ``evaluate_batch(points)``,
+``grad_log_p(d)`` and ``json_fields(direction)``; the base class ``Form``
+derives ``roots(x, d, tol)``, ``normalized_roots(x, e, tol)``,
+``roots_and_gradient(d, e)`` and ``tuple_form(points)`` from the degree ``n``
+and evaluation.  Pencils override all four, products ``roots``.  Both root
+methods take one point or a stack of them, shape (..., m), and return (..., n).
+``normalized_roots`` takes the roots along the oracle's own direction e,
+where a pencil has M(e) = I and needs no factorization of M(e); ``roots``
+takes them along any direction.  ``roots_and_gradient`` gives a Sinkhorn
+step what it needs at d, from one factorization on a pencil: the descending
 roots of d along the oracle's direction e, p(d), and grad log p(d) when
 every root is positive (None otherwise).  The pure functions here validate
 their inputs and delegate to those: evaluation, univariate restrictions
@@ -54,8 +55,34 @@ DEFAULT_RANK_TOL = 1e-9
 NEAR_SINGULAR_FLOOR = 1e-12
 
 
+class Form:
+    """A polynomial form known only by its evaluation and gradient: the protocol methods that a form
+    with a faster route overrides."""
+
+    def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+        """All n roots of t -> p(x - t d) for each row of x, from one restriction fit and one eigvals
+        call on the stacked companion matrices.  The leading coefficient of that restriction is
+        p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which grows as |x|^n."""
+        return real_roots_of_rows(chebyshev_restriction(self.evaluate_batch, self.n, x, -d), tol)
+
+    def normalized_roots(self, x: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
+        """``roots`` along the oracle's own direction e."""
+        return self.roots(x, e, tol)
+
+    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """The descending roots of d along e, p(d), and grad log p(d) when the smallest root and p(d)
+        are positive (None otherwise)."""
+        lam = self.normalized_roots(d, e, DEFAULT_ROOT_TOL)
+        value = float(self.evaluate_batch(d[None, :])[0])
+        return lam, value, self.grad_log_p(d) if lam[-1] > 0.0 and value > 0.0 else None
+
+    def tuple_form(self, pts: np.ndarray) -> tuple[Form, np.ndarray]:
+        """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
+        return self, pts
+
+
 @dataclass(frozen=True, eq=False)
-class ProductPolynomial:
+class ProductPolynomial(Form):
     """p(z) = z_1 * ... * z_n, hyperbolic in direction (1, ..., 1)."""
 
     n: int
@@ -70,23 +97,12 @@ class ProductPolynomial:
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(x / d, axis=-1)[..., ::-1]
 
-    def normalized_roots(self, x: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
-        return self.roots(x, e, tol)
-
-    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
-        lam = self.roots(d, e, 0.0)
-        return lam, float(np.prod(d)), 1.0 / d if lam[-1] > 0.0 else None
-
-    def tuple_form(self, pts: np.ndarray) -> tuple[ProductPolynomial, np.ndarray]:
-        """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
-        return self, pts
-
     def json_fields(self, direction: np.ndarray) -> dict:
         return {}
 
 
 @dataclass(frozen=True, eq=False)
-class DeterminantalPolynomial:
+class DeterminantalPolynomial(Form):
     """p(x) = det(x_1 B_1 + ... + x_m B_m) with real symmetric B_j and M(e) = I."""
 
     pencil: np.ndarray  # shape (m, n, n)
@@ -154,7 +170,7 @@ class DeterminantalPolynomial:
 
 
 @dataclass(frozen=True, eq=False)
-class DensePolynomial:
+class DensePolynomial(Form):
     """Homogeneous polynomial stored as exponent rows and matching coefficients."""
 
     m: int
@@ -167,36 +183,14 @@ class DensePolynomial:
         monomials = np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
         return monomials @ self.coefficients
 
-    def _gradient(self, d: np.ndarray) -> np.ndarray:
-        """grad p(d) by exact term differentiation."""
-        grad = np.empty(self.m)
-        for i in range(self.m):
-            exps = self.exponents.copy()
-            coefs = self.coefficients * exps[:, i]
-            exps[:, i] = np.maximum(exps[:, i] - 1, 0)
-            grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
-        return grad
-
     def grad_log_p(self, d: np.ndarray) -> np.ndarray:
-        return self._gradient(d) / self.evaluate_batch(d[None, :])[0]
-
-    def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
-        """All n roots of t -> p(x - t d) for each row of x, from one restriction fit and one eigvals
-        call on the stacked companion matrices.  The leading coefficient of that restriction is
-        p(-d) != 0, so it is never trimmed as small next to c_0 = p(x), which grows as |x|^n."""
-        return real_roots_of_rows(chebyshev_restriction(self.evaluate_batch, self.n, x, -d), tol)
-
-    def normalized_roots(self, x: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
-        return self.roots(x, e, tol)
-
-    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
-        lam = self.roots(d, e, DEFAULT_ROOT_TOL)
-        value = float(self.evaluate_batch(d[None, :])[0])
-        return lam, value, self._gradient(d) / value if lam[-1] > 0.0 and value > 0.0 else None
-
-    def tuple_form(self, pts: np.ndarray) -> tuple[DensePolynomial, np.ndarray]:
-        """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
-        return self, pts
+        """grad p(d) / p(d), every partial derivative by term differentiation in one product: row i of
+        the (m, terms) monomial table lowers exponent i by one (clamped at zero, where the factor
+        alpha_i vanishes anyway)."""
+        exps = self.exponents
+        lowered = np.maximum(exps - np.eye(self.m, dtype=exps.dtype)[:, None, :], 0)
+        grad = (np.prod(d**lowered, axis=2) * exps.T) @ self.coefficients
+        return grad / self.evaluate_batch(d[None, :])[0]
 
     def json_fields(self, direction: np.ndarray) -> dict:
         return {
@@ -206,9 +200,6 @@ class DensePolynomial:
             ],
             "direction": direction.tolist(),
         }
-
-
-Form = Union[ProductPolynomial, DeterminantalPolynomial, DensePolynomial]
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,8 +428,9 @@ def roots_in_direction(
     the form's ``normalized_roots`` answer: determinantal oracles take the
     eigenvalues of M(x), since M(e) = I.  Along any other direction they take
     the eigenvalues of L^-1 M(x) L^-T, with M(d) = L L^T by Cholesky.  The
-    product form has the roots x_i/d_i in closed form; dense forms go through
-    the companion matrix of the restriction along -d, whose degree is always n.
+    product form has the roots x_i/d_i in closed form; every other form takes
+    ``Form.roots``, the companion matrix of the restriction along -d, whose
+    degree is always n.
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)
@@ -470,19 +462,20 @@ def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
 
 
 def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) -> Union[int, np.ndarray]:
-    """Number of nonzero roots of an e-nonnegative point: |{i : lambda_i(x) > cutoff}|.
+    """Number of nonzero roots of x: |{i : |lambda_i(x)| > tol * max_j |lambda_j(x)|}|.
 
-    The cutoff is tol * lambda_1(x), so rank(c x) = rank(x) for every c > 0; a
-    point whose largest root is not positive has rank 0.  A stack of points,
+    The cutoff is relative to the root scale of ``classify_spectrum``, so
+    rank(c x) = rank(x) for every c != 0, and a point outside the cone gets a
+    rank that rounding does not decide (rank(-e) = n).  On the closed cone
+    this is the number of roots above tol * lambda_1(x).  A stack of points,
     shape (..., m), gets the array of their ranks from one ``normalized_roots``
     call: one eigvalsh of the stacked M(x) on a pencil.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 0 or pts.shape[-1] != oracle.m:
         raise DimensionMismatchError(f"point has shape {pts.shape}, oracle expects (..., {oracle.m})")
-    lam = oracle.form.normalized_roots(pts, oracle.direction, DEFAULT_ROOT_TOL)
-    top = lam[..., :1]
-    ranks = np.where(top[..., 0] > 0.0, np.sum(lam > tol * top, axis=-1), 0)
+    size = np.abs(oracle.form.normalized_roots(pts, oracle.direction, DEFAULT_ROOT_TOL))
+    ranks = np.sum(size > tol * np.maximum(size[..., :1], size[..., -1:]), axis=-1)
     return int(ranks) if pts.ndim == 1 else ranks
 
 

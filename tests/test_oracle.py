@@ -21,6 +21,7 @@ from hyperpoly.oracle import (
     DEFAULT_RANK_TOL,
     DEFAULT_ROOT_TOL,
     DeterminantalPolynomial,
+    Form,
     _chebyshev_interpolation,
     chebyshev_restriction,
     classify_spectrum,
@@ -481,6 +482,159 @@ class TestNormalizedRoots:
         monkeypatch.setattr(DeterminantalPolynomial, "normalized_roots", refuse)
         assert hp.mixed_discriminant(mats) > 0.0
         assert hp.mixed_value(oracle, points) > 0.0
+
+
+def _root_count(lam):
+    """Nonzero roots of a descending spectrum, by the rule of ``hyperbolic_rank``."""
+    size = np.abs(lam)
+    return int(np.sum(size > DEFAULT_RANK_TOL * np.max(size)))
+
+
+class TestRankOutsideTheCone:
+    """Rank counts the roots whose size is above tol times the largest size, on and off the cone."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_negated_rank_one_point_reads_rank_one(self, seed):
+        # -v v^T has roots -|v|^2, 0, 0; the sign of a computed zero root must not decide its rank.
+        rng = np.random.default_rng(80 + seed)
+        g = rng.standard_normal((3, 3))
+        oracle = hp.determinantal_oracle(gen.symmetric_basis(3), gen.matrix_to_point(g @ g.T + 0.5 * np.eye(3)))
+        assert oracle.metadata["congruence_applied"]
+        stack = gen.matrix_points([-np.outer(v, v) for v in rng.standard_normal((8, 3))])
+        assert hp.hyperbolic_rank(oracle, stack).tolist() == [1] * 8
+        assert [hp.hyperbolic_rank(oracle, x) for x in stack] == [1] * 8
+        cholesky = oracle.form.roots(stack, oracle.direction, DEFAULT_ROOT_TOL)
+        assert [_root_count(lam) for lam in cholesky] == [1] * 8
+
+    def test_negated_direction_has_full_rank(self, sym3):
+        # -e has the n-fold root -1, which the dense root finder splits, so dense forms are left out.
+        pencil = gen.random_determinantal_oracle(np.random.default_rng(81), 4, 3)
+        for oracle in (hp.product_oracle(3), sym3, pencil):
+            assert hp.hyperbolic_rank(oracle, -oracle.direction) == oracle.n
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_rank_is_scale_free_outside_the_cone(self, sym3, c):
+        product = hp.product_oracle(3)
+        cases = [
+            (product, [1.0, -1.0, 0.0], 2),
+            (product, [-2.0, 0.0, 0.0], 1),
+            (sym3, gen.matrix_to_point(np.diag([1.0, -1.0, 0.0])), 2),
+            (sym3, gen.matrix_to_point(np.diag([-3.0, -1.0, 2.0])), 3),
+        ]
+        for oracle, x, rank in cases:
+            x = np.asarray(x)
+            assert hp.cone_membership(oracle, x) == hp.OUTSIDE
+            assert hp.hyperbolic_rank(oracle, c * x) == hp.hyperbolic_rank(oracle, x) == rank
+        rng = np.random.default_rng(90)
+        stack = _signed_low_rank_points(rng, 4, 40)
+        oracle = gen.symmetric_matrix_oracle(4)
+        outside = [hp.cone_membership(oracle, x) == hp.OUTSIDE for x in stack]
+        assert sum(outside) > 0
+        ranks = hp.hyperbolic_rank(oracle, stack[outside])
+        assert hp.hyperbolic_rank(oracle, c * stack[outside]).tolist() == ranks.tolist()
+        assert ranks.tolist() == [np.linalg.matrix_rank(gen.point_to_matrix(x, 4)) for x in stack[outside]]
+
+
+def _looped_dense_gradient(form, d):
+    """grad p(d) of a dense form, one coordinate at a time: differentiate every term in x_i."""
+    grad = np.empty(form.m)
+    for i in range(form.m):
+        exps = form.exponents.copy()
+        coefs = form.coefficients * exps[:, i]
+        exps[:, i] = np.maximum(exps[:, i] - 1, 0)
+        grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
+    return grad
+
+
+def _points_with_a_zero_coordinate(oracle, points):
+    """Each point with each of its coordinates set to zero in turn, kept where p does not vanish."""
+    found = []
+    for x in points:
+        for i in range(oracle.m):
+            y = x.copy()
+            y[i] = 0.0
+            if abs(hp.evaluate(oracle, y)) > 1e-6 * np.linalg.norm(y) ** oracle.n:
+                found.append(y)
+    return found
+
+
+class TestDenseGradient:
+    """The one-expression term differentiation of ``DensePolynomial.grad_log_p`` against a per-coordinate loop."""
+
+    def _check(self, oracle, points):
+        for d in points:
+            expected = _looped_dense_gradient(oracle.form, d) / hp.evaluate(oracle, d)
+            got = oracle.form.grad_log_p(d)
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_loop_on_dense_pencils(self, n):
+        rng = np.random.default_rng(100 + n)
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, n, 3))
+        interior = gen.positive_point_tuple(dense, rng, 6)
+        zeros = _points_with_a_zero_coordinate(dense, interior)
+        assert zeros
+        self._check(dense, list(interior) + zeros)
+
+    def test_matches_loop_on_vamos(self, vamos_oracle):
+        rng = np.random.default_rng(107)
+        interior = rng.uniform(0.2, 2.0, (6, 8))
+        zeros = _points_with_a_zero_coordinate(vamos_oracle, interior)
+        assert len(zeros) == 6 * 8  # every element avoids some basis, so p > 0 with one coordinate at zero
+        self._check(vamos_oracle, list(interior) + zeros)
+
+
+class _SecondElementaryForm(Form):
+    """e_2(x_1, x_2, x_3) / 3, known only by its evaluation and gradient: every other protocol method is
+    the base class's."""
+
+    n = 2
+    kind = "e2"
+
+    def evaluate_batch(self, pts):
+        x, y, z = pts.T
+        return (x * y + x * z + y * z) / 3.0
+
+    def grad_log_p(self, d):
+        return (d.sum() - d) / (d[0] * d[1] + d[0] * d[2] + d[1] * d[2])
+
+    def json_fields(self, direction):
+        return {"direction": direction.tolist()}
+
+
+class TestFormBase:
+    """A form that supplies only n, kind, evaluate_batch, grad_log_p and json_fields runs every solver,
+    in agreement with the dense form of the same polynomial."""
+
+    @pytest.fixture
+    def pair(self, esym_oracle):
+        bare = hp.HyperbolicOracle(form=_SecondElementaryForm(), n=2, m=3, direction=np.ones(3))
+        return bare, esym_oracle(2, 3)
+
+    def test_roots_rank_and_cone(self, pair):
+        bare, dense = pair
+        rng = np.random.default_rng(110)
+        points = np.vstack([rng.standard_normal((6, 3)), rng.uniform(0.0, 2.0, (6, 3)), np.eye(3)])
+        for d in (bare.direction, np.array([1.0, 2.0, 3.0])):
+            for x in points:
+                expected = hp.roots_in_direction(dense, x, d)
+                assert hp.roots_in_direction(bare, x, d) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert hp.hyperbolic_rank(bare, points).tolist() == hp.hyperbolic_rank(dense, points).tolist()
+        assert [hp.cone_membership(bare, x) for x in points] == [hp.cone_membership(dense, x) for x in points]
+        assert hp.hyperbolic_rank(bare, np.eye(3)).tolist() == [1, 1, 1]
+
+    def test_capacity_sinkhorn_and_mixed_value(self, pair):
+        bare, dense = pair
+        rng = np.random.default_rng(111)
+        for _ in range(4):
+            points = rng.uniform(0.2, 2.0, (2, 3))
+            got, expected = hp.capacity(bare, points), hp.capacity(dense, points)
+            assert (got.status, got.iterations) == (expected.status, expected.iterations)
+            assert got.value == pytest.approx(expected.value, rel=1e-12)
+            got, expected = hp.sinkhorn_iteration(bare, points), hp.sinkhorn_iteration(dense, points)
+            assert (got.capacity_verdict, got.iterations) == (expected.capacity_verdict, expected.iterations)
+            np.testing.assert_allclose(got.defect_history, expected.defect_history, rtol=0.0, atol=1e-15)
+            assert hp.mixed_value(bare, points) == pytest.approx(hp.mixed_value(dense, points), rel=1e-12)
 
 
 def _chebfit_restriction(values, radius):
