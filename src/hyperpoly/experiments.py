@@ -24,6 +24,7 @@ from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
     MonicPolynomial,
+    _sweep_points,
     lidskii_check,
     majorization_check,
     obreschkoff_pair_test,
@@ -265,10 +266,12 @@ def _derivative_line_trial(args) -> dict:
     q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
     grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
     # P_a = q(x + a) - a q'(x + a) has the spectrum of the pair (q - q', q) at (a, 1 - a, -a); that map
-    # remembers its points, so the sweeps of every k and the majorization pairs share each extraction.
+    # remembers its points, so after one stacked extraction at every grid point and midpoint the sweeps
+    # of every k and the majorization pairs only read them.
     q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
     spectrum = pair_spectrum(q_minus_dq, q, 1e-7)
     x0, dx = np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0])
+    spectrum(_sweep_points(x0, dx, grid))
     at_zero = grid.tolist().index(0.0)
     ok = True
     slack = math.inf

@@ -260,11 +260,19 @@ def _separated_roots(rng: np.random.Generator, degree: int) -> np.ndarray:
 
 
 def _pair_from_residues(roots: np.ndarray, residues: np.ndarray) -> tuple[MonicPolynomial, MonicPolynomial]:
+    """The pair (q, r) with q monic on `roots` and r = q + sum_k a_k q / (x - lambda_k)."""
     q = MonicPolynomial.from_roots(roots)
-    rc = q.standard_coefficients().copy()
-    for k, a_k in enumerate(residues):
-        basis = np.polynomial.polynomial.polyfromroots(np.delete(roots, k))
-        rc[: basis.size] += a_k * basis
+    qc = q.standard_coefficients()
+    n = roots.size
+    # Row k holds the ascending coefficients of q / (x - lambda_k): synthetic division of every
+    # quotient at once, b_(j-1) = c_j + lambda_k b_j from the top.
+    quotients = np.empty((n, n))
+    carry = np.zeros(n)
+    for j in range(n, 0, -1):
+        carry = qc[j] + roots * carry
+        quotients[:, j - 1] = carry
+    rc = qc.copy()
+    rc[:n] += residues @ quotients
     return q, MonicPolynomial.from_standard(rc)
 
 

@@ -2,15 +2,20 @@
 
 Companion matrices, root extraction, hyperbolic-pair tests (partial-fraction
 residues and sampled pencils), and majorization.  Every companion matrix comes
-from ``companion_matrices`` and every root extraction ends in
-``real_roots_of_rows``.  Leading coefficients are trimmed only where a pencil
-x*q + y*r can lose degree (``real_roots_from_coefficients``, called by
-pair_spectrum, sampled_pencil_test and on characteristic polynomials); the
+from ``companion_matrices`` and every root extraction ends in one eigvals call
+on a stack of them.  Leading coefficients are trimmed only where a pencil
+x*q + y*r can lose degree: ``real_roots_from_coefficients`` trims one vector
+(characteristic polynomials, single pair-spectrum points), and
+``_real_roots_of_pencil_rows`` trims each row of a stack by the same rule and
+makes one eigvals call per distinct trimmed degree (every direction of
+sampled_pencil_test, every point a pair_spectrum is given at once).  The
 restriction of a form along a cone direction keeps its nonzero leading
-coefficient and is never trimmed.  The hyperbolic Lidskii check
-and the line-convexity sweep are written once over a spectrum map, a callable
+coefficient and is never trimmed.  The hyperbolic Lidskii check and
+the line-convexity sweep are written once over a spectrum map, a callable
 from a point to its descending roots: eigvalsh for symmetric matrices,
 pair_spectrum for a pencil pair (q, r), and roots_in_direction for any oracle.
+Each check that owns a pair spectrum hands it all of its points in one stack
+call first, so its sweep or Lidskii triple costs one stacked extraction.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ ROOT_SEPARATION_FLOOR = 1e-6
 # Leading coefficients below this fraction of the largest coefficient are
 # treated as exact zeros (degree drop along degenerate pencil directions).
 LEADING_TRIM = 1e-12
+
+# Rows per eigvals call in a stacked pencil extraction: memory stays O(_CHUNK * n^2)
+# whatever the number of directions or sweep points.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -145,13 +154,18 @@ def companion_matrices(coeffs: np.ndarray) -> np.ndarray:
     return mats
 
 
+def _imaginary_excess(lams: np.ndarray, tol: float) -> np.ndarray:
+    """By how much each |Im| exceeds tol*(1+|root|); a root is non-real where this is positive."""
+    return np.abs(lams.imag) - tol * (1.0 + np.abs(lams))
+
+
 def _accept_real(lams: np.ndarray, tol: float) -> np.ndarray:
     """Real parts sorted descending along the last axis; raises on the root whose |Im| exceeds
     tol*(1+|root|) by the most, if any does."""
     if lams.size == 0:
         return np.asarray(lams, dtype=float)
     flat = lams.ravel()
-    slack = np.abs(flat.imag) - tol * (1.0 + np.abs(flat))
+    slack = _imaginary_excess(flat, tol)
     worst = int(np.argmax(slack))
     if slack[worst] > 0.0:
         raise NonRealRootError(
@@ -204,6 +218,39 @@ def real_roots_from_coefficients(coeffs, tol: float = 1e-8) -> np.ndarray:
     return real_roots_of_rows(c[:k], tol)
 
 
+def _trimmed_lengths(rows: np.ndarray) -> np.ndarray:
+    """How many ascending coefficients each row of a stack keeps under the trimming rule of
+    ``real_roots_from_coefficients``; c_0 is never dropped."""
+    mags = np.abs(rows)
+    # Negated, so that a NaN coefficient is kept and reaches eigvals, as in the loop.
+    kept = ~(mags[:, 1:] <= LEADING_TRIM * np.max(mags, axis=1, initial=0.0)[:, None])
+    return np.max(kept * np.arange(2, rows.shape[1] + 1), axis=1, initial=1)
+
+
+def _real_roots_of_pencil_rows(rows: np.ndarray, tol: float) -> tuple[list[Optional[np.ndarray]], np.ndarray]:
+    """``real_roots_from_coefficients`` for each row of a stack (K, n+1), without raising.
+
+    Returns each row's descending roots, None where the row has a root that
+    ``real_roots_from_coefficients`` would reject, and a flag per row that is
+    True exactly there.  Rows are trimmed by the same rule and go through in
+    chunks of _CHUNK, one eigvals call per distinct trimmed degree in a chunk.
+    """
+    lengths = _trimmed_lengths(rows)
+    roots: list[Optional[np.ndarray]] = [np.empty(0)] * len(rows)
+    nonreal = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), _CHUNK):
+        chunk = lengths[start : start + _CHUNK]
+        for k in np.unique(chunk[chunk > 1]):
+            idx = start + np.flatnonzero(chunk == k)
+            lams = np.linalg.eigvals(companion_matrices(rows[idx, :k]))
+            bad = np.any(_imaginary_excess(lams, tol) > 0.0, axis=-1)
+            ordered = np.sort(lams.real, axis=-1)[:, ::-1]
+            nonreal[idx] = bad
+            for i, row_bad, lam in zip(idx, bad, ordered):
+                roots[i] = None if row_bad else lam
+    return roots, nonreal
+
+
 @dataclass(frozen=True, slots=True)
 class PairReport(Report):
     """Outcome of a hyperbolic-pair test."""
@@ -250,7 +297,10 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
 
     Directions are (cos t, sin t) for t on a uniform grid of [0, pi), plus the
     exact degree-dropping direction (1, -1), which a grid must never miss.
-    The first failing direction is reported.  A full pass is evidence for
+    Every direction's pencil goes through one stacked root extraction, each
+    trimmed as ``real_roots_from_coefficients`` trims it (the degree drops at
+    (1, -1) and wherever cos t + sin t rounds to almost 0).  The first failing
+    direction in that order is reported.  A full pass is evidence for
     hyperbolicity of the pair, not a proof.
     """
     if num_dirs < 3:
@@ -261,12 +311,10 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
     thetas = np.pi * np.arange(num_dirs) / num_dirs
     directions = [(math.cos(t), math.sin(t)) for t in thetas]
     directions.append((1.0, -1.0))
-    for x, y in directions:
-        coeffs = x * qc + y * rc
-        try:
-            real_roots_from_coefficients(coeffs, tol)
-        except NonRealRootError:
-            return PairReport(verdict=NOT_HYPERBOLIC, counterexample_direction=(x, y))
+    xy = np.array(directions)
+    _, nonreal = _real_roots_of_pencil_rows(xy[:, :1] * qc + xy[:, 1:] * rc, tol)
+    if nonreal.any():
+        return PairReport(verdict=NOT_HYPERBOLIC, counterexample_direction=directions[int(np.argmax(nonreal))])
     return PairReport(verdict=HYPERBOLIC)
 
 
@@ -355,17 +403,34 @@ def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectru
     eigenvalues of x C_q + y C_r + z I.  Phi is hyperbolic exactly when the
     pair is; otherwise NonRealRootError.  The map remembers every point it
     was given, so each distinct point costs one root extraction.
+
+    The map also takes a stack of points (K, 3).  It then extracts the roots
+    of every point it has not seen in one stacked call and returns the K
+    spectra in a list, None for a point with non-real roots.  Those points
+    are not remembered, so a later call at one of them raises as it would
+    have without the stack call.
     """
     if q.degree != r.degree:
         raise InvalidDocumentError("a pair spectrum needs two monic polynomials of equal degree")
     qc, rc = q.standard_coefficients(), r.standard_coefficients()
     memo: dict[tuple[float, ...], np.ndarray] = {}
 
-    def spectrum(point) -> np.ndarray:
+    def shifted(key: tuple[float, ...], roots: np.ndarray) -> np.ndarray:
+        x, y, z = key
+        return np.sort((x + y) * roots + z)[::-1]
+
+    def spectrum(point):
+        if np.ndim(point) == 2:
+            keys = [tuple(float(v) for v in row) for row in point]
+            fresh = list(dict.fromkeys(key for key in keys if key not in memo))
+            xy = np.array([key[:2] for key in fresh]).reshape(-1, 2)
+            roots, _ = _real_roots_of_pencil_rows(xy[:, :1] * qc + xy[:, 1:] * rc, tol)
+            memo.update((key, shifted(key, lam)) for key, lam in zip(fresh, roots) if lam is not None)
+            return [memo.get(key) for key in keys]
         key = tuple(float(v) for v in point)
         if key not in memo:
-            x, y, z = key
-            memo[key] = np.sort((x + y) * real_roots_from_coefficients(x * qc + y * rc, tol) + z)[::-1]
+            x, y, _ = key
+            memo[key] = shifted(key, real_roots_from_coefficients(x * qc + y * rc, tol))
         return memo[key]
 
     return spectrum
@@ -388,6 +453,8 @@ def shifted_pencil_majorization(
     floor = 1e-12 * max(1.0, abs(x), abs(y), abs(d1), abs(d2))
     if min(abs(x + y), abs(d1 + d2), abs(x + y + (d1 + d2))) < floor:
         raise InvalidDocumentError("degenerate combination: one of x+y, d1+d2, or their sum vanishes")
+    delta, point = np.asarray(delta, dtype=float), np.asarray(point, dtype=float)
+    spectrum(np.stack([delta + point, delta, point]))
     return hyperbolic_lidskii(spectrum, delta, point, tol)
 
 
@@ -421,9 +488,13 @@ def derivative_line_convexity(
     n = q.degree
     q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
     spectrum = pair_spectrum(q_minus_dq, q, tol)
-    pair = spectral_line_convexity(spectrum, n, (0.0, 1.0, -b), (1.0, -1.0, -c), f"topk_sum:{k}", grid, tol)
+    x0, dx = (0.0, 1.0, -b), (1.0, -1.0, -c)
+    at_zero = b == 0.0 and c == 1.0
+    points = _sweep_points(x0, dx, grid)
+    spectrum(np.vstack([points, (0.0, 1.0, 0.0)]) if at_zero else points)
+    pair = spectral_line_convexity(spectrum, n, x0, dx, f"topk_sum:{k}", grid, tol)
     min_at_zero: Optional[bool] = None
-    if b == 0.0 and c == 1.0:
+    if at_zero:
         # P_0 = q: its spectrum is the pair spectrum at (0, 1, 0), a grid point when 0 is on the grid.
         min_at_zero = bool(min(pair.values) >= float(np.sum(spectrum((0.0, 1.0, 0.0))[:k])) - tol)
     # The root sum of P_a in closed form: q.a[0] is the root sum of q.
@@ -471,7 +542,8 @@ def spectral_line_convexity(
     Every symmetric convex function f of the roots of a hyperbolic polynomial
     is convex along lines (Bauschke, Guler, Lewis & Sendov 2001); degree is
     the length of the root vectors.  F is remembered per a, so each distinct
-    grid point and midpoint costs one spectrum.
+    grid point and midpoint costs one spectrum; a pair spectrum can have them
+    all at once from ``_sweep_points``.
     """
     stat = root_statistic(f_id, degree)
     x0, dx = np.asarray(x0, dtype=float), np.asarray(dx, dtype=float)
@@ -482,11 +554,24 @@ def spectral_line_convexity(
             cache[a] = stat(spectrum(x0 + a * dx))
         return cache[a]
 
-    values = tuple(fv(float(a)) for a in grid)
-    pts = sorted(float(a) for a in grid)
-    pairs = ((a, b) for i, a in enumerate(pts) for b in pts[i + 1 :])
-    convex = not any(fv(0.5 * (a + b)) > 0.5 * (fv(a) + fv(b)) + tol for a, b in pairs)
+    grid_values, pairs = _sweep(grid)
+    values = tuple(fv(a) for a in grid_values)
+    convex = not any(fv(mid) > 0.5 * (fv(a) + fv(b)) + tol for a, b, mid in pairs)
     return SymmetricConvexReport(convex=convex, values=values)
+
+
+def _sweep(grid: Sequence[float]) -> tuple[tuple[float, ...], list[tuple[float, float, float]]]:
+    """The grid values of a line sweep in their order, then every pair a < b of them with its midpoint."""
+    grid_values = tuple(float(a) for a in grid)
+    pts = sorted(grid_values)
+    return grid_values, [(a, b, 0.5 * (a + b)) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+
+
+def _sweep_points(x0, dx, grid: Sequence[float]) -> np.ndarray:
+    """Every point x0 + a dx at which ``spectral_line_convexity`` may ask for a spectrum, in its order."""
+    grid_values, pairs = _sweep(grid)
+    a = np.array(grid_values + tuple(mid for _, _, mid in pairs))
+    return np.asarray(x0, dtype=float) + a[:, None] * np.asarray(dx, dtype=float)
 
 
 def symmetric_convex_line_check(
@@ -499,4 +584,7 @@ def symmetric_convex_line_check(
     hyperbolic pair of equal-degree monic polynomials; non-real roots raise
     NonRealRootError, which is the signal that the pair is not hyperbolic.
     """
-    return spectral_line_convexity(pair_spectrum(q, r, tol), q.degree, (0.0, 1.0, -b), (1.0, -1.0, -c), f_id, grid, tol)
+    spectrum = pair_spectrum(q, r, tol)
+    x0, dx = (0.0, 1.0, -b), (1.0, -1.0, -c)
+    spectrum(_sweep_points(x0, dx, grid))
+    return spectral_line_convexity(spectrum, q.degree, x0, dx, f_id, grid, tol)

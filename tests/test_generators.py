@@ -88,6 +88,31 @@ class TestPairs:
         assert hp.sampled_pencil_test(q, r).verdict == NOT_HYPERBOLIC
 
 
+def polyfromroots_pair(roots, residues):
+    """The pair (q, r), r = q + sum_k a_k prod_(j != k) (x - lambda_j), one polyfromroots per residue."""
+    q = MonicPolynomial.from_roots(roots)
+    rc = q.standard_coefficients().copy()
+    for k, a_k in enumerate(residues):
+        basis = np.polynomial.polynomial.polyfromroots(np.delete(roots, k))
+        rc[: basis.size] += a_k * basis
+    return q, MonicPolynomial.from_standard(rc)
+
+
+class TestPairFromResidues:
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_deflation_matches_polyfromroots_route(self, degree):
+        # Degree 1 divides q by its only factor: the quotient is the constant 1.
+        rng = np.random.default_rng(40 + degree)
+        for _ in range(50):
+            roots = gen._separated_roots(rng, degree)
+            residues = rng.uniform(0.2, 2.0, size=degree) * rng.choice([-1.0, 1.0], size=degree)
+            q, r = gen._pair_from_residues(roots, residues)
+            q_ref, r_ref = polyfromroots_pair(roots, residues)
+            assert q == q_ref
+            rc, rc_ref = r.standard_coefficients(), r_ref.standard_coefficients()
+            assert np.max(np.abs(rc - rc_ref)) <= 1e-12 * np.max(np.abs(rc_ref))
+
+
 class TestDocumentRoundTrips:
     def test_pair_document_revalidates(self):
         doc = generate_document(GeneratorSpec(kind="hyperbolic_pair", n=4), 7)

@@ -25,6 +25,42 @@ Q2 = MonicPolynomial((0.0, 1.0))  # x^2 - 1
 R2 = MonicPolynomial.from_standard([0.0, 1.0, 1.0])  # x^2 + x
 
 
+def counted(counts, key, fn):
+    """fn, counting its calls in counts[key]."""
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def count_extractions(monkeypatch, module):
+    """Record the row stacks of every stacked pencil extraction, and count the point-path extractions."""
+    stacks, counts = [], {"extractions": 0}
+    original = module._real_roots_of_pencil_rows
+
+    def recorded(rows, tol):
+        stacks.append(rows.copy())
+        return original(rows, tol)
+
+    monkeypatch.setattr(module, "_real_roots_of_pencil_rows", recorded)
+    for name in ("real_roots_from_coefficients", "real_roots"):
+        monkeypatch.setattr(module, name, counted(counts, "extractions", getattr(module, name)))
+    return stacks, counts
+
+
+def assert_rows_are_points(stacks, qc, rc, xy0, dxy, grid):
+    """One stack was extracted, and its rows are the pencils x qc + y rc at the 17 distinct points
+    (x, y) = xy0 + a dxy, a on the 9-point grid or a midpoint of two of its points."""
+    values = sorted(float(a) for a in grid)
+    params = set(values) | {0.5 * (a + b) for i, a in enumerate(values) for b in values[i + 1 :]}
+    assert len(params) == 17 and len(stacks) == 1
+    expected = {tuple((xy0[0] + a * dxy[0]) * qc + (xy0[1] + a * dxy[1]) * rc) for a in params}
+    rows = [tuple(row) for row in stacks[0]]
+    assert len(rows) == 17 and set(rows) == expected
+
+
 class TestMonicPolynomial:
     def test_standard_round_trip(self):
         q = MonicPolynomial.from_standard([2.0, -3.0, 1.0])  # (x-1)(x-2)
@@ -189,6 +225,129 @@ class TestSampledPencil:
         assert hp.sampled_pencil_test(q, r).verdict == expected
 
 
+def sampled_pencil_loop(q, r, num_dirs, tol):
+    """sampled_pencil_test as a loop over its directions, one point-path extraction each."""
+    n = q.degree
+    qc, rc = standard_coefficients(q), standard_coefficients(r, length=n + 1)
+    directions = [(math.cos(t), math.sin(t)) for t in np.pi * np.arange(num_dirs) / num_dirs] + [(1.0, -1.0)]
+    for x, y in directions:
+        try:
+            hp.real_roots_from_coefficients(x * qc + y * rc, tol)
+        except NonRealRootError:
+            return hp.PairReport(verdict=NOT_HYPERBOLIC, counterexample_direction=(x, y))
+    return hp.PairReport(verdict=HYPERBOLIC)
+
+
+def pencil_rows(q, r, num_dirs):
+    """The pencils of sampled_pencil_test's directions, (1, -1) last."""
+    qc, rc = standard_coefficients(q), standard_coefficients(r, length=q.degree + 1)
+    thetas = np.pi * np.arange(num_dirs) / num_dirs
+    xy = np.vstack([np.column_stack([np.cos(thetas), np.sin(thetas)]), [1.0, -1.0]])
+    return xy[:, :1] * qc + xy[:, 1:] * rc
+
+
+class TestPencilRowExtraction:
+    """The stacked extraction against real_roots_from_coefficients row by row: bitwise equal roots,
+    and a flag exactly where the row raises NonRealRootError."""
+
+    @staticmethod
+    def check(rows, tol=1e-8):
+        roots, nonreal = interlace._real_roots_of_pencil_rows(rows, tol)
+        assert len(roots) == len(rows) and nonreal.shape == (len(rows),)
+        for row, got, flag in zip(rows, roots, nonreal):
+            try:
+                want = hp.real_roots_from_coefficients(row, tol)
+            except NonRealRootError:
+                assert flag and got is None
+                continue
+            assert not flag and got.shape == want.shape and got.tobytes() == want.tobytes()
+        return nonreal
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_generated_pairs(self, degree):
+        rng = np.random.default_rng(60 + degree)
+        for _ in range(4):
+            assert not self.check(pencil_rows(*gen.hyperbolic_pair(rng, degree), 64)).any()
+            if degree > 1:
+                assert self.check(pencil_rows(*gen.nonhyperbolic_pair(rng, degree), 64)).any()
+
+    def test_trimming_rows(self):
+        # At (1, -1) the degree drops by one, and at theta = 3 pi / 4 of a 64-direction grid
+        # x + y = 1.1e-16 is trimmed as well; both monic tops vanish from those rows.
+        q, r = gen.hyperbolic_pair(np.random.default_rng(3), 5)
+        rows = pencil_rows(q, r, 64)
+        lengths = interlace._trimmed_lengths(rows)
+        assert lengths[-1] == lengths[48] == 5 and np.all(np.delete(lengths, [48, 64]) == 6)
+        assert not self.check(rows).any()
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_r_of_lower_degree(self, degree):
+        # r of degree below q's: at (0, 1) the pencil is r alone; random r need not be real-rooted.
+        rng = np.random.default_rng(70 + degree)
+        q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
+        for low in range(degree):
+            r = rng.standard_normal(low + 1)
+            self.check(pencil_rows(q, r, 17))
+
+    def test_zero_and_constant_rows(self):
+        rows = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1e-13], [1.0, 1e-13, 0.0], [1.0, 2.0, 1.0]])
+        self.check(rows)
+        assert interlace._trimmed_lengths(rows).tolist() == [1, 1, 3, 1, 3]
+
+    def test_stack_longer_than_one_chunk(self, monkeypatch):
+        # Random degrees 1..8 (zero-padded to 8), random signs of reality, across three chunks;
+        # no eigvals call sees more than one chunk of matrices.
+        rng = np.random.default_rng(80)
+        count = 2 * interlace._CHUNK + 17
+        rows = rng.standard_normal((count, 9))
+        degrees = rng.integers(1, 9, size=count)
+        for i, degree in enumerate(degrees):
+            rows[i, degree + 1 :] = 0.0
+        sizes = []
+        eigvals = np.linalg.eigvals
+
+        def recorded(mats):
+            sizes.append(len(mats))
+            return eigvals(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        interlace._real_roots_of_pencil_rows(rows, 1e-8)
+        # One eigvals call per distinct degree in each chunk.
+        chunks = range(0, count, interlace._CHUNK)
+        assert len(sizes) == sum(len(set(degrees[i : i + interlace._CHUNK])) for i in chunks) and len(chunks) == 3
+        assert sum(sizes) == count and max(sizes) <= interlace._CHUNK
+        monkeypatch.undo()
+        nonreal = self.check(rows)
+        assert nonreal.any() and not nonreal.all()
+
+    def test_empty_stack(self):
+        roots, nonreal = interlace._real_roots_of_pencil_rows(np.empty((0, 4)), 1e-8)
+        assert roots == [] and nonreal.shape == (0,)
+
+
+class TestSampledPencilStacked:
+    def test_matches_direction_loop_on_generated_pairs(self):
+        # 500 generated pairs of degree 1..8, half hyperbolic: the same verdict and counterexample.
+        rng = np.random.default_rng(90)
+        for i in range(500):
+            degree = 1 + i % 8
+            if i % 2 == 0 or degree == 1:
+                q, r = gen.hyperbolic_pair(rng, degree)
+            else:
+                q, r = gen.nonhyperbolic_pair(rng, degree)
+            assert hp.sampled_pencil_test(q, r) == sampled_pencil_loop(q, r, 64, 1e-8)
+
+    @pytest.mark.parametrize("num_dirs", [3, 7, 300])
+    def test_matches_direction_loop_on_random_pairs(self, num_dirs):
+        # Random r of degree <= deg q fail in many directions; the first in grid order is reported.
+        rng = np.random.default_rng(91 + num_dirs)
+        for i in range(60):
+            degree = 1 + i % 6
+            q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
+            r = rng.standard_normal(1 + int(rng.integers(0, degree + 1)))
+            assert hp.sampled_pencil_test(q, r, num_dirs) == sampled_pencil_loop(q, r, num_dirs, 1e-8)
+
+
 class TestPencilCharacteristicPolynomial:
     def test_pure_q_direction(self):
         coeffs = hp.pencil_characteristic_polynomial(Q2, R2, 1.0, 0.0)
@@ -294,6 +453,17 @@ class TestShiftedPencilMajorization:
                 break
         assert hp.shifted_pencil_majorization(q, r, point, delta, tol=1e-7).majorized
 
+    def test_one_stacked_extraction_for_the_triple(self, monkeypatch):
+        # point + delta, delta and point go through one stacked extraction, and nothing else extracts.
+        q, r = gen.hyperbolic_pair(np.random.default_rng(22), 4)
+        point, delta = np.array([1.3, 0.5, -0.4]), np.array([0.2, 0.9, 0.7])
+        stacks, counts = count_extractions(monkeypatch, interlace)
+        assert hp.shifted_pencil_majorization(q, r, point, delta).majorized
+        assert counts == {"extractions": 0} and len(stacks) == 1
+        qc, rc = standard_coefficients(q), standard_coefficients(r)
+        expected = [p[0] * qc + p[1] * rc for p in (delta + point, delta, point)]
+        assert np.array_equal(stacks[0], np.array(expected))
+
     def test_degenerate_sum_rejected(self):
         with pytest.raises(InvalidDocumentError):
             hp.shifted_pencil_majorization(Q2, R2, (1.0, -1.0, 0.0), (0.0, 1.0, 0.0))
@@ -349,23 +519,18 @@ class TestDerivativeLineConvexity:
             hp.derivative_line_convexity(Q2, 0.0, 1.0, 3, [0.0, 1.0])
 
     def test_one_extraction_per_distinct_point_and_no_builds(self, monkeypatch):
-        # Nine points of linspace(-1, 1, 9) and their midpoints are 17 distinct points, 0 among them.
+        # Nine points of linspace(-1, 1, 9) and their midpoints are 17 distinct points, 0 among them:
+        # one stacked extraction takes all 17 pencils of (q - q', q), and nothing else extracts or builds.
         q = MonicPolynomial.from_roots(gen._separated_roots(np.random.default_rng(13), 4))
-        counts = {"extractions": 0, "builds": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("real_roots_from_coefficients", "real_roots"):
-            monkeypatch.setattr(interlace, name, counted("extractions", getattr(interlace, name)))
-        monkeypatch.setattr(interlace, "derivative_line_polynomial", counted("builds", derivative_line_polynomial))
-        report = interlace.derivative_line_convexity(q, 0.0, 1.0, 2, np.linspace(-1.0, 1.0, 9))
+        grid = np.linspace(-1.0, 1.0, 9)
+        stacks, counts = count_extractions(monkeypatch, interlace)
+        counts["builds"] = 0
+        monkeypatch.setattr(interlace, "derivative_line_polynomial", counted(counts, "builds", derivative_line_polynomial))
+        report = interlace.derivative_line_convexity(q, 0.0, 1.0, 2, grid)
         assert report.convex and report.min_at_zero and report.fn_constant
-        assert counts == {"extractions": 17, "builds": 0}
+        assert counts == {"extractions": 0, "builds": 0}
+        q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
+        assert_rows_are_points(stacks, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
 
     @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 9), np.linspace(-0.9, 1.3, 7)])
     @pytest.mark.parametrize("b, c", [(0.0, 1.0), (0.5, 2.0), (-0.3, 0.7)])
@@ -436,19 +601,13 @@ class TestTaylorShift:
 
 class TestSymmetricConvexLine:
     def test_one_evaluation_per_grid_point_and_midpoint(self, monkeypatch):
-        calls = []
-        original = interlace.real_roots_from_coefficients
-
-        def counted(coeffs, tol=1e-8):
-            calls.append(1)
-            return original(coeffs, tol)
-
-        monkeypatch.setattr(interlace, "real_roots_from_coefficients", counted)
+        # The 9 grid points and their midpoints are 17 distinct points, in one stacked extraction.
+        stacks, counts = count_extractions(monkeypatch, interlace)
         grid = np.linspace(0.0, 1.0, 9)
         report = hp.symmetric_convex_line_check(Q2, R2, 0.0, 0.0, "max", grid)
-        points = {float(a) for a in grid} | {0.5 * (float(a) + float(b)) for a in grid for b in grid}
         assert report.convex and len(report.values) == 9
-        assert len(calls) == len(points) == 17
+        assert counts == {"extractions": 0}
+        assert_rows_are_points(stacks, standard_coefficients(Q2), standard_coefficients(R2), (0.0, 1.0), (1.0, -1.0), grid)
 
     def test_full_sum_affine(self):
         grid = np.linspace(-1.5, 1.5, 11)
@@ -526,6 +685,115 @@ class TestPairSpectrum:
                 spectrum((math.cos(t), math.sin(t), 0.0))
 
 
+def point_only(monkeypatch):
+    """Make interlace's pair spectra ignore stack calls, so every check takes its points one by one."""
+    original = interlace.pair_spectrum
+
+    def unprefetched(q, r, tol):
+        spectrum = original(q, r, tol)
+        return lambda point: None if np.ndim(point) == 2 else spectrum(point)
+
+    monkeypatch.setattr(interlace, "pair_spectrum", unprefetched)
+
+
+def outcome(fn, *args):
+    """fn's report, or the message of the NonRealRootError it raises."""
+    try:
+        return fn(*args)
+    except NonRealRootError as exc:
+        return f"NonRealRootError: {exc}"
+
+
+def pair_cases():
+    """Hyperbolic and non-hyperbolic pairs of degree 2..6, with a few pencil points each."""
+    rng = np.random.default_rng(95)
+    for i in range(40):
+        degree = 2 + i % 5
+        q, r = (gen.hyperbolic_pair if i % 2 == 0 else gen.nonhyperbolic_pair)(rng, degree)
+        yield q, r, rng
+
+
+class TestPairSpectrumStack:
+    def test_stack_rows_equal_point_calls(self):
+        # Random points, degree-dropping points with x + y = 0, and repeats.
+        dropped = 0
+        for q, r, rng in pair_cases():
+            points = rng.uniform(-2.0, 2.0, size=(12, 3))
+            points[3, 1] = -points[3, 0]
+            points[7] = points[2]
+            stacked = hp.pair_spectrum(q, r, 1e-8)(points)
+            single = hp.pair_spectrum(q, r, 1e-8)
+            for point, lam in zip(points, stacked):
+                want = outcome(single, point)
+                if isinstance(want, str):
+                    assert lam is None
+                else:
+                    assert lam.tobytes() == want.tobytes() and lam.shape == want.shape
+            if stacked[3] is not None:
+                assert stacked[3].size == q.degree - 1
+                dropped += 1
+        assert dropped >= 20
+
+    def test_non_real_rows_are_not_remembered(self, monkeypatch):
+        q, r = gen.nonhyperbolic_pair(np.random.default_rng(1), 3)
+        thetas = np.linspace(0.0, np.pi, 65)
+        points = np.column_stack([np.cos(thetas), np.sin(thetas), np.zeros(65)])
+        spectrum = hp.pair_spectrum(q, r, 1e-8)
+        stacked = spectrum(points)
+        missing = [i for i, lam in enumerate(stacked) if lam is None]
+        assert 0 < len(missing) < 65
+        messages = {i: outcome(hp.pair_spectrum(q, r, 1e-8), points[i]) for i in missing}
+        counts = {"extractions": 0}
+        monkeypatch.setattr(
+            interlace, "real_roots_from_coefficients", counted(counts, "extractions", interlace.real_roots_from_coefficients)
+        )
+        for i, point in enumerate(points):
+            if i in missing:
+                assert outcome(spectrum, point) == messages[i]
+            else:
+                assert spectrum(point) is stacked[i]
+        assert counts["extractions"] == len(missing)
+        # A second stack call extracts only the points that are still missing.
+        stacks, _ = count_extractions(monkeypatch, interlace)
+        spectrum(points)
+        assert len(stacks) == 1 and len(stacks[0]) == len(missing)
+
+    @pytest.mark.parametrize("stat", ["max", "sum_abs", "topk_sum:2", "neg_bottomk_sum:1"])
+    def test_line_check_matches_unprefetched_sweep(self, stat):
+        grid = np.linspace(-1.0, 2.0, 9)
+        for q, r, rng in pair_cases():
+            b, c = rng.uniform(-1.0, 1.0, size=2)
+            tol = 1e-7
+            report = outcome(hp.symmetric_convex_line_check, q, r, b, c, stat, grid, tol)
+            direct = outcome(
+                hp.spectral_line_convexity, hp.pair_spectrum(q, r, tol), q.degree, (0.0, 1.0, -b), (1.0, -1.0, -c), stat, grid, tol
+            )
+            assert report == direct
+
+    def test_pair_checks_match_unprefetched_route(self, monkeypatch):
+        cases = []
+        for q, r, rng in pair_cases():
+            point, delta = rng.uniform(0.2, 2.0, size=(2, 3))
+            cases.append(("shifted", hp.shifted_pencil_majorization, (q, r, point, delta, 1e-7)))
+            cases.append(("line", hp.symmetric_convex_line_check, (q, r, 0.3, 0.5, "max", [-1.0, 0.0, 0.5, 2.0], 1e-7)))
+        for i in range(30):
+            # Real-rooted q make hyperbolic pairs (q - q', q); random monic q mostly do not.
+            rng = np.random.default_rng(300 + i)
+            degree = 2 + i % 5
+            if i % 2 == 0:
+                q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
+            else:
+                q = MonicPolynomial(tuple(rng.standard_normal(degree)))
+            for b, c in ((0.0, 1.0), (0.5, 2.0)):
+                cases.append(("derivative", hp.derivative_line_convexity, (q, b, c, 1 + i % degree, np.linspace(-1.0, 1.0, 9), 1e-7)))
+        prefetched = [outcome(fn, *args) for _, fn, args in cases]
+        point_only(monkeypatch)
+        unprefetched = [outcome(fn, *args) for _, fn, args in cases]
+        assert prefetched == unprefetched
+        raised = {name for (name, _, _), out in zip(cases, prefetched) if isinstance(out, str)}
+        assert raised == {"shifted", "line", "derivative"}
+
+
 def _roots_along_direction(oracle):
     """The spectrum map of an oracle: its roots along its own direction."""
     return lambda v: hp.roots_in_direction(oracle, v, oracle.direction)
@@ -582,19 +850,16 @@ class TestGenericSpectralChecks:
 class TestDerivativeLineTrial:
     @pytest.mark.parametrize("trial", range(4))
     def test_one_extraction_per_distinct_point(self, monkeypatch, trial):
-        # The 9-point grid of the trial and its midpoints are 17 distinct points; every k and
-        # the majorization pairs share their spectra.
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args):
-                calls.append(1)
-                return fn(*args)
-
-            return wrapper
-
-        for module in (interlace, experiments):
-            monkeypatch.setattr(module, "real_roots_from_coefficients", counted(module.real_roots_from_coefficients))
+        # The 9-point grid of the trial and its midpoints are 17 distinct points in one stacked
+        # extraction; every k and the majorization pairs read their spectra from it.
+        stacks, counts = count_extractions(monkeypatch, interlace)
+        monkeypatch.setattr(
+            experiments, "real_roots_from_coefficients", counted(counts, "extractions", hp.real_roots_from_coefficients)
+        )
         result = experiments._derivative_line_trial((0, trial))
         assert result["ok"]
-        assert len(calls) == 17
+        assert counts == {"extractions": 0}
+        q = MonicPolynomial.from_roots(gen._separated_roots(gen.rng_for(0, 100, trial), 2 + trial % 4))
+        q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
+        grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
+        assert_rows_are_points(stacks, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
