@@ -24,9 +24,10 @@ from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
     MonicPolynomial,
+    _above_chord,
+    _majorized,
     _sweep_points,
     lidskii_check,
-    majorization_check,
     obreschkoff_pair_test,
     pair_agreement,
     pair_spectrum,
@@ -34,7 +35,6 @@ from .interlace import (
     real_roots_from_coefficients,
     sampled_pencil_test,
     shifted_pencil_majorization,
-    spectral_line_convexity,
 )
 from .mixed import (
     alexandrov_fenchel_verdict,
@@ -265,28 +265,28 @@ def _derivative_line_trial(args) -> dict:
     degree = 2 + trial % 4
     q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
     grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
-    # P_a = q(x + a) - a q'(x + a) has the spectrum of the pair (q - q', q) at (a, 1 - a, -a); that map
-    # remembers its points, so after one stacked extraction at every grid point and midpoint the sweeps
-    # of every k and the majorization pairs only read them.
+    # P_a = q(x + a) - a q'(x + a) has the spectrum of the pair (q - q', q) at (a, 1 - a, -a).  One stacked
+    # extraction gives the spectra at every grid point and then every midpoint, in the order of
+    # ``spectral_line_convexity``'s sweep (the grid is ascending, so its pairs are the upper triangle);
+    # one cumsum of those descending spectra holds every k's top-k sum.
     q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
     spectrum = pair_spectrum(q_minus_dq, q, 1e-7)
-    x0, dx = np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0])
-    spectrum(_sweep_points(x0, dx, grid))
+    points = _sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), grid)
+    # A non-real spectrum raises NonRealRootError from the point call.
+    tops = np.cumsum([lam if lam is not None else spectrum(p) for p, lam in zip(points, spectrum(points))], axis=1)
+    values, mids = tops[: grid.size], tops[grid.size :]
+    low, high = np.triu_indices(grid.size, 1)
+    convex = not np.any(_above_chord(mids, values[low], values[high], 1e-7))
     at_zero = grid.tolist().index(0.0)
-    ok = True
-    slack = math.inf
-    for k in range(1, degree + 1):
-        sweep = spectral_line_convexity(spectrum, degree, x0, dx, f"topk_sum:{k}", grid, 1e-7)
-        ok = ok and sweep.convex and min(sweep.values) >= sweep.values[at_zero] - 1e-7
+    min_at_zero = bool(np.all(values.min(axis=0) >= values[at_zero] - 1e-7))
     # k = degree sums every root: q.a[0], the same at every a.
-    ok = ok and np.ptp(sweep.values) <= 1e-9 * max(1.0, float(np.max(np.abs(sweep.values))))
-    nonneg = [float(a) for a in grid if a >= 0.0]
-    for i, a in enumerate(nonneg):
-        for b in nonneg[i + 1 :]:
-            rep = majorization_check(spectrum(x0 + a * dx), spectrum(x0 + b * dx), tol=1e-7)
-            ok = ok and rep.majorized
-            slack = min(slack, min(rep.prefix_gaps))
-    return {"ok": bool(ok), "slack": float(slack)}
+    full = values[:, -1]
+    constant = np.ptp(full) <= 1e-9 * max(1.0, float(np.max(np.abs(full))))
+    # Majorization of the spectrum at a by the one at b, for every pair 0 <= a < b on the grid.
+    low, high = np.triu_indices(grid.size - at_zero, 1)
+    gaps = values[at_zero + high] - values[at_zero + low]
+    majorized = bool(np.all(_majorized(gaps, 1e-7)))
+    return {"ok": bool(convex and min_at_zero and constant and majorized), "slack": float(np.min(gaps))}
 
 
 def _interlace_jobs(seed: int, trials: int) -> list:

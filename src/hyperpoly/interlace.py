@@ -366,9 +366,15 @@ def majorization_check(u, v, tol: float = 1e-9) -> MajorizationReport:
     if u.shape != v.shape:
         raise InvalidDocumentError("majorization needs vectors of equal length")
     gaps = np.cumsum(v) - np.cumsum(u)
-    total = float(gaps[-1])
-    ok = bool(np.all(gaps >= -tol) and abs(total) <= tol)
-    return MajorizationReport(majorized=ok, prefix_gaps=tuple(float(g) for g in gaps), total_gap=total)
+    return MajorizationReport(
+        majorized=bool(_majorized(gaps, tol)), prefix_gaps=tuple(float(g) for g in gaps), total_gap=float(gaps[-1])
+    )
+
+
+def _majorized(gaps, tol: float):
+    """The majorization rule on prefix gaps cumsum(v) - cumsum(u) along the last axis: no prefix below
+    -tol and a total within tol."""
+    return np.all(gaps >= -tol, axis=-1) & (np.abs(gaps[..., -1]) <= tol)
 
 
 # A spectrum map: a point to its descending roots (see the module docstring).
@@ -556,8 +562,13 @@ def spectral_line_convexity(
 
     grid_values, pairs = _sweep(grid)
     values = tuple(fv(a) for a in grid_values)
-    convex = not any(fv(mid) > 0.5 * (fv(a) + fv(b)) + tol for a, b, mid in pairs)
+    convex = not any(_above_chord(fv(mid), fv(a), fv(b), tol) for a, b, mid in pairs)
     return SymmetricConvexReport(convex=convex, values=values)
+
+
+def _above_chord(mid, a, b, tol: float):
+    """The midpoint convexity rule, broken where F at the midpoint is above 0.5 (F(a) + F(b)) by more than tol."""
+    return mid > 0.5 * (a + b) + tol
 
 
 def _sweep(grid: Sequence[float]) -> tuple[tuple[float, ...], list[tuple[float, float, float]]]:

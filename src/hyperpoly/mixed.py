@@ -2,17 +2,23 @@
 
 Polarization, mixed discriminants, supports and Newton-polytope membership,
 Alexandrov-Fenchel residuals, k-hyperbolicity polynomials, and log-concavity
-profiles.  Supports and dense expansions share one composition enumeration
-under one row budget, ENUMERATION_ROW_BUDGET.
+profiles.  One tuple is polarized over its 2^(n-1) sign rows.  Supports, dense
+expansions and log-concavity profiles need the mixed value of every composition
+r of n into k parts at once: those sign sums meet at few distinct block sums,
+the union of their lattices is one cached table per (n, k), and it is
+evaluated in one stacked, chunked call.  Supports and dense expansions stay
+under one row budget, ENUMERATION_ROW_BUDGET, and every table under
+LATTICE_CELL_BUDGET.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,10 +54,19 @@ def linprog(*args, **kwargs):
 POLARIZATION_CAP = 20
 _CHUNK = 1 << 14
 
-# Enumerating the C(n+k-1, k-1) compositions of n into k parts polarizes
-# 2^(n-1) rows for each; support (k = n) and the dense expansion (k = m) stop
-# before any evaluation past this many rows.
+# Enumerating the C(n+k-1, k-1) compositions of n into k parts would polarize
+# 2^(n-1) sign rows for each; support (k = n) and the dense expansion (k = m)
+# stop before any evaluation past this many rows.  Their shared lattice of
+# distinct block sums evaluates far fewer rows, so the rule over-counts the work.
 ENUMERATION_ROW_BUDGET = 2_000_000
+
+# The lattice table of all compositions of n into k parts has C(n+2k-1, 2k-1)
+# points of k block sums each; it is not built past this many cells.  Its build
+# and its cached arrays then take a few tens of MB at most.
+LATTICE_CELL_BUDGET = 4_000_000
+
+# C(r, j) for 0 <= j, r <= POLARIZATION_CAP, zero where j > r.
+_BINOMIALS = np.array([[math.comb(r, j) for j in range(POLARIZATION_CAP + 1)] for r in range(POLARIZATION_CAP + 1)])
 
 
 def as_tuple(points) -> np.ndarray:
@@ -61,6 +76,18 @@ def as_tuple(points) -> np.ndarray:
     return pts
 
 
+def _tuple_evaluator(oracle: HyperbolicOracle, points: np.ndarray, n: int):
+    """The map from block-sum rows c, shape (N, k), to p(c @ points) for the k points, through the
+    form that ``tuple_form`` returns for them, which contracts a determinantal pencil once per tuple;
+    refuses more than POLARIZATION_CAP slots."""
+    if n > POLARIZATION_CAP:
+        raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
+    form, coords = oracle.form.tuple_form(points)
+    # Only evaluated, so the direction is a placeholder.
+    tuple_oracle = HyperbolicOracle(form=form, n=n, m=coords.shape[1], direction=np.ones(coords.shape[1]))
+    return lambda sums: evaluate_batch(tuple_oracle, sums @ coords)
+
+
 def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[float, float]:
     """Polarized multilinear value and the largest |p| seen across sign combinations.
 
@@ -68,17 +95,12 @@ def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[float, 
     of b equals the term of its complement, since p(-y) = (-1)^n p(y) and the
     parity sign also flips by (-1)^n; so only the 2^(n-1) vectors with
     b_(n-1) = +1 are evaluated and the sum is doubled, and the peak over them
-    is the peak over all.  The form is the one ``tuple_form`` returns for the
-    tuple, which contracts a determinantal pencil once per tuple.  The sum is
-    accumulated in a fixed chunk order so results are bitwise reproducible;
-    the peak magnitude calibrates the cancellation noise floor (~eps * peak).
+    is the peak over all.  The sum is accumulated in a fixed chunk order so
+    results are bitwise reproducible; the peak magnitude calibrates the
+    cancellation noise floor (~eps * peak).
     """
     n = points.shape[0]
-    if n > POLARIZATION_CAP:
-        raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
-    form, coords = oracle.form.tuple_form(points)
-    # Only evaluated, so the direction is a placeholder.
-    tuple_oracle = HyperbolicOracle(form=form, n=n, m=coords.shape[1], direction=np.ones(coords.shape[1]))
+    evaluate = _tuple_evaluator(oracle, points, n)
     total = 0.0
     peak = 0.0
     shifts = np.arange(n, dtype=np.int64)
@@ -86,8 +108,7 @@ def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[float, 
     for start in range(0, half, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, half), dtype=np.int64)
         bits = (idx[:, None] >> shifts[None, :]) & 1
-        signs = 1.0 - 2.0 * bits
-        vals = evaluate_batch(tuple_oracle, signs @ coords)
+        vals = evaluate(1.0 - 2.0 * bits)
         parity = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
         total += float(np.dot(vals, parity))
         peak = max(peak, float(np.max(np.abs(vals))))
@@ -159,6 +180,105 @@ class SupportSet(Report):
         return {"support": [{"r": list(r), "value": self.values[r]} for r in self.members]}
 
 
+def _composition_array(total: int, parts: int) -> np.ndarray:
+    """Every composition of total into the given number of parts, one per int8 row, in lexicographic order."""
+    heads, parents = [], []
+    left = np.array([total])
+    for _ in range(parts - 1):
+        # Each prefix branches into one prefix per value 0..left of its next part.
+        branches = left + 1
+        parent = np.repeat(np.arange(len(left)), branches)
+        head = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+        heads.append(head)
+        parents.append(parent)
+        left = left[parent] - head
+    # Each column is read off the row's ancestor at that depth, so no row prefix is copied.
+    rows = np.empty((len(left), parts), dtype=np.int8)
+    rows[:, -1] = left
+    node = np.arange(len(left))
+    for col in range(parts - 2, -1, -1):
+        rows[:, col] = heads[col][node]
+        node = parents[col][node]
+    return rows
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int8 array, ordered as byte strings (so lexicographically when no entry
+    is negative), and the position of each row among them."""
+    k = rows.shape[1]
+    distinct, index = np.unique(np.ascontiguousarray(rows).view(np.dtype((np.void, k))).ravel(), return_inverse=True)
+    return distinct.view(np.int8).reshape(-1, k), index.ravel()
+
+
+class _SumLattice(NamedTuple):
+    """The polarization sums of every composition r of n into k parts, over one set of block sums.
+
+    Lattice point e of composition ``keys[owner[e]]`` adds ``weight[e] * p(sums[index[e]] @ points)``
+    to that composition's sum of 2^n sign terms.  The arrays are read-only, as the table is cached.
+    """
+
+    keys: tuple  # the compositions, as tuples in lexicographic order
+    sums: np.ndarray  # (S, k) int8, the distinct block sums c, one of each pair c, -c
+    owner: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _composition_lattice(n: int, k: int) -> _SumLattice:
+    """The polarization sums of all compositions of n into k parts, built at once.
+
+    Over the r_i copies of point i, the sign vectors with j_i minus signs all
+    land on the block sum c_i = r_i - 2 j_i, and there are C(r_i, j_i) of
+    them, each with sign (-1)^{j_i}.  So the sign sum of composition r runs
+    over the lattice 0 <= j <= r, in lexicographic order, with weights
+    prod_i (-1)^{j_i} C(r_i, j_i): C(n+2k-1, 2k-1) points over all r, refused
+    past LATTICE_CELL_BUDGET cells.  Compositions share block sums, so one
+    ``np.unique`` over all c gives the rows to evaluate.  A c whose first
+    nonzero entry is negative is folded onto -c with its weight times
+    (-1)^n, since p(-y) = (-1)^n p(y).
+    """
+    size = math.comb(n + 2 * k - 1, 2 * k - 1)
+    if size * k > LATTICE_CELL_BUDGET:
+        raise BudgetExceededError(f"a lattice of {size} block sums of {k} points exceeds the lattice cell budget")
+    comps = _composition_array(n, k)
+    radix = comps + 1
+    counts = np.prod(radix, axis=1, dtype=np.int64)
+    owner = np.repeat(np.arange(len(comps), dtype=np.int32), counts)
+    # The position of each point in its composition's lattice, decoded in mixed radix, j_k fastest.
+    place = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+    sums = np.empty((size, k), dtype=np.int8)
+    weight = np.ones(size)
+    odd = np.zeros(size, dtype=bool)
+    for i in range(k - 1, -1, -1):
+        reps, base = comps[owner, i], radix[owner, i]
+        minus = place % base
+        place //= base
+        sums[:, i] = reps - 2 * minus
+        weight *= _BINOMIALS[reps, minus]
+        odd ^= (minus & 1).astype(bool)
+    flip = sums[np.arange(size), np.argmax(sums != 0, axis=1)] < 0
+    np.negative(sums, out=sums, where=flip[:, None])
+    weight[odd ^ (flip & bool(n & 1))] *= -1.0
+    distinct, index = _unique_rows(sums)
+    lattice = _SumLattice(tuple(map(tuple, comps.tolist())), distinct, owner, index.astype(np.int32), weight)
+    for table in lattice[1:]:
+        table.setflags(write=False)
+    return lattice
+
+
+def _composition_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[tuple, np.ndarray, float]:
+    """The compositions r of n into k parts in lexicographic order, the mixed value of the k points
+    repeated r times for each, and the largest |p| seen: every block sum that some composition
+    needs is evaluated once, in chunks, and the weighted values are summed per composition."""
+    lattice = _composition_lattice(oracle.n, points.shape[0])
+    evaluate = _tuple_evaluator(oracle, points, oracle.n)
+    chunks = range(0, len(lattice.sums), _CHUNK)
+    vals = np.concatenate([evaluate(lattice.sums[s : s + _CHUNK].astype(float)) for s in chunks])
+    totals = np.bincount(lattice.owner, weights=lattice.weight * vals[lattice.index], minlength=len(lattice.keys))
+    return lattice.keys, totals * 0.5**oracle.n, float(np.max(np.abs(vals)))
+
+
 def _all_mixed_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[dict, float]:
     """The mixed value of the k points repeated r times, for every composition r of n into k
     parts, and the largest |p| seen; within ENUMERATION_ROW_BUDGET polarized rows."""
@@ -167,13 +287,8 @@ def _all_mixed_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[dic
     count = math.comb(n + k - 1, k - 1)
     if count * 2 ** (n - 1) > ENUMERATION_ROW_BUDGET:
         raise BudgetExceededError(f"{count} compositions of 2^{n - 1} polarized rows exceed the enumeration budget")
-    values: dict[tuple[int, ...], float] = {}
-    peak = 0.0
-    for r in compositions(n, k):
-        val, scale = _polarization(oracle, repeated_tuple(points, r))
-        values[r] = val
-        peak = max(peak, scale)
-    return values, peak
+    keys, values, peak = _composition_values(oracle, points)
+    return dict(zip(keys, values.tolist())), peak
 
 
 def support(oracle: HyperbolicOracle, points) -> SupportSet:
@@ -181,7 +296,10 @@ def support(oracle: HyperbolicOracle, points) -> SupportSet:
 
     The cutoff is 1e-9 * n! * max(1, peak evaluation magnitude): polarization
     loses about 2^n * eps of relative accuracy to cancellation, so values
-    below that cannot be distinguished from zero.
+    below that cannot be distinguished from zero.  Every composition's value
+    comes from one stacked evaluation of the distinct block sums that the
+    compositions share, and the peak is the largest |p| over them, the same
+    set of values as over every sign vector of every composition.
     """
     return _support_and_values(oracle, points)[0]
 
@@ -346,18 +464,15 @@ def log_concavity_profile(oracle: HyperbolicOracle, x, y) -> np.ndarray:
 
     For x, y strictly inside the cone the profile is positive and log-concave:
     M(i)^2 >= M(i-1) M(i+1), which is the discrete statement behind concavity
-    of log p on the cone.
+    of log p on the cone.  All n + 1 values come from one stacked evaluation
+    at the distinct block sums c_x x + c_y y that the compositions share.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if cone_membership(oracle, x) != POSITIVE or cone_membership(oracle, y) != POSITIVE:
         raise InvalidDocumentError("both points must be strictly inside the cone")
-    n = oracle.n
-    pair = np.vstack([x, y])
-    out = np.empty(n + 1)
-    for i in range(n + 1):
-        out[i] = mixed_value(oracle, repeated_tuple(pair, (i, n - i)))
-    return out
+    # The compositions (i, n - i) of n into two parts, in lexicographic order.
+    return _composition_values(oracle, np.vstack([x, y]))[1]
 
 
 def dense_from_oracle(oracle: HyperbolicOracle) -> HyperbolicOracle:
@@ -365,10 +480,13 @@ def dense_from_oracle(oracle: HyperbolicOracle) -> HyperbolicOracle:
 
     The coefficient of x^r is the mixed value of the basis tuple repeated with
     multiplicities r, divided by prod(r_i!); the enumeration is the support's,
-    under the same ENUMERATION_ROW_BUDGET.
+    under the same ENUMERATION_ROW_BUDGET.  The block sums of the basis tuple
+    are the integer points c with |c|_1 <= n and |c|_1 = n mod 2, one of each
+    pair c, -c: 172 evaluations for n = 7, m = 3, where one sign sum per
+    composition takes 2,304.
     """
     values, _ = _all_mixed_values(oracle, np.eye(oracle.m))
-    terms = {r: val / np.prod([math.factorial(v) for v in r]) for r, val in values.items()}
+    terms = {r: val / math.prod(map(math.factorial, r)) for r, val in values.items()}
     cutoff = 1e-13 * max(1.0, *(abs(c) for c in terms.values()))
     kept = {r: c for r, c in terms.items() if abs(c) > cutoff}
     return dense_oracle(oracle.m, oracle.n, kept, oracle.direction)

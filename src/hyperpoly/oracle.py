@@ -186,11 +186,12 @@ class DensePolynomial(Form):
     def grad_log_p(self, d: np.ndarray) -> np.ndarray:
         """grad p(d) / p(d), every partial derivative by term differentiation in one product: row i of
         the (m, terms) monomial table lowers exponent i by one (clamped at zero, where the factor
-        alpha_i vanishes anyway)."""
+        alpha_i vanishes anyway).  p(d) comes from the same table by Euler's identity
+        n p(d) = d . grad p(d), so the monomials are evaluated once."""
         exps = self.exponents
         lowered = np.maximum(exps - np.eye(self.m, dtype=exps.dtype)[:, None, :], 0)
         grad = (np.prod(d**lowered, axis=2) * exps.T) @ self.coefficients
-        return grad / self.evaluate_batch(d[None, :])[0]
+        return grad * (self.n / (d @ grad))
 
     def json_fields(self, direction: np.ndarray) -> dict:
         return {

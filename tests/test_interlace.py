@@ -532,6 +532,13 @@ class TestDerivativeLineConvexity:
         q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
         assert_rows_are_points(stacks, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_route_through_line_sweeps(self, seed):
+        # The top-k sums of every k come from one cumsum of the 17 spectra; verdict and slack are bitwise
+        # those of one sweep per k and one majorization check per pair.
+        for trial in range(12):
+            assert experiments._derivative_line_trial((seed, trial)) == derivative_line_trial_by_sweeps(seed, trial)
+
     @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 9), np.linspace(-0.9, 1.3, 7)])
     @pytest.mark.parametrize("b, c", [(0.0, 1.0), (0.5, 2.0), (-0.3, 0.7)])
     @pytest.mark.parametrize("degree", range(2, 8))
@@ -847,6 +854,31 @@ class TestGenericSpectralChecks:
             hp.spectral_line_convexity(spectrum, oracle.n, np.ones(5), np.ones(5), "topk_sum:3", [0.0, 1.0], 1e-7)
 
 
+def derivative_line_trial_by_sweeps(seed, trial):
+    """The derivative line trial through ``spectral_line_convexity`` for every k and one
+    ``majorization_check`` per pair of nonnegative grid points."""
+    rng = gen.rng_for(seed, 100, trial)
+    degree = 2 + trial % 4
+    q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
+    grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
+    q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
+    spectrum = interlace.pair_spectrum(q_minus_dq, q, 1e-7)
+    x0, dx = np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0])
+    at_zero = grid.tolist().index(0.0)
+    ok, slack = True, math.inf
+    for k in range(1, degree + 1):
+        sweep = interlace.spectral_line_convexity(spectrum, degree, x0, dx, f"topk_sum:{k}", grid, 1e-7)
+        ok = ok and sweep.convex and min(sweep.values) >= sweep.values[at_zero] - 1e-7
+    ok = ok and np.ptp(sweep.values) <= 1e-9 * max(1.0, float(np.max(np.abs(sweep.values))))
+    nonneg = [float(a) for a in grid if a >= 0.0]
+    for i, a in enumerate(nonneg):
+        for b in nonneg[i + 1 :]:
+            rep = interlace.majorization_check(spectrum(x0 + a * dx), spectrum(x0 + b * dx), tol=1e-7)
+            ok = ok and rep.majorized
+            slack = min(slack, min(rep.prefix_gaps))
+    return {"ok": bool(ok), "slack": float(slack)}
+
+
 class TestDerivativeLineTrial:
     @pytest.mark.parametrize("trial", range(4))
     def test_one_extraction_per_distinct_point(self, monkeypatch, trial):
@@ -863,3 +895,10 @@ class TestDerivativeLineTrial:
         q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
         grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
         assert_rows_are_points(stacks, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_route_through_line_sweeps(self, seed):
+        # The top-k sums of every k come from one cumsum of the 17 spectra; verdict and slack are bitwise
+        # those of one sweep per k and one majorization check per pair.
+        for trial in range(12):
+            assert experiments._derivative_line_trial((seed, trial)) == derivative_line_trial_by_sweeps(seed, trial)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,6 +310,23 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             hp.dense_from_oracle(oracle)
 
+    def test_dense_expansion_refuses_a_lattice_past_its_cell_budget(self, monkeypatch):
+        from hyperpoly.errors import BudgetExceededError
+
+        # Degree 4 in m = 45 variables is within the row budget, C(48, 4) * 8 = 1,556,640 rows, but its
+        # lattice has C(93, 89) = 2,919,735 points of 45 block sums: refused before the table is built.
+        m = 45
+        oracle = hp.dense_oracle(m, 4, {(4,) + (0,) * (m - 1): 1.0}, np.eye(m)[0])
+        assert math.comb(4 + m - 1, m - 1) * 2**3 == 1_556_640 <= mixed.ENUMERATION_ROW_BUDGET
+        assert math.comb(4 + 2 * m - 1, 2 * m - 1) * m > mixed.LATTICE_CELL_BUDGET
+
+        def refuse(*args):
+            raise AssertionError("built a lattice past the cell budget")
+
+        monkeypatch.setattr(mixed, "_composition_array", refuse)
+        with pytest.raises(BudgetExceededError, match="lattice cell budget"):
+            hp.dense_from_oracle(oracle)
+
 
 def full_sign_sum(oracle, points):
     """2^-n * sum over all 2^n sign vectors b of p(sum_i b_i x_i) * prod(b), and the largest |p| among them."""
@@ -362,6 +380,129 @@ class TestPolarizationKernel:
         mats = [(q * w[:, i]) @ q.T for i in range(n)]
         got = hp.mixed_discriminant([0.5 * (a + a.T) for a in mats])
         assert abs(got - ryser_permanent(w)) <= 8 * n * EPS * float(np.prod(w.sum(axis=1)))
+
+
+def sign_row_polarization(oracle, points):
+    """The polarization of distinct points as the sign-row kernel sums it: the 2^(n-1) sign vectors with
+    b_(n-1) = +1 in binary order, in chunks, through ``tuple_form``; its value and its evaluated rows."""
+    n = points.shape[0]
+    form, coords = oracle.form.tuple_form(points)
+    total, rows = 0.0, []
+    half = 1 << (n - 1)
+    for start in range(0, half, mixed._CHUNK):
+        idx = np.arange(start, min(start + mixed._CHUNK, half), dtype=np.int64)
+        bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
+        rows.append((1.0 - 2.0 * bits) @ coords)
+        parity = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
+        total += float(np.dot(form.evaluate_batch(rows[-1]), parity))
+    return total * 0.5 ** (n - 1), np.vstack(rows)
+
+
+def recorded_rows(monkeypatch):
+    """The row stacks that every ``evaluate_batch`` call of the polarization kernels receives."""
+    stacks = []
+    original = mixed.evaluate_batch
+
+    def recorded(oracle, points):
+        stacks.append(np.array(points, dtype=float))
+        return original(oracle, points)
+
+    monkeypatch.setattr(mixed, "evaluate_batch", recorded)
+    return stacks
+
+
+def exact_product_sign_sum(points):
+    """2^-n * sum over all sign vectors b of prod_j (sum_i b_i x_ij) * prod(b), in exact arithmetic."""
+    n = len(points)
+    total = Fraction(0)
+    for signs in itertools.product((1, -1), repeat=n):
+        value = math.prod(sum(b * Fraction(x[j]) for b, x in zip(signs, points)) for j in range(len(points[0])))
+        total += value * math.prod(signs)
+    return total / 2**n
+
+
+class TestLatticePolarization:
+    """Every composition's repeated tuple polarized over the distinct block sums that the compositions
+    share, in one stacked evaluation per composition set."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("form", sorted(POLARIZATION_FORMS))
+    def test_every_composition_matches_full_sign_sum(self, form, n):
+        rng = np.random.default_rng(200 + n)
+        oracle, pts = POLARIZATION_FORMS[form](rng, n)
+        values, peak = mixed._all_mixed_values(oracle, pts)
+        assert sorted(values) == list(compositions(n, n))
+        peaks = []
+        for r, value in values.items():
+            expected, r_peak = full_sign_sum(oracle, hp.repeated_tuple(pts, r))
+            tolerance = max(1e-12 * abs(expected), 8 * n * EPS * r_peak)
+            assert abs(value - expected) <= tolerance
+            single, single_peak = mixed._polarization(oracle, hp.repeated_tuple(pts, r))
+            assert abs(single - expected) <= tolerance
+            assert single_peak == pytest.approx(r_peak, rel=1e-12)
+            peaks.append(r_peak)
+        assert peak == pytest.approx(max(peaks), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_on_small_integer_product_tuples(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        pts = rng.integers(-2, 4, size=(n, n)).astype(float)
+        oracle = hp.product_oracle(n)
+        values, _ = mixed._all_mixed_values(oracle, pts)
+        for r, value in values.items():
+            tup = hp.repeated_tuple(pts, r)
+            exact = exact_product_sign_sum(tup.astype(int).tolist())
+            assert Fraction(value) == exact
+            assert Fraction(hp.mixed_value(oracle, tup)) == exact
+        x, y = rng.integers(1, 4, size=(2, n)).astype(float)
+        profile = hp.log_concavity_profile(oracle, x, y)
+        x_int, y_int = x.astype(int).tolist(), y.astype(int).tolist()
+        exact = [exact_product_sign_sum([x_int] * i + [y_int] * (n - i)) for i in range(n + 1)]
+        assert [Fraction(v) for v in profile] == exact
+
+    def test_log_concavity_profile_is_one_call_of_61_rows(self, monkeypatch):
+        stacks = recorded_rows(monkeypatch)
+        oracle = hp.product_oracle(10)
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.5, 2.0, size=(2, 10))
+        profile = hp.log_concavity_profile(oracle, x, y)
+        assert [len(rows) for rows in stacks] == [61]
+        for i in range(11):
+            expected, peak = full_sign_sum(oracle, hp.repeated_tuple(np.vstack([x, y]), (i, 10 - i)))
+            assert abs(profile[i] - expected) <= max(1e-12 * abs(expected), 80 * EPS * peak)
+
+    def test_support_at_n5_is_one_stacked_evaluation(self, monkeypatch):
+        stacks = recorded_rows(monkeypatch)
+        oracle, pts = gen.structured_psd_points(np.random.default_rng(5), 5)
+        hp.support(oracle, pts)
+        assert [len(rows) for rows in stacks] == [591]
+
+    def test_degree_7_dense_expansion_evaluates_172_rows(self, monkeypatch):
+        stacks = recorded_rows(monkeypatch)
+        hp.dense_from_oracle(gen.random_determinantal_oracle(np.random.default_rng(7), 7, 3))
+        assert sum(len(rows) for rows in stacks) == 172
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_dense_expansion_reproduces_the_pencil(self, n):
+        rng = np.random.default_rng(300 + n)
+        base = gen.random_determinantal_oracle(rng, n, 3)
+        dense = hp.dense_from_oracle(base)
+        for x in rng.standard_normal((8, 3)):
+            expected = float(np.linalg.det(np.tensordot(x, base.form.pencil, axes=1)))
+            assert hp.evaluate(dense, x) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("form", sorted(POLARIZATION_FORMS))
+    def test_distinct_tuple_keeps_the_sign_rows(self, monkeypatch, form, n):
+        rng = np.random.default_rng(400 + n)
+        oracle, pts = POLARIZATION_FORMS[form](rng, n)
+        stacks = recorded_rows(monkeypatch)
+        value, _ = mixed._polarization(oracle, pts)
+        expected, rows = sign_row_polarization(oracle, pts)
+        assert value == expected
+        np.testing.assert_array_equal(np.vstack(stacks), rows)
+        assert hp.mixed_value(oracle, pts) == value
 
 
 # The instance families of acceptance criterion 14.

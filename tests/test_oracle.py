@@ -20,6 +20,7 @@ from hyperpoly.oracle import (
     DEFAULT_CONE_TOL,
     DEFAULT_RANK_TOL,
     DEFAULT_ROOT_TOL,
+    DensePolynomial,
     DeterminantalPolynomial,
     Form,
     _chebyshev_interpolation,
@@ -582,6 +583,26 @@ class TestDenseGradient:
         zeros = _points_with_a_zero_coordinate(vamos_oracle, interior)
         assert len(zeros) == 6 * 8  # every element avoids some basis, so p > 0 with one coordinate at zero
         self._check(vamos_oracle, list(interior) + zeros)
+
+    def test_value_comes_from_the_gradient_table(self, monkeypatch):
+        # Euler's identity n p(d) = d . grad p(d): grad_log_p evaluates no monomial table besides its own, so
+        # roots_and_gradient evaluates p once at the restriction's n + 1 nodes and once at d.
+        rng = np.random.default_rng(108)
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, 4, 3))
+        d = gen.positive_point_tuple(dense, rng, 1)[0]
+        rows = []
+        original = DensePolynomial.evaluate_batch
+
+        def recorded(form, pts):
+            rows.append(len(pts))
+            return original(form, pts)
+
+        monkeypatch.setattr(DensePolynomial, "evaluate_batch", recorded)
+        dense.form.grad_log_p(d)
+        assert rows == []
+        _, value, grad = dense.form.roots_and_gradient(d, dense.direction)
+        assert rows == [dense.n + 1, 1]
+        assert value == hp.evaluate(dense, d) and grad is not None
 
 
 class _SecondElementaryForm(Form):
