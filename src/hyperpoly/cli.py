@@ -27,7 +27,14 @@ import numpy as np
 
 from . import experiments
 from .errors import ConvergenceError, HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
-from .generators import GeneratorSpec, generate_document, is_symmetric_basis, matrix_points, symmetric_matrix_oracle
+from .generators import (
+    GeneratorSpec,
+    _matrix_stack,
+    generate_document,
+    is_symmetric_basis,
+    matrix_points,
+    symmetric_matrix_oracle,
+)
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -154,8 +161,7 @@ def _load_tuple(path: str, oracle):
             raise InvalidDocumentError(f"{path}: 'points' must be a 2-d array")
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
-        mats = _floats(doc["matrices"], f"{path}: 'matrices'")
-        matrix_points(mats)  # the shape checks
+        mats = _matrix_stack(_floats(doc["matrices"], f"{path}: 'matrices'"))
         # Matrix coordinates only make sense against the symmetric-basis pencil.
         if not (oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, mats.shape[1])):
             raise InvalidDocumentError(

@@ -43,7 +43,7 @@ from .mixed import (
     mixed_discriminant,
     newton_saturation_check,
 )
-from .oracle import evaluate
+from .oracle import evaluate_batch
 from .scaling import (
     CONCAVITY_REL_SLACK,
     VERDICT_POSITIVE,
@@ -317,9 +317,12 @@ def _logconcavity_trial(args) -> dict:
         scale = max(1.0, profile[i] ** 2)
         ok = ok and margin >= -1e-9 * scale
         slack = min(slack, margin / scale)
-    for a in np.arange(0.1, 0.95, 0.1):
-        lhs = math.log(evaluate(oracle, a * x + (1 - a) * y))
-        rhs = a * math.log(evaluate(oracle, x)) + (1 - a) * math.log(evaluate(oracle, y))
+    weights = np.arange(0.1, 0.95, 0.1)
+    p_x, p_y, *p_mix = evaluate_batch(oracle, np.vstack([x, y, np.outer(weights, x) + np.outer(1 - weights, y)]))
+    log_x, log_y = math.log(p_x), math.log(p_y)
+    for a, p_a in zip(weights, p_mix):
+        lhs = math.log(p_a)
+        rhs = a * log_x + (1 - a) * log_y
         ok = ok and lhs >= rhs - 1e-9
         slack = min(slack, lhs - rhs)
     return {"ok": bool(ok), "slack": float(slack)}

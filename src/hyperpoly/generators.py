@@ -98,14 +98,20 @@ def point_to_matrix(point: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def matrix_points(matrices) -> np.ndarray:
-    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each."""
+def _matrix_stack(matrices) -> np.ndarray:
+    """A tuple of square matrices of one size as one float array, shape (points, n, n)."""
     try:
         mats = np.asarray(matrices, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidDocumentError(f"a matrix tuple is a list of numeric matrices: {exc}") from exc
     if mats.ndim != 3 or 0 in mats.shape or mats.shape[1] != mats.shape[2]:
         raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
+    return mats
+
+
+def matrix_points(matrices) -> np.ndarray:
+    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each."""
+    mats = _matrix_stack(matrices)
     return mats[(slice(None),) + _coordinate_indices(mats.shape[1])]
 
 

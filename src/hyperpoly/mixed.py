@@ -5,10 +5,11 @@ Alexandrov-Fenchel residuals, k-hyperbolicity polynomials, and log-concavity
 profiles.  One tuple is polarized over its 2^(n-1) sign rows.  Supports, dense
 expansions and log-concavity profiles need the mixed value of every composition
 r of n into k parts at once: those sign sums meet at few distinct block sums,
-the union of their lattices is one cached table per (n, k), and it is
-evaluated in one stacked, chunked call.  Supports and dense expansions stay
-under one row budget, ENUMERATION_ROW_BUDGET, and every table under
-LATTICE_CELL_BUDGET.
+and the union of their lattices is one cached table per (n, k).  Every stacked
+evaluation takes blocks of at most _CHUNK = 1024 rows, so a pencil's working
+set is O(1024 n^2) doubles (1.6 MB at n = 14), not O(2^(n-1) n^2).  Supports
+and dense expansions stay under one row budget, ENUMERATION_ROW_BUDGET, and
+every table under LATTICE_CELL_BUDGET.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ def linprog(*args, **kwargs):
 
 # Polarization sums 2^(n-1) evaluations; anything past this is not desk scale.
 POLARIZATION_CAP = 20
-_CHUNK = 1 << 14
+# Rows per stacked evaluation, so that a pencil's temporaries stay O(_CHUNK * n^2) doubles however
+# many rows are summed: 1.6 MB at n = 14, 3.3 MB at the cap.  A kernel at n <= 11 and a lattice of at
+# most this many block sums (support at n = 5 has 591) still make one call.
+_CHUNK = 1 << 10
 
 # Enumerating the C(n+k-1, k-1) compositions of n into k parts would polarize
 # 2^(n-1) sign rows for each; support (k = n) and the dense expansion (k = m)
@@ -273,8 +277,9 @@ def _composition_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[t
     needs is evaluated once, in chunks, and the weighted values are summed per composition."""
     lattice = _composition_lattice(oracle.n, points.shape[0])
     evaluate = _tuple_evaluator(oracle, points, oracle.n)
-    chunks = range(0, len(lattice.sums), _CHUNK)
-    vals = np.concatenate([evaluate(lattice.sums[s : s + _CHUNK].astype(float)) for s in chunks])
+    vals = np.empty(len(lattice.sums))
+    for start in range(0, len(vals), _CHUNK):
+        vals[start : start + _CHUNK] = evaluate(lattice.sums[start : start + _CHUNK].astype(float))
     totals = np.bincount(lattice.owner, weights=lattice.weight * vals[lattice.index], minlength=len(lattice.keys))
     return lattice.keys, totals * 0.5**oracle.n, float(np.max(np.abs(vals)))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -503,6 +504,51 @@ class TestLatticePolarization:
         assert value == expected
         np.testing.assert_array_equal(np.vstack(stacks), rows)
         assert hp.mixed_value(oracle, pts) == value
+
+
+class TestBoundedPolarization:
+    """Every stacked evaluation of the polarization kernels takes at most ``mixed._CHUNK`` rows, so its
+    working memory does not grow with 2^(n-1)."""
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    @pytest.mark.parametrize("form", sorted(POLARIZATION_FORMS))
+    def test_kernel_evaluates_blocks_of_at_most_chunk_rows(self, monkeypatch, form, n):
+        rng = np.random.default_rng(500 + n)
+        oracle, pts = POLARIZATION_FORMS[form](rng, n)
+        stacks = recorded_rows(monkeypatch)
+        value, _ = mixed._polarization(oracle, pts)
+        assert max(len(rows) for rows in stacks) <= mixed._CHUNK
+        assert len(stacks) == math.ceil(2 ** (n - 1) / mixed._CHUNK)
+        expected, rows = sign_row_polarization(oracle, pts)
+        np.testing.assert_array_equal(np.vstack(stacks), rows)
+        assert value == expected
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_mixed_discriminant_peak_memory_stays_bounded(self, n):
+        mats = gen.psd_matrix_tuple(np.random.default_rng(n), n)
+        tracemalloc.start()
+        try:
+            hp.mixed_discriminant(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Blocks of 16,384 rows peaked at 15.1 MiB at n = 14 and 38.6 MiB at n = 16.
+        assert peak < 4 * 2**20
+
+    def test_support_at_n8_matches_one_call_over_all_block_sums(self, monkeypatch):
+        n = 8
+        oracle, pts = gen.structured_psd_points(np.random.default_rng(8), n)
+        stacks = recorded_rows(monkeypatch)
+        values, peak = mixed._all_mixed_values(oracle, pts)
+        lattice = mixed._composition_lattice(n, n)
+        assert max(len(rows) for rows in stacks) <= mixed._CHUNK
+        assert sum(len(rows) for rows in stacks) == len(lattice.sums) == 93_569
+        form, coords = oracle.form.tuple_form(pts)
+        vals = form.evaluate_batch(lattice.sums.astype(float) @ coords)
+        weighted = np.bincount(lattice.owner, weights=lattice.weight * vals[lattice.index], minlength=len(lattice.keys))
+        assert peak == pytest.approx(float(np.max(np.abs(vals))), rel=1e-12)
+        for r, expected in zip(lattice.keys, weighted * 0.5**n):
+            assert abs(values[r] - expected) <= 8 * n * EPS * peak
 
 
 # The instance families of acceptance criterion 14.
