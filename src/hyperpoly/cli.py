@@ -235,7 +235,7 @@ def cmd_trace(config: RunConfig, oracle, x, d) -> tuple[int, dict]:
 
 def cmd_mixed(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     if oracle.n >= 15:
-        print(f"note: polarizing over 2^{oracle.n - 1} sign vectors", file=sys.stderr)
+        print(f"note: polarizing at 2^{oracle.n - 2} complex points", file=sys.stderr)
     return EXIT_OK, {"mixed_value": mixed_value(oracle, pts)}
 
 

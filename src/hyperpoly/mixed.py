@@ -2,14 +2,16 @@
 
 Polarization, mixed discriminants, supports and Newton-polytope membership,
 Alexandrov-Fenchel residuals, k-hyperbolicity polynomials, and log-concavity
-profiles.  One tuple is polarized over its 2^(n-1) sign rows.  Supports, dense
-expansions and log-concavity profiles need the mixed value of every composition
-r of n into k parts at once: those sign sums meet at few distinct block sums,
-and the union of their lattices is one cached table per (n, k).  Every stacked
-evaluation takes blocks of at most _CHUNK = 1024 rows, so a pencil's working
-set is O(1024 n^2) doubles (1.6 MB at n = 14), not O(2^(n-1) n^2).  Supports
-and dense expansions stay under one row budget, ENUMERATION_ROW_BUDGET, and
-every table under LATTICE_CELL_BUDGET.
+profiles.  One tuple is polarized at 2^(n-2) complex points: its first point
+takes the imaginary slot, and the conjugate points come free from
+p(conj z) = conj p(z).  Supports, dense expansions and log-concavity profiles
+need the mixed value of every composition r of n into k parts at once: those
+real sign sums meet at few distinct block sums, and the union of their
+lattices is one cached table per (n, k).  Every stacked evaluation takes
+blocks of at most _CHUNK = 1024 real rows or _CHUNK // 2 complex ones, so a
+pencil's working set is O(1024 n^2) doubles (1.6 MB at n = 14), not
+O(2^(n-2) n^2).  Supports and dense expansions stay under one row budget,
+ENUMERATION_ROW_BUDGET, and every table under LATTICE_CELL_BUDGET.
 """
 
 from __future__ import annotations
@@ -51,15 +53,16 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-# Polarization sums 2^(n-1) evaluations; anything past this is not desk scale.
+# Polarization sums 2^(n-2) complex evaluations; anything past this is not desk scale.
 POLARIZATION_CAP = 20
-# Rows per stacked evaluation, so that a pencil's temporaries stay O(_CHUNK * n^2) doubles however
-# many rows are summed: 1.6 MB at n = 14, 3.3 MB at the cap.  A kernel at n <= 11 and a lattice of at
-# most this many block sums (support at n = 5 has 591) still make one call.
+# Real rows per stacked evaluation, so that a pencil's temporaries stay O(_CHUNK * n^2) doubles however
+# many rows are summed: 1.6 MB at n = 14, 3.3 MB at the cap.  A complex row takes two doubles per entry,
+# so the kernel's blocks hold _CHUNK // 2 of them: one call up to n = 11.  A lattice of at most this
+# many block sums (support at n = 5 has 591) is one call.
 _CHUNK = 1 << 10
 
-# Enumerating the C(n+k-1, k-1) compositions of n into k parts would polarize
-# 2^(n-1) sign rows for each; support (k = n) and the dense expansion (k = m)
+# The enumeration rule counts 2^(n-1) sign rows for each of the C(n+k-1, k-1)
+# compositions of n into k parts; support (k = n) and the dense expansion (k = m)
 # stop before any evaluation past this many rows.  Their shared lattice of
 # distinct block sums evaluates far fewer rows, so the rule over-counts the work.
 ENUMERATION_ROW_BUDGET = 2_000_000
@@ -81,9 +84,9 @@ def as_tuple(points) -> np.ndarray:
 
 
 def _tuple_evaluator(oracle: HyperbolicOracle, points: np.ndarray, n: int):
-    """The map from block-sum rows c, shape (N, k), to p(c @ points) for the k points, through the
-    form that ``tuple_form`` returns for them, which contracts a determinantal pencil once per tuple;
-    refuses more than POLARIZATION_CAP slots."""
+    """The map from rows c, shape (N, k), real block sums or complex points, to p(c @ points) for the
+    k points, through the form that ``tuple_form`` returns for them, which contracts a determinantal
+    pencil once per tuple; refuses more than POLARIZATION_CAP slots."""
     if n > POLARIZATION_CAP:
         raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
     form, coords = oracle.form.tuple_form(points)
@@ -92,31 +95,32 @@ def _tuple_evaluator(oracle: HyperbolicOracle, points: np.ndarray, n: int):
     return lambda sums: evaluate_batch(tuple_oracle, sums @ coords)
 
 
-def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[float, float]:
-    """Polarized multilinear value and the largest |p| seen across sign combinations.
+def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> float:
+    """Polarized multilinear value: the coefficient of t_1 ... t_n in p(sum_i t_i x_i).
 
-    2^{-n} * sum over sign vectors b of p(sum_i b_i x_i) * prod(b).  The term
-    of b equals the term of its complement, since p(-y) = (-1)^n p(y) and the
-    parity sign also flips by (-1)^n; so only the 2^(n-1) vectors with
-    b_(n-1) = +1 are evaluated and the sum is doubled, and the peak over them
-    is the peak over all.  The sum is accumulated in a fixed chunk order so
-    results are bitwise reproducible; the peak magnitude calibrates the
-    cancellation noise floor (~eps * peak).
+    2^-(n-2) * sum over b in {+-1}^(n-2) of prod(b) * Im p(i x_1 + b_1 x_2 + ... + b_(n-2) x_(n-1) + x_n).
+    Summing p(i x_1 + sum_(j>1) s_j x_j) * prod(s) over every real sign vector s keeps the monomials
+    odd in each of the last n - 1 slots; at total degree n those are linear in the first, so the sum
+    is 2^(n-1) i M.  The term of s with s_n = -1 is minus the conjugate of the term of -s, since
+    p(-y) = (-1)^n p(y) and p(conj z) = conj p(z), so the two have one imaginary part: only s_n = +1
+    is evaluated and the imaginary parts are doubled.  At n = 1 the one point gives
+    Im p(i x_1) = p(x_1).  The points go in blocks of _CHUNK // 2, summed in a fixed order, so
+    results are bitwise reproducible.
     """
     n = points.shape[0]
     evaluate = _tuple_evaluator(oracle, points, n)
+    middle = max(n - 2, 0)
+    shifts = np.arange(middle, dtype=np.int64)
+    count = 1 << middle
     total = 0.0
-    peak = 0.0
-    shifts = np.arange(n, dtype=np.int64)
-    half = 1 << (n - 1)
-    for start in range(0, half, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, half), dtype=np.int64)
-        bits = (idx[:, None] >> shifts[None, :]) & 1
-        vals = evaluate(1.0 - 2.0 * bits)
-        parity = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
-        total += float(np.dot(vals, parity))
-        peak = max(peak, float(np.max(np.abs(vals))))
-    return total * 0.5 ** (n - 1), peak
+    for start in range(0, count, _CHUNK // 2):
+        idx = np.arange(start, min(start + _CHUNK // 2, count), dtype=np.int64)
+        middle_signs = 1.0 - 2.0 * ((idx[:, None] >> shifts[None, :]) & 1)
+        signs = np.ones((len(idx), n), dtype=complex)
+        signs[:, 0] = 1j
+        signs[:, 1 : n - 1] = middle_signs
+        total += float(np.dot(evaluate(signs).imag, middle_signs.prod(axis=1)))
+    return total * 0.5**middle
 
 
 def mixed_value(oracle: HyperbolicOracle, points) -> float:
@@ -130,24 +134,25 @@ def mixed_value(oracle: HyperbolicOracle, points) -> float:
         raise DimensionMismatchError(f"tuple has {pts.shape[0]} points, oracle degree is {oracle.n}")
     if pts.shape[1] != oracle.m:
         raise DimensionMismatchError(f"points have dimension {pts.shape[1]}, oracle expects {oracle.m}")
-    return _polarization(oracle, pts)[0]
+    return _polarization(oracle, pts)
 
 
 def mixed_discriminant(matrices) -> float:
     """D(A_1, ..., A_n): the n-fold mixed partial of det(sum_i x_i A_i) at the tuple.
 
-    Computed by the same polarization sum applied directly to the determinant;
-    no normalization of the tuple is needed since the form is multilinear.
+    Computed by the same polarization at 2^(n-2) complex points applied directly
+    to the determinant; no normalization of the tuple is needed since the form
+    is multilinear.
     """
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim != 3 or mats.shape[0] != mats.shape[1] or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatchError("mixed discriminant needs n symmetric matrices of size n x n")
     n = mats.shape[0]
     # The pencil is left unnormalized (M(e) = I need not hold): only its
-    # determinant is evaluated, at sign vectors, which the identity rows map
-    # to themselves exactly.
+    # determinant is evaluated, at the complex points, which the identity rows
+    # map to themselves exactly.
     oracle = HyperbolicOracle(form=DeterminantalPolynomial(pencil=mats), n=n, m=n, direction=np.ones(n))
-    return _polarization(oracle, np.eye(n))[0]
+    return _polarization(oracle, np.eye(n))
 
 
 def repeated_tuple(points, multiplicities) -> np.ndarray:

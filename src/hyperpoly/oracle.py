@@ -6,8 +6,10 @@ normalized so that p(e) = 1.  A form supplies ``kind``, ``evaluate_batch(points)
 ``grad_log_p(d)`` and ``json_fields(direction)``; the base class ``Form``
 derives ``roots(x, d, tol)``, ``normalized_roots(x, e, tol)``,
 ``roots_and_gradient(d, e)`` and ``tuple_form(points)`` from the degree ``n``
-and evaluation.  Pencils override all four, products ``roots``.  Both root
-methods take one point or a stack of them, shape (..., m), and return (..., n).
+and evaluation.  Pencils override all four, products ``roots``.  A form's
+``evaluate_batch`` must accept complex rows as well as real ones, since
+polarization evaluates p at complex points.  Both root methods take one
+point or a stack of them, shape (..., m), and return (..., n).
 ``normalized_roots`` takes the roots along the oracle's own direction e,
 where a pencil has M(e) = I and needs no factorization of M(e); ``roots``
 takes them along any direction.  ``roots_and_gradient`` gives a Sinkhorn
@@ -57,7 +59,8 @@ NEAR_SINGULAR_FLOOR = 1e-12
 
 class Form:
     """A polynomial form known only by its evaluation and gradient: the protocol methods that a form
-    with a faster route overrides."""
+    with a faster route overrides.  A form's ``evaluate_batch`` takes real or complex rows, since
+    polarization evaluates p at complex points."""
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         """All n roots of t -> p(x - t d) for each row of x, from one restriction fit and one eigvals
@@ -338,8 +341,10 @@ def dense_oracle(m: int, n: int, terms, direction) -> HyperbolicOracle:
 
 
 def evaluate_batch(oracle: HyperbolicOracle, points: np.ndarray) -> np.ndarray:
-    """Evaluate p at each row of ``points`` (shape (N, m))."""
-    pts = np.asarray(points, dtype=float)
+    """Evaluate p at each row of ``points`` (shape (N, m)): real rows as float64, complex rows as given."""
+    pts = np.asarray(points)
+    if not np.iscomplexobj(pts):
+        pts = pts.astype(float, copy=False)
     if pts.ndim != 2 or pts.shape[1] != oracle.m:
         raise DimensionMismatchError(f"batch has shape {pts.shape}, oracle expects (N, {oracle.m})")
     return oracle.form.evaluate_batch(pts)

@@ -68,6 +68,14 @@ class TestTupleCommands:
         code, report = run(capsys, "mixed", oracle, tup)
         assert code == 0 and report["mixed_value"] == pytest.approx(2.0)
 
+    def test_mixed_at_n15_notes_the_complex_point_count(self, tmp_path, capsys):
+        oracle = write(tmp_path / "o.json", {"kind": "product", "n": 15})
+        tup = write(tmp_path / "t.json", {"points": np.eye(15).tolist()})
+        assert main(["mixed", oracle, tup]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["mixed_value"] == pytest.approx(1.0, rel=1e-12)
+        assert captured.err == "note: polarizing at 2^13 complex points\n"
+
     def test_support_basis_tuple(self, tmp_path, product2, capsys):
         tup = write(tmp_path / "t.json", {"points": [[1.0, 0.0], [0.0, 1.0]]})
         code, report = run(capsys, "support", product2, tup)

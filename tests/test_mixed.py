@@ -368,44 +368,84 @@ class TestPolarizationKernel:
         rng = np.random.default_rng(100 + n)
         oracle, pts = POLARIZATION_FORMS[form](rng, n)
         expected, peak = full_sign_sum(oracle, pts)
-        value, half_peak = mixed._polarization(oracle, pts)
+        value = mixed._polarization(oracle, pts)
         assert abs(value - expected) <= max(1e-12 * abs(expected), 8 * n * EPS * peak)
-        assert half_peak == pytest.approx(peak, rel=1e-12)
         assert hp.mixed_value(oracle, pts) == value
 
-    @pytest.mark.parametrize("n", [12, 13, 14])
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("form", sorted(POLARIZATION_FORMS))
+    def test_every_point_in_the_imaginary_slot_gives_one_value(self, form, n):
+        rng = np.random.default_rng(600 + n)
+        oracle, pts = POLARIZATION_FORMS[form](rng, n)
+        expected, peak = full_sign_sum(oracle, pts)
+        for k in range(n):
+            # Point k takes the imaginary slot; the form is symmetric, so the order of the rest is free.
+            assert abs(mixed._polarization(oracle, np.roll(pts, -k, axis=0)) - expected) <= 8 * n * EPS * peak
+
+    @pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
     def test_mixed_discriminant_of_commuting_tuple_is_permanent(self, n):
         rng = np.random.default_rng(n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        w = rng.uniform(0.5, 1.5, size=(n, n))
-        mats = [(q * w[:, i]) @ q.T for i in range(n)]
-        got = hp.mixed_discriminant([0.5 * (a + a.T) for a in mats])
-        assert abs(got - ryser_permanent(w)) <= 8 * n * EPS * float(np.prod(w.sum(axis=1)))
+        assert_commuting_discriminant_is_permanent(q, rng.uniform(0.5, 1.5, size=(n, n)))
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_mixed_discriminant_of_wide_commuting_tuple_is_permanent(self, n):
+        # Weights spanning six decades, on diagonal matrices: a rotated tuple's entries round at
+        # eps * 1e3, which moves a weight of 1e-3 by 1e6 eps before any polarization.
+        for seed in range(5):
+            w = 10.0 ** np.random.default_rng([700 + n, seed]).uniform(-3.0, 3.0, size=(n, n))
+            assert_commuting_discriminant_is_permanent(np.eye(n), w)
+
+
+def assert_commuting_discriminant_is_permanent(q, w):
+    """D(A_1, ..., A_n) = perm(W) for A_i = Q diag(W[:, i]) Q^T with Q orthogonal, within 8 n eps times
+    the largest |p| over sign vectors, which all weights being positive puts at b = (1, ..., 1)."""
+    n = w.shape[0]
+    mats = [(q * w[:, i]) @ q.T for i in range(n)]
+    got = hp.mixed_discriminant([0.5 * (a + a.T) for a in mats])
+    assert abs(got - ryser_permanent(w)) <= 8 * n * EPS * float(np.prod(w.sum(axis=1)))
 
 
 def sign_row_polarization(oracle, points):
-    """The polarization of distinct points as the sign-row kernel sums it: the 2^(n-1) sign vectors with
-    b_(n-1) = +1 in binary order, in chunks, through ``tuple_form``; its value and its evaluated rows."""
+    """The real reference: the polarization of distinct points summed over the 2^(n-1) sign vectors with
+    b_(n-1) = +1 in binary order, in chunks, through ``tuple_form``."""
     n = points.shape[0]
     form, coords = oracle.form.tuple_form(points)
-    total, rows = 0.0, []
+    total = 0.0
     half = 1 << (n - 1)
     for start in range(0, half, mixed._CHUNK):
         idx = np.arange(start, min(start + mixed._CHUNK, half), dtype=np.int64)
         bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-        rows.append((1.0 - 2.0 * bits) @ coords)
         parity = 1.0 - 2.0 * (bits.sum(axis=1) & 1)
-        total += float(np.dot(form.evaluate_batch(rows[-1]), parity))
-    return total * 0.5 ** (n - 1), np.vstack(rows)
+        total += float(np.dot(form.evaluate_batch((1.0 - 2.0 * bits) @ coords), parity))
+    return total * 0.5 ** (n - 1)
+
+
+def complex_point_polarization(oracle, points):
+    """The polarization of distinct points as the kernel sums it: Im p at the 2^(n-2) complex points
+    i x_1 + b_1 x_2 + ... + b_(n-2) x_(n-1) + x_n, b_1 varying fastest, times prod(b), in blocks of
+    ``mixed._CHUNK // 2`` through ``tuple_form``; its value and its evaluated rows."""
+    n = points.shape[0]
+    middle = max(n - 2, 0)
+    signs = np.array([b[::-1] for b in itertools.product((1.0, -1.0), repeat=middle)]).reshape(1 << middle, middle)
+    coefficients = np.hstack([np.full((len(signs), 1), 1j), signs, np.ones((len(signs), 1 if n > 1 else 0))])
+    form, coords = oracle.form.tuple_form(points)
+    total, rows = 0.0, []
+    for start in range(0, len(signs), mixed._CHUNK // 2):
+        rows.append(coefficients[start : start + mixed._CHUNK // 2] @ coords)
+        parity = np.prod(signs[start : start + mixed._CHUNK // 2], axis=1)
+        total += float(np.dot(form.evaluate_batch(rows[-1]).imag, parity))
+    return total * 0.5**middle, np.vstack(rows)
 
 
 def recorded_rows(monkeypatch):
-    """The row stacks that every ``evaluate_batch`` call of the polarization kernels receives."""
+    """The row stacks, in their own dtype, that every ``evaluate_batch`` call of the polarization kernels
+    receives."""
     stacks = []
     original = mixed.evaluate_batch
 
     def recorded(oracle, points):
-        stacks.append(np.array(points, dtype=float))
+        stacks.append(np.array(points))
         return original(oracle, points)
 
     monkeypatch.setattr(mixed, "evaluate_batch", recorded)
@@ -438,9 +478,8 @@ class TestLatticePolarization:
             expected, r_peak = full_sign_sum(oracle, hp.repeated_tuple(pts, r))
             tolerance = max(1e-12 * abs(expected), 8 * n * EPS * r_peak)
             assert abs(value - expected) <= tolerance
-            single, single_peak = mixed._polarization(oracle, hp.repeated_tuple(pts, r))
+            single = mixed._polarization(oracle, hp.repeated_tuple(pts, r))
             assert abs(single - expected) <= tolerance
-            assert single_peak == pytest.approx(r_peak, rel=1e-12)
             peaks.append(r_peak)
         assert peak == pytest.approx(max(peaks), rel=1e-12)
 
@@ -499,16 +538,17 @@ class TestLatticePolarization:
         rng = np.random.default_rng(400 + n)
         oracle, pts = POLARIZATION_FORMS[form](rng, n)
         stacks = recorded_rows(monkeypatch)
-        value, _ = mixed._polarization(oracle, pts)
-        expected, rows = sign_row_polarization(oracle, pts)
+        value = mixed._polarization(oracle, pts)
+        expected, rows = complex_point_polarization(oracle, pts)
         assert value == expected
         np.testing.assert_array_equal(np.vstack(stacks), rows)
         assert hp.mixed_value(oracle, pts) == value
+        assert abs(value - sign_row_polarization(oracle, pts)) <= 8 * n * EPS * full_sign_sum(oracle, pts)[1]
 
 
 class TestBoundedPolarization:
-    """Every stacked evaluation of the polarization kernels takes at most ``mixed._CHUNK`` rows, so its
-    working memory does not grow with 2^(n-1)."""
+    """Every stacked evaluation of the polarization kernels takes at most ``mixed._CHUNK`` real rows or
+    ``mixed._CHUNK // 2`` complex ones, so its working memory does not grow with 2^(n-2)."""
 
     @pytest.mark.parametrize("n", [11, 12, 13, 14])
     @pytest.mark.parametrize("form", sorted(POLARIZATION_FORMS))
@@ -516,10 +556,11 @@ class TestBoundedPolarization:
         rng = np.random.default_rng(500 + n)
         oracle, pts = POLARIZATION_FORMS[form](rng, n)
         stacks = recorded_rows(monkeypatch)
-        value, _ = mixed._polarization(oracle, pts)
-        assert max(len(rows) for rows in stacks) <= mixed._CHUNK
-        assert len(stacks) == math.ceil(2 ** (n - 1) / mixed._CHUNK)
-        expected, rows = sign_row_polarization(oracle, pts)
+        value = mixed._polarization(oracle, pts)
+        assert all(rows.dtype == complex for rows in stacks)
+        assert max(len(rows) for rows in stacks) <= mixed._CHUNK // 2
+        assert len(stacks) == math.ceil(2 ** (n - 2) / (mixed._CHUNK // 2))
+        expected, rows = complex_point_polarization(oracle, pts)
         np.testing.assert_array_equal(np.vstack(stacks), rows)
         assert value == expected
 

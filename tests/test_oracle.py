@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -656,6 +657,56 @@ class TestFormBase:
             assert (got.capacity_verdict, got.iterations) == (expected.capacity_verdict, expected.iterations)
             np.testing.assert_allclose(got.defect_history, expected.defect_history, rtol=0.0, atol=1e-15)
             assert hp.mixed_value(bare, points) == pytest.approx(hp.mixed_value(dense, points), rel=1e-12)
+
+
+def _term_sum(exponents, coefficients, z):
+    """sum_t c_t prod_j z_j^alpha_tj at each row of z, one term and one factor at a time."""
+    return [
+        sum(c * math.prod(v**a for v, a in zip(row, alpha)) for alpha, c in zip(exponents.tolist(), coefficients))
+        for row in z.tolist()
+    ]
+
+
+def _pencil_det(oracle, z):
+    """det(sum_j z_j B_j) at each row of z, the pencil contracted by ``np.tensordot``."""
+    return np.linalg.det(np.tensordot(z, oracle.form.pencil, axes=1))
+
+
+# Each form in the protocol, with an independent reference for its value at complex rows.
+COMPLEX_ROW_FORMS = {
+    "product": (lambda rng: hp.product_oracle(4), lambda oracle, z: [math.prod(row) for row in z.tolist()]),
+    "symmetric": (lambda rng: gen.symmetric_matrix_oracle(3), _pencil_det),
+    "pencil": (lambda rng: gen.random_determinantal_oracle(rng, 4, 3), _pencil_det),
+    "dense": (
+        lambda rng: hp.dense_from_oracle(gen.random_determinantal_oracle(rng, 4, 3)),
+        lambda oracle, z: _term_sum(oracle.form.exponents, oracle.form.coefficients, z),
+    ),
+    "e2": (
+        lambda rng: hp.HyperbolicOracle(form=_SecondElementaryForm(), n=2, m=3, direction=np.ones(3)),
+        lambda oracle, z: _term_sum(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), [1 / 3] * 3, z),
+    ),
+}
+
+
+class TestComplexRows:
+    """Polarization evaluates p at complex points, so every form's ``evaluate_batch`` takes complex rows;
+    real rows still reach it as float64."""
+
+    @pytest.mark.parametrize("kind", sorted(COMPLEX_ROW_FORMS))
+    def test_complex_rows_match_the_reference(self, kind):
+        build, reference = COMPLEX_ROW_FORMS[kind]
+        rng = np.random.default_rng(120)
+        oracle = build(rng)
+        z = rng.standard_normal((8, oracle.m)) + 1j * rng.standard_normal((8, oracle.m))
+        got = hp.evaluate_batch(oracle, z)
+        expected = np.asarray(reference(oracle, z))
+        assert got.dtype == complex
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+        np.testing.assert_allclose(hp.evaluate_batch(oracle, z.conj()), got.conj(), rtol=1e-13, atol=0.0)
+        integers = rng.integers(-3, 4, size=(8, oracle.m))
+        real = hp.evaluate_batch(oracle, integers)
+        assert real.dtype == float
+        np.testing.assert_array_equal(real, oracle.form.evaluate_batch(integers.astype(float)))
 
 
 def _chebfit_restriction(values, radius):
