@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -26,6 +26,7 @@ from .interlace import (
     MonicPolynomial,
     _above_chord,
     _majorized,
+    _minus_derivative,
     _sweep_points,
     lidskii_check,
     obreschkoff_pair_test,
@@ -55,6 +56,16 @@ from .scaling import (
     sinkhorn_map,
     traces_in_direction,
 )
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: only parallel runs need the process pool, and
+    its import (concurrent.futures.process and multiprocessing) would cost every CLI start."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _call(job: tuple[Callable, object]) -> dict:
@@ -87,7 +98,8 @@ class Suite:
         if parallelism <= 1:
             results = [_call(job) for job in jobs]
         else:
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            # Looked up on the module, which imports the pool on first use (see __getattr__).
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=parallelism) as pool:
                 results = list(pool.map(_call, jobs))
         failures = sum(0 if r["ok"] else 1 for r in results)
         worst = min(r["slack"] for r in results)
@@ -269,8 +281,7 @@ def _derivative_line_trial(args) -> dict:
     # extraction gives the spectra at every grid point and then every midpoint, in the order of
     # ``spectral_line_convexity``'s sweep (the grid is ascending, so its pairs are the upper triangle);
     # one cumsum of those descending spectra holds every k's top-k sum.
-    q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
-    spectrum = pair_spectrum(q_minus_dq, q, 1e-7)
+    spectrum = pair_spectrum(_minus_derivative(q), q, 1e-7)
     points = _sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), grid)
     # A non-real spectrum raises NonRealRootError from the point call.
     tops = np.cumsum([lam if lam is not None else spectrum(p) for p, lam in zip(points, spectrum(points))], axis=1)

@@ -268,7 +268,7 @@ def _separated_roots(rng: np.random.Generator, degree: int) -> np.ndarray:
 def _pair_from_residues(roots: np.ndarray, residues: np.ndarray) -> tuple[MonicPolynomial, MonicPolynomial]:
     """The pair (q, r) with q monic on `roots` and r = q + sum_k a_k q / (x - lambda_k)."""
     q = MonicPolynomial.from_roots(roots)
-    qc = q.standard_coefficients()
+    qc = q._coeffs
     n = roots.size
     # Row k holds the ascending coefficients of q / (x - lambda_k): synthetic division of every
     # quotient at once, b_(j-1) = c_j + lambda_k b_j from the top.

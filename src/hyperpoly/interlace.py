@@ -15,7 +15,14 @@ the line-convexity sweep are written once over a spectrum map, a callable
 from a point to its descending roots: eigvalsh for symmetric matrices,
 pair_spectrum for a pencil pair (q, r), and roots_in_direction for any oracle.
 Each check that owns a pair spectrum hands it all of its points in one stack
-call first, so its sweep or Lidskii triple costs one stacked extraction.
+call first, so its sweep or Lidskii triple costs one stacked extraction, and
+the stack is shifted and sorted once per trimmed degree.
+
+A MonicPolynomial builds its ascending coefficient array once.  The
+polynomial arithmetic (products of root lines, derivatives, Horner
+evaluation, Taylor shifts) is written out in numpy.polynomial's operation
+order, so its results are bitwise numpy's without numpy.polynomial's per-call
+dispatch; the module never imports numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ class MonicPolynomial:
     """Monic polynomial q(x) = x^n - a_1 x^(n-1) - ... - a_n.
 
     The stored tuple is (a_1, ..., a_n); note the minus signs in front of
-    every stored coefficient.
+    every stored coefficient.  The ascending power-basis coefficients are
+    built once, read-only, and every method reads them.
     """
 
     a: tuple[float, ...]
@@ -60,7 +68,11 @@ class MonicPolynomial:
     def __post_init__(self):
         if len(self.a) < 1:
             raise InvalidDocumentError("monic polynomial needs degree >= 1")
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        a = tuple(float(v) for v in self.a)
+        object.__setattr__(self, "a", a)
+        coeffs = -np.array(a[::-1] + (-1.0,))
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -75,29 +87,25 @@ class MonicPolynomial:
         if c[-1] == 0.0:
             raise InvalidDocumentError("leading coefficient is zero")
         c = c / c[-1]
-        return cls(tuple(-c[:-1][::-1]))
+        return cls(tuple((-c[:-1][::-1]).tolist()))
 
     @classmethod
     def from_roots(cls, roots) -> "MonicPolynomial":
-        return cls.from_standard(np.polynomial.polynomial.polyfromroots(np.asarray(roots, dtype=float)))
+        return cls.from_standard(_from_roots(roots))
 
     def standard_coefficients(self) -> np.ndarray:
-        """Ascending power-basis coefficients c_0..c_n with c_n = 1."""
-        n = self.degree
-        c = np.empty(n + 1)
-        c[n] = 1.0
-        c[:n] = -np.asarray(self.a)[::-1]
-        return c
+        """Ascending power-basis coefficients c_0..c_n with c_n = 1, a fresh copy."""
+        return self._coeffs.copy()
 
     def derivative_coefficients(self) -> np.ndarray:
-        return np.polynomial.polynomial.polyder(self.standard_coefficients())
+        return _derivative(self._coeffs)
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.standard_coefficients())
+        return _horner(self._coeffs, x)
 
     def shift(self, s: float) -> "MonicPolynomial":
         """The monic polynomial x -> q(x + s)."""
-        return MonicPolynomial.from_standard(taylor_shift(self.standard_coefficients(), s))
+        return MonicPolynomial.from_standard(taylor_shift(self._coeffs, s))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "a": list(self.a)}
@@ -117,16 +125,74 @@ class MonicPolynomial:
             raise InvalidDocumentError(f"bad monic polynomial: {exc}") from exc
 
 
+# The polynomial arithmetic below repeats the operation order of numpy.polynomial's polyfromroots,
+# polyder, polyval and Polynomial composition, so that every result is bitwise the one numpy gives.
+
+
+def _from_roots(roots) -> np.ndarray:
+    """Ascending coefficients of the product of x - r over the roots: the lines of the sorted roots,
+    multiplied pairwise (the first with the middle, and so on, an odd last one into the first) until
+    one is left."""
+    r = np.asarray(roots, dtype=float)
+    if r.ndim != 1:
+        raise InvalidDocumentError("roots must be a one-dimensional vector")
+    factors = [np.array([-v, 1.0]) for v in np.sort(r)]
+    if not factors:
+        return np.ones(1)
+    while len(factors) > 1:
+        half, odd = divmod(len(factors), 2)
+        paired = [np.convolve(factors[i], factors[i + half]) for i in range(half)]
+        if odd:
+            paired[0] = np.convolve(paired[0], factors[-1])
+        factors = paired
+    return factors[0]
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative, j c_j; a constant's is [0]."""
+    return coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
+
+
+def _horner(coeffs: np.ndarray, x):
+    """The polynomial with these ascending coefficients at x, a scalar or an array, by Horner's rule."""
+    # As in numpy's polyval, a sequence or an array meets every coefficient as an array of its dimension,
+    # and a scalar meets scalars: the two take different arithmetic loops.
+    if isinstance(x, (tuple, list, np.ndarray)):
+        x = np.asarray(x)
+        coeffs = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
+    value = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        value = c + value * x
+    return value
+
+
+def _trimmed(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs without its trailing zero coefficients, keeping at least one."""
+    k = coeffs.size
+    while k > 1 and coeffs[k - 1] == 0:
+        k -= 1
+    return coeffs[:k]
+
+
 def taylor_shift(coeffs, s: float) -> np.ndarray:
-    """Ascending coefficients of p(x + s) given ascending coefficients of p, by numpy's own
-    composition: trailing zero coefficients are dropped, keeping at least one."""
-    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([s, 1.0])).coef
+    """Ascending coefficients of p(x + s) given ascending coefficients of p, by Horner's rule over
+    polynomials: trailing zero coefficients are dropped at every step, keeping at least one."""
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    line = np.array([s + 0.0, 1.0])
+    # The line times 0, as a convolution: its sums start at +0.0, so no negative zero comes out.
+    value = _trimmed(c[-1:] + np.convolve(line, [0.0])[:1])
+    for coef in c[-2::-1]:
+        value = _trimmed(np.convolve(value, line))
+        value[0] += coef
+        value = _trimmed(value)
+    return value
 
 
 def standard_coefficients(poly, length: Optional[int] = None) -> np.ndarray:
-    """Ascending coefficients of a MonicPolynomial or a raw coefficient vector."""
+    """Ascending coefficients of a MonicPolynomial (its own read-only array unless padded) or a raw
+    coefficient vector."""
     if isinstance(poly, MonicPolynomial):
-        c = poly.standard_coefficients()
+        c = poly._coeffs
     else:
         c = np.asarray(poly, dtype=float)
         if c.ndim != 1 or c.size == 0:
@@ -140,7 +206,7 @@ def standard_coefficients(poly, length: Optional[int] = None) -> np.ndarray:
 
 def companion(q: MonicPolynomial) -> np.ndarray:
     """Companion matrix with ones on the superdiagonal and (a_n, ..., a_1) in the last row."""
-    return companion_matrices(q.standard_coefficients())
+    return companion_matrices(q._coeffs)
 
 
 def companion_matrices(coeffs: np.ndarray) -> np.ndarray:
@@ -176,9 +242,8 @@ def _accept_real(lams: np.ndarray, tol: float) -> np.ndarray:
 
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """One Newton correction per root; skipped where the derivative vanishes."""
-    der = np.polynomial.polynomial.polyder(coeffs)
-    vals = np.polynomial.polynomial.polyval(roots, coeffs)
-    dvals = np.polynomial.polynomial.polyval(roots, der)
+    vals = _horner(coeffs, roots)
+    dvals = _horner(_derivative(coeffs), roots)
     safe = np.abs(dvals) > 0.0
     out = roots.copy()
     out[safe] = roots[safe] - vals[safe] / dvals[safe]
@@ -189,7 +254,7 @@ def real_roots(q: MonicPolynomial, tol: float = 1e-8, polish: bool = False) -> n
     """All n roots of q, sorted descending; raises NonRealRootError otherwise."""
     lam = np.linalg.eigvals(companion(q))
     if polish:
-        lam = _newton_polish(q.standard_coefficients(), lam)
+        lam = _newton_polish(q._coeffs, lam)
     return _accept_real(lam, tol)
 
 
@@ -236,7 +301,10 @@ def _real_roots_of_pencil_rows(rows: np.ndarray, tol: float) -> tuple[list[Optio
     chunks of _CHUNK, one eigvals call per distinct trimmed degree in a chunk.
     """
     lengths = _trimmed_lengths(rows)
-    roots: list[Optional[np.ndarray]] = [np.empty(0)] * len(rows)
+    # An object array takes each group's row views in one assignment; rows trimmed to a constant keep
+    # the shared empty root vector.
+    roots = np.empty(len(rows), dtype=object)
+    roots.fill(np.empty(0))
     nonreal = np.zeros(len(rows), dtype=bool)
     for start in range(0, len(rows), _CHUNK):
         chunk = lengths[start : start + _CHUNK]
@@ -246,9 +314,9 @@ def _real_roots_of_pencil_rows(rows: np.ndarray, tol: float) -> tuple[list[Optio
             bad = np.any(_imaginary_excess(lams, tol) > 0.0, axis=-1)
             ordered = np.sort(lams.real, axis=-1)[:, ::-1]
             nonreal[idx] = bad
-            for i, row_bad, lam in zip(idx, bad, ordered):
-                roots[i] = None if row_bad else lam
-    return roots, nonreal
+            roots[idx] = np.fromiter(ordered, dtype=object, count=len(idx))
+            roots[idx[bad]] = None
+    return roots.tolist(), nonreal
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,8 +350,7 @@ def obreschkoff_pair_test(q: MonicPolynomial, r, tol: float = 1e-8) -> PairRepor
         gaps = lam[:-1] - lam[1:]
         if float(np.min(gaps)) < ROOT_SEPARATION_FLOOR * scale:
             return PairReport(verdict=INCONCLUSIVE, roots_of_q=lam)
-    qprime = q.derivative_coefficients()
-    residues = np.polynomial.polynomial.polyval(lam, rc) / np.polynomial.polynomial.polyval(lam, qprime)
+    residues = _horner(rc, lam) / _horner(_derivative(q._coeffs), lam)
     peak = float(np.max(np.abs(residues))) if residues.size else 0.0
     zero_floor = 1e-10 * max(1.0, peak)
     has_pos = bool(np.any(residues > zero_floor))
@@ -418,25 +485,27 @@ def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectru
     """
     if q.degree != r.degree:
         raise InvalidDocumentError("a pair spectrum needs two monic polynomials of equal degree")
-    qc, rc = q.standard_coefficients(), r.standard_coefficients()
+    qc, rc = q._coeffs, r._coeffs
     memo: dict[tuple[float, ...], np.ndarray] = {}
-
-    def shifted(key: tuple[float, ...], roots: np.ndarray) -> np.ndarray:
-        x, y, z = key
-        return np.sort((x + y) * roots + z)[::-1]
 
     def spectrum(point):
         if np.ndim(point) == 2:
-            keys = [tuple(float(v) for v in row) for row in point]
+            keys = list(map(tuple, np.asarray(point, dtype=float).tolist()))
             fresh = list(dict.fromkeys(key for key in keys if key not in memo))
-            xy = np.array([key[:2] for key in fresh]).reshape(-1, 2)
-            roots, _ = _real_roots_of_pencil_rows(xy[:, :1] * qc + xy[:, 1:] * rc, tol)
-            memo.update((key, shifted(key, lam)) for key, lam in zip(fresh, roots) if lam is not None)
+            x, y, z = np.array(fresh, dtype=float).reshape(len(fresh), 3).T
+            roots, nonreal = _real_roots_of_pencil_rows(x[:, None] * qc + y[:, None] * rc, tol)
+            # The rows of one size come from one trimmed degree: shift and sort them as one stack.
+            sizes = np.array([-1 if lam is None else lam.size for lam in roots], dtype=int)
+            for size in np.unique(sizes[~nonreal]):
+                idx = np.flatnonzero(sizes == size)
+                lams = np.array([roots[i] for i in idx]).reshape(idx.size, size)
+                shifted = np.sort((x[idx] + y[idx])[:, None] * lams + z[idx, None], axis=-1)[:, ::-1]
+                memo.update(zip([fresh[i] for i in idx], shifted))
             return [memo.get(key) for key in keys]
         key = tuple(float(v) for v in point)
         if key not in memo:
-            x, y, _ = key
-            memo[key] = shifted(key, real_roots_from_coefficients(x * qc + y * rc, tol))
+            x, y, z = key
+            memo[key] = np.sort((x + y) * real_roots_from_coefficients(x * qc + y * rc, tol) + z)[::-1]
         return memo[key]
 
     return spectrum
@@ -472,10 +541,15 @@ class LineConvexityReport(Report):
     values: tuple[float, ...]
 
 
+def _minus_derivative(q: MonicPolynomial) -> MonicPolynomial:
+    """q - q': with q it makes the pair (q - q', q) behind every derivative line."""
+    return MonicPolynomial.from_standard(q._coeffs - np.pad(_derivative(q._coeffs), (0, 1)))
+
+
 def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float) -> np.ndarray:
     """Ascending coefficients of P_a(x) = q(x + b + c a) - a q'(x + b + c a)."""
-    base = taylor_shift(q.standard_coefficients(), b + c * a)
-    return base - a * np.pad(np.polynomial.polynomial.polyder(base), (0, 1))
+    base = taylor_shift(q._coeffs, b + c * a)
+    return base - a * np.pad(_derivative(base), (0, 1))
 
 
 def derivative_line_convexity(
@@ -492,8 +566,7 @@ def derivative_line_convexity(
     whenever c = 1).
     """
     n = q.degree
-    q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
-    spectrum = pair_spectrum(q_minus_dq, q, tol)
+    spectrum = pair_spectrum(_minus_derivative(q), q, tol)
     x0, dx = (0.0, 1.0, -b), (1.0, -1.0, -c)
     at_zero = b == 0.0 and c == 1.0
     points = _sweep_points(x0, dx, grid)

@@ -222,6 +222,10 @@ class HyperbolicOracle:
 
 
 def _as_point(oracle: HyperbolicOracle, x) -> np.ndarray:
+    """x as a real point of the oracle's dimension.  A complex point is refused: the cast to float
+    would drop its imaginary part."""
+    if np.iscomplexobj(x):
+        raise InvalidDocumentError("a point must be real; evaluate_batch takes complex rows")
     p = np.asarray(x, dtype=float)
     if p.shape != (oracle.m,):
         raise DimensionMismatchError(f"point has shape {p.shape}, oracle expects ({oracle.m},)")

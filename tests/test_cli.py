@@ -542,6 +542,18 @@ class TestSuiteParallelism:
         assert experiments.run_suite("interlace", 0, 4, 1)["trials"] == 14
 
 
+def test_cli_import_and_interlace_run_leave_numpy_polynomial_and_the_process_pool_unloaded():
+    code = (
+        "import sys, hyperpoly.cli\n"
+        "pool = 'concurrent.futures.process' in sys.modules\n"
+        "hyperpoly.cli.main(['experiments', 'interlace', '--trials', '4', '--seed', '1'])\n"
+        "sys.exit(pool or 'numpy.polynomial' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True).returncode == 0
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     code = "import sys, hyperpoly.cli; sys.exit('scipy.optimize' in sys.modules)"
     src = os.path.dirname(os.path.dirname(hyperpoly.__file__))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -606,6 +607,110 @@ class TestTaylorShift:
         assert taylor_shift([0.0, 0.0], 2.0).tolist() == [0.0]
 
 
+NP_POLY = np.polynomial.polynomial
+
+
+def reference_shift(coeffs, s):
+    """numpy's own composition p(x + s)."""
+    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([s, 1.0])).coef
+
+
+def seeded_coefficients(degree):
+    """Ascending coefficient vectors of one degree: plain normals, then with zeros and negative zeros
+    scattered in, then with one to three trailing zeros, so that every trimming branch is met."""
+    rng = np.random.default_rng(500 + degree)
+    plain = rng.standard_normal(degree + 1)
+    holes = rng.standard_normal(degree + 1)
+    holes[rng.random(degree + 1) < 0.3] = 0.0
+    holes[rng.random(degree + 1) < 0.2] = -0.0
+    tails = [np.concatenate([rng.standard_normal(degree + 1 - k), np.zeros(k)]) for k in range(1, min(3, degree) + 1)]
+    return [plain, holes, np.round(4.0 * plain)] + tails
+
+
+def seeded_roots(degree):
+    """Root vectors of one degree: unsorted normals, a repeated root, and zeros of both signs."""
+    rng = np.random.default_rng(600 + degree)
+    plain = rng.standard_normal(degree)
+    repeated = np.concatenate([rng.standard_normal(degree - degree // 2), np.full(degree // 2, 0.5)])
+    zeros = rng.standard_normal(degree)
+    zeros[::2] = 0.0
+    zeros[::4] = -0.0
+    return [plain, rng.permutation(repeated), zeros]
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestNumpyPolynomialReference:
+    """The closed-form arithmetic is bitwise numpy.polynomial's."""
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_from_roots(self, degree):
+        for roots in seeded_roots(degree):
+            assert same_bits(interlace._from_roots(roots), NP_POLY.polyfromroots(roots))
+            q = MonicPolynomial.from_roots(roots)
+            assert same_bits(q.standard_coefficients(), MonicPolynomial.from_standard(NP_POLY.polyfromroots(roots))._coeffs)
+
+    @pytest.mark.parametrize("degree", range(0, 13))
+    def test_derivative(self, degree):
+        for c in seeded_coefficients(degree) if degree else [np.array([2.5]), np.array([-0.0])]:
+            assert same_bits(interlace._derivative(c), NP_POLY.polyder(c))
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_horner(self, degree):
+        rng = np.random.default_rng(700 + degree)
+        points = [
+            rng.standard_normal(7),
+            rng.standard_normal(5) + 1j * rng.standard_normal(5),
+            rng.standard_normal((2, 3)),
+            float(rng.standard_normal()),
+            np.float64(-0.0),
+            complex(1.5, -0.5),
+            [0.5, -2.0],
+        ]
+        for c in seeded_coefficients(degree):
+            for x in points:
+                assert same_bits(interlace._horner(c, x), NP_POLY.polyval(x, c))
+        q = MonicPolynomial.from_roots(seeded_roots(degree)[0])
+        assert same_bits(q(points[1]), NP_POLY.polyval(points[1], q.standard_coefficients()))
+        assert same_bits(q.derivative_coefficients(), NP_POLY.polyder(q.standard_coefficients()))
+
+    @pytest.mark.parametrize("degree", range(0, 13))
+    def test_taylor_shift(self, degree):
+        rng = np.random.default_rng(800 + degree)
+        shifts = [float(rng.standard_normal()), 0.0, -0.0, 2.0, -1.5]
+        vectors = seeded_coefficients(degree) if degree else [np.array([3.0]), np.array([0.0]), np.array([-0.0])]
+        vectors += [np.zeros(degree + 1), np.concatenate([np.zeros(degree), [-0.0]])]
+        for c in vectors:
+            for s in shifts:
+                assert same_bits(taylor_shift(c, s), reference_shift(c, s))
+        q = MonicPolynomial.from_roots(seeded_roots(max(degree, 1))[1])
+        assert same_bits(q.shift(0.75)._coeffs, MonicPolynomial.from_standard(reference_shift(q._coeffs, 0.75))._coeffs)
+
+    def test_coefficients_are_stored_once_read_only(self):
+        q = MonicPolynomial((1.0, -2.0))  # x^2 - x + 2
+        copy = q.standard_coefficients()
+        copy[0] = 99.0
+        assert q.standard_coefficients().tolist() == [2.0, -1.0, 1.0]
+        assert not q._coeffs.flags.writeable and standard_coefficients(q) is q._coeffs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interlace_suite_matches_the_numpy_polynomial_route(self, monkeypatch, seed):
+        ours = experiments.run_suite("interlace", seed, 40, 1)
+        counts = {"from_roots": 0, "derivative": 0, "horner": 0}
+        references = {
+            "from_roots": lambda roots: NP_POLY.polyfromroots(np.asarray(roots, dtype=float)),
+            "derivative": NP_POLY.polyder,
+            "horner": lambda coeffs, x: NP_POLY.polyval(x, coeffs),
+        }
+        for name, fn in references.items():
+            monkeypatch.setattr(interlace, f"_{name}", counted(counts, name, fn))
+        monkeypatch.setattr(interlace, "taylor_shift", reference_shift)
+        assert json.dumps(experiments.run_suite("interlace", seed, 40, 1)) == json.dumps(ours)
+        assert all(counts.values())
+
+
 class TestSymmetricConvexLine:
     def test_one_evaluation_per_grid_point_and_midpoint(self, monkeypatch):
         # The 9 grid points and their midpoints are 17 distinct points, in one stacked extraction.
@@ -740,6 +845,17 @@ class TestPairSpectrumStack:
                 assert stacked[3].size == q.degree - 1
                 dropped += 1
         assert dropped >= 20
+
+    def test_constant_pencil_rows_have_empty_spectra(self):
+        # At x = y = 0 the pencil is the zero polynomial: no roots, in a stack as at a single point.
+        q, r = gen.hyperbolic_pair(np.random.default_rng(5), 3)
+        points = np.array([[0.0, 0.0, 0.5], [1.0, 0.5, 0.0], [0.0, 0.0, -1.0], [0.5, -0.5, 2.0]])
+        stacked = hp.pair_spectrum(q, r, 1e-8)(points)
+        single = hp.pair_spectrum(q, r, 1e-8)
+        for point, lam in zip(points, stacked):
+            want = single(point)
+            assert lam.dtype == want.dtype and lam.shape == want.shape and lam.tobytes() == want.tobytes()
+        assert [lam.size for lam in stacked] == [0, 3, 0, 2]
 
     def test_non_real_rows_are_not_remembered(self, monkeypatch):
         q, r = gen.nonhyperbolic_pair(np.random.default_rng(1), 3)

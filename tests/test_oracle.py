@@ -69,6 +69,15 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             hp.evaluate(hp.product_oracle(2), [1.0, 2.0, 3.0])
 
+    # p(i, 1) = i: a cast to float would give 0.0.  evaluate_batch is the entry that takes complex rows.
+    @pytest.mark.parametrize("point", [np.array([1j, 1.0]), [1j, 1.0]], ids=["array", "list"])
+    def test_complex_point_is_refused(self, point, sym3):
+        with pytest.raises(InvalidDocumentError, match="evaluate_batch"):
+            hp.evaluate(hp.product_oracle(2), point)
+        with pytest.raises(InvalidDocumentError, match="evaluate_batch"):
+            hp.roots_in_direction(sym3, [1j, 0.0, 1.0, 0.0, 0.0, 1.0], sym3.direction)
+        assert hp.evaluate_batch(hp.product_oracle(2), np.array([point])).tolist() == [1j]
+
     @given(
         c=st.floats(-3.0, 3.0, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
         seed=st.integers(0, 100),
