@@ -49,7 +49,14 @@ from .interlace import (
     symmetric_convex_line_check,
 )
 from .mixed import alexandrov_fenchel_verdict, mixed_value, newton_saturation_check
-from .oracle import _symmetrize, evaluate, oracle_from_json, roots_in_direction, trace_in_direction
+from .oracle import (
+    SymmetricBasisPolynomial,
+    _symmetrize,
+    evaluate,
+    oracle_from_json,
+    roots_in_direction,
+    trace_in_direction,
+)
 from .scaling import (
     STATUS_CONVERGED,
     STATUS_ZERO,
@@ -65,7 +72,9 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 
-# Memory the pencil of a {"kind": "symmetric", "n": N} oracle may take.
+# Bound on the N of a {"kind": "symmetric", "n": N} document: its basis, N(N+1)/2 float64 matrices of
+# N x N, fits in this many bytes (N <= 63).  No command builds that basis, as the oracle keeps an N x N
+# table of coordinates, so the bound caps the size of the oracle and its tuples, not a pencil's memory.
 SYMMETRIC_BASIS_BYTES = 64 << 20
 
 
@@ -134,7 +143,7 @@ def _load_oracle(path: str):
     if isinstance(doc, dict) and doc.get("kind") == "symmetric":
         (n,) = _require(doc, path, "n")
         n = _parse(int, n, f"{path}: 'n'")
-        # The oracle's pencil is the (n(n+1)/2, n, n) symmetric basis of float64 matrices.
+        # The bound is on the (n(n+1)/2, n, n) symmetric basis of float64 matrices, which no command builds.
         if n < 1 or n * (n + 1) // 2 * n * n * 8 > SYMMETRIC_BASIS_BYTES:
             raise InvalidDocumentError(
                 f"{path}: 'n' must be at least 1 and keep the symmetric basis within "
@@ -162,11 +171,17 @@ def _load_tuple(path: str, oracle):
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
         mats = _matrix_stack(_floats(doc["matrices"], f"{path}: 'matrices'"))
-        # Matrix coordinates only make sense against the symmetric-basis pencil.
-        if not (oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, mats.shape[1])):
+        n = mats.shape[1]
+        # Matrix coordinates only make sense against the symmetric basis: the form that gathers them, or a
+        # stored pencil equal to that basis.
+        if isinstance(oracle.form, SymmetricBasisPolynomial):
+            pairs = oracle.n == n
+        else:
+            pairs = oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, n)
+        if not pairs:
             raise InvalidDocumentError(
                 f"{path}: matrix tuples pair with the symmetric-basis oracle "
-                f'({{"kind": "symmetric", "n": {mats.shape[1]}}})'
+                f'({{"kind": "symmetric", "n": {n}}})'
             )
         # The coordinates are the upper triangle, so an asymmetric matrix is refused, as in a pencil document.
         try:

@@ -9,6 +9,7 @@ sampled pencil grid, so every emitted instance carries a grid-visible witness).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +25,8 @@ from .interlace import (
 )
 from .oracle import (
     HyperbolicOracle,
+    SymmetricBasisPolynomial,
     _pencil_blocks,
-    _pencil_oracle,
     determinantal_oracle,
     hyperbolic_rank,
     product_oracle,
@@ -41,12 +42,27 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(v) for v in key))
 
 
+@functools.lru_cache(maxsize=16)
 def _coordinate_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each coordinate of a symmetric n x n matrix: the diagonal,
-    then the upper triangle row by row."""
+    then the upper triangle row by row.  Cached per n; both arrays are read-only."""
     rows, cols = np.triu_indices(n, 1)
     diag = np.arange(n)
-    return np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    indices = np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    for table in indices:
+        table.setflags(write=False)
+    return indices
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetric_form(n: int) -> SymmetricBasisPolynomial:
+    """The determinantal form on the coordinates of symmetric n x n matrices, with its read-only table
+    of the coordinate at each entry; cached per n, as every oracle of that size shares it."""
+    rows, cols = _coordinate_indices(n)
+    entries = np.empty((n, n), dtype=np.intp)
+    entries[rows, cols] = entries[cols, rows] = np.arange(rows.size)
+    entries.setflags(write=False)
+    return SymmetricBasisPolynomial(n=n, entries=entries)
 
 
 def _basis_matrices(n: int, start: int, stop: int) -> np.ndarray:
@@ -76,13 +92,21 @@ def is_symmetric_basis(pencil: np.ndarray, n: int) -> bool:
 def symmetric_matrix_oracle(n: int) -> HyperbolicOracle:
     """Determinantal oracle over the full space of symmetric n x n matrices.
 
-    The pencil is ``symmetric_basis(n)``, so a point is exactly a symmetric
+    Its pencil is ``symmetric_basis(n)``, so a point is exactly a symmetric
     matrix written in coordinates and the direction maps to the identity
-    matrix.  That basis is exactly symmetric with M(e) = I, so the oracle keeps
-    it as built, with no copy to check and average.
+    matrix.  The form, ``SymmetricBasisPolynomial``, never stores that
+    basis: M(x) and the traces tr(B_j W) are O(n^2) gathers through the
+    cached n x n table of coordinates, where the basis would take
+    n^3 (n + 1) / 2 doubles.  M(e) = I exactly, so the metadata is that of a
+    pencil that needs no congruence.
     """
-    basis = symmetric_basis(n)
-    return _pencil_oracle(basis, np.concatenate([np.ones(n), np.zeros(basis.shape[0] - n)]))
+    if n < 1:
+        raise InvalidDocumentError("symmetric matrix oracle needs n >= 1")
+    form = _symmetric_form(n)
+    direction = np.zeros(n * (n + 1) // 2)
+    direction[:n] = 1.0
+    metadata = {"gram_determinant": 1.0, "congruence_applied": False}
+    return HyperbolicOracle(form=form, n=n, m=direction.size, direction=direction, metadata=metadata)
 
 
 def matrix_to_point(mat: np.ndarray) -> np.ndarray:

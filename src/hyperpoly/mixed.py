@@ -86,12 +86,16 @@ def as_tuple(points) -> np.ndarray:
 def _tuple_evaluator(oracle: HyperbolicOracle, points: np.ndarray, n: int):
     """The map from rows c, shape (N, k), real block sums or complex points, to p(c @ points) for the
     k points, through the form that ``tuple_form`` returns for them, which contracts a determinantal
-    pencil once per tuple; refuses more than POLARIZATION_CAP slots."""
+    pencil once per tuple; refuses more than POLARIZATION_CAP slots.  Identity coordinates, as a
+    pencil's tuple form has, are not multiplied: the rows are already the form's points, and the
+    product would only copy them."""
     if n > POLARIZATION_CAP:
         raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
     form, coords = oracle.form.tuple_form(points)
     # Only evaluated, so the direction is a placeholder.
     tuple_oracle = HyperbolicOracle(form=form, n=n, m=coords.shape[1], direction=np.ones(coords.shape[1]))
+    if coords.shape[0] == coords.shape[1] and np.array_equal(coords, np.eye(coords.shape[0])):
+        return lambda sums: evaluate_batch(tuple_oracle, sums)
     return lambda sums: evaluate_batch(tuple_oracle, sums @ coords)
 
 

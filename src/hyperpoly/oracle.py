@@ -6,7 +6,14 @@ normalized so that p(e) = 1.  A form supplies ``kind``, ``evaluate_batch(points)
 ``grad_log_p(d)`` and ``json_fields(direction)``; the base class ``Form``
 derives ``roots(x, d, tol)``, ``normalized_roots(x, e, tol)``,
 ``roots_and_gradient(d, e)`` and ``tuple_form(points)`` from the degree ``n``
-and evaluation.  Pencils override all four, products ``roots``.  A form's
+and evaluation.  Pencils override all four, products ``roots``.  A
+determinantal form, ``PencilForm``, reaches its pencil B_1..B_m through two
+primitives only: x -> M(x) = sum_j x_j B_j, for a point or a stack, and the
+adjoint W -> (tr(B_j W))_j.  ``DeterminantalPolynomial`` stores the pencil and
+takes both as one matrix product with it; ``SymmetricBasisPolynomial``, whose
+points are the coordinates of symmetric n x n matrices, takes both as an
+O(n^2) gather through an n x n table of coordinates and builds its O(n^4)
+basis only when a document asks for it.  A form's
 ``evaluate_batch`` must accept complex rows as well as real ones, since
 polarization evaluates p at complex points.  Both root methods take one
 point or a stack of them, shape (..., m), and return (..., n).
@@ -104,26 +111,20 @@ class ProductPolynomial(Form):
         return {}
 
 
-@dataclass(frozen=True, eq=False)
-class DeterminantalPolynomial(Form):
-    """p(x) = det(x_1 B_1 + ... + x_m B_m) with real symmetric B_j and M(e) = I."""
+class PencilForm(Form):
+    """p(x) = det M(x) for a linear map x -> M(x) = sum_j x_j B_j into real symmetric matrices with
+    M(e) = I.  Every method goes through two primitives that a subclass supplies: ``matrix``, x -> M(x)
+    for a point or a stack, and its adjoint ``traces``, W -> (tr(B_j W))_j; ``pencil`` is the stack of
+    the B_j, which only ``json_fields`` reads."""
 
-    pencil: np.ndarray  # shape (m, n, n)
     kind = "determinantal"
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
-        # One matrix product: a general tensor contraction costs several times as much on small inputs.
-        m, n, _ = self.pencil.shape
-        return (x @ self.pencil.reshape(m, n * n)).reshape(x.shape[:-1] + (n, n))
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.det(self.matrix(pts))
 
     def grad_log_p(self, d: np.ndarray) -> np.ndarray:
-        """d_j log det M(d) = tr(M(d)^{-1} B_j), contracted in one matrix product like ``matrix``."""
-        m, n, _ = self.pencil.shape
-        return self.pencil.reshape(m, n * n) @ np.linalg.inv(self.matrix(d)).T.reshape(n * n)
+        """d_j log det M(d) = tr(M(d)^{-1} B_j)."""
+        return self.traces(np.linalg.inv(self.matrix(d)))
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         """Eigenvalues of L^-1 M(x) L^-T with M(d) = L L^T, one factorization for a whole stack of x."""
@@ -149,27 +150,80 @@ class DeterminantalPolynomial(Form):
         roots of d along e are the eigenvalues of M(d), p(d) is their product, and
         d_j log p(d) = tr(M(d)^-1 B_j) with M(d)^-1 = V diag(1/lambda) V^T, formed only when every
         eigenvalue is positive."""
-        m, n, _ = self.pencil.shape
         lam, vecs = np.linalg.eigh(self.matrix(d))
         grad = None
         if lam[0] > 0.0:
-            grad = self.pencil.reshape(m, n * n) @ ((vecs / lam) @ vecs.T).reshape(n * n)
+            # tr(B_j W^T) = tr(B_j W) for symmetric B_j; on a stored pencil W^T sums W in row-major order.
+            grad = self.traces(((vecs / lam) @ vecs.T).T)
         return lam[::-1], float(np.prod(lam)), grad
 
     def tuple_form(self, pts: np.ndarray) -> tuple[DeterminantalPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s.
 
         p(sum_i s_i x_i) = det(sum_i s_i M(x_i)), so q is the pencil of the
-        matrices M(x_i), contracted once, and C is the identity.
+        matrices M(x_i), formed once, and C is the identity.
         """
         return DeterminantalPolynomial(pencil=self.matrix(pts)), np.eye(pts.shape[0])
 
     def json_fields(self, direction: np.ndarray) -> dict:
+        pencil = self.pencil
         return {
-            "m": self.pencil.shape[0],
-            "matrices": [b.tolist() for b in self.pencil],
+            "m": pencil.shape[0],
+            "matrices": [b.tolist() for b in pencil],
             "direction": direction.tolist(),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class DeterminantalPolynomial(PencilForm):
+    """p(x) = det(x_1 B_1 + ... + x_m B_m) with real symmetric B_j and M(e) = I, the B_j stored."""
+
+    pencil: np.ndarray  # shape (m, n, n)
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
+        # One matrix product: a general tensor contraction costs several times as much on small inputs.
+        m, n, _ = self.pencil.shape
+        return (x @ self.pencil.reshape(m, n * n)).reshape(x.shape[:-1] + (n, n))
+
+    def traces(self, w: np.ndarray) -> np.ndarray:
+        """(tr(B_j W))_j for one n x n matrix W, contracted in one matrix product like ``matrix``."""
+        m, n, _ = self.pencil.shape
+        return self.pencil.reshape(m, n * n) @ w.T.reshape(n * n)
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricBasisPolynomial(PencilForm):
+    """p(x) = det M(x) on the coordinates x of the symmetric n x n matrix M(x): M(x)[a, b] = x[entries[a, b]].
+
+    Its pencil is the symmetric basis in the coordinate order of ``entries``, E_ii for a diagonal
+    coordinate and E_ij + E_ji for an off-diagonal one, and it is never stored: the (m, n, n) basis is
+    O(n^4) data where ``entries`` is O(n^2).  M(x) is one gather of x through ``entries``, and
+    tr(B_k W) sums the entries of W at coordinate k, W[i, i] or W[i, j] + W[j, i], in one
+    ``np.bincount``.  On real input both give the basis pencil's products bit for bit.
+    """
+
+    n: int
+    entries: np.ndarray  # (n, n) symmetric, the coordinate at each entry; read-only
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
+        # Adding 0.0 turns -0.0 into 0.0, as the pencil product's sums do.
+        return np.take(x + np.float64(0.0), self.entries, axis=-1)
+
+    def traces(self, w: np.ndarray) -> np.ndarray:
+        """(tr(B_k W))_k for one n x n matrix W: the sum of W over the entries of coordinate k, in
+        row-major order and from 0.0 as the pencil product sums them.  ``entries`` is symmetric, so
+        summing W^T instead gives the same terms."""
+        return np.bincount(self.entries.ravel(), weights=w.ravel())
+
+    @property
+    def pencil(self) -> np.ndarray:
+        """The basis matrices, built on demand for documents and checks: no computation reads them."""
+        n = self.n
+        basis = np.zeros((n * (n + 1) // 2, n * n))
+        basis[self.entries.ravel(), np.arange(n * n)] = 1.0
+        return basis.reshape(-1, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +328,10 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
     The pencil evaluated at the direction must be positive definite; it is
     reduced to the identity by congruence with M(e)^(-1/2), which changes the
     polynomial by the constant factor det(M(e)) and leaves every root spectrum
-    untouched.  The applied factor is recorded in the metadata.
+    untouched.  The applied factor is recorded in the metadata.  The matrices
+    are stacked into one copy, which the congruence overwrites a block at a
+    time, averaging each block with its transpose without ``_symmetrize``'s
+    check, as rounding leaves an asymmetry near eps * cond(M(e)).
     """
     mats = [np.asarray(b, dtype=float) for b in matrices]
     if not mats:
@@ -285,14 +342,7 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
             raise InvalidDocumentError(f"pencil matrix {i} has shape {b.shape}, expected ({n}, {n})")
     pencil = np.stack(mats)
     _symmetrize(pencil)
-    return _pencil_oracle(pencil, direction)
-
-
-def _pencil_oracle(pencil: np.ndarray, direction) -> HyperbolicOracle:
-    """``determinantal_oracle`` on a stack of exactly symmetric matrices, the caller's own (its ``np.stack``
-    copy or a fresh basis): a congruence overwrites it a block at a time and averages each block with its
-    transpose without ``_symmetrize``'s check, as rounding leaves an asymmetry near eps * cond(M(e))."""
-    m, n, _ = pencil.shape
+    m = len(mats)
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
@@ -361,7 +411,7 @@ def evaluate(oracle: HyperbolicOracle, x) -> float:
 
 def pencil_matrix(oracle: HyperbolicOracle, x) -> np.ndarray:
     """M(x) = sum_j x_j B_j for a determinantal oracle."""
-    if not isinstance(oracle.form, DeterminantalPolynomial):
+    if oracle.kind != "determinantal":
         raise InvalidDocumentError("pencil_matrix only applies to determinantal oracles")
     return oracle.form.matrix(_as_point(oracle, x))
 
