@@ -46,10 +46,9 @@ from .oracle import (
 from .mixed import (
     SaturationReport,
     SupportSet,
-    alexandrov_fenchel_residual,
     alexandrov_fenchel_terms,
+    alexandrov_fenchel_verdict,
     brute_force_permanent,
-    compositions,
     dense_from_oracle,
     k_hyperbolic_check,
     k_hyperbolicity_polynomial,
@@ -74,16 +73,10 @@ from .scaling import (
     edmonds_rado_check,
     gradient,
     gradient_reciprocal_check,
-    matrix_as_tuple,
-    matrix_sinkhorn,
     mixed_concavity_check,
-    partial_derivative,
-    row_normalized,
     sinkhorn_iteration,
     sinkhorn_map,
     traces_in_direction,
-    tuple_as_matrix,
-    van_der_waerden_ratio,
 )
 from .interlace import (
     LineConvexityReport,

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments
-from .errors import ConvergenceError, HyperpolyError, InvalidDocumentError, NonRealRootError, ZeroCapacityError
+from .errors import (
+    ConvergenceError,
+    HyperpolyError,
+    InvalidDocumentError,
+    NonRealRootError,
+    ZeroCapacityError,
+    integer_field,
+)
 from .generators import (
     GeneratorSpec,
     _matrix_stack,
@@ -95,8 +102,6 @@ class RunConfig:
             raise InvalidDocumentError("parallelism must be at least 1")
         if self.output_format not in ("json", "text"):
             raise InvalidDocumentError(f"format must be 'json' or 'text', got {self.output_format!r}")
-        # More workers than cores only adds process start-up cost.
-        object.__setattr__(self, "parallelism", min(self.parallelism, os.cpu_count() or 1))
 
 
 def _parse(cast, value, what: str):
@@ -142,7 +147,7 @@ def _load_oracle(path: str):
     doc = _load_json(path)
     if isinstance(doc, dict) and doc.get("kind") == "symmetric":
         (n,) = _require(doc, path, "n")
-        n = _parse(int, n, f"{path}: 'n'")
+        n = integer_field(n, f"{path}: 'n'")
         # The bound is on the (n(n+1)/2, n, n) symmetric basis of float64 matrices, which no command builds.
         if n < 1 or n * (n + 1) // 2 * n * n * 8 > SYMMETRIC_BASIS_BYTES:
             raise InvalidDocumentError(

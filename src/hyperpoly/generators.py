@@ -188,7 +188,7 @@ def d_doubly_stochastic_tuple(
     """
     oracle, points = matrix_tuple_points(psd_matrix_tuple(rng, n))
     points = capacity(oracle, points).minimizer[:, None] * points
-    report = sinkhorn_iteration(oracle, points, max_iters=50000, threshold=defect_tol, precheck=False)
+    report = sinkhorn_iteration(oracle, points, max_iters=50000, threshold=defect_tol)
     if not report.converged:
         raise GenerationError(f"scaling failed to reach defect {defect_tol} in 50000 iterations")
     if doubly_stochastic_defect(oracle, report.final_state.points) > 10.0 * defect_tol:
@@ -223,7 +223,7 @@ def _lifted_points(
     rows = []
     for _ in range(count):
         y = rng.standard_normal(oracle.m)
-        lam = roots_in_direction(oracle, y, oracle.direction, check_direction=False)
+        lam = roots_in_direction(oracle, y, oracle.direction)
         rows.append(y + lift(float(lam[-1])) * oracle.direction)
     return np.vstack(rows)
 
@@ -271,11 +271,6 @@ def structured_product_points(rng: np.random.Generator, n: int) -> tuple[Hyperbo
     mask = rng.uniform(size=(n, n)) < 0.45
     a[mask] = 0.0
     return product_oracle(n), a
-
-
-def random_square_determinantal_oracle(rng: np.random.Generator, n: int) -> HyperbolicOracle:
-    """Determinantal oracle with as many variables as its degree (PSD pencil)."""
-    return random_determinantal_oracle(rng, n, n)
 
 
 def random_determinantal_oracle(rng: np.random.Generator, n: int, m: int) -> HyperbolicOracle:

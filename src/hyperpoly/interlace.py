@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError
+from .errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError, integer_field
 from .report import Report
 
 HYPERBOLIC = "hyperbolic"
@@ -118,7 +118,7 @@ class MonicPolynomial:
         if not isinstance(a, (list, tuple)):
             raise InvalidDocumentError("'a' must be a list of coefficients")
         try:
-            if "degree" in doc and int(doc["degree"]) != len(a):
+            if "degree" in doc and integer_field(doc["degree"], "'degree'") != len(a):
                 raise InvalidDocumentError("declared degree does not match coefficient count")
             return cls(tuple(a))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -240,22 +240,10 @@ def _accept_real(lams: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(lams.real, axis=-1)[..., ::-1]
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One Newton correction per root; skipped where the derivative vanishes."""
-    vals = _horner(coeffs, roots)
-    dvals = _horner(_derivative(coeffs), roots)
-    safe = np.abs(dvals) > 0.0
-    out = roots.copy()
-    out[safe] = roots[safe] - vals[safe] / dvals[safe]
-    return out
-
-
-def real_roots(q: MonicPolynomial, tol: float = 1e-8, polish: bool = False) -> np.ndarray:
-    """All n roots of q, sorted descending; raises NonRealRootError otherwise."""
-    lam = np.linalg.eigvals(companion(q))
-    if polish:
-        lam = _newton_polish(q._coeffs, lam)
-    return _accept_real(lam, tol)
+def real_roots(q: MonicPolynomial, tol: float = 1e-8) -> np.ndarray:
+    """All n roots of q, the eigenvalues of its companion matrix, sorted descending; raises
+    NonRealRootError when one has an imaginary part beyond tol * (1 + |root|)."""
+    return _accept_real(np.linalg.eigvals(companion(q)), tol)
 
 
 def real_roots_of_rows(coeffs: np.ndarray, tol: float) -> np.ndarray:

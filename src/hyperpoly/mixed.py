@@ -19,9 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .errors import (
 )
 from .interlace import real_roots_of_rows
 from .oracle import (
-    OUTSIDE,
     POSITIVE,
     DeterminantalPolynomial,
     HyperbolicOracle,
@@ -168,16 +166,6 @@ def repeated_tuple(points, multiplicities) -> np.ndarray:
     if np.any(reps < 0):
         raise InvalidDocumentError("multiplicities must be nonnegative")
     return np.repeat(pts, reps, axis=0)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of the given length summing to total, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,23 +399,11 @@ def alexandrov_fenchel_terms(oracle: HyperbolicOracle, points) -> tuple[float, f
     return m_ab, m_aa, m_bb
 
 
-def alexandrov_fenchel_residual(oracle: HyperbolicOracle, points) -> float:
-    """M(x1,x2,Y)^2 - M(x1,x1,Y) M(x2,x2,Y); nonnegative on e-nonnegative tuples.
-
-    Tuples with a point outside the closed cone are still evaluated, with a
-    warning, since the residual is then allowed to go negative.
-    """
-    pts = as_tuple(points)
-    for row in pts:
-        if cone_membership(oracle, row) == OUTSIDE:
-            warnings.warn("tuple is not e-nonnegative; the residual may legitimately be negative", stacklevel=2)
-            break
-    return alexandrov_fenchel_verdict(oracle, pts)["residual"]
-
-
 def alexandrov_fenchel_verdict(oracle: HyperbolicOracle, points) -> dict:
-    """The residual, its scale max(1, M(x1,x2,Y)^2, |M(x1,x1,Y) M(x2,x2,Y)|), and
-    whether the residual clears -1e-9 * scale."""
+    """The Alexandrov-Fenchel residual M(x1,x2,Y)^2 - M(x1,x1,Y) M(x2,x2,Y), nonnegative on
+    e-nonnegative tuples; its scale max(1, M(x1,x2,Y)^2, |M(x1,x1,Y) M(x2,x2,Y)|); and whether the
+    residual clears -1e-9 * scale.  A tuple with a point outside the closed cone is evaluated all the
+    same, and its residual may then be negative."""
     m_ab, m_aa, m_bb = alexandrov_fenchel_terms(oracle, points)
     residual = m_ab * m_ab - m_aa * m_bb
     scale = max(1.0, m_ab * m_ab, abs(m_aa * m_bb))

@@ -48,6 +48,7 @@ from .errors import (
     InvalidDocumentError,
     NearSingularDirectionWarning,
     NonRealRootError,
+    integer_field,
 )
 from .interlace import real_roots_from_coefficients, real_roots_of_rows
 from .report import Report
@@ -479,24 +480,25 @@ def roots_in_direction(
     x,
     d,
     tol: float = DEFAULT_ROOT_TOL,
-    check_direction: bool = True,
 ) -> np.ndarray:
     """The n roots of t -> p(x - t d), sorted descending.
 
     The direction must be strictly inside the positivity cone, which
     guarantees real roots for hyperbolic p.  Along the oracle's own direction
-    the form's ``normalized_roots`` answer: determinantal oracles take the
-    eigenvalues of M(x), since M(e) = I.  Along any other direction they take
-    the eigenvalues of L^-1 M(x) L^-T, with M(d) = L L^T by Cholesky.  The
-    product form has the roots x_i/d_i in closed form; every other form takes
-    ``Form.roots``, the companion matrix of the restriction along -d, whose
-    degree is always n.
+    the form's ``normalized_roots`` answer with no check: determinantal
+    oracles take the eigenvalues of M(x), since M(e) = I.  Any other
+    direction goes through ``cone_membership`` first and raises
+    DegenerateDirectionError unless it is strictly inside the cone; then
+    determinantal oracles take the eigenvalues of L^-1 M(x) L^-T, with
+    M(d) = L L^T by Cholesky.  The product form has the roots x_i/d_i in
+    closed form; every other form takes ``Form.roots``, the companion matrix
+    of the restriction along -d, whose degree is always n.
     """
     x = _as_point(oracle, x)
     d = _as_point(oracle, d)
     if np.array_equal(d, oracle.direction):
         return oracle.form.normalized_roots(x, d, tol)
-    if check_direction and cone_membership(oracle, d) != POSITIVE:
+    if cone_membership(oracle, d) != POSITIVE:
         raise DegenerateDirectionError("direction is not strictly inside the positivity cone")
     return oracle.form.roots(x, d, tol)
 
@@ -554,7 +556,7 @@ def classify_spectrum(lam: np.ndarray, tol: float) -> str:
 
 def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) -> str:
     """Classify x by the sign of its smallest root relative to the root scale."""
-    return classify_spectrum(roots_in_direction(oracle, x, oracle.direction, check_direction=False), tol)
+    return classify_spectrum(roots_in_direction(oracle, x, oracle.direction), tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -597,15 +599,15 @@ def oracle_from_json(doc) -> HyperbolicOracle:
     kind = doc["kind"]
     try:
         if kind == "product":
-            return product_oracle(int(doc["n"]))
+            return product_oracle(integer_field(doc["n"], "'n'"))
         if kind == "determinantal":
             matrices = doc["matrices"]
             if not isinstance(matrices, list) or not matrices:
                 raise InvalidDocumentError("'matrices' must be a nonempty list")
-            if "m" in doc and int(doc["m"]) != len(matrices):
+            if "m" in doc and integer_field(doc["m"], "'m'") != len(matrices):
                 raise InvalidDocumentError("declared m does not match the matrix count")
             oracle = determinantal_oracle(matrices, doc["direction"])
-            if "n" in doc and int(doc["n"]) != oracle.n:
+            if "n" in doc and integer_field(doc["n"], "'n'") != oracle.n:
                 raise InvalidDocumentError("declared n does not match the matrix size")
             return oracle
         if kind == "dense":
@@ -614,8 +616,9 @@ def oracle_from_json(doc) -> HyperbolicOracle:
                 raise InvalidDocumentError("'terms' must be a nonempty list")
             if "direction" not in doc:
                 raise InvalidDocumentError("dense oracle document needs a 'direction' field")
-            pairs = [(tuple(int(v) for v in t["exps"]), float(t["coef"])) for t in terms]
-            return dense_oracle(int(doc["m"]), int(doc["n"]), pairs, doc["direction"])
+            pairs = [(tuple(integer_field(v, "an 'exps' entry") for v in t["exps"]), float(t["coef"])) for t in terms]
+            m, n = integer_field(doc["m"], "'m'"), integer_field(doc["n"], "'n'")
+            return dense_oracle(m, n, pairs, doc["direction"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocumentError(f"malformed oracle document: {exc}") from exc
     raise InvalidDocumentError(f"unknown oracle kind '{kind}'")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
     DimensionMismatchError,
     HyperpolyError,
     InvalidDocumentError,
-    ZeroCapacityError,
 )
 from .mixed import as_tuple, mixed_value, repeated_tuple
 from .oracle import (
@@ -58,14 +57,6 @@ STATUS_LIMIT = "iteration_limit"
 def traces_in_direction(oracle: HyperbolicOracle, points: np.ndarray, d: np.ndarray) -> np.ndarray:
     """tr_d(x_i) for every row x_i; the direction is assumed strictly inside the cone."""
     return as_tuple(points) @ oracle.form.grad_log_p(d)
-
-
-def partial_derivative(oracle: HyperbolicOracle, alpha, i: int) -> float:
-    """dp/dx_i at alpha: component i of gradient."""
-    grad = gradient(oracle, alpha)
-    if not 0 <= i < oracle.m:
-        raise InvalidDocumentError(f"index {i} out of range for dimension {oracle.m}")
-    return float(grad[i])
 
 
 def gradient(oracle: HyperbolicOracle, alpha) -> np.ndarray:
@@ -153,17 +144,6 @@ class ScalingReport(Report):
 class EdmondsRadoReport(Report):
     holds: bool
     witness: Optional[tuple[int, ...]]
-
-
-def lexicographic_subsets(k: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of range(k) in lexicographic order, generated depth first without a list."""
-
-    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for i in range(prefix[-1] + 1 if prefix else 0, k):
-            yield prefix + (i,)
-            yield from extend(prefix + (i,))
-
-    return extend(())
 
 
 def _wolfe_step(corral: np.ndarray, weights: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,18 +278,17 @@ def sinkhorn_iteration(
     points,
     max_iters: int = 10000,
     threshold: float = 1e-10,
-    precheck: bool = True,
 ) -> ScalingReport:
     """Iterate the scaling map, tracking the doubly-stochastic defect.
 
     Stops converged once the defect reaches min(1/n, threshold); a defect that
     small already certifies positive capacity, so a converged run is
     "positive" without a rank check.  A run that stops without converging (a
-    boundary collapse or an exhausted budget) runs edmonds_rado_check once
-    when precheck is set: a failed check makes the verdict "zero", since such
-    a trajectory can never converge, and the recorded trajectory is what lets
-    callers watch the defect stay above 1/n.  Otherwise the verdict is the
-    honest "undetermined": the limit is guaranteed, a rate is not.
+    boundary collapse or an exhausted budget) runs edmonds_rado_check once: a
+    failed check makes the verdict "zero", since such a trajectory can never
+    converge, and the recorded trajectory is what lets callers watch the
+    defect stay above 1/n.  Otherwise the verdict is the honest
+    "undetermined": the limit is guaranteed, a rate is not.
 
     Zero-capacity trajectories are genuinely divergent: each element only ever
     gets rescaled, so the element scales drift apart geometrically and the
@@ -345,7 +324,7 @@ def sinkhorn_iteration(
         iterations += 1
     if converged:
         verdict = VERDICT_POSITIVE
-    elif precheck and not edmonds_rado_check(oracle, pts).holds:
+    elif not edmonds_rado_check(oracle, pts).holds:
         verdict = VERDICT_ZERO
     else:
         verdict = VERDICT_UNDETERMINED
@@ -515,15 +494,6 @@ def mixed_concavity_check(oracle: HyperbolicOracle, points, comps, weights) -> C
     return _concavity_report(lambda tup: mixed_value(oracle, tup), points, comps, weights, math.factorial(n) / n**n)
 
 
-def van_der_waerden_ratio(oracle: HyperbolicOracle, points) -> float:
-    """Mixed value divided by capacity; lies in (0, 1] for strictly positive tuples."""
-    pts = as_tuple(points)
-    cap = capacity(oracle, pts)
-    if cap.value <= 0.0:
-        raise ZeroCapacityError("ratio undefined: the tuple has zero capacity")
-    return mixed_value(oracle, pts) / cap.value
-
-
 @dataclass(frozen=True, slots=True)
 class ReciprocalGradientReport(Report):
     lhs: float
@@ -551,34 +521,3 @@ def gradient_reciprocal_check(oracle: HyperbolicOracle, alpha, tol: float = 1e-9
     rhs = evaluate(oracle, alpha) ** (-(oracle.n - 1))
     holds = lhs <= rhs + tol * max(1.0, abs(rhs))
     return ReciprocalGradientReport(lhs=float(lhs), rhs=float(rhs), holds=bool(holds))
-
-
-def matrix_sinkhorn(matrix, iters: int) -> np.ndarray:
-    """Alternating row-then-column normalization of a positive matrix, `iters` full rounds."""
-    a = np.asarray(matrix, dtype=float).copy()
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("scaling needs a square matrix")
-    if np.any(a <= 0.0):
-        raise InvalidDocumentError("matrix entries must be strictly positive")
-    for _ in range(iters):
-        a = a / a.sum(axis=1, keepdims=True)
-        a = a / a.sum(axis=0, keepdims=True)
-    return a
-
-
-def tuple_as_matrix(points) -> np.ndarray:
-    """Matrix whose i-th column is the i-th tuple element (product-form convention)."""
-    return as_tuple(points).T.copy()
-
-
-def matrix_as_tuple(matrix) -> np.ndarray:
-    """Inverse of tuple_as_matrix: columns become tuple elements."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError("expected a matrix")
-    return a.T.copy()
-
-
-def row_normalized(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    return a / a.sum(axis=1, keepdims=True)

@@ -11,7 +11,7 @@ import pytest
 import hyperpoly
 from hyperpoly import cli, experiments
 from hyperpoly import generators as gen
-from hyperpoly.cli import RunConfig, build_parser, main
+from hyperpoly.cli import build_parser, main
 from hyperpoly.errors import ConvergenceError, InvalidDocumentError
 
 
@@ -327,11 +327,15 @@ class TestParallelism:
         code = main(["--parallelism", value, "eval", product2, point])
         assert code == 2 and "parallelism" in capsys.readouterr().err
 
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        config = RunConfig(seed=0, tol=1e-8, max_iters=1, output_format="json", parallelism=3)
-        assert config.parallelism == 2
-        assert RunConfig(seed=0, tol=1e-8, max_iters=1, output_format="json", parallelism=1).parallelism == 1
+    def test_capped_at_cpu_count(self, monkeypatch, capsys):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        code, report = run(capsys, "--parallelism", "3", "experiments", "lidskii", "--trials", "4")
+        assert code == 0 and report["trials"] == 4
 
 
 class TestExperimentsCommand:
@@ -625,6 +629,110 @@ class TestNonFiniteInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+PRODUCT2 = {"kind": "product", "n": 2}
+PENCIL2 = {"kind": "determinantal", "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], "direction": [1.0, 1.0]}
+DENSE2 = {  # x_1^2 - x_2^2, hyperbolic in direction (1, 0)
+    "kind": "dense",
+    "m": 2,
+    "n": 2,
+    "terms": [{"exps": [2, 0], "coef": 1.0}, {"exps": [0, 2], "coef": -1.0}],
+    "direction": [1.0, 0.0],
+}
+PAIR = {"q": {"degree": 2, "a": [0.0, 1.0]}, "r": {"degree": 1, "a": [0.0]}}
+
+
+def _dense_exps(first):
+    return DENSE2 | {"terms": [{"exps": first, "coef": 1.0}, {"exps": [0, 2], "coef": -1.0}]}
+
+
+# (id, command, document): each integer field once with a fractional part and once as a boolean, where
+# int() would have read 2.9 as 2 and true as 1.
+NON_INTEGER_FIELDS = [
+    ("product-n-fraction", "eval", PRODUCT2 | {"n": 2.9}),
+    ("product-n-true", "eval", PRODUCT2 | {"n": True}),
+    ("symmetric-n-fraction", "eval", {"kind": "symmetric", "n": 2.5}),
+    ("symmetric-n-true", "eval", {"kind": "symmetric", "n": True}),
+    ("pencil-m-fraction", "eval", PENCIL2 | {"m": 2.5}),
+    ("pencil-n-fraction", "eval", PENCIL2 | {"n": 2.5}),
+    ("dense-m-fraction", "eval", DENSE2 | {"m": 2.5}),
+    ("dense-n-fraction", "eval", DENSE2 | {"n": 2.9}),
+    ("dense-exps-fraction", "eval", _dense_exps([2.7, 0])),
+    ("dense-exps-false", "eval", _dense_exps([2, False])),
+    ("degree-fraction", "pair-test", PAIR | {"q": {"degree": 2.5, "a": [0.0, 1.0]}}),
+    ("degree-true", "pair-test", PAIR | {"r": {"degree": True, "a": [0.0]}}),
+]
+
+# (id, command, document with integral floats, the same document with integers).
+INTEGRAL_FLOAT_FIELDS = [
+    ("product-n", "eval", PRODUCT2 | {"n": 2.0}, PRODUCT2),
+    ("symmetric-n", "eval", {"kind": "symmetric", "n": 2.0}, {"kind": "symmetric", "n": 2}),
+    ("pencil-m-n", "eval", PENCIL2 | {"m": 2.0, "n": 2.0}, PENCIL2),
+    ("dense-m-n-exps", "eval", _dense_exps([2.0, 0.0]) | {"m": 2.0, "n": 2.0}, DENSE2),
+    ("degree", "pair-test", PAIR | {"q": {"degree": 2.0, "a": [0.0, 1.0]}}, PAIR),
+]
+
+
+def _command(tmp_path, command, doc):
+    """The argv of ``command`` on ``doc``: an oracle document at the point (1, 2, 3)[:m], or a pair document."""
+    path = write(tmp_path / "doc.json", doc)
+    if command == "pair-test":
+        return [command, path]
+    m = 3 if doc["kind"] == "symmetric" else 2
+    return [command, path, write(tmp_path / "point.json", [1.0, 2.0, 3.0][:m])]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("command, doc", [c[1:] for c in NON_INTEGER_FIELDS], ids=[c[0] for c in NON_INTEGER_FIELDS])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, command, doc):
+        code = main(_command(tmp_path, command, doc))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be an integer" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, doc, integer_doc", [c[1:] for c in INTEGRAL_FLOAT_FIELDS], ids=[c[0] for c in INTEGRAL_FLOAT_FIELDS]
+    )
+    def test_integral_floats_read_as_integers(self, tmp_path, capsys, command, doc, integer_doc):
+        got = run(capsys, *_command(tmp_path, command, doc))
+        assert got[0] == 0 and got == run(capsys, *_command(tmp_path, command, integer_doc))
+
+    def test_numpy_integers_are_accepted(self):
+        assert hyperpoly.oracle_from_json({"kind": "product", "n": np.int64(3)}).n == 3
+
+
+class TestDocumentBranches:
+    def test_point_object_is_accepted(self, tmp_path, product2, capsys):
+        point = write(tmp_path / "p.json", {"point": [2.0, 3.0]})
+        code, report = run(capsys, "eval", product2, point)
+        assert code == 0 and report["value"] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("eval", {"coordinates": [2.0, 3.0]}),
+            ("mixed", {"points": [1.0, 0.0]}),
+            ("mixed", {"vectors": [[1.0, 0.0], [0.0, 1.0]]}),
+        ],
+        ids=["point-neither-array-nor-point-field", "points-1d", "tuple-neither-points-nor-matrices"],
+    )
+    def test_malformed_exit_two_with_error_line(self, tmp_path, product2, capsys, command, doc):
+        code = main([command, product2, write(tmp_path / "doc.json", doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_text_format_prints_list_values_as_json(self, tmp_path, product2, capsys):
+        tup = write(tmp_path / "t.json", {"points": [[1.0, 0.0], [0.0, 1.0]]})
+        code = main(["--format", "text", "support", product2, tup])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "saturated: True" and lines[2] == "violations: []"
+        key, value = lines[1].split(": ", 1)
+        assert key == "support" and json.loads(value) == [{"r": [1, 1], "value": pytest.approx(1.0)}]
 
 
 class TestMatrixTupleLoading:

