@@ -128,12 +128,43 @@ def _finite(text: str) -> float:
     return value
 
 
+class _Boolean:
+    """A JSON true or false in an input document.  json decodes them as bool, which float(), numpy's
+    casts and int() read as 1 and 0; this stand-in is no number, so every reader of a numeric field
+    refuses it as malformed: float() raises TypeError, and integer_field refuses it by name."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, value: bool):
+        self.text = "true" if value else "false"
+
+    def __repr__(self) -> str:
+        return self.text
+
+    def __float__(self) -> float:
+        raise TypeError(f"{self.text} is not a number")
+
+
+def _without_booleans(doc):
+    """doc with every boolean replaced by a _Boolean."""
+    if type(doc) is bool:
+        return _Boolean(doc)
+    if type(doc) is list:
+        return [_without_booleans(v) for v in doc]
+    if type(doc) is dict:
+        return {k: _without_booleans(v) for k, v in doc.items()}
+    return doc
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+            text = fh.read()
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise InvalidDocumentError(f"cannot read {path}: {exc}") from exc
+    # Only a document whose text holds a boolean literal pays for a pass over its values.
+    return _without_booleans(doc) if "true" in text or "false" in text else doc
 
 
 def _require(doc, path: str, *names: str) -> list:

@@ -156,7 +156,7 @@ class PencilForm(Form):
         if lam[0] > 0.0:
             # tr(B_j W^T) = tr(B_j W) for symmetric B_j; on a stored pencil W^T sums W in row-major order.
             grad = self.traces(((vecs / lam) @ vecs.T).T)
-        return lam[::-1], float(np.prod(lam)), grad
+        return lam[::-1], float(lam.prod()), grad
 
     def tuple_form(self, pts: np.ndarray) -> tuple[DeterminantalPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s.
@@ -209,8 +209,9 @@ class SymmetricBasisPolynomial(PencilForm):
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """M(x) for one point, or the stack of M(x_i) for a batch of rows."""
-        # Adding 0.0 turns -0.0 into 0.0, as the pencil product's sums do.
-        return np.take(x + np.float64(0.0), self.entries, axis=-1)
+        # Adding 0.0 turns -0.0 into 0.0, as the pencil product's sums do.  The method skips the Python
+        # dispatch of np.take, which every Sinkhorn step would pay.
+        return (x + np.float64(0.0)).take(self.entries, axis=-1)
 
     def traces(self, w: np.ndarray) -> np.ndarray:
         """(tr(B_k W))_k for one n x n matrix W: the sum of W over the entries of coordinate k, in

@@ -631,6 +631,91 @@ class TestNonFiniteInput:
         assert captured.err.startswith("error: ")
 
 
+_SHIFTED = '"q": {"a": [0.0, 1.0]}, "r": {"a": [0.5, 2.0]}'
+_PENCIL = '"kind": "determinantal", "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]'
+_DENSE = '"kind": "dense", "m": 2, "n": 2, "direction": [1.0, 0.0]'
+
+# (id, argv, {name: raw JSON text}): a boolean in each numeric field exits 2 with an error line, where
+# json's bool would have read as 1 or 0.
+BOOLEAN_NUMBERS = [
+    ("point", ("eval", "product2", "bad"), {"bad": "[true, 3.0]"}),
+    ("point-object", ("eval", "product2", "bad"), {"bad": '{"point": [2.0, false]}'}),
+    ("direction-point", ("roots", "product2", "point", "bad"), {"bad": "[1.0, true]"}),
+    ("tuple-points", ("mixed", "product2", "bad"), {"bad": '{"points": [[1.0, 0.0], [false, 1.0]]}'}),
+    (
+        "tuple-matrices",
+        ("mixed", "symmetric2", "bad"),
+        {"bad": '{"matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, true]]]}'},
+    ),
+    ("majorize-vectors", ("majorize", "bad"), {"bad": '{"u": [true, 1.0], "v": [2.0, 0.0]}'}),
+    (
+        "majorize-matrices",
+        ("majorize", "bad", "--mode", "lidskii"),
+        {"bad": '{"A": [[1.0, 0.0], [0.0, true]], "B": [[1.0, 0.0], [0.0, 1.0]]}'},
+    ),
+    (
+        "majorize-point",
+        ("majorize", "bad", "--mode", "shifted-pencil"),
+        {"bad": f'{{{_SHIFTED}, "point": [1.0, 0.5, true], "delta": [0.4, 0.2, 0.9]}}'},
+    ),
+    ("monic-coefficients", ("pair-test", "bad"), {"bad": '{"q": {"a": [false, true]}, "r": {"a": [0.0]}}'}),
+    (
+        "dense-coef",
+        ("eval", "bad", "point"),
+        {"bad": f'{{{_DENSE}, "terms": [{{"exps": [2, 0], "coef": true}}, {{"exps": [0, 2], "coef": -1.0}}]}}'},
+    ),
+    (
+        "dense-direction",
+        ("eval", "bad", "point"),
+        {"bad": '{"kind": "dense", "m": 2, "n": 1, "terms": [{"exps": [1, 0], "coef": 1.0}], "direction": [true, 0.0]}'},
+    ),
+    ("pencil-direction", ("eval", "bad", "point"), {"bad": f'{{{_PENCIL}, "direction": [true, 1.0]}}'}),
+    (
+        "pencil-matrices",
+        ("eval", "bad", "point"),
+        {"bad": '{"kind": "determinantal", "matrices": [[[true, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], '
+        '"direction": [1.0, 1.0]}'},
+    ),
+]
+
+
+class TestBooleanNumbers:
+    @pytest.mark.parametrize("args, raw", [(a, r) for _, a, r in BOOLEAN_NUMBERS], ids=[i for i, _, _ in BOOLEAN_NUMBERS])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, args, raw):
+        files = _write_inputs(tmp_path)
+        for name, text in raw.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(text)
+        code = main(_argv(files, *args))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and ("true" in captured.err or "false" in captured.err)
+
+    def test_the_same_documents_with_numbers_pass(self, tmp_path, capsys):
+        # Each document above is well formed once its booleans become the numbers they would have read as.
+        files = _write_inputs(tmp_path)
+        for name, args, raw in BOOLEAN_NUMBERS:
+            path = tmp_path / f"{name}.json"
+            path.write_text(raw["bad"].replace("true", "1.0").replace("false", "0.0"))
+            files["bad"] = str(path)
+            code = main(_argv(files, *args))
+            assert code in (0, 1, 3), name
+            capsys.readouterr()
+
+    def test_only_a_document_with_a_boolean_literal_is_walked(self, tmp_path, capsys, monkeypatch):
+        walked = []
+        original = cli._without_booleans
+        monkeypatch.setattr(cli, "_without_booleans", lambda doc: walked.append(doc) or original(doc))
+        files = _write_inputs(tmp_path)
+        assert run(capsys, *_argv(files, "mixed", "symmetric2", "psd"))[0] == 0
+        assert walked == []
+        # A boolean in a field that no reader takes as a number is left alone.
+        note = write(tmp_path / "note.json", {"points": [[1.0, 0.0], [0.0, 1.0]], "note": True})
+        assert run(capsys, "mixed", files["product2"], note) == (0, {"mixed_value": 1.0})
+        assert walked[0]["note"] is True
+
+
 PRODUCT2 = {"kind": "product", "n": 2}
 PENCIL2 = {"kind": "determinantal", "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], "direction": [1.0, 1.0]}
 DENSE2 = {  # x_1^2 - x_2^2, hyperbolic in direction (1, 0)

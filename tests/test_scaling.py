@@ -274,19 +274,31 @@ class TestSinkhornIteration:
         assert multiplier >= 1.0 - 1e-12
 
     def test_only_runs_that_do_not_converge_run_the_rank_check(self, monkeypatch):
-        calls = []
-        original = scaling.edmonds_rado_check
-        monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: calls.append(args) or original(*args))
+        # A converged run ranks nothing; a zero-capacity run is settled by one stacked rank call on
+        # the prefixes in order of decreasing scale; a run that stops short with no violating prefix
+        # runs the full check once.
+        checks, ranks = [], []
+        original_check, original_rank = scaling.edmonds_rado_check, scaling.hyperbolic_rank
+        monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args) or original_check(*args))
+        monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: ranks.append(args) or original_rank(*args))
         oracle = gen.symmetric_matrix_oracle(3)
         pts = gen.positive_point_tuple(oracle, np.random.default_rng(3), 3)
         report = hp.sinkhorn_iteration(oracle, pts)
         assert report.converged and report.capacity_verdict == "positive"
-        assert calls == []
+        assert checks == [] and ranks == []
         mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(4), 4)
-        oracle, pts = gen.matrix_tuple_points(mats)
-        report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
+        deficient_oracle, deficient = gen.matrix_tuple_points(mats)
+        report = hp.sinkhorn_iteration(deficient_oracle, deficient, max_iters=1000)
         assert not report.converged and report.capacity_verdict == "zero"
-        assert len(calls) == 1
+        assert checks == [] and len(ranks) == 1
+        assert ranks[0][1].shape == deficient.shape
+        ranks.clear()
+        report = hp.sinkhorn_iteration(oracle, pts, max_iters=1)
+        assert not report.converged and not report.boundary_collapse and report.iterations == 1
+        assert report.capacity_verdict == "undetermined"
+        assert len(checks) == 1 and checks[0][1] is pts
+        # The prefix call, then the check's own peeling call and nothing more on a full-rank tuple.
+        assert len(ranks) == 2
 
 
     def test_state_keeps_k_scales_of_the_input_tuple(self):
@@ -450,6 +462,43 @@ class TestOneFactorizationPerStep:
         assert verdicts == [("zero", True), ("positive", False)]
 
 
+def _zero_capacity_families():
+    """Permuted zero-capacity tuples whose violating set has 2, 3 and 4 elements: the duplicated
+    rank-one pair of rank_deficient_matrix_tuple (n = 3..12), three rank-one elements in a plane
+    (n = 4..9), and four rank-two elements in a 3-space (n = 5..9; at n = 4 they would be the whole
+    tuple, whose sum is then singular)."""
+    for n in range(3, 13):
+        for seed in range(2):
+            rng = np.random.default_rng([1, n, seed])
+            mats, _ = gen.rank_deficient_matrix_tuple(rng, n)
+            yield 2, [mats[i] for i in rng.permutation(n)]
+    for n in range(4, 10):
+        for seed in range(2):
+            yield 3, _planted_violation(np.random.default_rng([2, n, seed]), n, 3, 2, rank=1)
+    for n in range(5, 10):
+        for seed in range(2):
+            yield 4, _planted_violation(np.random.default_rng([3, n, seed]), n, 4, 3, rank=2)
+
+
+class TestZeroVerdictFromTheTrajectory:
+    def test_prefix_route_agrees_with_the_rank_check(self, monkeypatch):
+        # The reference loop takes its verdict from edmonds_rado_check; sinkhorn_iteration must reach the
+        # same one from the prefixes of its final scale order, without running the check.
+        checks = []
+        original = scaling.edmonds_rado_check
+        monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args) or original(*args))
+        sizes = set()
+        for size, mats in _zero_capacity_families():
+            oracle, pts = gen.matrix_tuple_points(mats)
+            report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
+            got = (report.capacity_verdict, report.converged, report.boundary_collapse, report.iterations)
+            expected, _ = _three_call_sinkhorn(oracle, pts, 1000)
+            assert got == expected and expected[:3] == ("zero", False, True)
+            assert checks == []
+            sizes.add(size)
+        assert sizes == {2, 3, 4}
+
+
 _RANK_FAMILIES = ("product", "psd", "dense")
 
 
@@ -609,12 +658,13 @@ class TestEdmondsRado:
         assert ran >= 10
 
 
-def _planted_violation(rng: np.random.Generator, n: int, j: int, u: int) -> list:
-    """n PSD matrices in random order, j of them with ranges inside one random u-dimensional subspace."""
+def _planted_violation(rng: np.random.Generator, n: int, j: int, u: int, rank=None) -> list:
+    """n PSD matrices in random order, j of them with ranges inside one random u-dimensional subspace,
+    each of the given rank or of a random rank in 1..u."""
     basis = np.linalg.qr(rng.standard_normal((n, u)))[0]
     mats = []
     for _ in range(j):
-        v = basis @ rng.standard_normal((u, int(rng.integers(1, u + 1))))
+        v = basis @ rng.standard_normal((u, rank or int(rng.integers(1, u + 1))))
         mats.append(v @ v.T)
     mats += [gen.random_psd_matrix(rng, n) for _ in range(n - j)]
     return [mats[i] for i in rng.permutation(n)]
