@@ -17,7 +17,6 @@ from .errors import (
     InvalidDocumentError,
     NearSingularDirectionWarning,
     NonRealRootError,
-    ZeroCapacityError,
 )
 from .oracle import (
     DensePolynomial,

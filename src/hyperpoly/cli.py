@@ -31,8 +31,8 @@ from .errors import (
     HyperpolyError,
     InvalidDocumentError,
     NonRealRootError,
-    ZeroCapacityError,
     integer_field,
+    real_field,
 )
 from .generators import (
     GeneratorSpec,
@@ -79,10 +79,10 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 
-# Bound on the N of a {"kind": "symmetric", "n": N} document: its basis, N(N+1)/2 float64 matrices of
-# N x N, fits in this many bytes (N <= 63).  No command builds that basis, as the oracle keeps an N x N
-# table of coordinates, so the bound caps the size of the oracle and its tuples, not a pencil's memory.
-SYMMETRIC_BASIS_BYTES = 64 << 20
+# Bound on the N of a {"kind": "symmetric", "n": N} document: what its oracle holds, an N x N table of
+# coordinates and three vectors over its N(N+1)/2 coordinates (the direction, and the row and the column
+# of each), 8 bytes an entry, fits in this many bytes (N <= 1831).  No command builds the O(N^4) basis.
+SYMMETRIC_ORACLE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,6 @@ def _parse(cast, value, what: str):
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocumentError(f"bad {what}: {exc}") from exc
-
-
-def _floats(value, what: str) -> np.ndarray:
-    return _parse(lambda v: np.asarray(v, dtype=float), value, what)
 
 
 def _env(name: str, cast, default):
@@ -179,11 +175,10 @@ def _load_oracle(path: str):
     if isinstance(doc, dict) and doc.get("kind") == "symmetric":
         (n,) = _require(doc, path, "n")
         n = integer_field(n, f"{path}: 'n'")
-        # The bound is on the (n(n+1)/2, n, n) symmetric basis of float64 matrices, which no command builds.
-        if n < 1 or n * (n + 1) // 2 * n * n * 8 > SYMMETRIC_BASIS_BYTES:
+        if n < 1 or 8 * (n * n + 3 * (n * (n + 1) // 2)) > SYMMETRIC_ORACLE_BYTES:
             raise InvalidDocumentError(
-                f"{path}: 'n' must be at least 1 and keep the symmetric basis within "
-                f"{SYMMETRIC_BASIS_BYTES >> 20} MiB"
+                f"{path}: 'n' must be at least 1 and keep the symmetric oracle within "
+                f"{SYMMETRIC_ORACLE_BYTES >> 20} MiB"
             )
         return symmetric_matrix_oracle(n)
     return oracle_from_json(doc)
@@ -193,20 +188,21 @@ def _load_point(path: str) -> np.ndarray:
     doc = _load_json(path)
     if isinstance(doc, dict) and "point" in doc:
         doc = doc["point"]
-    if not isinstance(doc, list):
+    point = real_field(doc, f"{path}: point")
+    if point.ndim != 1:
         raise InvalidDocumentError(f"{path}: a point document is a JSON array of numbers")
-    return _floats(doc, f"{path}: point")
+    return point
 
 
 def _load_tuple(path: str, oracle):
     doc = _load_json(path)
     if isinstance(doc, dict) and "points" in doc:
-        pts = _floats(doc["points"], f"{path}: 'points'")
+        pts = real_field(doc["points"], f"{path}: 'points'")
         if pts.ndim != 2:
             raise InvalidDocumentError(f"{path}: 'points' must be a 2-d array")
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
-        mats = _matrix_stack(_floats(doc["matrices"], f"{path}: 'matrices'"))
+        mats = _matrix_stack(doc["matrices"])
         n = mats.shape[1]
         # Matrix coordinates only make sense against the symmetric basis: the form that gathers them, or a
         # stored pencil equal to that basis.
@@ -362,18 +358,18 @@ def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
 def cmd_majorize(ns, config: RunConfig) -> tuple[int, dict]:
     doc = _load_json(ns.file)
     if ns.mode == "vectors":
-        u, v = (_floats(f, f"{ns.file}: vector") for f in _require(doc, ns.file, "u", "v"))
+        u, v = (real_field(f, f"{ns.file}: vector") for f in _require(doc, ns.file, "u", "v"))
         report = majorization_check(u, v, tol=config.tol)
     elif ns.mode == "lidskii":
-        a, b = (_floats(f, f"{ns.file}: matrix") for f in _require(doc, ns.file, "A", "B"))
+        a, b = (real_field(f, f"{ns.file}: matrix") for f in _require(doc, ns.file, "A", "B"))
         report = lidskii_check(a, b, tol=config.tol)
     else:
         q, r, point, delta = _require(doc, ns.file, "q", "r", "point", "delta")
         report = shifted_pencil_majorization(
             MonicPolynomial.from_json(q),
             MonicPolynomial.from_json(r),
-            _floats(point, f"{ns.file}: 'point'"),
-            _floats(delta, f"{ns.file}: 'delta'"),
+            real_field(point, f"{ns.file}: 'point'"),
+            real_field(delta, f"{ns.file}: 'delta'"),
             tol=config.tol,
         )
     return _code(report.majorized), report.to_json()
@@ -496,7 +492,7 @@ def main(argv=None) -> int:
         code, report = ns.fn(ns, config)
         _emit(report, config, getattr(ns, "out", None))
         return code
-    except (NonRealRootError, ZeroCapacityError) as exc:
+    except NonRealRootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ConvergenceError as exc:

@@ -1,6 +1,9 @@
-"""Exception and warning types shared across the package, and the check of an integer document field."""
+"""Exception and warning types shared across the package, and the readers of integer and real document
+fields."""
 
 import operator
+
+import numpy as np
 
 
 class HyperpolyError(Exception):
@@ -39,10 +42,6 @@ class GenerationError(HyperpolyError):
     """A seeded instance generator exhausted its retry budget."""
 
 
-class ZeroCapacityError(HyperpolyError):
-    """The operation requires a tuple with strictly positive capacity."""
-
-
 class NearSingularDirectionWarning(UserWarning):
     """The polynomial value at the requested direction is close enough to zero to
     make trace and root computations ill-conditioned."""
@@ -61,3 +60,21 @@ def integer_field(value, what: str) -> int:
         except TypeError:
             pass
     raise InvalidDocumentError(f"{what} must be an integer, got {value!r}")
+
+
+def real_field(value, what: str) -> np.ndarray:
+    """A real field of a document, a number or nested lists of them, as a float array.  Strings and
+    booleans are refused with InvalidDocumentError, where a cast to float would read "2" as 2.0 and true
+    as 1.0, and so is anything else that is no number, and every non-finite value, which is where a null
+    lands.  The check is one pass of numpy over the whole field."""
+    try:
+        array = np.asarray(value)
+        # Unicode and byte strings, booleans and complex numbers: kinds a float cast would take silently.
+        if array.dtype.kind in "USbc":
+            raise TypeError(f"{array.dtype} entries are not real numbers")
+        array = array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDocumentError(f"{what} must hold real numbers: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise InvalidDocumentError(f"{what} must hold finite numbers; a null, NaN or infinity is none")
+    return array

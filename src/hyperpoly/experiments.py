@@ -282,9 +282,7 @@ def _derivative_line_trial(args) -> dict:
     # ``spectral_line_convexity``'s sweep (the grid is ascending, so its pairs are the upper triangle);
     # one cumsum of those descending spectra holds every k's top-k sum.
     spectrum = pair_spectrum(_minus_derivative(q), q, 1e-7)
-    points = _sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), grid)
-    # A non-real spectrum raises NonRealRootError from the point call.
-    tops = np.cumsum([lam if lam is not None else spectrum(p) for p, lam in zip(points, spectrum(points))], axis=1)
+    tops = np.cumsum(spectrum(_sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), grid)), axis=1)
     values, mids = tops[: grid.size], tops[grid.size :]
     low, high = np.triu_indices(grid.size, 1)
     convex = not np.any(_above_chord(mids, values[low], values[high], 1e-7))

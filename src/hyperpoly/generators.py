@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationError, InvalidDocumentError
+from .errors import GenerationError, InvalidDocumentError, real_field
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -124,10 +124,7 @@ def point_to_matrix(point: np.ndarray, n: int) -> np.ndarray:
 
 def _matrix_stack(matrices) -> np.ndarray:
     """A tuple of square matrices of one size as one float array, shape (points, n, n)."""
-    try:
-        mats = np.asarray(matrices, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDocumentError(f"a matrix tuple is a list of numeric matrices: {exc}") from exc
+    mats = real_field(matrices, "a matrix tuple")
     if mats.ndim != 3 or 0 in mats.shape or mats.shape[1] != mats.shape[2]:
         raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
     return mats

@@ -5,18 +5,17 @@ residues and sampled pencils), and majorization.  Every companion matrix comes
 from ``companion_matrices`` and every root extraction ends in one eigvals call
 on a stack of them.  Leading coefficients are trimmed only where a pencil
 x*q + y*r can lose degree: ``real_roots_from_coefficients`` trims one vector
-(characteristic polynomials, single pair-spectrum points), and
-``_real_roots_of_pencil_rows`` trims each row of a stack by the same rule and
-makes one eigvals call per distinct trimmed degree (every direction of
-sampled_pencil_test, every point a pair_spectrum is given at once).  The
-restriction of a form along a cone direction keeps its nonzero leading
-coefficient and is never trimmed.  The hyperbolic Lidskii check and
-the line-convexity sweep are written once over a spectrum map, a callable
-from a point to its descending roots: eigvalsh for symmetric matrices,
+(characteristic polynomials), and ``_real_roots_of_pencil_rows`` trims each
+row of a stack by the same rule and makes one eigvals call per distinct
+trimmed degree (every direction of sampled_pencil_test).  A pair spectrum
+refuses a point where its pencil loses degree, and the restriction of a form
+along a cone direction keeps its nonzero leading coefficient, so neither is
+ever trimmed.  The hyperbolic Lidskii check and the line-convexity sweep are
+written once over a spectrum map, a callable from points of shape (..., dim)
+to their descending roots, shape (..., n): eigvalsh for symmetric matrices,
 pair_spectrum for a pencil pair (q, r), and roots_in_direction for any oracle.
-Each check that owns a pair spectrum hands it all of its points in one stack
-call first, so its sweep or Lidskii triple costs one stacked extraction, and
-the stack is shifted and sorted once per trimmed degree.
+Each check calls its map once, on the stack of every point it needs: the
+Lidskii triple, or every grid point and midpoint of a sweep.
 
 A MonicPolynomial builds its ascending coefficient array once.  The
 polynomial arithmetic (products of root lines, derivatives, Horner
@@ -33,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError, integer_field
+from .errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError, integer_field, real_field
 from .report import Report
 
 HYPERBOLIC = "hyperbolic"
@@ -114,15 +113,12 @@ class MonicPolynomial:
     def from_json(cls, doc) -> "MonicPolynomial":
         if not isinstance(doc, dict) or "a" not in doc:
             raise InvalidDocumentError("monic polynomial document needs an 'a' field")
-        a = doc["a"]
-        if not isinstance(a, (list, tuple)):
+        a = real_field(doc["a"], "'a'")
+        if a.ndim != 1:
             raise InvalidDocumentError("'a' must be a list of coefficients")
-        try:
-            if "degree" in doc and integer_field(doc["degree"], "'degree'") != len(a):
-                raise InvalidDocumentError("declared degree does not match coefficient count")
-            return cls(tuple(a))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidDocumentError(f"bad monic polynomial: {exc}") from exc
+        if "degree" in doc and integer_field(doc["degree"], "'degree'") != a.size:
+            raise InvalidDocumentError("declared degree does not match coefficient count")
+        return cls(tuple(a.tolist()))
 
 
 # The polynomial arithmetic below repeats the operation order of numpy.polynomial's polyfromroots,
@@ -432,19 +428,22 @@ def _majorized(gaps, tol: float):
     return np.all(gaps >= -tol, axis=-1) & (np.abs(gaps[..., -1]) <= tol)
 
 
-# A spectrum map: a point to its descending roots (see the module docstring).
+# A spectrum map: points of shape (..., dim) to their descending roots, shape (..., n) (see the module
+# docstring).
 Spectrum = Callable[[np.ndarray], np.ndarray]
 
 
 def hyperbolic_lidskii(spectrum: Spectrum, x, y, tol: float) -> MajorizationReport:
-    """Check that lambda(x+y) - lambda(x) is majorized by lambda(y) for one spectrum map.
+    """Check that lambda(x+y) - lambda(x) is majorized by lambda(y) for one spectrum map, called once on
+    the stack [x + y, x, y].
 
     This holds for the roots of every hyperbolic polynomial (Lax's theorem,
     Lewis, Parrilo & Ramana 2005).  For an oracle, pass
     ``lambda v: roots_in_direction(oracle, v, oracle.direction)``.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return majorization_check(spectrum(x + y) - spectrum(x), spectrum(y), tol)
+    total, at_x, at_y = spectrum(np.stack([x + y, x, y]))
+    return majorization_check(total - at_x, at_y, tol)
 
 
 def lidskii_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> MajorizationReport:
@@ -453,7 +452,7 @@ def lidskii_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> Majorizati
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
         raise DimensionMismatchError(f"Lidskii needs two square matrices of one size, got {a.shape} and {b.shape}")
-    return hyperbolic_lidskii(lambda m: np.linalg.eigvalsh(m)[::-1], 0.5 * (a + a.T), 0.5 * (b + b.T), tol)
+    return hyperbolic_lidskii(lambda m: np.linalg.eigvalsh(m)[..., ::-1], 0.5 * (a + a.T), 0.5 * (b + b.T), tol)
 
 
 def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectrum:
@@ -462,39 +461,33 @@ def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectru
     These are the roots in direction (0, 0, 1) of the pair form
     Phi(x, y, z) = (-1)^n (x+y)^(n-1) (x q + y r)(-z / (x+y)), and the
     eigenvalues of x C_q + y C_r + z I.  Phi is hyperbolic exactly when the
-    pair is; otherwise NonRealRootError.  The map remembers every point it
-    was given, so each distinct point costs one root extraction.
-
-    The map also takes a stack of points (K, 3).  It then extracts the roots
-    of every point it has not seen in one stacked call and returns the K
-    spectra in a list, None for a point with non-real roots.  Those points
-    are not remembered, so a later call at one of them raises as it would
-    have without the stack call.
+    pair is.  The map takes points of shape (..., 3) and extracts every
+    spectrum in one eigvals call.  A point where the pencil loses its degree,
+    |x + y| <= LEADING_TRIM * max |coefficient|, raises InvalidDocumentError.
+    Non-real roots raise NonRealRootError at the first such point in stack
+    order, with the message ``real_roots_from_coefficients`` gives on its
+    pencil.
     """
     if q.degree != r.degree:
         raise InvalidDocumentError("a pair spectrum needs two monic polynomials of equal degree")
     qc, rc = q._coeffs, r._coeffs
-    memo: dict[tuple[float, ...], np.ndarray] = {}
 
-    def spectrum(point):
-        if np.ndim(point) == 2:
-            keys = list(map(tuple, np.asarray(point, dtype=float).tolist()))
-            fresh = list(dict.fromkeys(key for key in keys if key not in memo))
-            x, y, z = np.array(fresh, dtype=float).reshape(len(fresh), 3).T
-            roots, nonreal = _real_roots_of_pencil_rows(x[:, None] * qc + y[:, None] * rc, tol)
-            # The rows of one size come from one trimmed degree: shift and sort them as one stack.
-            sizes = np.array([-1 if lam is None else lam.size for lam in roots], dtype=int)
-            for size in np.unique(sizes[~nonreal]):
-                idx = np.flatnonzero(sizes == size)
-                lams = np.array([roots[i] for i in idx]).reshape(idx.size, size)
-                shifted = np.sort((x[idx] + y[idx])[:, None] * lams + z[idx, None], axis=-1)[:, ::-1]
-                memo.update(zip([fresh[i] for i in idx], shifted))
-            return [memo.get(key) for key in keys]
-        key = tuple(float(v) for v in point)
-        if key not in memo:
-            x, y, z = key
-            memo[key] = np.sort((x + y) * real_roots_from_coefficients(x * qc + y * rc, tol) + z)[::-1]
-        return memo[key]
+    def spectrum(points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 0 or pts.shape[-1] != 3:
+            raise DimensionMismatchError(f"pair spectrum points have shape (..., 3), got {pts.shape}")
+        x, y, z = pts[..., :1], pts[..., 1:2], pts[..., 2:]
+        rows = x * qc + y * rc
+        dropped = np.abs(rows[..., -1]) <= LEADING_TRIM * np.max(np.abs(rows), axis=-1)
+        if dropped.any():
+            point = pts.reshape(-1, 3)[np.argmax(dropped.ravel())]
+            raise InvalidDocumentError(f"the pencil loses its degree at the pair point {tuple(point.tolist())}")
+        lams = np.linalg.eigvals(companion_matrices(rows))
+        nonreal = np.any(_imaginary_excess(lams, tol) > 0.0, axis=-1)
+        if nonreal.any():
+            # _accept_real raises on the first non-real row.
+            _accept_real(lams.reshape(-1, qc.size - 1)[np.argmax(nonreal.ravel())], tol)
+        return np.sort((x + y) * lams.real + z, axis=-1)[..., ::-1]
 
     return spectrum
 
@@ -516,8 +509,6 @@ def shifted_pencil_majorization(
     floor = 1e-12 * max(1.0, abs(x), abs(y), abs(d1), abs(d2))
     if min(abs(x + y), abs(d1 + d2), abs(x + y + (d1 + d2))) < floor:
         raise InvalidDocumentError("degenerate combination: one of x+y, d1+d2, or their sum vanishes")
-    delta, point = np.asarray(delta, dtype=float), np.asarray(point, dtype=float)
-    spectrum(np.stack([delta + point, delta, point]))
     return hyperbolic_lidskii(spectrum, delta, point, tol)
 
 
@@ -555,30 +546,33 @@ def derivative_line_convexity(
     """
     n = q.degree
     spectrum = pair_spectrum(_minus_derivative(q), q, tol)
-    x0, dx = (0.0, 1.0, -b), (1.0, -1.0, -c)
-    at_zero = b == 0.0 and c == 1.0
-    points = _sweep_points(x0, dx, grid)
-    spectrum(np.vstack([points, (0.0, 1.0, 0.0)]) if at_zero else points)
-    pair = spectral_line_convexity(spectrum, n, x0, dx, f"topk_sum:{k}", grid, tol)
+    pair = spectral_line_convexity(spectrum, n, (0.0, 1.0, -b), (1.0, -1.0, -c), f"topk_sum:{k}", grid, tol)
     min_at_zero: Optional[bool] = None
-    if at_zero:
-        # P_0 = q: its spectrum is the pair spectrum at (0, 1, 0), a grid point when 0 is on the grid.
-        min_at_zero = bool(min(pair.values) >= float(np.sum(spectrum((0.0, 1.0, 0.0))[:k])) - tol)
+    if b == 0.0 and c == 1.0:
+        # P_0 = q: its spectrum is the pair spectrum at (0, 1, 0), the sweep's point at a = 0 when 0 is on
+        # the grid.
+        grid_values = [float(a) for a in grid]
+        if 0.0 in grid_values:
+            at_zero = pair.values[grid_values.index(0.0)]
+        else:
+            at_zero = float(np.sum(spectrum((0.0, 1.0, 0.0))[:k]))
+        min_at_zero = bool(min(pair.values) >= at_zero - tol)
     # The root sum of P_a in closed form: q.a[0] is the root sum of q.
     sums = [q.a[0] - n * (b + c * float(a)) + n * float(a) for a in grid]
     fn_constant = bool(np.max(sums) - np.min(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
     return LineConvexityReport(convex=pair.convex, min_at_zero=min_at_zero, fn_constant=fn_constant, values=pair.values)
 
 
-def root_statistic(f_id: str, degree: int) -> Callable[[np.ndarray], float]:
-    """Symmetric convex statistics, selectable by name, of a descending root vector of the given length.
+def root_statistic(f_id: str, degree: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Symmetric convex statistics, selectable by name, of descending root vectors of the given length:
+    a map from spectra of shape (..., degree) to their values, shape (...).
 
     Supported: "max", "sum_abs", "topk_sum:k", "neg_bottomk_sum:k" with 1 <= k <= degree.
     """
     if f_id == "max":
-        return lambda lam: float(lam[0])
+        return lambda lam: lam[..., 0]
     if f_id == "sum_abs":
-        return lambda lam: float(np.sum(np.abs(lam)))
+        return lambda lam: np.sum(np.abs(lam), axis=-1)
     name, _, arg = f_id.partition(":")
     if name in ("topk_sum", "neg_bottomk_sum"):
         if not arg:
@@ -590,8 +584,8 @@ def root_statistic(f_id: str, degree: int) -> Callable[[np.ndarray], float]:
         if not 1 <= k <= degree:
             raise InvalidDocumentError(f"statistic '{name}' needs 1 <= k <= the degree {degree}, got {k}")
         if name == "topk_sum":
-            return lambda lam: float(np.sum(lam[:k]))
-        return lambda lam: -float(np.sum(lam[lam.size - k :]))
+            return lambda lam: np.sum(lam[..., :k], axis=-1)
+        return lambda lam: -np.sum(lam[..., -k:], axis=-1)
     raise InvalidDocumentError(f"unknown root statistic '{f_id}'")
 
 
@@ -608,23 +602,15 @@ def spectral_line_convexity(
 
     Every symmetric convex function f of the roots of a hyperbolic polynomial
     is convex along lines (Bauschke, Guler, Lewis & Sendov 2001); degree is
-    the length of the root vectors.  F is remembered per a, so each distinct
-    grid point and midpoint costs one spectrum; a pair spectrum can have them
-    all at once from ``_sweep_points``.
+    the length of the root vectors.  The spectrum map is called once, on
+    ``_sweep_points``: every grid point, then every midpoint.
     """
     stat = root_statistic(f_id, degree)
-    x0, dx = np.asarray(x0, dtype=float), np.asarray(dx, dtype=float)
-    cache: dict[float, float] = {}
-
-    def fv(a: float) -> float:
-        if a not in cache:
-            cache[a] = stat(spectrum(x0 + a * dx))
-        return cache[a]
-
-    grid_values, pairs = _sweep(grid)
-    values = tuple(fv(a) for a in grid_values)
-    convex = not any(_above_chord(fv(mid), fv(a), fv(b), tol) for a, b, mid in pairs)
-    return SymmetricConvexReport(convex=convex, values=values)
+    grid_values, low, high = _sweep(grid)
+    f = stat(spectrum(_sweep_points(x0, dx, grid)))
+    values = f[: grid_values.size]
+    convex = not np.any(_above_chord(f[grid_values.size :], values[low], values[high], tol))
+    return SymmetricConvexReport(convex=convex, values=tuple(values.tolist()))
 
 
 def _above_chord(mid, a, b, tol: float):
@@ -632,17 +618,20 @@ def _above_chord(mid, a, b, tol: float):
     return mid > 0.5 * (a + b) + tol
 
 
-def _sweep(grid: Sequence[float]) -> tuple[tuple[float, ...], list[tuple[float, float, float]]]:
-    """The grid values of a line sweep in their order, then every pair a < b of them with its midpoint."""
-    grid_values = tuple(float(a) for a in grid)
-    pts = sorted(grid_values)
-    return grid_values, [(a, b, 0.5 * (a + b)) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+def _sweep(grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid values of a line sweep in their order, then the positions in it of a and b for every
+    pair a < b of the sorted values."""
+    grid_values = np.asarray(grid, dtype=float)
+    order = np.argsort(grid_values, kind="stable")
+    low, high = np.triu_indices(grid_values.size, 1)
+    return grid_values, order[low], order[high]
 
 
 def _sweep_points(x0, dx, grid: Sequence[float]) -> np.ndarray:
-    """Every point x0 + a dx at which ``spectral_line_convexity`` may ask for a spectrum, in its order."""
-    grid_values, pairs = _sweep(grid)
-    a = np.array(grid_values + tuple(mid for _, _, mid in pairs))
+    """Every point x0 + a dx at which ``spectral_line_convexity`` takes a spectrum, in its order: the grid
+    points, then the midpoint of every pair of ``_sweep``."""
+    grid_values, low, high = _sweep(grid)
+    a = np.concatenate([grid_values, 0.5 * (grid_values[low] + grid_values[high])])
     return np.asarray(x0, dtype=float) + a[:, None] * np.asarray(dx, dtype=float)
 
 
@@ -656,7 +645,4 @@ def symmetric_convex_line_check(
     hyperbolic pair of equal-degree monic polynomials; non-real roots raise
     NonRealRootError, which is the signal that the pair is not hyperbolic.
     """
-    spectrum = pair_spectrum(q, r, tol)
-    x0, dx = (0.0, 1.0, -b), (1.0, -1.0, -c)
-    spectrum(_sweep_points(x0, dx, grid))
-    return spectral_line_convexity(spectrum, q.degree, x0, dx, f_id, grid, tol)
+    return spectral_line_convexity(pair_spectrum(q, r, tol), q.degree, (0.0, 1.0, -b), (1.0, -1.0, -c), f_id, grid, tol)

@@ -10,8 +10,9 @@ real sign sums meet at few distinct block sums, and the union of their
 lattices is one cached table per (n, k).  Every stacked evaluation takes
 blocks of at most _CHUNK = 1024 real rows or _CHUNK // 2 complex ones, so a
 pencil's working set is O(1024 n^2) doubles (1.6 MB at n = 14), not
-O(2^(n-2) n^2).  Supports and dense expansions stay under one row budget,
-ENUMERATION_ROW_BUDGET, and every table under LATTICE_CELL_BUDGET.
+O(2^(n-2) n^2).  Every tuple stays under POLARIZATION_CAP slots and every
+table under LATTICE_CELL_BUDGET, the one size rule of supports, dense
+expansions and log-concavity profiles.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ POLARIZATION_CAP = 20
 # so the kernel's blocks hold _CHUNK // 2 of them: one call up to n = 11.  A lattice of at most this
 # many block sums (support at n = 5 has 591) is one call.
 _CHUNK = 1 << 10
-
-# The enumeration rule counts 2^(n-1) sign rows for each of the C(n+k-1, k-1)
-# compositions of n into k parts; support (k = n) and the dense expansion (k = m)
-# stop before any evaluation past this many rows.  Their shared lattice of
-# distinct block sums evaluates far fewer rows, so the rule over-counts the work.
-ENUMERATION_ROW_BUDGET = 2_000_000
 
 # The lattice table of all compositions of n into k parts has C(n+2k-1, 2k-1)
 # points of k block sums each; it is not built past this many cells.  Its build
@@ -272,8 +267,9 @@ def _composition_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[t
     """The compositions r of n into k parts in lexicographic order, the mixed value of the k points
     repeated r times for each, and the largest |p| seen: every block sum that some composition
     needs is evaluated once, in chunks, and the weighted values are summed per composition."""
-    lattice = _composition_lattice(oracle.n, points.shape[0])
+    # The evaluator refuses more than POLARIZATION_CAP slots, the size of the binomial table the lattice reads.
     evaluate = _tuple_evaluator(oracle, points, oracle.n)
+    lattice = _composition_lattice(oracle.n, points.shape[0])
     vals = np.empty(len(lattice.sums))
     for start in range(0, len(vals), _CHUNK):
         vals[start : start + _CHUNK] = evaluate(lattice.sums[start : start + _CHUNK].astype(float))
@@ -283,12 +279,7 @@ def _composition_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[t
 
 def _all_mixed_values(oracle: HyperbolicOracle, points: np.ndarray) -> tuple[dict, float]:
     """The mixed value of the k points repeated r times, for every composition r of n into k
-    parts, and the largest |p| seen; within ENUMERATION_ROW_BUDGET polarized rows."""
-    n = oracle.n
-    k = points.shape[0]
-    count = math.comb(n + k - 1, k - 1)
-    if count * 2 ** (n - 1) > ENUMERATION_ROW_BUDGET:
-        raise BudgetExceededError(f"{count} compositions of 2^{n - 1} polarized rows exceed the enumeration budget")
+    parts, and the largest |p| seen."""
     keys, values, peak = _composition_values(oracle, points)
     return dict(zip(keys, values.tolist())), peak
 
@@ -470,7 +461,7 @@ def dense_from_oracle(oracle: HyperbolicOracle) -> HyperbolicOracle:
 
     The coefficient of x^r is the mixed value of the basis tuple repeated with
     multiplicities r, divided by prod(r_i!); the enumeration is the support's,
-    under the same ENUMERATION_ROW_BUDGET.  The block sums of the basis tuple
+    under the same LATTICE_CELL_BUDGET.  The block sums of the basis tuple
     are the integer points c with |c|_1 <= n and |c|_1 = n mod 2, one of each
     pair c, -c: 172 evaluations for n = 7, m = 3, where one sign sum per
     composition takes 2,304.

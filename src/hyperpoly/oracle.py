@@ -49,6 +49,7 @@ from .errors import (
     NearSingularDirectionWarning,
     NonRealRootError,
     integer_field,
+    real_field,
 )
 from .interlace import real_roots_from_coefficients, real_roots_of_rows
 from .report import Report
@@ -277,13 +278,21 @@ class HyperbolicOracle:
         return self.form.kind
 
 
-def _as_point(oracle: HyperbolicOracle, x) -> np.ndarray:
-    """x as a real point of the oracle's dimension.  A complex point is refused: the cast to float
-    would drop its imaginary part."""
+def _as_points(oracle: HyperbolicOracle, x) -> np.ndarray:
+    """x as a real point or stack of points of the oracle's dimension, shape (..., m).  A complex point
+    is refused: the cast to float would drop its imaginary part."""
     if np.iscomplexobj(x):
         raise InvalidDocumentError("a point must be real; evaluate_batch takes complex rows")
-    p = np.asarray(x, dtype=float)
-    if p.shape != (oracle.m,):
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != oracle.m:
+        raise DimensionMismatchError(f"point has shape {pts.shape}, oracle expects (..., {oracle.m})")
+    return pts
+
+
+def _as_point(oracle: HyperbolicOracle, x) -> np.ndarray:
+    """x as one real point of the oracle's dimension, shape (m,)."""
+    p = _as_points(oracle, x)
+    if p.ndim != 1:
         raise DimensionMismatchError(f"point has shape {p.shape}, oracle expects ({oracle.m},)")
     return p
 
@@ -482,7 +491,8 @@ def roots_in_direction(
     d,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> np.ndarray:
-    """The n roots of t -> p(x - t d), sorted descending.
+    """The n roots of t -> p(x - t d), sorted descending, for one point x or a stack of them, shape
+    (..., m) -> (..., n); d is one point.
 
     The direction must be strictly inside the positivity cone, which
     guarantees real roots for hyperbolic p.  Along the oracle's own direction
@@ -495,7 +505,7 @@ def roots_in_direction(
     closed form; every other form takes ``Form.roots``, the companion matrix
     of the restriction along -d, whose degree is always n.
     """
-    x = _as_point(oracle, x)
+    x = _as_points(oracle, x)
     d = _as_point(oracle, d)
     if np.array_equal(d, oracle.direction):
         return oracle.form.normalized_roots(x, d, tol)
@@ -534,9 +544,7 @@ def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) 
     shape (..., m), gets the array of their ranks from one ``normalized_roots``
     call: one eigvalsh of the stacked M(x) on a pencil.
     """
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0 or pts.shape[-1] != oracle.m:
-        raise DimensionMismatchError(f"point has shape {pts.shape}, oracle expects (..., {oracle.m})")
+    pts = _as_points(oracle, x)
     size = np.abs(oracle.form.normalized_roots(pts, oracle.direction, DEFAULT_ROOT_TOL))
     ranks = np.sum(size > tol * np.maximum(size[..., :1], size[..., -1:]), axis=-1)
     return int(ranks) if pts.ndim == 1 else ranks
@@ -557,7 +565,7 @@ def classify_spectrum(lam: np.ndarray, tol: float) -> str:
 
 def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) -> str:
     """Classify x by the sign of its smallest root relative to the root scale."""
-    return classify_spectrum(roots_in_direction(oracle, x, oracle.direction), tol)
+    return classify_spectrum(roots_in_direction(oracle, _as_point(oracle, x), oracle.direction), tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -607,7 +615,8 @@ def oracle_from_json(doc) -> HyperbolicOracle:
                 raise InvalidDocumentError("'matrices' must be a nonempty list")
             if "m" in doc and integer_field(doc["m"], "'m'") != len(matrices):
                 raise InvalidDocumentError("declared m does not match the matrix count")
-            oracle = determinantal_oracle(matrices, doc["direction"])
+            mats = [real_field(b, f"pencil matrix {i}") for i, b in enumerate(matrices)]
+            oracle = determinantal_oracle(mats, real_field(doc["direction"], "'direction'"))
             if "n" in doc and integer_field(doc["n"], "'n'") != oracle.n:
                 raise InvalidDocumentError("declared n does not match the matrix size")
             return oracle
@@ -617,9 +626,12 @@ def oracle_from_json(doc) -> HyperbolicOracle:
                 raise InvalidDocumentError("'terms' must be a nonempty list")
             if "direction" not in doc:
                 raise InvalidDocumentError("dense oracle document needs a 'direction' field")
-            pairs = [(tuple(integer_field(v, "an 'exps' entry") for v in t["exps"]), float(t["coef"])) for t in terms]
+            exps = [tuple(integer_field(v, "an 'exps' entry") for v in t["exps"]) for t in terms]
+            coefs = real_field([t["coef"] for t in terms], "'coef'")
+            if coefs.shape != (len(terms),):
+                raise InvalidDocumentError("every 'coef' must be one number")
             m, n = integer_field(doc["m"], "'m'"), integer_field(doc["n"], "'n'")
-            return dense_oracle(m, n, pairs, doc["direction"])
+            return dense_oracle(m, n, zip(exps, coefs.tolist()), real_field(doc["direction"], "'direction'"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocumentError(f"malformed oracle document: {exc}") from exc
     raise InvalidDocumentError(f"unknown oracle kind '{kind}'")

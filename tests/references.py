@@ -13,7 +13,11 @@ from typing import Iterator
 import numpy as np
 
 import hyperpoly as hp
-from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError, ZeroCapacityError
+from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
+
+
+class ZeroCapacityError(Exception):
+    """The van der Waerden ratio is undefined: the tuple has zero capacity."""
 
 
 def matrix_sinkhorn(matrix, iters: int) -> np.ndarray:

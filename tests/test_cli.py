@@ -12,7 +12,7 @@ import hyperpoly
 from hyperpoly import cli, experiments
 from hyperpoly import generators as gen
 from hyperpoly.cli import build_parser, main
-from hyperpoly.errors import ConvergenceError, InvalidDocumentError
+from hyperpoly.errors import ConvergenceError, InvalidDocumentError, real_field
 
 
 def write(path, doc):
@@ -716,6 +716,66 @@ class TestBooleanNumbers:
         assert walked[0]["note"] is True
 
 
+class TestNullAndStringNumbers:
+    # Each numeric field of BOOLEAN_NUMBERS with a null or a numeric string in place of its booleans: a float
+    # cast would read "1" as 1.0, and numpy reads null as NaN.
+    @pytest.mark.parametrize("value", ["null", '"1"'], ids=["null", "string"])
+    @pytest.mark.parametrize("args, raw", [(a, r) for _, a, r in BOOLEAN_NUMBERS], ids=[i for i, _, _ in BOOLEAN_NUMBERS])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, args, raw, value):
+        files = _write_inputs(tmp_path)
+        for name, text in raw.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(text.replace("true", value).replace("false", value))
+        code = main(_argv(files, *args))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "oracle, point",
+        [
+            ('{"kind": "product", "n": 2}', "[null, 3.0]"),
+            ('{"kind": "product", "n": 2}', '["2", "3.5"]'),
+            ('{"kind": "determinantal", "matrices": [[[1.0, null], [null, 0.0]], [["1", 0.0], [0.0, "1"]]], '
+             '"direction": [1.0, 1.0]}', "[1.0, 2.0]"),
+            ('{"kind": "dense", "m": 2, "n": 2, "direction": [1.0, 0.0], '
+             '"terms": [{"exps": [2, 0], "coef": "2"}, {"exps": [0, 2], "coef": -1.0}]}', "[1.0, 2.0]"),
+        ],
+        ids=["null-point", "string-point", "pencil-null-and-string", "dense-string-coef"],
+    )
+    def test_eval_refuses(self, tmp_path, capsys, oracle, point):
+        (tmp_path / "o.json").write_text(oracle)
+        (tmp_path / "p.json").write_text(point)
+        code = main(["eval", str(tmp_path / "o.json"), str(tmp_path / "p.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "") and captured.err.startswith("error: ")
+
+
+class TestRealField:
+    def test_numbers_and_nested_lists(self):
+        assert real_field(3, "x").tolist() == 3.0
+        assert real_field([[1, 2.5], [0, -1e3]], "x").tolist() == [[1.0, 2.5], [0.0, -1e3]]
+
+    @pytest.mark.parametrize(
+        "value",
+        ["2", ["2", "3.5"], [None, 3.0], [True, False], [1j], [[1.0], [1.0, 2.0]], [float("nan")], [float("inf")], 10**400],
+        ids=["string", "strings", "null", "booleans", "complex", "ragged", "nan", "inf", "overflow"],
+    )
+    def test_refused(self, value):
+        with pytest.raises(InvalidDocumentError, match="^x must hold"):
+            real_field(value, "x")
+
+    def test_library_readers(self):
+        # The readers outside the CLI refuse the same entries.
+        with pytest.raises(InvalidDocumentError):
+            gen.matrix_points([[[1.0, None], [None, 1.0]]])
+        with pytest.raises(InvalidDocumentError):
+            hyperpoly.MonicPolynomial.from_json({"a": ["1", 2.0]})
+        with pytest.raises(InvalidDocumentError):
+            hyperpoly.oracle_from_json({"kind": "determinantal", "matrices": [[[1.0]]], "direction": [None]})
+
+
 PRODUCT2 = {"kind": "product", "n": 2}
 PENCIL2 = {"kind": "determinantal", "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], "direction": [1.0, 1.0]}
 DENSE2 = {  # x_1^2 - x_2^2, hyperbolic in direction (1, 0)
@@ -863,15 +923,15 @@ class TestMatrixTupleLoading:
 
 
 class TestSymmetricOracleSize:
-    """Symmetric bases are allocated only within bounds: {"kind": "symmetric", "n": N} is checked
-    before its N(N+1)/2 basis matrices exist, and a matrix tuple is compared against one only when
+    """Symmetric oracles are allocated only within bounds: {"kind": "symmetric", "n": N} is checked
+    before its O(N^2) tables exist, and a matrix tuple is compared against a symmetric basis only when
     the oracle's pencil already has its shape."""
 
     @staticmethod
     def refuse(n):
         raise AssertionError(f"symmetric basis of size {n} built")
 
-    @pytest.mark.parametrize("n", ["0", "-3", BIG_INT, "64"], ids=["zero", "negative", "401-digit", "first-past-budget"])
+    @pytest.mark.parametrize("n", ["0", "-3", BIG_INT, "1832"], ids=["zero", "negative", "401-digit", "first-past-budget"])
     def test_exit_two_with_error_line(self, tmp_path, capsys, monkeypatch, n):
         monkeypatch.setattr(cli, "symmetric_matrix_oracle", self.refuse)
         oracle = tmp_path / "oracle.json"
@@ -884,8 +944,16 @@ class TestSymmetricOracleSize:
         assert captured.err.startswith("error: ")
 
     def test_largest_size_within_budget(self):
-        # 63 * 64 / 2 matrices of 63 x 63 float64 entries fit in the budget; 64 do not.
-        assert 63 * 64 // 2 * 63 * 63 * 8 <= cli.SYMMETRIC_BASIS_BYTES < 64 * 65 // 2 * 64 * 64 * 8
+        # A 1831 x 1831 table and three vectors of 1831 * 1832 / 2 entries, 8 bytes each, fit in the budget;
+        # those of n = 1832 do not.
+        assert 8 * (1831**2 + 3 * (1831 * 1832 // 2)) <= cli.SYMMETRIC_ORACLE_BYTES
+        assert 8 * (1832**2 + 3 * (1832 * 1833 // 2)) > cli.SYMMETRIC_ORACLE_BYTES
+
+    def test_n_100_evaluates(self, tmp_path, capsys):
+        # Its basis would take 404 MB; the oracle holds about 0.2 MB.  p(e) = det(I) = 1.
+        oracle = write(tmp_path / "oracle.json", {"kind": "symmetric", "n": 100})
+        point = write(tmp_path / "p.json", gen.symmetric_matrix_oracle(100).direction.tolist())
+        assert run(capsys, "eval", oracle, point) == (0, {"value": 1.0})
 
     def test_n_50_loads(self, tmp_path):
         # A 25 MB basis stays admissible.

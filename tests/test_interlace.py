@@ -37,30 +37,29 @@ def counted(counts, key, fn):
     return wrapper
 
 
-def count_extractions(monkeypatch, module):
-    """Record the row stacks of every stacked pencil extraction, and count the point-path extractions."""
-    stacks, counts = [], {"extractions": 0}
-    original = module._real_roots_of_pencil_rows
+def record_extractions(monkeypatch):
+    """Record the coefficient rows of every companion stack that interlace builds, and count every
+    eigvals call."""
+    stacks, counts = [], {"eigvals": 0}
+    original = interlace.companion_matrices
 
-    def recorded(rows, tol):
-        stacks.append(rows.copy())
-        return original(rows, tol)
+    def recorded(coeffs):
+        stacks.append(np.array(coeffs))
+        return original(coeffs)
 
-    monkeypatch.setattr(module, "_real_roots_of_pencil_rows", recorded)
-    for name in ("real_roots_from_coefficients", "real_roots"):
-        monkeypatch.setattr(module, name, counted(counts, "extractions", getattr(module, name)))
+    monkeypatch.setattr(interlace, "companion_matrices", recorded)
+    monkeypatch.setattr(np.linalg, "eigvals", counted(counts, "eigvals", np.linalg.eigvals))
     return stacks, counts
 
 
-def assert_rows_are_points(stacks, qc, rc, xy0, dxy, grid):
-    """One stack was extracted, and its rows are the pencils x qc + y rc at the 17 distinct points
-    (x, y) = xy0 + a dxy, a on the 9-point grid or a midpoint of two of its points."""
-    values = sorted(float(a) for a in grid)
-    params = set(values) | {0.5 * (a + b) for i, a in enumerate(values) for b in values[i + 1 :]}
-    assert len(params) == 17 and len(stacks) == 1
-    expected = {tuple((xy0[0] + a * dxy[0]) * qc + (xy0[1] + a * dxy[1]) * rc) for a in params}
-    rows = [tuple(row) for row in stacks[0]]
-    assert len(rows) == 17 and set(rows) == expected
+def assert_rows_are_sweep(stacks, counts, qc, rc, xy0, dxy, grid):
+    """One eigvals call took one stack: the pencils x qc + y rc at (x, y) = xy0 + a dxy for a on the
+    9-point ascending grid, then at the midpoints of its 36 pairs, in order."""
+    values = [float(a) for a in grid]
+    params = values + [0.5 * (a + b) for i, a in enumerate(values) for b in values[i + 1 :]]
+    assert len(params) == 45 and counts == {"eigvals": 1} and len(stacks) == 1
+    expected = [(xy0[0] + a * dxy[0]) * qc + (xy0[1] + a * dxy[1]) * rc for a in params]
+    assert np.array_equal(stacks[0], np.array(expected))
 
 
 class TestMonicPolynomial:
@@ -456,12 +455,12 @@ class TestShiftedPencilMajorization:
         assert hp.shifted_pencil_majorization(q, r, point, delta, tol=1e-7).majorized
 
     def test_one_stacked_extraction_for_the_triple(self, monkeypatch):
-        # point + delta, delta and point go through one stacked extraction, and nothing else extracts.
+        # point + delta, delta and point go through one eigvals call on one stack, and nothing else extracts.
         q, r = gen.hyperbolic_pair(np.random.default_rng(22), 4)
         point, delta = np.array([1.3, 0.5, -0.4]), np.array([0.2, 0.9, 0.7])
-        stacks, counts = count_extractions(monkeypatch, interlace)
+        stacks, counts = record_extractions(monkeypatch)
         assert hp.shifted_pencil_majorization(q, r, point, delta).majorized
-        assert counts == {"extractions": 0} and len(stacks) == 1
+        assert counts == {"eigvals": 1} and len(stacks) == 1
         qc, rc = standard_coefficients(q), standard_coefficients(r)
         expected = [p[0] * qc + p[1] * rc for p in (delta + point, delta, point)]
         assert np.array_equal(stacks[0], np.array(expected))
@@ -520,19 +519,19 @@ class TestDerivativeLineConvexity:
         with pytest.raises(InvalidDocumentError):
             hp.derivative_line_convexity(Q2, 0.0, 1.0, 3, [0.0, 1.0])
 
-    def test_one_extraction_per_distinct_point_and_no_builds(self, monkeypatch):
-        # Nine points of linspace(-1, 1, 9) and their midpoints are 17 distinct points, 0 among them:
-        # one stacked extraction takes all 17 pencils of (q - q', q), and nothing else extracts or builds.
+    def test_one_extraction_for_the_sweep_and_no_builds(self, monkeypatch):
+        # The nine points of linspace(-1, 1, 9), 0 among them, and their 36 midpoints: one eigvals call
+        # takes all 45 pencils of (q - q', q), and nothing else extracts or builds.
         q = MonicPolynomial.from_roots(gen._separated_roots(np.random.default_rng(13), 4))
         grid = np.linspace(-1.0, 1.0, 9)
-        stacks, counts = count_extractions(monkeypatch, interlace)
-        counts["builds"] = 0
-        monkeypatch.setattr(interlace, "derivative_line_polynomial", counted(counts, "builds", derivative_line_polynomial))
+        stacks, counts = record_extractions(monkeypatch)
+        builds = {"builds": 0}
+        monkeypatch.setattr(interlace, "derivative_line_polynomial", counted(builds, "builds", derivative_line_polynomial))
         report = interlace.derivative_line_convexity(q, 0.0, 1.0, 2, grid)
         assert report.convex and report.min_at_zero and report.fn_constant
-        assert counts == {"extractions": 0, "builds": 0}
+        assert builds == {"builds": 0}
         q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
-        assert_rows_are_points(stacks, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
+        assert_rows_are_sweep(stacks, counts, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_route_through_line_sweeps(self, seed):
@@ -714,13 +713,13 @@ class TestNumpyPolynomialReference:
 
 class TestSymmetricConvexLine:
     def test_one_evaluation_per_grid_point_and_midpoint(self, monkeypatch):
-        # The 9 grid points and their midpoints are 17 distinct points, in one stacked extraction.
-        stacks, counts = count_extractions(monkeypatch, interlace)
+        # The 9 grid points, then their 36 midpoints, in one eigvals call on one stack.
+        stacks, counts = record_extractions(monkeypatch)
         grid = np.linspace(0.0, 1.0, 9)
         report = hp.symmetric_convex_line_check(Q2, R2, 0.0, 0.0, "max", grid)
         assert report.convex and len(report.values) == 9
-        assert counts == {"extractions": 0}
-        assert_rows_are_points(stacks, standard_coefficients(Q2), standard_coefficients(R2), (0.0, 1.0), (1.0, -1.0), grid)
+        qc, rc = standard_coefficients(Q2), standard_coefficients(R2)
+        assert_rows_are_sweep(stacks, counts, qc, rc, (0.0, 1.0), (1.0, -1.0), grid)
 
     def test_full_sum_affine(self):
         grid = np.linspace(-1.5, 1.5, 11)
@@ -798,17 +797,6 @@ class TestPairSpectrum:
                 spectrum((math.cos(t), math.sin(t), 0.0))
 
 
-def point_only(monkeypatch):
-    """Make interlace's pair spectra ignore stack calls, so every check takes its points one by one."""
-    original = interlace.pair_spectrum
-
-    def unprefetched(q, r, tol):
-        spectrum = original(q, r, tol)
-        return lambda point: None if np.ndim(point) == 2 else spectrum(point)
-
-    monkeypatch.setattr(interlace, "pair_spectrum", unprefetched)
-
-
 def outcome(fn, *args):
     """fn's report, or the message of the NonRealRootError it raises."""
     try:
@@ -828,59 +816,54 @@ def pair_cases():
 
 class TestPairSpectrumStack:
     def test_stack_rows_equal_point_calls(self):
-        # Random points, degree-dropping points with x + y = 0, and repeats.
-        dropped = 0
+        # Random points with a repeat, minus those with non-real roots: a stack gives bitwise the spectra of
+        # one call per point and of the point route, the roots of x q + y r scaled by x + y and shifted by z.
+        full = 0
         for q, r, rng in pair_cases():
             points = rng.uniform(-2.0, 2.0, size=(12, 3))
-            points[3, 1] = -points[3, 0]
             points[7] = points[2]
-            stacked = hp.pair_spectrum(q, r, 1e-8)(points)
-            single = hp.pair_spectrum(q, r, 1e-8)
-            for point, lam in zip(points, stacked):
-                want = outcome(single, point)
-                if isinstance(want, str):
-                    assert lam is None
-                else:
-                    assert lam.tobytes() == want.tobytes() and lam.shape == want.shape
-            if stacked[3] is not None:
-                assert stacked[3].size == q.degree - 1
-                dropped += 1
-        assert dropped >= 20
+            spectrum = hp.pair_spectrum(q, r, 1e-8)
+            qc, rc = standard_coefficients(q), standard_coefficients(r)
+            real = np.array([p for p in points if not isinstance(outcome(spectrum, p), str)]).reshape(-1, 3)
+            stacked = spectrum(real)
+            assert stacked.shape == (len(real), q.degree)
+            for (x, y, z), lam in zip(real, stacked):
+                want = np.sort((x + y) * hp.real_roots_from_coefficients(x * qc + y * rc, 1e-8) + z)[::-1]
+                assert lam.tobytes() == want.tobytes() == spectrum((x, y, z)).tobytes()
+            if len(real) == 12:
+                assert spectrum(real.reshape(3, 4, 3)).tobytes() == stacked.tobytes()
+                full += 1
+        assert 20 <= full < 40
 
-    def test_constant_pencil_rows_have_empty_spectra(self):
-        # At x = y = 0 the pencil is the zero polynomial: no roots, in a stack as at a single point.
+    def test_degree_dropping_points_are_refused(self):
+        # Where x + y vanishes the pencil x q + y r loses its degree (at x = y = 0 it is zero): such a point
+        # is refused alone and in a stack.
         q, r = gen.hyperbolic_pair(np.random.default_rng(5), 3)
-        points = np.array([[0.0, 0.0, 0.5], [1.0, 0.5, 0.0], [0.0, 0.0, -1.0], [0.5, -0.5, 2.0]])
-        stacked = hp.pair_spectrum(q, r, 1e-8)(points)
-        single = hp.pair_spectrum(q, r, 1e-8)
-        for point, lam in zip(points, stacked):
-            want = single(point)
-            assert lam.dtype == want.dtype and lam.shape == want.shape and lam.tobytes() == want.tobytes()
-        assert [lam.size for lam in stacked] == [0, 3, 0, 2]
+        spectrum = hp.pair_spectrum(q, r, 1e-8)
+        for point in ([0.0, 0.0, 0.5], [0.5, -0.5, 2.0], [1.0, -1.0 + 1e-14, 0.0]):
+            with pytest.raises(InvalidDocumentError, match="loses its degree"):
+                spectrum(point)
+            with pytest.raises(InvalidDocumentError, match="loses its degree"):
+                spectrum(np.array([[1.0, 0.5, 0.0], point]))
+        assert spectrum([1.0, 0.5, 0.0]).shape == (3,)
 
-    def test_non_real_rows_are_not_remembered(self, monkeypatch):
+    def test_non_real_stack_raises_the_first_rows_message(self):
+        # The first point with non-real roots in stack order raises, with the message that
+        # real_roots_from_coefficients gives on its pencil alone.
         q, r = gen.nonhyperbolic_pair(np.random.default_rng(1), 3)
         thetas = np.linspace(0.0, np.pi, 65)
         points = np.column_stack([np.cos(thetas), np.sin(thetas), np.zeros(65)])
+        points = points[np.abs(points[:, 0] + points[:, 1]) > 1e-9]
+        qc, rc = standard_coefficients(q), standard_coefficients(r)
+        messages = [outcome(hp.real_roots_from_coefficients, x * qc + y * rc, 1e-8) for x, y, _ in points]
+        missing = [i for i, message in enumerate(messages) if isinstance(message, str)]
+        assert 1 < len(missing) < len(points) - 1
         spectrum = hp.pair_spectrum(q, r, 1e-8)
-        stacked = spectrum(points)
-        missing = [i for i, lam in enumerate(stacked) if lam is None]
-        assert 0 < len(missing) < 65
-        messages = {i: outcome(hp.pair_spectrum(q, r, 1e-8), points[i]) for i in missing}
-        counts = {"extractions": 0}
-        monkeypatch.setattr(
-            interlace, "real_roots_from_coefficients", counted(counts, "extractions", interlace.real_roots_from_coefficients)
-        )
-        for i, point in enumerate(points):
-            if i in missing:
-                assert outcome(spectrum, point) == messages[i]
-            else:
-                assert spectrum(point) is stacked[i]
-        assert counts["extractions"] == len(missing)
-        # A second stack call extracts only the points that are still missing.
-        stacks, _ = count_extractions(monkeypatch, interlace)
-        spectrum(points)
-        assert len(stacks) == 1 and len(stacks[0]) == len(missing)
+        for start in (0, missing[0] + 1):
+            first = next(i for i in missing if i >= start)
+            assert outcome(spectrum, points[start:]) == outcome(spectrum, points[first]) == messages[first]
+        assert outcome(spectrum, points[::-1]) == messages[missing[-1]]
+        assert len({messages[i] for i in missing}) > 1
 
     @pytest.mark.parametrize("stat", ["max", "sum_abs", "topk_sum:2", "neg_bottomk_sum:1"])
     def test_line_check_matches_unprefetched_sweep(self, stat):
@@ -893,29 +876,6 @@ class TestPairSpectrumStack:
                 hp.spectral_line_convexity, hp.pair_spectrum(q, r, tol), q.degree, (0.0, 1.0, -b), (1.0, -1.0, -c), stat, grid, tol
             )
             assert report == direct
-
-    def test_pair_checks_match_unprefetched_route(self, monkeypatch):
-        cases = []
-        for q, r, rng in pair_cases():
-            point, delta = rng.uniform(0.2, 2.0, size=(2, 3))
-            cases.append(("shifted", hp.shifted_pencil_majorization, (q, r, point, delta, 1e-7)))
-            cases.append(("line", hp.symmetric_convex_line_check, (q, r, 0.3, 0.5, "max", [-1.0, 0.0, 0.5, 2.0], 1e-7)))
-        for i in range(30):
-            # Real-rooted q make hyperbolic pairs (q - q', q); random monic q mostly do not.
-            rng = np.random.default_rng(300 + i)
-            degree = 2 + i % 5
-            if i % 2 == 0:
-                q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
-            else:
-                q = MonicPolynomial(tuple(rng.standard_normal(degree)))
-            for b, c in ((0.0, 1.0), (0.5, 2.0)):
-                cases.append(("derivative", hp.derivative_line_convexity, (q, b, c, 1 + i % degree, np.linspace(-1.0, 1.0, 9), 1e-7)))
-        prefetched = [outcome(fn, *args) for _, fn, args in cases]
-        point_only(monkeypatch)
-        unprefetched = [outcome(fn, *args) for _, fn, args in cases]
-        assert prefetched == unprefetched
-        raised = {name for (name, _, _), out in zip(cases, prefetched) if isinstance(out, str)}
-        assert raised == {"shifted", "line", "derivative"}
 
 
 def _roots_along_direction(oracle):
@@ -961,8 +921,15 @@ class TestGenericSpectralChecks:
         # eigvalsh is the spectrum map of symmetric matrices: the generic check returns lidskii_check's report.
         rng = np.random.default_rng(32)
         a, b = (0.5 * (m + m.T) for m in rng.standard_normal((2, 4, 4)))
-        generic = hp.hyperbolic_lidskii(lambda m: np.linalg.eigvalsh(m)[::-1], a, b, 1e-8)
+        generic = hp.hyperbolic_lidskii(lambda m: np.linalg.eigvalsh(m)[..., ::-1], a, b, 1e-8)
         assert generic == hp.lidskii_check(a, b, 1e-8)
+
+    def test_matrix_stack_equals_row_calls(self):
+        # The eigvalsh map on a (2, 3, 4, 4) stack of symmetric matrices gives bitwise each matrix's spectrum.
+        mats = np.random.default_rng(34).standard_normal((2, 3, 4, 4))
+        mats = mats + np.swapaxes(mats, -1, -2)
+        spectrum = lambda m: np.linalg.eigvalsh(m)[..., ::-1]
+        assert spectrum(mats).tobytes() == np.array([[spectrum(m) for m in row] for row in mats]).tobytes()
 
     def test_statistic_k_above_degree_rejected(self, seven_forms):
         oracle = seven_forms["e2_5"]
@@ -998,20 +965,16 @@ def derivative_line_trial_by_sweeps(seed, trial):
 
 class TestDerivativeLineTrial:
     @pytest.mark.parametrize("trial", range(4))
-    def test_one_extraction_per_distinct_point(self, monkeypatch, trial):
-        # The 9-point grid of the trial and its midpoints are 17 distinct points in one stacked
-        # extraction; every k and the majorization pairs read their spectra from it.
-        stacks, counts = count_extractions(monkeypatch, interlace)
-        monkeypatch.setattr(
-            experiments, "real_roots_from_coefficients", counted(counts, "extractions", hp.real_roots_from_coefficients)
-        )
+    def test_one_extraction_for_the_sweep(self, monkeypatch, trial):
+        # The 9-point grid of the trial, then its 36 midpoints, in one eigvals call; every k and the
+        # majorization pairs read their spectra from it.
+        stacks, counts = record_extractions(monkeypatch)
         result = experiments._derivative_line_trial((0, trial))
         assert result["ok"]
-        assert counts == {"extractions": 0}
         q = MonicPolynomial.from_roots(gen._separated_roots(gen.rng_for(0, 100, trial), 2 + trial % 4))
         q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
         grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
-        assert_rows_are_points(stacks, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
+        assert_rows_are_sweep(stacks, counts, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_route_through_line_sweeps(self, seed):

@@ -295,10 +295,10 @@ class TestBudgets:
     def test_dense_expansion_budget_refuses_before_polarizing(self, monkeypatch):
         from hyperpoly.errors import BudgetExceededError
 
-        # Degree 2 in m = 1414 variables: C(1415, 2) * 2 = 2,000,810 polarized rows, just past the budget.
+        # Degree 2 in m = 1414 variables: a lattice of C(2829, 2) = 4,000,206 points of 1414 block sums.
         m = 1414
         oracle = hp.dense_oracle(m, 2, {(2,) + (0,) * (m - 1): 1.0}, np.eye(m)[0])
-        assert math.comb(2 + m - 1, m - 1) * 2 == 2_000_810 > mixed.ENUMERATION_ROW_BUDGET
+        assert math.comb(2 + 2 * m - 1, 2 * m - 1) * m > mixed.LATTICE_CELL_BUDGET
 
         def refuse(*args):
             raise AssertionError("polarized past the budget")
@@ -307,14 +307,28 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             hp.dense_from_oracle(oracle)
 
+    def test_dense_expansion_of_degree_15_in_3_variables(self):
+        # 136 compositions of 15 into 3 parts share a lattice of C(20, 5) = 15,504 points of 3 block sums.
+        oracle = gen.random_determinantal_oracle(np.random.default_rng(15), 15, 3)
+        dense = hp.dense_from_oracle(oracle)
+        points = np.random.default_rng(16).standard_normal((5, 3))
+        expected = hp.evaluate_batch(oracle, points)
+        assert hp.evaluate_batch(dense, points) == pytest.approx(expected, rel=1e-8, abs=1e-8 * np.max(np.abs(expected)))
+
+    def test_polarization_cap_is_checked_before_the_lattice(self):
+        from hyperpoly.errors import BudgetExceededError
+
+        # Two points and n = 21: a small lattice, whose binomial table stops at the cap of 20.
+        with pytest.raises(BudgetExceededError):
+            hp.log_concavity_profile(hp.product_oracle(21), np.ones(21), np.full(21, 2.0))
+
     def test_dense_expansion_refuses_a_lattice_past_its_cell_budget(self, monkeypatch):
         from hyperpoly.errors import BudgetExceededError
 
-        # Degree 4 in m = 45 variables is within the row budget, C(48, 4) * 8 = 1,556,640 rows, but its
-        # lattice has C(93, 89) = 2,919,735 points of 45 block sums: refused before the table is built.
+        # Degree 4 in m = 45 variables: a lattice of C(93, 89) = 2,919,735 points of 45 block sums, refused
+        # before the table is built.
         m = 45
         oracle = hp.dense_oracle(m, 4, {(4,) + (0,) * (m - 1): 1.0}, np.eye(m)[0])
-        assert math.comb(4 + m - 1, m - 1) * 2**3 == 1_556_640 <= mixed.ENUMERATION_ROW_BUDGET
         assert math.comb(4 + 2 * m - 1, 2 * m - 1) * m > mixed.LATTICE_CELL_BUDGET
 
         def refuse(*args):

@@ -179,6 +179,34 @@ class TestRoots:
                 lam = hp.roots_in_direction(oracle, x, d)
                 assert lam == pytest.approx(expected, rel=1e-12, abs=1e-12 * float(np.max(np.abs(expected))))
 
+    @pytest.mark.parametrize("own", [True, False], ids=["own_direction", "other_direction"])
+    def test_stack_equals_point_calls(self, own):
+        # A stack of points, shape (2, 3, m), gives each point's roots along one direction: bitwise for the
+        # gathered symmetric basis and the product form; a stored pencil and a dense form multiply the whole
+        # stack in one matrix product, whose rounding may differ from a single row's in the last bits.
+        rng = np.random.default_rng(41)
+        dense = hp.dense_oracle(3, 2, {(1, 1, 0): 1.0, (0, 1, 1): 1.0, (1, 0, 1): 1.0}, np.ones(3))
+        oracles = (gen.symmetric_matrix_oracle(3), hp.product_oracle(4), gen.random_determinantal_oracle(rng, 3, 4), dense)
+        for exact, oracle in zip((True, True, False, False), oracles):
+            d = oracle.direction if own else gen.positive_point_tuple(oracle, rng, 1)[0]
+            points = rng.standard_normal((2, 3, oracle.m))
+            stacked = hp.roots_in_direction(oracle, points, d)
+            rows = np.array([[hp.roots_in_direction(oracle, x, d) for x in row] for row in points])
+            assert stacked.shape == (2, 3, oracle.n)
+            if exact:
+                assert stacked.tobytes() == rows.tobytes()
+            else:
+                assert stacked == pytest.approx(rows, rel=1e-12, abs=1e-12 * float(np.max(np.abs(rows))))
+
+    def test_stack_shapes_are_checked(self, sym3):
+        # Points of the wrong width are refused; the direction and a cone membership query take one point.
+        with pytest.raises(DimensionMismatchError):
+            hp.roots_in_direction(sym3, np.ones((2, sym3.m + 1)), sym3.direction)
+        with pytest.raises(DimensionMismatchError):
+            hp.roots_in_direction(sym3, np.ones(sym3.m), np.ones((1, sym3.m)))
+        with pytest.raises(DimensionMismatchError):
+            hp.cone_membership(sym3, np.ones((2, sym3.m)))
+
     def test_determinantal_indefinite_direction_unchecked(self, sym3):
         d = gen.matrix_to_point(np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(DegenerateDirectionError):

@@ -15,10 +15,10 @@ from hyperpoly.errors import (
     HyperpolyError,
     InvalidDocumentError,
     NonRealRootError,
-    ZeroCapacityError,
 )
 from hyperpoly.oracle import DeterminantalPolynomial, classify_spectrum
 from references import (
+    ZeroCapacityError,
     lexicographic_subsets,
     matrix_as_tuple,
     matrix_sinkhorn,
