@@ -27,6 +27,7 @@ import numpy as np
 
 from . import experiments
 from .errors import (
+    BudgetExceededError,
     ConvergenceError,
     HyperpolyError,
     InvalidDocumentError,
@@ -45,6 +46,7 @@ from .generators import (
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
+    SWEEP_GRID_CAP,
     MonicPolynomial,
     derivative_line_convexity,
     lidskii_check,
@@ -230,9 +232,14 @@ def _load_pair(path: str) -> tuple[MonicPolynomial, MonicPolynomial]:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """A --grid value as its points; a range is refused past SWEEP_GRID_CAP points before it is built."""
     try:
         if ":" in spec:
             start, stop, step = (_finite(v) for v in spec.split(":"))
+            # The point count of the range is the ceiling of this quotient, so it is above the cap exactly when
+            # the quotient is.
+            if (stop + 1e-12 - start) / step > SWEEP_GRID_CAP:
+                raise BudgetExceededError(f"grid '{spec}' has more than the line sweep cap of {SWEEP_GRID_CAP} points")
             grid = np.round(np.arange(start, stop + 1e-12, step), 12)
         else:
             grid = np.asarray([_finite(v) for v in spec.split(",")], dtype=float)

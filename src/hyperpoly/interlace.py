@@ -1,27 +1,26 @@
 """Univariate real-rootedness machinery.
 
 Companion matrices, root extraction, hyperbolic-pair tests (partial-fraction
-residues and sampled pencils), and majorization.  Every companion matrix comes
-from ``companion_matrices`` and every root extraction ends in one eigvals call
-on a stack of them.  Leading coefficients are trimmed only where a pencil
-x*q + y*r can lose degree: ``real_roots_from_coefficients`` trims one vector
-(characteristic polynomials), and ``_real_roots_of_pencil_rows`` trims each
-row of a stack by the same rule and makes one eigvals call per distinct
-trimmed degree (every direction of sampled_pencil_test).  A pair spectrum
-refuses a point where its pencil loses degree, and the restriction of a form
-along a cone direction keeps its nonzero leading coefficient, so neither is
-ever trimmed.  The hyperbolic Lidskii check and the line-convexity sweep are
-written once over a spectrum map, a callable from points of shape (..., dim)
-to their descending roots, shape (..., n): eigvalsh for symmetric matrices,
+residues and sampled pencils), and majorization.  Every root extraction is one
+call of the kernel ``_companion_roots``: one eigvals call on a stack of
+``companion_matrices``, with a non-real flag per row.  Where the roots must be
+real, the first flagged row in stack order raises NonRealRootError, naming its
+root with the largest imaginary excess.  Leading coefficients are trimmed, by
+the one rule of ``_trimmed_lengths``, only where a pencil x*q + y*r can lose
+degree: in ``real_roots_from_coefficients`` (characteristic polynomials) and
+in sampled_pencil_test, which reads only the flags, one kernel call per
+distinct trimmed degree.  A pair spectrum refuses a point where its pencil
+loses degree, and a form's restriction along a cone direction never loses it.
+The hyperbolic Lidskii check and the line-convexity sweep are written once
+over a spectrum map, a callable from points of shape (..., dim) to their
+descending roots, shape (..., n): eigvalsh for symmetric matrices,
 pair_spectrum for a pencil pair (q, r), and roots_in_direction for any oracle.
-Each check calls its map once, on the stack of every point it needs: the
-Lidskii triple, or every grid point and midpoint of a sweep.
+Each check calls its map once, on the stack of every point it needs.
 
-A MonicPolynomial builds its ascending coefficient array once.  The
-polynomial arithmetic (products of root lines, derivatives, Horner
-evaluation, Taylor shifts) is written out in numpy.polynomial's operation
-order, so its results are bitwise numpy's without numpy.polynomial's per-call
-dispatch; the module never imports numpy.polynomial.
+A MonicPolynomial builds its ascending coefficient array once.  Products of
+root lines, derivatives and Horner evaluation are written out in
+numpy.polynomial's operation order, bitwise its results, without importing
+it.  The module takes no Taylor shifts: a shifted pencil is a pair spectrum.
 """
 
 from __future__ import annotations
@@ -32,7 +31,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError, integer_field, real_field
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvalidDocumentError,
+    NonRealRootError,
+    integer_field,
+    real_field,
+)
 from .report import Report
 
 HYPERBOLIC = "hyperbolic"
@@ -48,9 +54,11 @@ ROOT_SEPARATION_FLOOR = 1e-6
 # treated as exact zeros (degree drop along degenerate pencil directions).
 LEADING_TRIM = 1e-12
 
-# Rows per eigvals call in a stacked pencil extraction: memory stays O(_CHUNK * n^2)
-# whatever the number of directions or sweep points.
+# Rows per kernel call in sampled_pencil_test, so that memory stays O(_CHUNK * n^2) for any grid.
 _CHUNK = 256
+
+# Grid points of a line sweep at most; it takes a spectrum at each and at the midpoint of every pair.
+SWEEP_GRID_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,6 @@ class MonicPolynomial:
         """Ascending power-basis coefficients c_0..c_n with c_n = 1, a fresh copy."""
         return self._coeffs.copy()
 
-    def derivative_coefficients(self) -> np.ndarray:
-        return _derivative(self._coeffs)
-
-    def __call__(self, x):
-        return _horner(self._coeffs, x)
-
-    def shift(self, s: float) -> "MonicPolynomial":
-        """The monic polynomial x -> q(x + s)."""
-        return MonicPolynomial.from_standard(taylor_shift(self._coeffs, s))
-
     def to_json(self) -> dict:
         return {"degree": self.degree, "a": list(self.a)}
 
@@ -122,7 +120,7 @@ class MonicPolynomial:
 
 
 # The polynomial arithmetic below repeats the operation order of numpy.polynomial's polyfromroots,
-# polyder, polyval and Polynomial composition, so that every result is bitwise the one numpy gives.
+# polyder and polyval, so that every result is bitwise the one numpy gives.
 
 
 def _from_roots(roots) -> np.ndarray:
@@ -149,38 +147,13 @@ def _derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
 
 
-def _horner(coeffs: np.ndarray, x):
-    """The polynomial with these ascending coefficients at x, a scalar or an array, by Horner's rule."""
-    # As in numpy's polyval, a sequence or an array meets every coefficient as an array of its dimension,
-    # and a scalar meets scalars: the two take different arithmetic loops.
-    if isinstance(x, (tuple, list, np.ndarray)):
-        x = np.asarray(x)
-        coeffs = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial with these ascending coefficients at each entry of the array x, by Horner's rule."""
+    # As in numpy's polyval on an array, every coefficient meets x as an array of its dimension.
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
     value = coeffs[-1] + x * 0
     for c in coeffs[-2::-1]:
         value = c + value * x
-    return value
-
-
-def _trimmed(coeffs: np.ndarray) -> np.ndarray:
-    """coeffs without its trailing zero coefficients, keeping at least one."""
-    k = coeffs.size
-    while k > 1 and coeffs[k - 1] == 0:
-        k -= 1
-    return coeffs[:k]
-
-
-def taylor_shift(coeffs, s: float) -> np.ndarray:
-    """Ascending coefficients of p(x + s) given ascending coefficients of p, by Horner's rule over
-    polynomials: trailing zero coefficients are dropped at every step, keeping at least one."""
-    c = np.array(coeffs, dtype=float, ndmin=1)
-    line = np.array([s + 0.0, 1.0])
-    # The line times 0, as a convolution: its sums start at +0.0, so no negative zero comes out.
-    value = _trimmed(c[-1:] + np.convolve(line, [0.0])[:1])
-    for coef in c[-2::-1]:
-        value = _trimmed(np.convolve(value, line))
-        value[0] += coef
-        value = _trimmed(value)
     return value
 
 
@@ -216,91 +189,69 @@ def companion_matrices(coeffs: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _imaginary_excess(lams: np.ndarray, tol: float) -> np.ndarray:
-    """By how much each |Im| exceeds tol*(1+|root|); a root is non-real where this is positive."""
-    return np.abs(lams.imag) - tol * (1.0 + np.abs(lams))
+def _companion_roots(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The complex roots of each row of ascending coefficients (..., n+1), from one eigvals call on their
+    companion matrices, and a flag per row: True where a root's |Im| exceeds tol * (1 + |root|)."""
+    lams = np.linalg.eigvals(companion_matrices(rows))
+    return lams, np.any(np.abs(lams.imag) > tol * (1.0 + np.abs(lams)), axis=-1)
 
 
-def _accept_real(lams: np.ndarray, tol: float) -> np.ndarray:
-    """Real parts sorted descending along the last axis; raises on the root whose |Im| exceeds
-    tol*(1+|root|) by the most, if any does."""
-    if lams.size == 0:
-        return np.asarray(lams, dtype=float)
-    flat = lams.ravel()
-    slack = _imaginary_excess(flat, tol)
-    worst = int(np.argmax(slack))
-    if slack[worst] > 0.0:
-        raise NonRealRootError(
-            f"root {flat[worst]} has imaginary part beyond tolerance {tol}", root=complex(flat[worst])
-        )
-    return np.sort(lams.real, axis=-1)[..., ::-1]
+def _real_parts(rows: np.ndarray, tol: float) -> np.ndarray:
+    """The real parts of ``_companion_roots``, unsorted; raises NonRealRootError at the first flagged row
+    in stack order, on its root whose |Im| exceeds tol * (1 + |root|) by the most."""
+    lams, nonreal = _companion_roots(rows, tol)
+    if nonreal.any():
+        row = lams.reshape(-1, lams.shape[-1])[np.argmax(nonreal.ravel())]
+        worst = row[np.argmax(np.abs(row.imag) - tol * (1.0 + np.abs(row)))]
+        raise NonRealRootError(f"root {worst} has imaginary part beyond tolerance {tol}", root=complex(worst))
+    return lams.real
 
 
 def real_roots(q: MonicPolynomial, tol: float = 1e-8) -> np.ndarray:
     """All n roots of q, the eigenvalues of its companion matrix, sorted descending; raises
     NonRealRootError when one has an imaginary part beyond tol * (1 + |root|)."""
-    return _accept_real(np.linalg.eigvals(companion(q)), tol)
+    return real_roots_of_rows(q._coeffs, tol)
 
 
 def real_roots_of_rows(coeffs: np.ndarray, tol: float) -> np.ndarray:
     """The roots of each row of ascending coefficients, shape (..., n+1), sorted descending, from one
-    eigvals call on the stacked companion matrices; raises NonRealRootError as ``real_roots`` does."""
+    kernel call; raises NonRealRootError at the first row with a non-real root (see ``_real_parts``)."""
     if np.any(coeffs[..., -1] == 0.0):
         raise InvalidDocumentError("leading coefficient is zero")
-    return _accept_real(np.linalg.eigvals(companion_matrices(coeffs)), tol)
+    return np.sort(_real_parts(coeffs, tol), axis=-1)[..., ::-1]
 
 
 def real_roots_from_coefficients(coeffs, tol: float = 1e-8) -> np.ndarray:
-    """``real_roots_of_rows`` for one ascending coefficient vector of a pencil x*q + y*r.
-
-    Leading coefficients at most LEADING_TRIM * max|c| are dropped first, so a
-    pencil direction that kills the top coefficient is handled as the lower
-    degree polynomial it actually is; a constant has no roots.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    k = c.size
-    peak = np.max(np.abs(c)) if k else 0.0
-    while k > 1 and abs(c[k - 1]) <= LEADING_TRIM * peak:
-        k -= 1
+    """``real_roots_of_rows`` for one ascending coefficient vector of a pencil x*q + y*r, its leading
+    coefficients trimmed first (``_trimmed_lengths``); a constant has no roots."""
+    c = np.asarray(coeffs, dtype=float).reshape(-1)
+    k = _trimmed_lengths(c[None, :])[0]
     if k <= 1:
         return np.empty(0)
     return real_roots_of_rows(c[:k], tol)
 
 
 def _trimmed_lengths(rows: np.ndarray) -> np.ndarray:
-    """How many ascending coefficients each row of a stack keeps under the trimming rule of
-    ``real_roots_from_coefficients``; c_0 is never dropped."""
+    """How many ascending coefficients each row of a stack (K, n+1) keeps: leading coefficients at most
+    LEADING_TRIM * max|c| of their row are dropped, and c_0 never is."""
     mags = np.abs(rows)
-    # Negated, so that a NaN coefficient is kept and reaches eigvals, as in the loop.
+    # Negated, so that a NaN coefficient is kept and reaches eigvals.
     kept = ~(mags[:, 1:] <= LEADING_TRIM * np.max(mags, axis=1, initial=0.0)[:, None])
     return np.max(kept * np.arange(2, rows.shape[1] + 1), axis=1, initial=1)
 
 
-def _real_roots_of_pencil_rows(rows: np.ndarray, tol: float) -> tuple[list[Optional[np.ndarray]], np.ndarray]:
-    """``real_roots_from_coefficients`` for each row of a stack (K, n+1), without raising.
-
-    Returns each row's descending roots, None where the row has a root that
-    ``real_roots_from_coefficients`` would reject, and a flag per row that is
-    True exactly there.  Rows are trimmed by the same rule and go through in
-    chunks of _CHUNK, one eigvals call per distinct trimmed degree in a chunk.
-    """
+def _nonreal_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """A flag per row of a stack (K, n+1), True exactly where ``real_roots_from_coefficients`` raises
+    NonRealRootError on the row.  Rows are trimmed by its rule and go through the kernel in chunks of
+    _CHUNK, one call per distinct trimmed degree in a chunk."""
     lengths = _trimmed_lengths(rows)
-    # An object array takes each group's row views in one assignment; rows trimmed to a constant keep
-    # the shared empty root vector.
-    roots = np.empty(len(rows), dtype=object)
-    roots.fill(np.empty(0))
     nonreal = np.zeros(len(rows), dtype=bool)
     for start in range(0, len(rows), _CHUNK):
         chunk = lengths[start : start + _CHUNK]
         for k in np.unique(chunk[chunk > 1]):
             idx = start + np.flatnonzero(chunk == k)
-            lams = np.linalg.eigvals(companion_matrices(rows[idx, :k]))
-            bad = np.any(_imaginary_excess(lams, tol) > 0.0, axis=-1)
-            ordered = np.sort(lams.real, axis=-1)[:, ::-1]
-            nonreal[idx] = bad
-            roots[idx] = np.fromiter(ordered, dtype=object, count=len(idx))
-            roots[idx[bad]] = None
-    return roots.tolist(), nonreal
+            nonreal[idx] = _companion_roots(rows[idx, :k], tol)[1]
+    return nonreal
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,11 +299,10 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
 
     Directions are (cos t, sin t) for t on a uniform grid of [0, pi), plus the
     exact degree-dropping direction (1, -1), which a grid must never miss.
-    Every direction's pencil goes through one stacked root extraction, each
-    trimmed as ``real_roots_from_coefficients`` trims it (the degree drops at
-    (1, -1) and wherever cos t + sin t rounds to almost 0).  The first failing
-    direction in that order is reported.  A full pass is evidence for
-    hyperbolicity of the pair, not a proof.
+    Every direction's pencil goes through ``_nonreal_rows``, each trimmed as
+    ``real_roots_from_coefficients`` trims it (the degree drops at (1, -1) and
+    wherever cos t + sin t rounds to almost 0).  The first failing direction in
+    that order is reported.  A full pass is evidence, not a proof.
     """
     if num_dirs < 3:
         raise InvalidDocumentError("need at least 3 sampled directions")
@@ -360,10 +310,9 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
     qc = standard_coefficients(q)
     rc = standard_coefficients(r, length=n + 1)
     thetas = np.pi * np.arange(num_dirs) / num_dirs
-    directions = [(math.cos(t), math.sin(t)) for t in thetas]
-    directions.append((1.0, -1.0))
+    directions = [(math.cos(t), math.sin(t)) for t in thetas] + [(1.0, -1.0)]
     xy = np.array(directions)
-    _, nonreal = _real_roots_of_pencil_rows(xy[:, :1] * qc + xy[:, 1:] * rc, tol)
+    nonreal = _nonreal_rows(xy[:, :1] * qc + xy[:, 1:] * rc, tol)
     if nonreal.any():
         return PairReport(verdict=NOT_HYPERBOLIC, counterexample_direction=directions[int(np.argmax(nonreal))])
     return PairReport(verdict=HYPERBOLIC)
@@ -428,8 +377,7 @@ def _majorized(gaps, tol: float):
     return np.all(gaps >= -tol, axis=-1) & (np.abs(gaps[..., -1]) <= tol)
 
 
-# A spectrum map: points of shape (..., dim) to their descending roots, shape (..., n) (see the module
-# docstring).
+# A spectrum map: points (..., dim) to their descending roots (..., n); see the module docstring.
 Spectrum = Callable[[np.ndarray], np.ndarray]
 
 
@@ -462,11 +410,10 @@ def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectru
     Phi(x, y, z) = (-1)^n (x+y)^(n-1) (x q + y r)(-z / (x+y)), and the
     eigenvalues of x C_q + y C_r + z I.  Phi is hyperbolic exactly when the
     pair is.  The map takes points of shape (..., 3) and extracts every
-    spectrum in one eigvals call.  A point where the pencil loses its degree,
+    spectrum in one kernel call.  A point where the pencil loses its degree,
     |x + y| <= LEADING_TRIM * max |coefficient|, raises InvalidDocumentError.
     Non-real roots raise NonRealRootError at the first such point in stack
-    order, with the message ``real_roots_from_coefficients`` gives on its
-    pencil.
+    order, as ``real_roots_from_coefficients`` raises on its pencil.
     """
     if q.degree != r.degree:
         raise InvalidDocumentError("a pair spectrum needs two monic polynomials of equal degree")
@@ -482,12 +429,7 @@ def pair_spectrum(q: MonicPolynomial, r: MonicPolynomial, tol: float) -> Spectru
         if dropped.any():
             point = pts.reshape(-1, 3)[np.argmax(dropped.ravel())]
             raise InvalidDocumentError(f"the pencil loses its degree at the pair point {tuple(point.tolist())}")
-        lams = np.linalg.eigvals(companion_matrices(rows))
-        nonreal = np.any(_imaginary_excess(lams, tol) > 0.0, axis=-1)
-        if nonreal.any():
-            # _accept_real raises on the first non-real row.
-            _accept_real(lams.reshape(-1, qc.size - 1)[np.argmax(nonreal.ravel())], tol)
-        return np.sort((x + y) * lams.real + z, axis=-1)[..., ::-1]
+        return np.sort((x + y) * _real_parts(rows, tol) + z, axis=-1)[..., ::-1]
 
     return spectrum
 
@@ -523,12 +465,6 @@ class LineConvexityReport(Report):
 def _minus_derivative(q: MonicPolynomial) -> MonicPolynomial:
     """q - q': with q it makes the pair (q - q', q) behind every derivative line."""
     return MonicPolynomial.from_standard(q._coeffs - np.pad(_derivative(q._coeffs), (0, 1)))
-
-
-def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float) -> np.ndarray:
-    """Ascending coefficients of P_a(x) = q(x + b + c a) - a q'(x + b + c a)."""
-    base = taylor_shift(q._coeffs, b + c * a)
-    return base - a * np.pad(_derivative(base), (0, 1))
 
 
 def derivative_line_convexity(
@@ -620,8 +556,10 @@ def _above_chord(mid, a, b, tol: float):
 
 def _sweep(grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid values of a line sweep in their order, then the positions in it of a and b for every
-    pair a < b of the sorted values."""
+    pair a < b of the sorted values; refuses more than SWEEP_GRID_CAP grid points."""
     grid_values = np.asarray(grid, dtype=float)
+    if grid_values.size > SWEEP_GRID_CAP:
+        raise BudgetExceededError(f"{grid_values.size} grid points exceed the line sweep cap of {SWEEP_GRID_CAP}")
     order = np.argsort(grid_values, kind="stable")
     low, high = np.triu_indices(grid_values.size, 1)
     return grid_values, order[low], order[high]

@@ -534,19 +534,19 @@ def trace_in_direction(oracle: HyperbolicOracle, x, d) -> float:
     return float(x @ oracle.form.grad_log_p(d))
 
 
-def hyperbolic_rank(oracle: HyperbolicOracle, x, tol: float = DEFAULT_RANK_TOL) -> Union[int, np.ndarray]:
-    """Number of nonzero roots of x: |{i : |lambda_i(x)| > tol * max_j |lambda_j(x)|}|.
+def hyperbolic_rank(oracle: HyperbolicOracle, x) -> Union[int, np.ndarray]:
+    """Number of nonzero roots of x: |{i : |lambda_i(x)| > DEFAULT_RANK_TOL * max_j |lambda_j(x)|}|.
 
     The cutoff is relative to the root scale of ``classify_spectrum``, so
     rank(c x) = rank(x) for every c != 0, and a point outside the cone gets a
     rank that rounding does not decide (rank(-e) = n).  On the closed cone
-    this is the number of roots above tol * lambda_1(x).  A stack of points,
-    shape (..., m), gets the array of their ranks from one ``normalized_roots``
-    call: one eigvalsh of the stacked M(x) on a pencil.
+    this is the number of roots above DEFAULT_RANK_TOL * lambda_1(x).  A
+    stack of points, shape (..., m), gets the array of their ranks from one
+    ``normalized_roots`` call: one eigvalsh of the stacked M(x) on a pencil.
     """
     pts = _as_points(oracle, x)
     size = np.abs(oracle.form.normalized_roots(pts, oracle.direction, DEFAULT_ROOT_TOL))
-    ranks = np.sum(size > tol * np.maximum(size[..., :1], size[..., -1:]), axis=-1)
+    ranks = np.sum(size > DEFAULT_RANK_TOL * np.maximum(size[..., :1], size[..., -1:]), axis=-1)
     return int(ranks) if pts.ndim == 1 else ranks
 
 

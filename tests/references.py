@@ -2,9 +2,10 @@
 
 Classical matrix Sinkhorn scaling and its column-tuple convention, partial
 derivatives, exhaustive subset and composition enumerators, the van der
-Waerden ratio through polarization, and one Newton correction of computed
-roots.  None of them is a library route: each is the second, independent way
-to a quantity that the library computes another way, or the brute-force
+Waerden ratio through polarization, one Newton correction of computed roots,
+and Taylor shifts with the derivative-line polynomial built from them.  None
+of them is a library route: each is the second, independent way to a
+quantity that the library computes another way, or the brute-force
 enumeration behind a check.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 import hyperpoly as hp
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
+from hyperpoly.interlace import MonicPolynomial, _derivative
 
 
 class ZeroCapacityError(Exception):
@@ -92,3 +94,31 @@ def newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     out = np.array(roots)
     out[safe] = roots[safe] - vals[safe] / dvals[safe]
     return out
+
+
+def _trimmed(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs without its trailing zero coefficients, keeping at least one."""
+    k = coeffs.size
+    while k > 1 and coeffs[k - 1] == 0:
+        k -= 1
+    return coeffs[:k]
+
+
+def taylor_shift(coeffs, s: float) -> np.ndarray:
+    """Ascending coefficients of p(x + s) given ascending coefficients of p, by Horner's rule over
+    polynomials: trailing zero coefficients are dropped at every step, keeping at least one."""
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    line = np.array([s + 0.0, 1.0])
+    # The line times 0, as a convolution: its sums start at +0.0, so no negative zero comes out.
+    value = _trimmed(c[-1:] + np.convolve(line, [0.0])[:1])
+    for coef in c[-2::-1]:
+        value = _trimmed(np.convolve(value, line))
+        value[0] += coef
+        value = _trimmed(value)
+    return value
+
+
+def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float) -> np.ndarray:
+    """Ascending coefficients of P_a(x) = q(x + b + c a) - a q'(x + b + c a)."""
+    base = taylor_shift(q._coeffs, b + c * a)
+    return base - a * np.pad(_derivative(base), (0, 1))

@@ -17,9 +17,8 @@ from hyperpoly.interlace import (
     NOT_HYPERBOLIC,
     MonicPolynomial,
     standard_coefficients,
-    taylor_shift,
 )
-from references import matrix_as_tuple, matrix_sinkhorn, row_normalized, tuple_as_matrix
+from references import matrix_as_tuple, matrix_sinkhorn, row_normalized, taylor_shift, tuple_as_matrix
 
 SEED = 20240731
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hyperpoly
-from hyperpoly import cli, experiments
+from hyperpoly import cli, experiments, interlace
 from hyperpoly import generators as gen
 from hyperpoly.cli import build_parser, main
 from hyperpoly.errors import ConvergenceError, InvalidDocumentError, real_field
@@ -248,6 +248,30 @@ class TestPairCommands:
         doc = write(tmp_path / "pair.json", pair)
         code, report = run(capsys, "pair-test", doc)
         assert code == 0 and report["agree"] is True
+
+
+class TestGridCap:
+    """A --grid past the line sweep cap exits 2 with an error line and no report: a range is refused
+    before it is built, a list by the sweep."""
+
+    @pytest.mark.parametrize("check", ["derivative", "symmetric"])
+    @pytest.mark.parametrize("form", ["range", "list"])
+    def test_first_grid_past_the_cap_exits_two(self, tmp_path, capsys, monkeypatch, form, check):
+        cap = interlace.SWEEP_GRID_CAP
+        pair = write(tmp_path / "pair.json", gen.generate_document(gen.GeneratorSpec(kind="hyperbolic_pair", n=2), 8))
+        if form == "range":
+            spec = f"0:{cap}:1"
+            monkeypatch.setattr(np, "arange", lambda *args: pytest.fail("range built past the cap"))
+        else:
+            spec = ",".join(str(i) for i in range(cap + 1))
+        code = main(["line-convexity", pair, "--check", check, "--grid", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "") and captured.err.startswith("error: ") and "cap" in captured.err
+
+    def test_grids_at_the_cap_are_parsed(self):
+        cap = interlace.SWEEP_GRID_CAP
+        assert cli._parse_grid(f"0:{cap - 1}:1").tolist() == list(range(cap))
+        assert cli._parse_grid(f"1:{1 - cap}:-1").size == cap
 
 
 class TestGenAndDeterminism:

@@ -10,21 +10,20 @@ import hyperpoly as hp
 from hyperpoly import experiments
 from hyperpoly import generators as gen
 from hyperpoly import interlace
-from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError, NonRealRootError
+from hyperpoly.errors import BudgetExceededError, DimensionMismatchError, InvalidDocumentError, NonRealRootError
 from hyperpoly.interlace import (
     HYPERBOLIC,
     INCONCLUSIVE,
     NOT_HYPERBOLIC,
     MonicPolynomial,
-    derivative_line_polynomial,
     pair_agreement,
     standard_coefficients,
-    taylor_shift,
 )
-from references import newton_polish
+from references import derivative_line_polynomial, newton_polish, taylor_shift
 
 Q2 = MonicPolynomial((0.0, 1.0))  # x^2 - 1
 R2 = MonicPolynomial.from_standard([0.0, 1.0, 1.0])  # x^2 + x
+NP_POLY = np.polynomial.polynomial
 
 
 def counted(counts, key, fn):
@@ -70,11 +69,12 @@ class TestMonicPolynomial:
 
     def test_from_roots(self):
         q = MonicPolynomial.from_roots([1.0, 2.0])
-        assert q(1.0) == pytest.approx(0.0) and q(2.0) == pytest.approx(0.0)
+        assert NP_POLY.polyval([1.0, 2.0], q.standard_coefficients()) == pytest.approx([0.0, 0.0])
 
     def test_shift(self):
         q = MonicPolynomial.from_roots([1.0, -1.0])
-        shifted = q.shift(2.0)  # q(x + 2) has roots -1, -3
+        # q(x + 2) has roots -1, -3
+        shifted = MonicPolynomial.from_standard(taylor_shift(q.standard_coefficients(), 2.0))
         assert sorted(hp.real_roots(shifted)) == pytest.approx([-3.0, -1.0])
 
     def test_json_round_trip(self):
@@ -146,7 +146,7 @@ class TestObreschkoff:
         roots = gen._separated_roots(rng, 4)
         q = MonicPolynomial.from_roots(roots)
         r = q.standard_coefficients()
-        r[:-1] += q.derivative_coefficients()  # r = q + q'
+        r[:-1] += NP_POLY.polyder(q.standard_coefficients())  # r = q + q'
         assert hp.obreschkoff_pair_test(q, r).verdict == HYPERBOLIC
 
     def test_near_multiple_roots_inconclusive(self):
@@ -165,10 +165,10 @@ class TestObreschkoff:
         report = hp.obreschkoff_pair_test(q, r)
         lam = report.roots_of_q
         for t in rng.uniform(-4.0, 4.0, 6):
-            total = q(t)
+            total = NP_POLY.polyval(t, q.standard_coefficients())
             for k, a_k in enumerate(report.residues):
                 total += a_k * np.prod([t - lam[j] for j in range(4) if j != k])
-            assert total == pytest.approx(r(t), rel=1e-8, abs=1e-8)
+            assert total == pytest.approx(NP_POLY.polyval(t, r.standard_coefficients()), rel=1e-8, abs=1e-8)
 
 
 class TestSampledPencil:
@@ -248,20 +248,20 @@ def pencil_rows(q, r, num_dirs):
 
 
 class TestPencilRowExtraction:
-    """The stacked extraction against real_roots_from_coefficients row by row: bitwise equal roots,
-    and a flag exactly where the row raises NonRealRootError."""
+    """The stacked flags of sampled_pencil_test against real_roots_from_coefficients row by row: a flag
+    exactly where the row raises NonRealRootError."""
 
     @staticmethod
     def check(rows, tol=1e-8):
-        roots, nonreal = interlace._real_roots_of_pencil_rows(rows, tol)
-        assert len(roots) == len(rows) and nonreal.shape == (len(rows),)
-        for row, got, flag in zip(rows, roots, nonreal):
+        nonreal = interlace._nonreal_rows(rows, tol)
+        assert nonreal.shape == (len(rows),)
+        for row, flag in zip(rows, nonreal):
             try:
-                want = hp.real_roots_from_coefficients(row, tol)
+                hp.real_roots_from_coefficients(row, tol)
             except NonRealRootError:
-                assert flag and got is None
+                assert flag
                 continue
-            assert not flag and got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not flag
         return nonreal
 
     @pytest.mark.parametrize("degree", range(1, 9))
@@ -312,7 +312,7 @@ class TestPencilRowExtraction:
             return eigvals(mats)
 
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
-        interlace._real_roots_of_pencil_rows(rows, 1e-8)
+        interlace._nonreal_rows(rows, 1e-8)
         # One eigvals call per distinct degree in each chunk.
         chunks = range(0, count, interlace._CHUNK)
         assert len(sizes) == sum(len(set(degrees[i : i + interlace._CHUNK])) for i in chunks) and len(chunks) == 3
@@ -322,8 +322,7 @@ class TestPencilRowExtraction:
         assert nonreal.any() and not nonreal.all()
 
     def test_empty_stack(self):
-        roots, nonreal = interlace._real_roots_of_pencil_rows(np.empty((0, 4)), 1e-8)
-        assert roots == [] and nonreal.shape == (0,)
+        assert interlace._nonreal_rows(np.empty((0, 4)), 1e-8).shape == (0,)
 
 
 class TestSampledPencilStacked:
@@ -521,16 +520,15 @@ class TestDerivativeLineConvexity:
 
     def test_one_extraction_for_the_sweep_and_no_builds(self, monkeypatch):
         # The nine points of linspace(-1, 1, 9), 0 among them, and their 36 midpoints: one eigvals call
-        # takes all 45 pencils of (q - q', q), and nothing else extracts or builds.
+        # takes all 45 pencils of (q - q', q), and nothing else extracts; the library has no builder of
+        # P_a (derivative_line_polynomial is a test reference).
         q = MonicPolynomial.from_roots(gen._separated_roots(np.random.default_rng(13), 4))
         grid = np.linspace(-1.0, 1.0, 9)
         stacks, counts = record_extractions(monkeypatch)
-        builds = {"builds": 0}
-        monkeypatch.setattr(interlace, "derivative_line_polynomial", counted(builds, "builds", derivative_line_polynomial))
         report = interlace.derivative_line_convexity(q, 0.0, 1.0, 2, grid)
         assert report.convex and report.min_at_zero and report.fn_constant
-        assert builds == {"builds": 0}
-        q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
+        assert not hasattr(interlace, "derivative_line_polynomial") and not hasattr(interlace, "taylor_shift")
+        q_minus_dq = q.standard_coefficients() - np.pad(NP_POLY.polyder(q.standard_coefficients()), (0, 1))
         assert_rows_are_sweep(stacks, counts, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -568,7 +566,8 @@ class TestDerivativeLinePolynomial:
         q = MonicPolynomial.from_roots([-2.0, 0.5, 1.5])
         xs = np.linspace(-2.0, 2.0, 7)
         shifted = xs + b + c * a
-        direct = q(shifted) - a * np.polynomial.polynomial.polyval(shifted, q.derivative_coefficients())
+        qc = q.standard_coefficients()
+        direct = NP_POLY.polyval(shifted, qc) - a * NP_POLY.polyval(shifted, NP_POLY.polyder(qc))
         coeffs = derivative_line_polynomial(q, b, c, a)
         assert np.polynomial.polynomial.polyval(xs, coeffs) == pytest.approx(direct, abs=1e-12)
 
@@ -605,9 +604,6 @@ class TestTaylorShift:
         # 1 + 2x + 0x^2 shifted by 1 is 3 + 2x: the zero top coefficient does not come back.
         assert taylor_shift([1.0, 2.0, 0.0], 1.0).tolist() == [3.0, 2.0]
         assert taylor_shift([0.0, 0.0], 2.0).tolist() == [0.0]
-
-
-NP_POLY = np.polynomial.polynomial
 
 
 def reference_shift(coeffs, s):
@@ -660,21 +656,19 @@ class TestNumpyPolynomialReference:
     @pytest.mark.parametrize("degree", range(1, 13))
     def test_horner(self, degree):
         rng = np.random.default_rng(700 + degree)
+        # Arrays only: a scalar meets numpy's scalar arithmetic in polyval, which _horner never takes.
         points = [
             rng.standard_normal(7),
             rng.standard_normal(5) + 1j * rng.standard_normal(5),
             rng.standard_normal((2, 3)),
-            float(rng.standard_normal()),
-            np.float64(-0.0),
-            complex(1.5, -0.5),
-            [0.5, -2.0],
+            np.array([0.5, -0.0, -2.0]),
         ]
         for c in seeded_coefficients(degree):
             for x in points:
                 assert same_bits(interlace._horner(c, x), NP_POLY.polyval(x, c))
         q = MonicPolynomial.from_roots(seeded_roots(degree)[0])
-        assert same_bits(q(points[1]), NP_POLY.polyval(points[1], q.standard_coefficients()))
-        assert same_bits(q.derivative_coefficients(), NP_POLY.polyder(q.standard_coefficients()))
+        assert same_bits(interlace._horner(q._coeffs, points[1]), NP_POLY.polyval(points[1], q.standard_coefficients()))
+        assert same_bits(interlace._derivative(q._coeffs), NP_POLY.polyder(q.standard_coefficients()))
 
     @pytest.mark.parametrize("degree", range(0, 13))
     def test_taylor_shift(self, degree):
@@ -685,8 +679,6 @@ class TestNumpyPolynomialReference:
         for c in vectors:
             for s in shifts:
                 assert same_bits(taylor_shift(c, s), reference_shift(c, s))
-        q = MonicPolynomial.from_roots(seeded_roots(max(degree, 1))[1])
-        assert same_bits(q.shift(0.75)._coeffs, MonicPolynomial.from_standard(reference_shift(q._coeffs, 0.75))._coeffs)
 
     def test_coefficients_are_stored_once_read_only(self):
         q = MonicPolynomial((1.0, -2.0))  # x^2 - x + 2
@@ -706,7 +698,6 @@ class TestNumpyPolynomialReference:
         }
         for name, fn in references.items():
             monkeypatch.setattr(interlace, f"_{name}", counted(counts, name, fn))
-        monkeypatch.setattr(interlace, "taylor_shift", reference_shift)
         assert json.dumps(experiments.run_suite("interlace", seed, 40, 1)) == json.dumps(ours)
         assert all(counts.values())
 
@@ -745,6 +736,23 @@ class TestSymmetricConvexLine:
     def test_unknown_statistic(self):
         with pytest.raises(InvalidDocumentError):
             hp.symmetric_convex_line_check(Q2, R2, 0.0, 1.0, "median", [0.0, 1.0])
+
+
+class TestSweepGridCap:
+    def test_grid_past_the_cap_is_refused_before_the_pairs(self, monkeypatch):
+        grid = np.linspace(-1.0, 1.0, interlace.SWEEP_GRID_CAP + 1)
+        stacks, counts = record_extractions(monkeypatch)
+        monkeypatch.setattr(np, "triu_indices", lambda *args: pytest.fail("pairs built past the cap"))
+        with pytest.raises(BudgetExceededError, match="line sweep cap"):
+            hp.symmetric_convex_line_check(Q2, R2, 0.0, 0.0, "max", grid)
+        with pytest.raises(BudgetExceededError, match="line sweep cap"):
+            hp.derivative_line_convexity(Q2, 0.0, 1.0, 1, grid)
+        assert stacks == [] and counts == {"eigvals": 0}
+
+    def test_grid_at_the_cap_is_swept(self):
+        grid = np.linspace(-1.0, 1.0, interlace.SWEEP_GRID_CAP)
+        report = hp.derivative_line_convexity(Q2, 0.0, 1.0, 1, grid)
+        assert report.convex and len(report.values) == interlace.SWEEP_GRID_CAP
 
 
 class TestLidskiiShapes:
@@ -790,11 +798,17 @@ class TestPairSpectrum:
             hp.pair_spectrum(Q2, MonicPolynomial((0.0,)), 1e-7)
 
     def test_non_hyperbolic_pair_raises(self):
+        # Only directions where the pencil keeps its degree: at t = 3 pi / 4, x + y is about 1e-16 and the
+        # point is refused with InvalidDocumentError.  Every other direction returns or raises
+        # NonRealRootError, and at least one raises.
         q, r = gen.nonhyperbolic_pair(np.random.default_rng(1), 3)
         spectrum = hp.pair_spectrum(q, r, 1e-8)
-        with pytest.raises(NonRealRootError):
-            for t in np.linspace(0.0, np.pi, 65):
-                spectrum((math.cos(t), math.sin(t), 0.0))
+        raised = []
+        for t in np.linspace(0.0, np.pi, 65):
+            x, y = math.cos(t), math.sin(t)
+            if abs(x + y) > 1e3 * interlace.LEADING_TRIM:
+                raised.append(isinstance(outcome(spectrum, (x, y, 0.0)), str))
+        assert len(raised) == 64 and any(raised)
 
 
 def outcome(fn, *args):
@@ -945,7 +959,8 @@ def derivative_line_trial_by_sweeps(seed, trial):
     degree = 2 + trial % 4
     q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
     grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
-    q_minus_dq = MonicPolynomial.from_standard(q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1)))
+    qc = q.standard_coefficients()
+    q_minus_dq = MonicPolynomial.from_standard(qc - np.pad(NP_POLY.polyder(qc), (0, 1)))
     spectrum = interlace.pair_spectrum(q_minus_dq, q, 1e-7)
     x0, dx = np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0])
     at_zero = grid.tolist().index(0.0)
@@ -972,7 +987,7 @@ class TestDerivativeLineTrial:
         result = experiments._derivative_line_trial((0, trial))
         assert result["ok"]
         q = MonicPolynomial.from_roots(gen._separated_roots(gen.rng_for(0, 100, trial), 2 + trial % 4))
-        q_minus_dq = q.standard_coefficients() - np.pad(q.derivative_coefficients(), (0, 1))
+        q_minus_dq = q.standard_coefficients() - np.pad(NP_POLY.polyder(q.standard_coefficients()), (0, 1))
         grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
         assert_rows_are_sweep(stacks, counts, q_minus_dq, q.standard_coefficients(), (0.0, 1.0), (1.0, -1.0), grid)
 

@@ -713,7 +713,7 @@ def _rank_instance(family: str, rng: np.random.Generator):
 def _exhaustive_minimal_minimizer(oracle, pts):
     """Intersection of the subsets of largest deficiency |S| - rank(S), or None when none is positive."""
     deficiency = {
-        subset: len(subset) - hp.hyperbolic_rank(oracle, pts[list(subset)].sum(axis=0), 1e-9)
+        subset: len(subset) - hp.hyperbolic_rank(oracle, pts[list(subset)].sum(axis=0))
         for subset in lexicographic_subsets(len(pts))
     }
     worst = max(deficiency.values())
