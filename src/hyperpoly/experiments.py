@@ -27,6 +27,7 @@ from .interlace import (
     _above_chord,
     _majorized,
     _minus_derivative,
+    _sweep,
     _sweep_points,
     lidskii_check,
     obreschkoff_pair_test,
@@ -278,13 +279,14 @@ def _derivative_line_trial(args) -> dict:
     q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
     grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
     # P_a = q(x + a) - a q'(x + a) has the spectrum of the pair (q - q', q) at (a, 1 - a, -a).  One stacked
-    # extraction gives the spectra at every grid point and then every midpoint, in the order of
-    # ``spectral_line_convexity``'s sweep (the grid is ascending, so its pairs are the upper triangle);
-    # one cumsum of those descending spectra holds every k's top-k sum.
+    # extraction gives the spectra at every grid point and then at the midpoint of every pair of the one
+    # ``_sweep``, in the order of ``spectral_line_convexity``; one cumsum of those descending spectra holds
+    # every k's top-k sum.
     spectrum = pair_spectrum(_minus_derivative(q), q, 1e-7)
-    tops = np.cumsum(spectrum(_sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), grid)), axis=1)
+    sweep = _sweep(grid)
+    tops = np.cumsum(spectrum(_sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), sweep)), axis=1)
     values, mids = tops[: grid.size], tops[grid.size :]
-    low, high = np.triu_indices(grid.size, 1)
+    _, low, high = sweep
     convex = not np.any(_above_chord(mids, values[low], values[high], 1e-7))
     at_zero = grid.tolist().index(0.0)
     min_at_zero = bool(np.all(values.min(axis=0) >= values[at_zero] - 1e-7))

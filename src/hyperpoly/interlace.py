@@ -60,6 +60,9 @@ _CHUNK = 256
 # Grid points of a line sweep at most; it takes a spectrum at each and at the midpoint of every pair.
 SWEEP_GRID_CAP = 256
 
+# Directions of a sampled pencil test at most; it builds one pencil row per direction before the kernel.
+SAMPLED_DIRECTION_CAP = 1 << 16
+
 
 @dataclass(frozen=True)
 class MonicPolynomial:
@@ -302,10 +305,13 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
     Every direction's pencil goes through ``_nonreal_rows``, each trimmed as
     ``real_roots_from_coefficients`` trims it (the degree drops at (1, -1) and
     wherever cos t + sin t rounds to almost 0).  The first failing direction in
-    that order is reported.  A full pass is evidence, not a proof.
+    that order is reported.  A full pass is evidence, not a proof.  More than
+    SAMPLED_DIRECTION_CAP directions are refused before any is built.
     """
     if num_dirs < 3:
         raise InvalidDocumentError("need at least 3 sampled directions")
+    if num_dirs > SAMPLED_DIRECTION_CAP:
+        raise BudgetExceededError(f"{num_dirs} directions exceed the sampled pencil cap of {SAMPLED_DIRECTION_CAP}")
     n = q.degree
     qc = standard_coefficients(q)
     rc = standard_coefficients(r, length=n + 1)
@@ -542,8 +548,9 @@ def spectral_line_convexity(
     ``_sweep_points``: every grid point, then every midpoint.
     """
     stat = root_statistic(f_id, degree)
-    grid_values, low, high = _sweep(grid)
-    f = stat(spectrum(_sweep_points(x0, dx, grid)))
+    sweep = _sweep(grid)
+    grid_values, low, high = sweep
+    f = stat(spectrum(_sweep_points(x0, dx, sweep)))
     values = f[: grid_values.size]
     convex = not np.any(_above_chord(f[grid_values.size :], values[low], values[high], tol))
     return SymmetricConvexReport(convex=convex, values=tuple(values.tolist()))
@@ -565,10 +572,10 @@ def _sweep(grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid_values, order[low], order[high]
 
 
-def _sweep_points(x0, dx, grid: Sequence[float]) -> np.ndarray:
+def _sweep_points(x0, dx, sweep: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Every point x0 + a dx at which ``spectral_line_convexity`` takes a spectrum, in its order: the grid
-    points, then the midpoint of every pair of ``_sweep``."""
-    grid_values, low, high = _sweep(grid)
+    points, then the midpoint of every pair, given the triple of ``_sweep``."""
+    grid_values, low, high = sweep
     a = np.concatenate([grid_values, 0.5 * (grid_values[low] + grid_values[high])])
     return np.asarray(x0, dtype=float) + a[:, None] * np.asarray(dx, dtype=float)
 

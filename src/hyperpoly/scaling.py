@@ -297,24 +297,29 @@ def sinkhorn_iteration(
 
     Stops converged once the defect reaches min(1/n, threshold); a defect that
     small already certifies positive capacity, so a converged run is
-    "positive" without a rank check.  A run that stops without converging (a
-    boundary collapse or an exhausted budget) first reads a certificate off its
-    own trajectory: every step keeps the traces of a violating set S summing
-    to at most rank(sum_S x_i) < |S|, so the scales of S outgrow the others.
-    One stacked rank call on the prefix sums of the tuple in order of
-    decreasing final scale finds such an S as a prefix of rank below its
-    size, and the verdict is "zero".  Without one, edmonds_rado_check runs
-    once, and a failed check makes the verdict "zero" as well.  Every "zero"
-    thus rests on a violating set, and such a trajectory can never converge;
-    the recorded trajectory is what lets callers watch the defect stay above
-    1/n.  Otherwise the verdict is the honest "undetermined": the limit is
-    guaranteed, a rate is not.
+    "positive" without a rank check.  Only a defect above 1/n leaves zero
+    capacity open, and such a run reads a certificate off its own trajectory:
+    every step keeps the traces of a violating set S summing to at most
+    rank(sum_S x_i) < |S|, so the scales of S outgrow the others.  One stacked
+    rank call on the prefix sums of the tuple in order of decreasing scale
+    finds such an S as a prefix of rank below its size.  The iteration makes
+    that call at steps 1, 2, 4, 8, ... while the defect is above 1/n, at
+    most floor(log2 max_iters) + 1 calls, and stops at the first violating
+    prefix with the verdict "zero", converged=False and
+    boundary_collapse=False; the final state and the histories end at that
+    step.  On zero-capacity tuples the prefix shows at step 1 or 2.
 
-    Zero-capacity trajectories are genuinely divergent: each element only ever
-    gets rescaled, so the element scales drift apart geometrically and the
-    tuple's sum reaches the cone boundary at machine precision within a few
-    dozen steps.  The defect is stationary well before that; the iteration
-    then stops with boundary_collapse=True rather than fabricating traces.
+    A run that finds no prefix goes on until it converges, exhausts its
+    budget, or its sum collapses onto the cone boundary: the element scales
+    of a zero-capacity tuple drift apart geometrically, and within a few
+    dozen steps the sum is too close to the boundary for the traces to carry
+    accurate digits, so the iteration stops with boundary_collapse=True
+    rather than fabricating them.  A run that stops without converging makes
+    the prefix call once more on its final scales; without a violating
+    prefix, edmonds_rado_check runs once, and a failed check makes the
+    verdict "zero" as well.  Every "zero" thus rests on a violating set.
+    Otherwise the verdict is the honest "undetermined": the limit is
+    guaranteed, a rate is not.
     """
     pts = as_tuple(points)
     scales = np.ones(pts.shape[0])
@@ -322,7 +327,7 @@ def sinkhorn_iteration(
     effective = min(1.0 / oracle.n, threshold)
     defects: list[float] = []
     energies: list[float] = []
-    converged = False
+    verdict = None
     collapsed = False
     iterations = 0
     defect = _defect(traces)
@@ -330,8 +335,13 @@ def sinkhorn_iteration(
         defects.append(defect)
         energies.append(energy)
         if defect <= effective:
-            converged = True
+            verdict = VERDICT_POSITIVE
             break
+        # Steps 1, 2, 4, 8, ...: at most floor(log2 max_iters) + 1 rank calls on a run that does not converge.
+        if 0 < iterations and iterations & (iterations - 1) == 0 and defect > 1.0 / oracle.n:
+            if _prefix_violates(oracle, pts, scales):
+                verdict = VERDICT_ZERO
+                break
         if iterations >= max_iters:
             break
         next_scales = scales / traces
@@ -342,15 +352,14 @@ def sinkhorn_iteration(
         scales, (traces, energy) = next_scales, step
         defect = _defect(traces)
         iterations += 1
-    if converged:
-        verdict = VERDICT_POSITIVE
-    elif _prefix_violates(oracle, pts, scales) or not edmonds_rado_check(oracle, pts).holds:
-        verdict = VERDICT_ZERO
-    else:
-        verdict = VERDICT_UNDETERMINED
+    if verdict is None:
+        if _prefix_violates(oracle, pts, scales) or not edmonds_rado_check(oracle, pts).holds:
+            verdict = VERDICT_ZERO
+        else:
+            verdict = VERDICT_UNDETERMINED
     state = ScalingState(source=pts, scales=scales, defect=defect)
     return ScalingReport(
-        converged=converged,
+        converged=verdict == VERDICT_POSITIVE,
         iterations=iterations,
         defect_history=np.asarray(defects),
         final_state=state,

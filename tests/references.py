@@ -1,10 +1,11 @@
 """Reference routes the tests compare the library against.
 
-Classical matrix Sinkhorn scaling and its column-tuple convention, partial
-derivatives, exhaustive subset and composition enumerators, the van der
-Waerden ratio through polarization, one Newton correction of computed roots,
-and Taylor shifts with the derivative-line polynomial built from them.  None
-of them is a library route: each is the second, independent way to a
+Classical matrix Sinkhorn scaling and its column-tuple convention, a
+hyperbolic Sinkhorn loop that takes each step from three separate calls,
+partial derivatives, exhaustive subset and composition enumerators, the van
+der Waerden ratio through polarization, one Newton correction of computed
+roots, and Taylor shifts with the derivative-line polynomial built from them.
+None of them is a library route: each is the second, independent way to a
 quantity that the library computes another way, or the brute-force
 enumeration behind a check.
 """
@@ -14,8 +15,10 @@ from typing import Iterator
 import numpy as np
 
 import hyperpoly as hp
-from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
+from hyperpoly import scaling
+from hyperpoly.errors import DimensionMismatchError, HyperpolyError, InvalidDocumentError
 from hyperpoly.interlace import MonicPolynomial, _derivative
+from hyperpoly.oracle import classify_spectrum
 
 
 class ZeroCapacityError(Exception):
@@ -48,6 +51,88 @@ def matrix_as_tuple(matrix) -> np.ndarray:
 def row_normalized(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     return a / a.sum(axis=1, keepdims=True)
+
+
+def three_call_sinkhorn(oracle, pts: np.ndarray, max_iters: int):
+    """Reference loop for sinkhorn_iteration at its default threshold: each step takes its collapse
+    test from roots_in_direction, its traces from traces_in_direction and its energy from evaluate.
+    It runs until the defect converges, the sum collapses onto the cone boundary or max_iters steps
+    are spent, and a run that does not converge takes its verdict from edmonds_rado_check alone.
+    Returns (verdict, converged, boundary_collapse, iterations), then the energy, defect and scale
+    histories, one entry per state."""
+
+    def soft_traces(scales, d):
+        if not np.all(np.isfinite(d)):
+            return None
+        try:
+            lam = hp.roots_in_direction(oracle, d, oracle.direction)
+        except (HyperpolyError, np.linalg.LinAlgError):
+            return None
+        if classify_spectrum(lam, scaling._COLLAPSE_RATIO) != "positive":
+            return None
+        traces = scales * hp.traces_in_direction(oracle, pts, d)
+        floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
+        if not np.all(np.isfinite(traces)) or np.any(traces <= floor):
+            return None
+        return traces
+
+    scales = np.ones(len(pts))
+    traces = soft_traces(scales, scales @ pts)
+    assert traces is not None
+    effective = min(1.0 / oracle.n, 1e-10)
+    converged = collapsed = False
+    iterations = 0
+    energies, defects, scale_history = [], [], []
+    while True:
+        energies.append(hp.evaluate(oracle, scales @ pts))
+        defects.append(float(np.sum((traces - 1.0) ** 2)))
+        scale_history.append(scales)
+        if defects[-1] <= effective:
+            converged = True
+            break
+        if iterations >= max_iters:
+            break
+        next_scales = scales / traces
+        next_traces = soft_traces(next_scales, next_scales @ pts)
+        if next_traces is None:
+            collapsed = True
+            break
+        scales, traces = next_scales, next_traces
+        iterations += 1
+    if converged:
+        verdict = "positive"
+    elif not hp.edmonds_rado_check(oracle, pts).holds:
+        verdict = "zero"
+    else:
+        verdict = "undetermined"
+    outcome = (verdict, converged, collapsed, iterations)
+    return outcome, np.asarray(energies), np.asarray(defects), np.asarray(scale_history)
+
+
+def assert_same_energies(got, expected) -> None:
+    # An eigenvalue product and a det of M(d) agree to about eps * cond(M(d)), and a recorded state has
+    # cond(M(d)) <= 1 / _COLLAPSE_RATIO, so eps / 1e-10 ~ 2e-6 bounds the gap even next to a collapse.
+    np.testing.assert_allclose(got, expected, rtol=1e-5, atol=0.0)
+
+
+def assert_stops_on_a_zero_certificate(doc: dict, scales, mats, reference) -> None:
+    """A zero run of sinkhorn_iteration, given as its JSON report and the scales it stopped at, against
+    three_call_sinkhorn on the same tuple of PSD matrices, which runs on to the boundary collapse: the
+    same verdict in no more steps and without a collapse, the reference's energy and defect at every
+    recorded step, and a prefix of the matrices in order of decreasing scale whose sum has, by numpy's
+    eigvalsh, rank below its size."""
+    (verdict, converged, collapsed, iterations), energies, defects, _ = reference
+    assert (verdict, converged, collapsed) == ("zero", False, True)
+    assert (doc["capacity_verdict"], doc["converged"], doc["boundary_collapse"]) == ("zero", False, False)
+    steps = doc["iterations"]
+    assert steps <= iterations
+    assert len(doc["energy_history"]) == len(doc["defect_history"]) == steps + 1
+    assert_same_energies(doc["energy_history"], energies[: steps + 1])
+    assert_same_energies(doc["defect_history"], defects[: steps + 1])
+    order = np.argsort(-np.asarray(scales), kind="stable")
+    eigs = np.linalg.eigvalsh(np.cumsum(np.asarray(mats)[order], axis=0))
+    ranks = np.sum(eigs > 1e-9 * eigs[:, -1:], axis=1)
+    assert np.any(ranks < np.arange(1, len(mats) + 1))
 
 
 def partial_derivative(oracle, alpha, i: int) -> float:

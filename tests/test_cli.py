@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import hyperpoly
-from hyperpoly import cli, experiments, interlace
+from hyperpoly import cli, experiments, interlace, scaling
 from hyperpoly import generators as gen
 from hyperpoly.cli import build_parser, main
 from hyperpoly.errors import ConvergenceError, InvalidDocumentError, real_field
+from references import assert_stops_on_a_zero_certificate, three_call_sinkhorn
 
 
 def write(path, doc):
@@ -107,14 +108,20 @@ class TestScalingCommands:
         code, report = run(capsys, "sinkhorn", oracle, tup)
         assert code == 1 and report["capacity_verdict"] == "zero"
 
-    def test_sinkhorn_reports_boundary_collapse(self, tmp_path, capsys):
+    def test_sinkhorn_reports_boundary_collapse(self, tmp_path, capsys, monkeypatch):
+        # A zero run stops on its first trajectory certificate and reports no collapse, while the reference
+        # loop runs on to the collapse; the scales it stopped at are the reference's at that step.
+        checks = []
+        monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args))
         oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
         mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(2), 3)
         tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
         code, report = run(capsys, "sinkhorn", oracle, tup)
-        assert code == 1 and report["boundary_collapse"] is True
+        assert code == 1 and report["boundary_collapse"] is False and checks == []
         assert len(report["energy_history"]) == len(report["defect_history"])
         assert report["defect"] == report["defect_history"][-1]
+        reference = three_call_sinkhorn(*gen.matrix_tuple_points(mats), 10000)
+        assert_stops_on_a_zero_certificate(report, reference[3][report["iterations"]], mats, reference)
 
     def test_sinkhorn_keys_on_both_verdicts(self, tmp_path, capsys):
         # The final state holds k scales now; the wire format still carries only its defect.
@@ -272,6 +279,32 @@ class TestGridCap:
         cap = interlace.SWEEP_GRID_CAP
         assert cli._parse_grid(f"0:{cap - 1}:1").tolist() == list(range(cap))
         assert cli._parse_grid(f"1:{1 - cap}:-1").size == cap
+
+
+class TestDirectionCap:
+    """A --num-dirs past the sampled pencil cap exits 2 with an error line and no report, before any
+    direction is built; the residue test that runs first allocates little."""
+
+    def test_huge_count_allocates_nothing(self, tmp_path, capsys, monkeypatch):
+        pair = write(tmp_path / "pair.json", gen.generate_document(gen.GeneratorSpec(kind="hyperbolic_pair", n=3), 8))
+        arange, cap = np.arange, interlace.SAMPLED_DIRECTION_CAP
+        monkeypatch.setattr(np, "arange", lambda *a: pytest.fail("directions built") if max(a) > cap else arange(*a))
+        tracemalloc.start()
+        try:
+            code = main(["pair-test", pair, "--num-dirs", "1000000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "") and captured.err.startswith("error: ") and "cap" in captured.err
+        assert peak < 1 << 20
+
+    def test_counts_at_the_cap_are_sampled(self, tmp_path, capsys):
+        pair = write(tmp_path / "pair.json", gen.generate_document(gen.GeneratorSpec(kind="hyperbolic_pair", n=2), 8))
+        code, report = run(capsys, "pair-test", pair, "--num-dirs", str(interlace.SAMPLED_DIRECTION_CAP))
+        assert code == 0 and report["sampled"]["verdict"] == "hyperbolic"
+        code = main(["pair-test", pair, "--num-dirs", str(interlace.SAMPLED_DIRECTION_CAP + 1)])
+        assert code == 2 and capsys.readouterr().out == ""
 
 
 class TestGenAndDeterminism:

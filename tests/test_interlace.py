@@ -755,6 +755,19 @@ class TestSweepGridCap:
         assert report.convex and len(report.values) == interlace.SWEEP_GRID_CAP
 
 
+class TestOneSweepPerLineCheck:
+    def test_the_grid_is_sorted_and_paired_once(self, monkeypatch):
+        sweeps, pairs = [], []
+        original_sweep, original_triu = interlace._sweep, np.triu_indices
+        monkeypatch.setattr(interlace, "_sweep", lambda grid: sweeps.append(grid) or original_sweep(grid))
+        monkeypatch.setattr(np, "triu_indices", lambda *args: pairs.append(args) or original_triu(*args))
+        grid = np.linspace(1.0, -1.0, 9)
+        hp.symmetric_convex_line_check(Q2, R2, 0.0, 0.0, "max", grid)
+        assert len(sweeps) == len(pairs) == 1
+        hp.derivative_line_convexity(Q2, 0.0, 1.0, 1, grid)
+        assert len(sweeps) == len(pairs) == 2
+
+
 class TestLidskiiShapes:
     @pytest.mark.parametrize(
         "a, b",

@@ -12,21 +12,23 @@ from hyperpoly import generators as gen
 from hyperpoly import scaling
 from hyperpoly.errors import (
     DegenerateDirectionError,
-    HyperpolyError,
     InvalidDocumentError,
     NonRealRootError,
 )
-from hyperpoly.oracle import DeterminantalPolynomial, classify_spectrum
+from hyperpoly.oracle import DeterminantalPolynomial
 from references import (
     ZeroCapacityError,
+    assert_stops_on_a_zero_certificate,
     lexicographic_subsets,
     matrix_as_tuple,
     matrix_sinkhorn,
     partial_derivative,
     row_normalized,
+    three_call_sinkhorn,
     tuple_as_matrix,
     van_der_waerden_ratio,
 )
+from references import assert_same_energies as _assert_same_energies
 
 
 @pytest.fixture
@@ -359,53 +361,10 @@ class TestSinkhornIteration:
 
 
 def _three_call_sinkhorn(oracle, pts: np.ndarray, max_iters: int) -> tuple[tuple[str, bool, bool, int], np.ndarray]:
-    """Reference loop for sinkhorn_iteration at its default threshold: each step takes its collapse
-    test from roots_in_direction, its traces from traces_in_direction and its energy from evaluate.
-    Returns (verdict, converged, boundary_collapse, iterations) and the energy history."""
-
-    def soft_traces(scales, d):
-        if not np.all(np.isfinite(d)):
-            return None
-        try:
-            lam = hp.roots_in_direction(oracle, d, oracle.direction)
-        except (HyperpolyError, np.linalg.LinAlgError):
-            return None
-        if classify_spectrum(lam, scaling._COLLAPSE_RATIO) != "positive":
-            return None
-        traces = scales * hp.traces_in_direction(oracle, pts, d)
-        floor = 1e-14 * max(1.0, float(np.max(np.abs(traces))))
-        if not np.all(np.isfinite(traces)) or np.any(traces <= floor):
-            return None
-        return traces
-
-    scales = np.ones(len(pts))
-    traces = soft_traces(scales, scales @ pts)
-    assert traces is not None
-    effective = min(1.0 / oracle.n, 1e-10)
-    converged = collapsed = False
-    iterations = 0
-    energies = []
-    while True:
-        energies.append(hp.evaluate(oracle, scales @ pts))
-        if float(np.sum((traces - 1.0) ** 2)) <= effective:
-            converged = True
-            break
-        if iterations >= max_iters:
-            break
-        next_scales = scales / traces
-        next_traces = soft_traces(next_scales, next_scales @ pts)
-        if next_traces is None:
-            collapsed = True
-            break
-        scales, traces = next_scales, next_traces
-        iterations += 1
-    if converged:
-        verdict = "positive"
-    elif not hp.edmonds_rado_check(oracle, pts).holds:
-        verdict = "zero"
-    else:
-        verdict = "undetermined"
-    return (verdict, converged, collapsed, iterations), np.asarray(energies)
+    """The outcome (verdict, converged, boundary_collapse, iterations) and the energy history of the
+    three-call reference loop."""
+    outcome, energies, _, _ = three_call_sinkhorn(oracle, pts, max_iters)
+    return outcome, energies
 
 
 def _mixed_rank_family(count: int):
@@ -421,15 +380,10 @@ def _mixed_rank_family(count: int):
         yield mats
 
 
-def _assert_same_energies(got: np.ndarray, expected: np.ndarray) -> None:
-    # An eigenvalue product and a det of M(d) agree to about eps * cond(M(d)), and a recorded state has
-    # cond(M(d)) <= 1 / _COLLAPSE_RATIO, so eps / 1e-10 ~ 2e-6 bounds the gap even next to a collapse.
-    np.testing.assert_allclose(got, expected, rtol=1e-5, atol=0.0)
-
-
 class TestOneFactorizationPerStep:
     """sinkhorn_iteration against the three-call reference loop: same verdict, convergence, collapse
-    and iteration count, and the same energies up to rounding."""
+    and iteration count, and the same energies up to rounding; a zero run stops earlier than the
+    reference, on its trajectory certificate, and matches it step for step up to there."""
 
     def test_mixed_rank_family(self):
         small = [mats for mats in _mixed_rank_family(44) if len(mats) <= 5][:20]
@@ -446,20 +400,27 @@ class TestOneFactorizationPerStep:
         assert outcomes == {"positive", "undetermined"}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_rank_deficient_and_dense_tuples(self, n):
+    def test_rank_deficient_and_dense_tuples(self, n, monkeypatch):
+        # The rank-deficient run stops on its first trajectory certificate, a prefix of the reference
+        # loop's run to the collapse; the positive dense run matches the reference step for step.
+        checks = []
+        original = scaling.edmonds_rado_check
+        monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args) or original(*args))
         mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(30 + n), n)
+        oracle, pts = gen.matrix_tuple_points(mats)
+        report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
+        reference = three_call_sinkhorn(oracle, pts, 1000)
+        assert_stops_on_a_zero_certificate(report.to_json(), report.final_state.scales, mats, reference)
         rng = np.random.default_rng(40 + n)
         base = gen.random_determinantal_oracle(rng, n, 3)
         dense = hp.dense_from_oracle(base)
-        verdicts = []
-        for oracle, pts in [gen.matrix_tuple_points(mats), (dense, gen.positive_point_tuple(base, rng, n))]:
-            report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
-            got = (report.capacity_verdict, report.converged, report.boundary_collapse, report.iterations)
-            expected, energies = _three_call_sinkhorn(oracle, pts, 1000)
-            assert got == expected
-            _assert_same_energies(report.energy_history, energies)
-            verdicts.append((report.capacity_verdict, report.boundary_collapse))
-        assert verdicts == [("zero", True), ("positive", False)]
+        pts = gen.positive_point_tuple(base, rng, n)
+        report = hp.sinkhorn_iteration(dense, pts, max_iters=1000)
+        got = (report.capacity_verdict, report.converged, report.boundary_collapse, report.iterations)
+        expected, energies = _three_call_sinkhorn(dense, pts, 1000)
+        assert got == expected and got[:3] == ("positive", True, False)
+        _assert_same_energies(report.energy_history, energies)
+        assert checks == []
 
 
 def _zero_capacity_families():
@@ -482,8 +443,9 @@ def _zero_capacity_families():
 
 class TestZeroVerdictFromTheTrajectory:
     def test_prefix_route_agrees_with_the_rank_check(self, monkeypatch):
-        # The reference loop takes its verdict from edmonds_rado_check; sinkhorn_iteration must reach the
-        # same one from the prefixes of its final scale order, without running the check.
+        # The reference loop runs on to the collapse and takes its verdict from edmonds_rado_check;
+        # sinkhorn_iteration must reach the same one earlier, from the prefixes of its scale order,
+        # without running the check.
         checks = []
         original = scaling.edmonds_rado_check
         monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args) or original(*args))
@@ -491,12 +453,60 @@ class TestZeroVerdictFromTheTrajectory:
         for size, mats in _zero_capacity_families():
             oracle, pts = gen.matrix_tuple_points(mats)
             report = hp.sinkhorn_iteration(oracle, pts, max_iters=1000)
-            got = (report.capacity_verdict, report.converged, report.boundary_collapse, report.iterations)
-            expected, _ = _three_call_sinkhorn(oracle, pts, 1000)
-            assert got == expected and expected[:3] == ("zero", False, True)
+            reference = three_call_sinkhorn(oracle, pts, 1000)
+            assert_stops_on_a_zero_certificate(report.to_json(), report.final_state.scales, mats, reference)
             assert checks == []
             sizes.add(size)
         assert sizes == {2, 3, 4}
+
+    def test_rank_calls_follow_the_doubling_schedule(self, monkeypatch, tight_set_matrices):
+        # A run ranks its prefixes at each step 1, 2, 4, ... that it reaches with a defect above 1/n, so a
+        # run of i steps makes at most i.bit_length() = floor(log2 i) + 1 rank calls before its final
+        # check.  A zero-capacity tuple is settled within two steps, with no collapse and no full check.
+        ranks, check_entries = [], []
+        original_rank, original_check = scaling.hyperbolic_rank, scaling.edmonds_rado_check
+        monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: ranks.append(args) or original_rank(*args))
+        monkeypatch.setattr(
+            scaling, "edmonds_rado_check", lambda *args: check_entries.append(len(ranks)) or original_check(*args)
+        )
+
+        def run(oracle, pts, max_iters):
+            ranks.clear()
+            check_entries.clear()
+            report = hp.sinkhorn_iteration(oracle, pts, max_iters=max_iters)
+            # A run that ends without a certificate ranks its final prefixes once, then runs the full check.
+            before_final = check_entries[0] - 1 if check_entries else len(ranks)
+            steps = report.iterations
+            powers = [2**j for j in range(steps.bit_length())]
+            scheduled = [p for p in powers if report.defect_history[p] > 1 / oracle.n]
+            assert before_final == len(scheduled) <= steps.bit_length()
+            assert all(args[1].shape == pts.shape for args in ranks[:before_final])
+            return report, before_final
+
+        for _, mats in _zero_capacity_families():
+            report, calls = run(*gen.matrix_tuple_points(mats), 1000)
+            assert report.capacity_verdict == "zero" and not report.boundary_collapse
+            assert 1 <= report.iterations <= 2 and check_entries == [] and len(ranks) == calls
+        # A tight set has positive capacity that the iteration only approaches; its defect is below 1/n from
+        # step 1 on, so its runs rank nothing before the final check, as the mixed-rank runs mostly do.
+        for max_iters in (1, 8, 100):
+            report, calls = run(*gen.matrix_tuple_points(tight_set_matrices), max_iters)
+            assert report.capacity_verdict == "undetermined" and report.iterations == max_iters
+            assert calls == 0 and len(check_entries) == 1
+        for mats in [mats for mats in _mixed_rank_family(44) if len(mats) <= 5][:20]:
+            run(*gen.matrix_tuple_points(mats), 300)
+        # With every certificate hidden, a zero-capacity run ranks at each power of two up to its collapse.
+        original_prefix = scaling._prefix_violates
+
+        def hidden_prefix(*args):
+            original_prefix(*args)
+            return False
+
+        monkeypatch.setattr(scaling, "_prefix_violates", hidden_prefix)
+        for _, mats in itertools.islice(_zero_capacity_families(), 0, None, 6):
+            report, calls = run(*gen.matrix_tuple_points(mats), 1000)
+            assert report.capacity_verdict == "zero" and report.boundary_collapse
+            assert calls == report.iterations.bit_length() >= 4 and len(check_entries) == 1
 
 
 _RANK_FAMILIES = ("product", "psd", "dense")
