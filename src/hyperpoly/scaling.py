@@ -11,6 +11,13 @@ A Sinkhorn step takes its collapse test, its traces and its energy p(d) from
 one ``roots_and_gradient`` call, one factorization of the form at d.  A
 scaling report keeps the scaled tuple as k scales over the input tuple, and
 its defect and energy histories as float64 arrays.
+
+Neither solver runs the rank condition's check up front.  A Sinkhorn defect,
+or a squared projected capacity gradient, at or below 1/n certifies positive
+capacity; a run without that certificate ranks the prefix sums of the tuple
+in order of decreasing scale in one stacked call, whose violating prefix
+certifies zero capacity, and runs edmonds_rado_check only if no prefix
+violates.
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from .errors import (
 )
 from .mixed import as_tuple, mixed_value, repeated_tuple
 from .oracle import (
+    DEFAULT_RANK_TOL,
     POSITIVE,
     HyperbolicOracle,
     classify_spectrum,
+    cone_membership,
     evaluate,
     evaluate_batch,
     hyperbolic_rank,
@@ -287,6 +296,12 @@ def _prefix_violates(oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarr
     return bool((ranks < np.arange(1, ranks.size + 1)).any())
 
 
+def _fails_rank_condition(oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarray) -> bool:
+    """The rank check of a run that holds no certificate of positive capacity: the prefixes in order
+    of decreasing scale in one stacked rank call, then, only if none violates, edmonds_rado_check."""
+    return _prefix_violates(oracle, pts, scales) or not edmonds_rado_check(oracle, pts).holds
+
+
 def sinkhorn_iteration(
     oracle: HyperbolicOracle,
     points,
@@ -353,10 +368,7 @@ def sinkhorn_iteration(
         defect = _defect(traces)
         iterations += 1
     if verdict is None:
-        if _prefix_violates(oracle, pts, scales) or not edmonds_rado_check(oracle, pts).holds:
-            verdict = VERDICT_ZERO
-        else:
-            verdict = VERDICT_UNDETERMINED
+        verdict = VERDICT_ZERO if _fails_rank_condition(oracle, pts, scales) else VERDICT_UNDETERMINED
     state = ScalingState(source=pts, scales=scales, defect=defect)
     return ScalingReport(
         converged=verdict == VERDICT_POSITIVE,
@@ -385,18 +397,35 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     projected gradient descent with backtracking (halving, sufficient-decrease
     constant 1e-4).  g is convex because the composed polynomial has
     nonnegative coefficients and log p is concave on the cone; the gradient
-    components are the directional traces tr_d(exp(a_i) x_i), which all equal
-    one exactly at a doubly stochastic scaling.  Only a failed rank
-    certificate returns capacity zero: by the hyperbolic Edmonds-Rado theorem
-    the capacity is positive whenever the certificate holds.  A trial step at
-    which p rounds to a value that is not positive and finite is rejected and
-    the step halves; when the infimum is not attained (a tight subset) the run
-    ends at its iteration limit with the best value found.
+    components are the directional traces tr_d(exp(a_i) x_i), which sum to n
+    and all equal one exactly at a doubly stochastic scaling of k = n
+    elements.  A trial step at which p rounds to a value that is not positive
+    and finite is rejected and the step halves; when the infimum is not
+    attained (a tight subset) the run ends at its iteration limit with the
+    best value found.
+
+    By the hyperbolic Edmonds-Rado theorem the capacity is zero exactly when
+    the rank condition fails, and the run decides that from its own
+    trajectory.  For a violating set S of a tuple in the closed cone, the
+    gradient entries over S sum to tr_d(sum_S exp(a_i) x_i) <= rank(sum_S x_i)
+    <= |S| - 1, and S is not the whole tuple while d has full rank and
+    k <= n; so the projected gradient then has squared norm at least
+    1/|S| > 1/n.  A computed squared norm at or below 1/n, at a d whose
+    smallest root clears the rank cutoff of hyperbolic_rank (one root call),
+    thus certifies positive capacity, whatever tol is.  A run that holds no
+    such certificate at its second iterate, the first whose weights carry
+    information, ranks the prefix sums of the tuple in order of decreasing
+    weight in one stacked call, and runs edmonds_rado_check once only if no
+    prefix has rank below its size.  A run that stops before its second
+    iterate without the certificate makes the same check on its last
+    weights, and a start at which p is not positive and finite makes it on
+    unit weights before it raises DegenerateDirectionError.  A failed check
+    returns capacity zero, with unit weights, no gradient norm and no
+    iterations.
     """
     pts = as_tuple(points)
-    k = pts.shape[0]
-    if not edmonds_rado_check(oracle, pts).holds:
-        return CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status=STATUS_ZERO)
+    k, n = pts.shape[0], oracle.n
+    zero = CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status=STATUS_ZERO)
 
     def objective(a: np.ndarray) -> float:
         # A trial step may overflow p; the value is then rejected, so numpy need not warn.
@@ -407,6 +436,8 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     a = np.zeros(k)
     g = objective(a)
     if g == math.inf:
+        if _fails_rank_condition(oracle, pts, np.ones(k)):
+            return zero
         raise DegenerateDirectionError("p at the tuple's sum is not positive and finite")
     status = STATUS_LIMIT
     gnorm = math.inf
@@ -414,6 +445,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     step = 1.0
     prev_a: Optional[np.ndarray] = None
     prev_pgrad: Optional[np.ndarray] = None
+    settled = False  # whether the run has settled the rank condition
     while iterations < max_iters:
         iterations += 1
         alpha = np.exp(a)
@@ -421,6 +453,13 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         grad = alpha * traces_in_direction(oracle, pts, d)
         pgrad = grad - grad.mean()
         gnorm = float(np.linalg.norm(pgrad))
+        # The bound needs rank(d) = n; a sum on the cone boundary can round to p(d) > 0 with traces of noise.
+        if not settled and k <= n and gnorm * gnorm <= 1.0 / n:
+            settled = cone_membership(oracle, d, DEFAULT_RANK_TOL) == POSITIVE
+        if iterations == 2 and not settled:
+            if _fails_rank_condition(oracle, pts, alpha):
+                return zero
+            settled = True
         if gnorm <= tol:
             status = STATUS_CONVERGED
             break
@@ -453,6 +492,8 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         if not accepted:
             break
         a, g = trial, g_trial
+    if not settled and _fails_rank_condition(oracle, pts, np.exp(a)):
+        return zero
     return CapacityResult(
         value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations
     )

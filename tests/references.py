@@ -2,7 +2,8 @@
 
 Classical matrix Sinkhorn scaling and its column-tuple convention, a
 hyperbolic Sinkhorn loop that takes each step from three separate calls,
-partial derivatives, exhaustive subset and composition enumerators, the van
+capacity with the full rank check ahead of the minimization, partial
+derivatives, exhaustive subset and composition enumerators, the van
 der Waerden ratio through polarization, one Newton correction of computed
 roots, and Taylor shifts with the derivative-line polynomial built from them.
 None of them is a library route: each is the second, independent way to a
@@ -10,13 +11,14 @@ quantity that the library computes another way, or the brute-force
 enumeration behind a check.
 """
 
+import math
 from typing import Iterator
 
 import numpy as np
 
 import hyperpoly as hp
 from hyperpoly import scaling
-from hyperpoly.errors import DimensionMismatchError, HyperpolyError, InvalidDocumentError
+from hyperpoly.errors import DegenerateDirectionError, DimensionMismatchError, HyperpolyError, InvalidDocumentError
 from hyperpoly.interlace import MonicPolynomial, _derivative
 from hyperpoly.oracle import classify_spectrum
 
@@ -107,6 +109,57 @@ def three_call_sinkhorn(oracle, pts: np.ndarray, max_iters: int):
         verdict = "undetermined"
     outcome = (verdict, converged, collapsed, iterations)
     return outcome, np.asarray(energies), np.asarray(defects), np.asarray(scale_history)
+
+
+def capacity_rank_check_first(oracle, points, tol: float = 1e-8, max_iters: int = 10000):
+    """capacity as it ran before it decided zero capacity from its own trajectory: edmonds_rado_check
+    first, then, only if the rank condition holds, the same projected gradient descent with
+    Barzilai-Borwein steps and halving backtracking."""
+    pts = np.asarray(points, dtype=float)
+    k = pts.shape[0]
+    if not hp.edmonds_rado_check(oracle, pts).holds:
+        return scaling.CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status="zero_capacity")
+
+    def objective(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = hp.evaluate(oracle, np.exp(a) @ pts)
+        return math.log(val) if 0.0 < val < math.inf else math.inf
+
+    a = np.zeros(k)
+    g = objective(a)
+    if g == math.inf:
+        raise DegenerateDirectionError("p at the tuple's sum is not positive and finite")
+    status, gnorm, iterations, step = "iteration_limit", math.inf, 0, 1.0
+    prev_a = prev_pgrad = None
+    while iterations < max_iters:
+        iterations += 1
+        alpha = np.exp(a)
+        grad = alpha * hp.traces_in_direction(oracle, pts, alpha @ pts)
+        pgrad = grad - grad.mean()
+        gnorm = float(np.linalg.norm(pgrad))
+        if gnorm <= tol:
+            status = "converged"
+            break
+        if prev_a is not None:
+            ds, dy = a - prev_a, pgrad - prev_pgrad
+            dot = float(np.dot(ds, dy))
+            step = float(np.dot(ds, ds)) / dot if dot > 0.0 else min(step * 2.0, 1e6)
+        step = min(max(step, 1e-18), 1e6)
+        prev_a, prev_pgrad = a, pgrad
+        noise = 1e-15 * max(1.0, abs(g))
+        while step > 1e-20:
+            trial = a - step * pgrad
+            trial -= trial.mean()
+            g_trial = objective(trial)
+            if g_trial <= g - 1e-4 * step * gnorm * gnorm + noise:
+                break
+            step *= 0.5
+        else:
+            break
+        a, g = trial, g_trial
+    return scaling.CapacityResult(
+        value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations
+    )
 
 
 def assert_same_energies(got, expected) -> None:

@@ -19,6 +19,7 @@ from hyperpoly.oracle import DeterminantalPolynomial
 from references import (
     ZeroCapacityError,
     assert_stops_on_a_zero_certificate,
+    capacity_rank_check_first,
     lexicographic_subsets,
     matrix_as_tuple,
     matrix_sinkhorn,
@@ -844,6 +845,146 @@ class TestCapacity:
         cap_base = hp.capacity(base, pts, tol=1e-9).value
         cap_dense = hp.capacity(dense, pts, tol=1e-9).value
         assert cap_dense == pytest.approx(cap_base, rel=1e-6)
+
+
+def _counting_rank_calls(monkeypatch):
+    """Patch scaling's hyperbolic_rank and edmonds_rado_check to record their calls; returns both lists.
+    A rank call made inside edmonds_rado_check is recorded too."""
+    ranks, checks = [], []
+    original_rank, original_check = scaling.hyperbolic_rank, scaling.edmonds_rado_check
+    monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: ranks.append(args) or original_rank(*args))
+    monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args) or original_check(*args))
+    return ranks, checks
+
+
+def _positive_workload_tuples():
+    """Positive tuples of the sizes the scaling benchmark runs: symmetric-basis PSD tuples with n = 6, 8,
+    10, 12, product tuples with the same n, and dense tuples expanded from m = 3 determinantal forms with
+    n = 3, 4, 5."""
+    for n in (6, 8, 10, 12):
+        yield gen.matrix_tuple_points(gen.psd_matrix_tuple(np.random.default_rng([4, n]), n))
+        yield gen.positive_product_tuple(np.random.default_rng([5, n]), n)
+    for n in (3, 4, 5):
+        rng = np.random.default_rng([6, n])
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, n, 3))
+        yield dense, gen.positive_point_tuple(dense, rng, n)
+
+
+class TestZeroCapacityFromTheMinimization:
+    """capacity settles the rank condition from its own run: a squared projected gradient norm at or
+    below 1/n certifies it, and a run without that certificate by its second iterate ranks its prefixes
+    in order of decreasing weight once, then runs edmonds_rado_check only if no prefix violates."""
+
+    def test_positive_tuples_make_no_rank_call(self, monkeypatch):
+        ranks, checks = _counting_rank_calls(monkeypatch)
+        for oracle, pts in _positive_workload_tuples():
+            result = hp.capacity(oracle, pts)
+            assert result.status == "converged" and result.value > 0.0
+            assert ranks == [] and checks == []
+
+    def test_zero_capacity_families_take_one_rank_call(self, monkeypatch):
+        ranks, checks = _counting_rank_calls(monkeypatch)
+        for _, mats in _zero_capacity_families():
+            oracle, pts = gen.matrix_tuple_points(mats)
+            ranks.clear()
+            result = hp.capacity(oracle, pts)
+            assert result.status == "zero_capacity" and result.value == 0.0
+            assert len(ranks) == 1 and ranks[0][1].shape == pts.shape and checks == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient_runs_stop_by_the_second_iterate(self, seed, monkeypatch):
+        # Without the rank check such a run would spend its whole budget: its infimum is zero, approached
+        # but never reached.
+        ranks, checks = _counting_rank_calls(monkeypatch)
+        gradients = []
+        original = scaling.traces_in_direction
+        monkeypatch.setattr(scaling, "traces_in_direction", lambda *args: gradients.append(args) or original(*args))
+        mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(seed), 4)
+        result = hp.capacity(*gen.matrix_tuple_points(mats))
+        assert result.status == "zero_capacity" and result.iterations == 0
+        assert 1 <= len(gradients) <= 2 and len(ranks) == 1 and checks == []
+
+    def test_more_elements_than_the_degree_fail_on_the_whole_tuple(self, monkeypatch):
+        ranks, checks = _counting_rank_calls(monkeypatch)
+        oracle = gen.symmetric_matrix_oracle(3)
+        result = hp.capacity(oracle, gen.positive_point_tuple(oracle, np.random.default_rng(2), 4))
+        assert result.status == "zero_capacity"
+        assert len(ranks) == 1 and checks == []
+
+
+def _assert_same_capacity(got, expected) -> None:
+    def fields_of(result):
+        return result.status, result.value, result.gradient_norm, result.iterations, result.minimizer.tobytes()
+
+    assert fields_of(got) == fields_of(expected)
+
+
+class TestCapacityMatchesTheRankCheckFirst:
+    """capacity against the route that runs edmonds_rado_check before every minimization: the same
+    result bit for bit, whether the tuple is positive, tight, zero, or stops before its second iterate."""
+
+    def test_mixed_rank_family(self):
+        statuses = set()
+        for mats in _mixed_rank_family(30):
+            oracle, pts = gen.matrix_tuple_points(mats)
+            result = hp.capacity(oracle, pts, max_iters=200)
+            _assert_same_capacity(result, capacity_rank_check_first(oracle, pts, max_iters=200))
+            statuses.add(result.status)
+        assert statuses == {"converged", "iteration_limit"}
+
+    def test_zero_capacity_families(self):
+        for _, mats in _zero_capacity_families():
+            oracle, pts = gen.matrix_tuple_points(mats)
+            result = hp.capacity(oracle, pts)
+            _assert_same_capacity(result, capacity_rank_check_first(oracle, pts))
+            assert result.status == "zero_capacity"
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_one_element_fewer_or_more_than_the_degree(self, k):
+        oracle = gen.symmetric_matrix_oracle(4)
+        pts = gen.positive_point_tuple(oracle, np.random.default_rng(k), k)
+        result = hp.capacity(oracle, pts, max_iters=200)
+        _assert_same_capacity(result, capacity_rank_check_first(oracle, pts, max_iters=200))
+        assert (result.status == "zero_capacity") == (k > 4)
+
+    def test_zero_tuple_at_a_loose_tolerance(self):
+        # Three elements of a product tuple on two coordinates: their traces are 2/3 each and the others'
+        # 4/3, so the first gradient already meets tol = 1 and the run stops at once; the zero must come
+        # from the rank check, not from the tolerance.
+        oracle = hp.product_oracle(6)
+        pts = np.zeros((6, 6))
+        pts[:3, :2] = pts[3:, 2:] = 1.0
+        grad = hp.traces_in_direction(oracle, pts, pts.sum(axis=0))
+        assert 1.0 / oracle.n < float(np.sum((grad - grad.mean()) ** 2)) <= 1.0
+        result = hp.capacity(oracle, pts, tol=1.0)
+        _assert_same_capacity(result, capacity_rank_check_first(oracle, pts, tol=1.0))
+        assert result.status == "zero_capacity"
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_zero_tuple_stopped_before_its_second_iterate(self, max_iters):
+        mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(2), 5)
+        oracle, pts = gen.matrix_tuple_points(mats)
+        result = hp.capacity(oracle, pts, max_iters=max_iters)
+        _assert_same_capacity(result, capacity_rank_check_first(oracle, pts, max_iters=max_iters))
+        assert result.status == "zero_capacity"
+
+    def test_singular_sum_is_zero_capacity(self):
+        # Four rank-two matrices inside one 3-space, whose singular sum rounds to p = 9e-14 > 0, and a
+        # product tuple with no weight on its last coordinate, whose sum has p = 0 exactly.
+        mats = _planted_violation(np.random.default_rng(7), 4, 4, 3, rank=2)
+        oracle, pts = gen.matrix_tuple_points(mats)
+        assert 0.0 < hp.evaluate(oracle, pts.sum(axis=0)) <= 1e-12 * np.prod([np.trace(a) for a in mats])
+        product, flat = hp.product_oracle(3), np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        assert hp.evaluate(product, flat.sum(axis=0)) == 0.0
+        for oracle, pts in ((oracle, pts), (product, flat)):
+            result = hp.capacity(oracle, pts)
+            _assert_same_capacity(result, capacity_rank_check_first(oracle, pts))
+            assert result.status == "zero_capacity"
+
+    def test_outside_cone_start_raises_on_both_routes(self):
+        for route in (hp.capacity, capacity_rank_check_first):
+            with pytest.raises(DegenerateDirectionError):
+                route(hp.product_oracle(2), [[1.0, -1.0]])
 
 
 class TestConcavityChecks:
