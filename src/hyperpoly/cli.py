@@ -158,7 +158,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        # Floats are parsed in C: every numeric field is read by real_field or integer_field, which refuse
+        # NaN, the infinities and an overflowing literal such as 1e400; NaN and Infinity fail here.
+        doc = json.loads(text, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise InvalidDocumentError(f"cannot read {path}: {exc}") from exc
     # Only a document whose text holds a boolean literal pays for a pass over its values.

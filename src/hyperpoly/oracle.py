@@ -5,8 +5,9 @@ dense) with its degree n, ambient dimension m, and distinguished direction e,
 normalized so that p(e) = 1.  A form supplies ``kind``, ``evaluate_batch(points)``,
 ``grad_log_p(d)`` and ``json_fields(direction)``; the base class ``Form``
 derives ``roots(x, d, tol)``, ``normalized_roots(x, e, tol)``,
-``roots_and_gradient(d, e)`` and ``tuple_form(points)`` from the degree ``n``
-and evaluation.  Pencils override all four, products ``roots``.  A
+``interior(x, e, ratio)``, ``interior_gradient(d, e, ratio)`` and
+``tuple_form(points)`` from the degree ``n`` and evaluation.  Pencils
+override all five, products ``roots`` and ``interior``.  A
 determinantal form, ``PencilForm``, reaches its pencil B_1..B_m through two
 primitives only: x -> M(x) = sum_j x_j B_j, for a point or a stack, and the
 adjoint W -> (tr(B_j W))_j.  ``DeterminantalPolynomial`` stores the pencil and
@@ -19,10 +20,20 @@ polarization evaluates p at complex points.  Both root methods take one
 point or a stack of them, shape (..., m), and return (..., n).
 ``normalized_roots`` takes the roots along the oracle's own direction e,
 where a pencil has M(e) = I and needs no factorization of M(e); ``roots``
-takes them along any direction.  ``roots_and_gradient`` gives a Sinkhorn
-step what it needs at d, from one factorization on a pencil: the descending
-roots of d along the oracle's direction e, p(d), and grad log p(d) when
-every root is positive (None otherwise).  The pure functions here validate
+takes them along any direction.  ``interior`` tells, for each row, whether
+its smallest root along e exceeds ratio times the largest root size, the
+POSITIVE class of ``classify_spectrum``.  On a pencil it is that rule on
+eigvalsh(M(x)), on a product on x / e.  An evaluation-only form answers it
+without roots wherever it can: for a form hyperbolic in e, as every root
+path here assumes, the coefficients c_k of t -> p(x + t e) are
+p(e) e_(n-k)(lambda), all positive exactly when every root is, and then
+lambda_min >= c_0 / c_1 and lambda_max <= c_(n-1) / c_n (Renegar 2006), so
+one restriction of the whole stack certifies a row whose coefficients are
+positive beyond rounding and have c_0 c_n > ratio c_1 c_(n-1); only the
+rows it leaves take roots.
+``interior_gradient`` gives a Sinkhorn step what it needs at d, from one
+factorization on a pencil: p(d), and grad log p(d) when d is interior
+(None otherwise).  The pure functions here validate
 their inputs and delegate to those: evaluation, univariate restrictions
 along a direction, root spectra, directional traces, rank, and cone
 membership.  Polarization in ``mixed`` evaluates the form that
@@ -65,6 +76,19 @@ DEFAULT_RANK_TOL = 1e-9
 # |p(d)| below this triggers a conditioning warning on trace computations.
 NEAR_SINGULAR_FLOOR = 1e-12
 
+# Share of the sum of a restriction's coefficients on [-1, 1] below which ``Form.interior`` does not
+# trust the sign of a coefficient: about 4500 eps, room for the rounding of the evaluations and of the
+# interpolation.  A boundary point with two zero roots rounds both low coefficients to noise near eps,
+# of either sign, and would otherwise pass the certificate about one time in four.
+_COEFFICIENT_FLOOR = 1e-12
+
+
+def _interior_rule(smallest, largest, ratio: float):
+    """Whether spectra with these smallest and largest roots, numbers or arrays of them, are POSITIVE at
+    ratio in ``classify_spectrum``: smallest > ratio * max(|largest|, |smallest|).  That is
+    smallest > ratio * |largest|, since |largest| >= smallest whenever smallest is positive."""
+    return smallest > ratio * abs(largest)
+
 
 class Form:
     """A polynomial form known only by its evaluation and gradient: the protocol methods that a form
@@ -81,12 +105,34 @@ class Form:
         """``roots`` along the oracle's own direction e."""
         return self.roots(x, e, tol)
 
-    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
-        """The descending roots of d along e, p(d), and grad log p(d) when the smallest root and p(d)
-        are positive (None otherwise)."""
-        lam = self.normalized_roots(d, e, DEFAULT_ROOT_TOL)
+    def interior(self, x: np.ndarray, e: np.ndarray, ratio: float) -> np.ndarray:
+        """For each row of x, shape (..., m) -> (...), whether its smallest root along e exceeds
+        ratio * max(|lambda_max|, |lambda_min|): ``classify_spectrum(lam, ratio) == POSITIVE``.
+
+        One restriction of the whole stack along +e answers it for a form hyperbolic in e: the
+        coefficients of t -> p(x + t e) are c_k = p(e) e_(n-k)(lambda), all positive exactly when every
+        root is, and then lambda_min >= c_0 / c_1 and lambda_max <= c_(n-1) / c_n.  A row is certified
+        when every c_k is positive beyond rounding and c_0 c_n > ratio c_1 c_(n-1); a row that is not
+        takes its roots from ``normalized_roots`` and the rule itself, raising where they raise."""
+        rows = x.reshape(-1, x.shape[-1])
+        # The coefficients in s = t / r, r = 1 + |x|, on [-1, 1]: the certificate is the same in them, and
+        # rounding cannot forge the sign of one that clears _COEFFICIENT_FLOOR of their sum.
+        coeffs, _ = _scaled_restriction(self.evaluate_batch, self.n, rows, e)
+        floor = _COEFFICIENT_FLOOR * coeffs.sum(axis=1)
+        inside = (coeffs > floor[:, None]).all(axis=1) & (
+            coeffs[:, 0] * coeffs[:, -1] > ratio * coeffs[:, 1] * coeffs[:, -2]
+        )
+        if not inside.all():
+            rest = ~inside
+            lam = self.normalized_roots(rows[rest], e, DEFAULT_ROOT_TOL)
+            inside[rest] = _interior_rule(lam[:, -1], lam[:, 0], ratio)
+        return inside.reshape(x.shape[:-1])
+
+    def interior_gradient(self, d: np.ndarray, e: np.ndarray, ratio: float) -> tuple[float, Optional[np.ndarray]]:
+        """p(d), and grad log p(d) when d is ``interior`` at ratio and p(d) > 0 (None otherwise)."""
+        inside = self.interior(d, e, ratio)
         value = float(self.evaluate_batch(d[None, :])[0])
-        return lam, value, self.grad_log_p(d) if lam[-1] > 0.0 and value > 0.0 else None
+        return value, self.grad_log_p(d) if inside and value > 0.0 else None
 
     def tuple_form(self, pts: np.ndarray) -> tuple[Form, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
@@ -108,6 +154,11 @@ class ProductPolynomial(Form):
 
     def roots(self, x: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
         return np.sort(x / d, axis=-1)[..., ::-1]
+
+    def interior(self, x: np.ndarray, e: np.ndarray, ratio: float) -> np.ndarray:
+        """The rule on the closed-form roots x / e."""
+        lam = x / e
+        return _interior_rule(lam.min(axis=-1), lam.max(axis=-1), ratio)
 
     def json_fields(self, direction: np.ndarray) -> dict:
         return {}
@@ -147,17 +198,22 @@ class PencilForm(Form):
             raise DegenerateDirectionError(f"eigenproblem failed: {exc}") from exc
         return lam[..., ::-1]
 
-    def roots_and_gradient(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, Optional[np.ndarray]]:
+    def interior(self, x: np.ndarray, e: np.ndarray, ratio: float) -> np.ndarray:
+        """The rule on the eigenvalues of M(x), one eigvalsh for a whole stack."""
+        lam = self.normalized_roots(x, e, DEFAULT_ROOT_TOL)
+        return _interior_rule(lam[..., -1], lam[..., 0], ratio)
+
+    def interior_gradient(self, d: np.ndarray, e: np.ndarray, ratio: float) -> tuple[float, Optional[np.ndarray]]:
         """One eigh of M(d).  e is the direction the pencil is normalized at, M(e) = I (to 1e-12), so the
         roots of d along e are the eigenvalues of M(d), p(d) is their product, and
-        d_j log p(d) = tr(M(d)^-1 B_j) with M(d)^-1 = V diag(1/lambda) V^T, formed only when every
-        eigenvalue is positive."""
+        d_j log p(d) = tr(M(d)^-1 B_j) with M(d)^-1 = V diag(1/lambda) V^T, formed only when d is
+        ``interior`` at ratio."""
         lam, vecs = np.linalg.eigh(self.matrix(d))
         grad = None
-        if lam[0] > 0.0:
+        if _interior_rule(lam[0], lam[-1], ratio):
             # tr(B_j W^T) = tr(B_j W) for symmetric B_j; on a stored pencil W^T sums W in row-major order.
             grad = self.traces(((vecs / lam) @ vecs.T).T)
-        return lam[::-1], float(lam.prod()), grad
+        return float(lam.prod()), grad
 
     def tuple_form(self, pts: np.ndarray) -> tuple[DeterminantalPolynomial, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s.
@@ -468,13 +524,22 @@ def chebyshev_restriction(
     product with the cached per-degree table of ``_chebyshev_interpolation``
     takes the values of every line to power coefficients.
     """
+    power, radius = _scaled_restriction(evaluate, degree, x, d)
+    return (power / np.reshape(radius, (-1, 1)) ** np.arange(degree + 1)).reshape(x.shape[:-1] + (degree + 1,))
+
+
+def _scaled_restriction(
+    evaluate: Callable[[np.ndarray], np.ndarray], degree: int, x: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending coefficients of s -> f(x + s r d) on the nodes of ``chebyshev_restriction``, one row
+    per line, shape (K, degree+1), and the radii r = 1 + |x| of the K lines: the coefficient of s^k is
+    r^k c_k."""
     radius = 1.0 + np.linalg.norm(x, axis=-1)
     count = degree + 1
     s, table = _chebyshev_interpolation(count)
     pts = x[..., None, :] + (radius[..., None] * s)[..., None] * d
     values = evaluate(pts.reshape(-1, x.shape[-1])).reshape(-1, count)
-    power = values @ table.T
-    return (power / np.reshape(radius, (-1, 1)) ** np.arange(count)).reshape(x.shape[:-1] + (count,))
+    return values @ table.T, radius
 
 
 def univariate_restriction(oracle: HyperbolicOracle, x, d) -> np.ndarray:
@@ -564,8 +629,15 @@ def classify_spectrum(lam: np.ndarray, tol: float) -> str:
 
 
 def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) -> str:
-    """Classify x by the sign of its smallest root relative to the root scale."""
-    return classify_spectrum(roots_in_direction(oracle, _as_point(oracle, x), oracle.direction), tol)
+    """Classify x by the sign of its smallest root relative to the root scale.
+
+    The form's ``interior`` answers POSITIVE first, with no roots on an evaluation-only form: its
+    restriction coefficients certify the interior of a form hyperbolic in e.  Any other point is
+    classified from its roots."""
+    x = _as_point(oracle, x)
+    if oracle.form.interior(x, oracle.direction, tol):
+        return POSITIVE
+    return classify_spectrum(roots_in_direction(oracle, x, oracle.direction), tol)
 
 
 @dataclass(frozen=True, slots=True)

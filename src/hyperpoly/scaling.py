@@ -8,9 +8,14 @@ convex minimization of log p over exponentiated weights, whose gradient is
 again made of traces.  Every trace comes from tr_d(x) = <grad p(d), x> / p(d),
 so the traces of a whole tuple are the one product points @ grad_log_p(d).
 A Sinkhorn step takes its collapse test, its traces and its energy p(d) from
-one ``roots_and_gradient`` call, one factorization of the form at d.  A
-scaling report keeps the scaled tuple as k scales over the input tuple, and
-its defect and energy histories as float64 arrays.
+one ``interior_gradient`` call: one factorization of a pencil at d, and on an
+evaluation-only form, such as a dense one, the interior certificate of the
+restriction coefficients at d, with no roots unless the certificate fails.
+The other interior questions, capacity's guard on its positivity
+certificate and the first pass of edmonds_rado_check's peel, are one
+``interior`` call each.  A scaling report keeps the scaled tuple as k
+scales over the input tuple, and its defect and energy histories as float64
+arrays.
 
 Neither solver runs the rank condition's check up front.  A Sinkhorn defect,
 or a squared projected capacity gradient, at or below 1/n certifies positive
@@ -38,10 +43,7 @@ from .errors import (
 from .mixed import as_tuple, mixed_value, repeated_tuple
 from .oracle import (
     DEFAULT_RANK_TOL,
-    POSITIVE,
     HyperbolicOracle,
-    classify_spectrum,
-    cone_membership,
     evaluate,
     evaluate_batch,
     hyperbolic_rank,
@@ -194,13 +196,22 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
 
     Rank is monotone on the cone, rank(sum_S x_i) >= rank(x_i), so no violating
     S holds an element whose rank is at least the number of elements left.
-    One stacked rank call gives every element's rank; such elements are peeled
+    One stacked ``interior`` call at the rank cutoff gives rank n to every
+    element inside the cone, and one stacked rank call the rank of every
+    other element (none when all are inside); such elements are peeled
     until none drops, and Wolfe's algorithm runs on the rest only, which holds
     every minimizer of g when the condition fails.  Nothing left is Hall's
     bound r_(j) >= j on the sorted element ranks, and the condition holds.
     """
     all_points = as_tuple(points)
-    ranks = hyperbolic_rank(oracle, all_points)
+    if all_points.shape[1] != oracle.m:
+        raise DimensionMismatchError(f"point has shape {all_points.shape}, oracle expects (..., {oracle.m})")
+    n = oracle.n
+    # An element inside the cone at the rank cutoff has rank n; only the others are ranked.
+    full = oracle.form.interior(all_points, oracle.direction, DEFAULT_RANK_TOL)
+    ranks = np.full(all_points.shape[0], n)
+    if not full.all():
+        ranks[~full] = hyperbolic_rank(oracle, all_points[~full])
     rest = np.arange(all_points.shape[0])
     while rest.size and np.any(ranks[rest] >= rest.size):
         rest = rest[ranks[rest] < rest.size]
@@ -208,7 +219,6 @@ def edmonds_rado_check(oracle: HyperbolicOracle, points) -> EdmondsRadoReport:
         return EdmondsRadoReport(holds=True, witness=None)
     pts = all_points[rest]
     k = rest.size
-    n = oracle.n
 
     def greedy_vertex(x: np.ndarray) -> np.ndarray:
         # g(prefix_j) - g(prefix_{j-1}) along x ascending, every prefix ranked in one
@@ -261,16 +271,16 @@ def _soft_traces(
     oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarray | float, d: np.ndarray
 ) -> Optional[tuple[np.ndarray, float]]:
     """Traces of the scaled tuple scales_i x_i against d, tr_d(c x) = c tr_d(x), and p(d), from one
-    ``roots_and_gradient`` call; None once d has collapsed onto the numerical cone boundary."""
+    ``interior_gradient`` call; None once d has collapsed onto the numerical cone boundary."""
     # Array methods, not np.all and the like: the same reductions without numpy's Python dispatch, which
     # is a sizable share of a step on small tuples.
     if not np.isfinite(d).all():
         return None
     try:
-        lam, value, grad = oracle.form.roots_and_gradient(d, oracle.direction)
+        value, grad = oracle.form.interior_gradient(d, oracle.direction, _COLLAPSE_RATIO)
     except (HyperpolyError, np.linalg.LinAlgError):
         return None
-    if grad is None or classify_spectrum(lam, _COLLAPSE_RATIO) != POSITIVE:
+    if grad is None:
         return None
     traces = scales * (pts @ grad)
     floor = 1e-14 * max(1.0, float(np.abs(traces).max()))
@@ -411,8 +421,10 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     <= |S| - 1, and S is not the whole tuple while d has full rank and
     k <= n; so the projected gradient then has squared norm at least
     1/|S| > 1/n.  A computed squared norm at or below 1/n, at a d whose
-    smallest root clears the rank cutoff of hyperbolic_rank (one root call),
-    thus certifies positive capacity, whatever tol is.  A run that holds no
+    smallest root clears the rank cutoff of hyperbolic_rank (one ``interior``
+    call of the form: eigenvalues on a pencil, the restriction coefficients'
+    certificate on an evaluation-only form), thus certifies positive
+    capacity, whatever tol is.  A run that holds no
     such certificate at its second iterate, the first whose weights carry
     information, ranks the prefix sums of the tuple in order of decreasing
     weight in one stacked call, and runs edmonds_rado_check once only if no
@@ -455,7 +467,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         gnorm = float(np.linalg.norm(pgrad))
         # The bound needs rank(d) = n; a sum on the cone boundary can round to p(d) > 0 with traces of noise.
         if not settled and k <= n and gnorm * gnorm <= 1.0 / n:
-            settled = cone_membership(oracle, d, DEFAULT_RANK_TOL) == POSITIVE
+            settled = bool(oracle.form.interior(d, oracle.direction, DEFAULT_RANK_TOL))
         if iterations == 2 and not settled:
             if _fails_rank_condition(oracle, pts, alpha):
                 return zero

@@ -2,7 +2,9 @@
 
 Classical matrix Sinkhorn scaling and its column-tuple convention, a
 hyperbolic Sinkhorn loop that takes each step from three separate calls,
-capacity with the full rank check ahead of the minimization, partial
+capacity with the full rank check ahead of the minimization, the interior
+test and the fused Sinkhorn step taken from roots instead of restriction
+coefficients, partial
 derivatives, exhaustive subset and composition enumerators, the van
 der Waerden ratio through polarization, one Newton correction of computed
 roots, and Taylor shifts with the derivative-line polynomial built from them.
@@ -20,7 +22,7 @@ import hyperpoly as hp
 from hyperpoly import scaling
 from hyperpoly.errors import DegenerateDirectionError, DimensionMismatchError, HyperpolyError, InvalidDocumentError
 from hyperpoly.interlace import MonicPolynomial, _derivative
-from hyperpoly.oracle import classify_spectrum
+from hyperpoly.oracle import DEFAULT_ROOT_TOL, PencilForm, classify_spectrum
 
 
 class ZeroCapacityError(Exception):
@@ -160,6 +162,33 @@ def capacity_rank_check_first(oracle, points, tol: float = 1e-8, max_iters: int 
     return scaling.CapacityResult(
         value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations
     )
+
+
+def roots_and_gradient(form, d: np.ndarray, e: np.ndarray):
+    """The descending roots of d along e, p(d), and grad log p(d) when the smallest root and p(d) are
+    positive (None otherwise): one eigh of M(d) on a pencil, the form's roots and one evaluation on any
+    other form."""
+    if isinstance(form, PencilForm):
+        lam, vecs = np.linalg.eigh(form.matrix(d))
+        grad = form.traces(((vecs / lam) @ vecs.T).T) if lam[0] > 0.0 else None
+        return lam[::-1], float(lam.prod()), grad
+    lam = form.normalized_roots(d, e, DEFAULT_ROOT_TOL)
+    value = float(form.evaluate_batch(d[None, :])[0])
+    return lam, value, form.grad_log_p(d) if lam[-1] > 0.0 and value > 0.0 else None
+
+
+def root_interior(form, x: np.ndarray, e: np.ndarray, ratio: float) -> np.ndarray:
+    """Form.interior from the roots of every row: classify_spectrum(lam, ratio) == POSITIVE, row by row."""
+    lam = form.normalized_roots(x, e, DEFAULT_ROOT_TOL)
+    rows = [classify_spectrum(row, ratio) == "positive" for row in lam.reshape(-1, lam.shape[-1])]
+    return np.asarray(rows, dtype=bool).reshape(lam.shape[:-1])
+
+
+def root_interior_gradient(form, d: np.ndarray, e: np.ndarray, ratio: float):
+    """Form.interior_gradient from roots_and_gradient and classify_spectrum: p(d), and grad log p(d)
+    when the roots of d are POSITIVE at ratio."""
+    lam, value, grad = roots_and_gradient(form, d, e)
+    return value, grad if grad is not None and classify_spectrum(lam, ratio) == "positive" else None
 
 
 def assert_same_energies(got, expected) -> None:

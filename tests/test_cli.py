@@ -148,6 +148,17 @@ class TestScalingCommands:
         assert code == 0 and report["status"] == "converged"
         assert report["value"] == pytest.approx(1.0, rel=1e-5)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dense_tuple_whose_sum_has_a_repeated_root(self, tmp_path, capsys, n):
+        # The unit vectors sum to e, the n-fold root 1 of the dense product form: capacity one, reached at once.
+        dense = hyperpoly.dense_from_oracle(hyperpoly.product_oracle(n))
+        oracle = write(tmp_path / "o.json", hyperpoly.oracle_to_json(dense))
+        tup = write(tmp_path / "t.json", {"points": np.eye(n).tolist()})
+        code, report = run(capsys, "sinkhorn", oracle, tup)
+        assert code == 0 and report["capacity_verdict"] == "positive" and report["defect"] == 0.0
+        code, report = run(capsys, "capacity", oracle, tup)
+        assert code == 0 and report["status"] == "converged" and report["value"] == pytest.approx(1.0, abs=1e-12)
+
     def test_edmonds_rado_witness(self, tmp_path, capsys):
         oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 3})
         mats, _ = gen.rank_deficient_matrix_tuple(np.random.default_rng(4), 3)

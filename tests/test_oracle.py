@@ -9,6 +9,7 @@ from scipy import linalg
 
 import hyperpoly as hp
 from hyperpoly import generators as gen
+from hyperpoly import oracle as oracle_module
 from hyperpoly.errors import (
     DegenerateDirectionError,
     DimensionMismatchError,
@@ -625,7 +626,7 @@ class TestDenseGradient:
 
     def test_value_comes_from_the_gradient_table(self, monkeypatch):
         # Euler's identity n p(d) = d . grad p(d): grad_log_p evaluates no monomial table besides its own, so
-        # roots_and_gradient evaluates p once at the restriction's n + 1 nodes and once at d.
+        # interior_gradient evaluates p once at the restriction's n + 1 nodes and once at d.
         rng = np.random.default_rng(108)
         dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, 4, 3))
         d = gen.positive_point_tuple(dense, rng, 1)[0]
@@ -639,7 +640,7 @@ class TestDenseGradient:
         monkeypatch.setattr(DensePolynomial, "evaluate_batch", recorded)
         dense.form.grad_log_p(d)
         assert rows == []
-        _, value, grad = dense.form.roots_and_gradient(d, dense.direction)
+        value, grad = dense.form.interior_gradient(d, dense.direction, DEFAULT_RANK_TOL)
         assert rows == [dense.n + 1, 1]
         assert value == hp.evaluate(dense, d) and grad is not None
 
@@ -695,6 +696,111 @@ class TestFormBase:
             assert (got.capacity_verdict, got.iterations) == (expected.capacity_verdict, expected.iterations)
             np.testing.assert_allclose(got.defect_history, expected.defect_history, rtol=0.0, atol=1e-15)
             assert hp.mixed_value(bare, points) == pytest.approx(hp.mixed_value(dense, points), rel=1e-12)
+
+
+def _interior_table(vamos_oracle):
+    """(oracle, interior, boundary and random points) for every form of the certificate table: dense
+    expansions of m = 3 pencils with n = 2..6, the Vamos form, the bare e_2 form, a product and a
+    symmetric-basis form.  Points come from the roots of the pencil where there is one: 40 with smallest
+    root in [0.2, 1.2), 40 shifted along e onto a zero root, and 40 standard normal."""
+    rng = np.random.default_rng(120)
+    cases = []
+    for n in range(2, 7):
+        base = gen.random_determinantal_oracle(rng, n, 3)
+        cases.append((hp.dense_from_oracle(base), base))
+    bare = hp.HyperbolicOracle(form=_SecondElementaryForm(), n=2, m=3, direction=np.ones(3))
+    cases += [(o, o) for o in (vamos_oracle, bare, hp.product_oracle(4), gen.symmetric_matrix_oracle(4))]
+    for oracle, reference in cases:
+        inside = gen.positive_point_tuple(reference, rng, 40)
+        boundary = gen.nonnegative_point_tuple(reference, rng, 40, boundary_fraction=1.0)
+        yield oracle, inside, boundary, rng.standard_normal((40, oracle.m))
+
+
+class TestInteriorCertificate:
+    """``Form.interior`` against the classification of the form's own roots, row by row: companion roots
+    on an evaluation-only form, eigvalsh on a pencil and x / e on a product."""
+
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-9])
+    def test_agrees_with_the_roots_on_every_row(self, vamos_oracle, ratio, monkeypatch):
+        compared = 0
+        for oracle, inside, boundary, random in _interior_table(vamos_oracle):
+            e, form = oracle.direction, oracle.form
+            evaluation_only = type(form).interior is Form.interior
+            for points in (inside, boundary, random):
+                lam = [form.normalized_roots(x, e, DEFAULT_ROOT_TOL) for x in points]
+                expected = [classify_spectrum(row, ratio) == hp.POSITIVE for row in lam]
+                companion = []
+                with monkeypatch.context() as patched:
+                    original = oracle_module.real_roots_of_rows
+                    patched.setattr(
+                        oracle_module, "real_roots_of_rows", lambda c, tol: companion.append(len(c)) or original(c, tol)
+                    )
+                    got = form.interior(points, e, ratio)
+                assert got.tolist() == expected
+                compared += len(points)
+                if points is inside:
+                    # Every interior row is certified: no companion matrix is formed.
+                    assert all(expected) and companion == []
+                elif points is boundary:
+                    # No boundary row is certified: an evaluation-only form takes the roots of every one, and
+                    # its answer is theirs (at 1e-10 a companion root of rounding noise may still read POSITIVE).
+                    assert companion == ([len(points)] if evaluation_only else [])
+                    assert evaluation_only or not any(expected)
+        assert compared == 9 * 120
+
+    def test_no_row_with_two_zero_roots_is_certified(self, monkeypatch):
+        # Rounding leaves the two low coefficients as noise of either sign, which alone would pass the
+        # certificate about one time in four; the companion, patched to record its rows and answer NaN (no
+        # class), must see every row.
+        rng = np.random.default_rng(123)
+        cases = [(hp.dense_from_oracle(hp.product_oracle(n)), n) for n in range(3, 7)]
+        cases += [(hp.dense_from_oracle(gen.symmetric_matrix_oracle(n)), n) for n in (3, 4)]
+        companion = []
+
+        def no_class(coeffs, tol):
+            companion.append(len(coeffs))
+            return coeffs[..., 1:] * np.nan
+
+        monkeypatch.setattr(oracle_module, "real_roots_of_rows", no_class)
+        for oracle, n in cases:
+            if oracle.m == n:  # the product form: two or more coordinates at zero
+                points = rng.uniform(0.2, 2.0, (100, n))
+                for row in points:
+                    row[rng.permutation(n)[: int(rng.integers(2, n + 1))]] = 0.0
+            else:  # the symmetric basis: V V^T of rank at most n - 2
+                points = gen.matrix_points([v @ v.T for v in rng.standard_normal((100, n, n - 2))])
+            companion.clear()
+            assert not oracle.form.interior(points, oracle.direction, 1e-10).any()
+            assert companion == [len(points)]
+
+    def test_the_ratio_decides_a_thin_point(self, monkeypatch):
+        # x_3 = 2e-10 (x_1 + x_2) on the dense product form: the certificate c_0 c_3 > ratio c_1 c_2 holds at
+        # ratio 1e-10, with no companion, and fails at 1e-9, where the roots x_i decide (not POSITIVE).
+        dense = hp.dense_from_oracle(hp.product_oracle(3))
+        big = np.random.default_rng(124).uniform(0.5, 2.0, (20, 2))
+        points = np.column_stack([big, 2e-10 * big.sum(axis=1)])
+        companion = []
+        original = oracle_module.real_roots_of_rows
+        monkeypatch.setattr(
+            oracle_module, "real_roots_of_rows", lambda c, tol: companion.append(len(c)) or original(c, tol)
+        )
+        assert dense.form.interior(points, dense.direction, 1e-10).all() and companion == []
+        assert not dense.form.interior(points, dense.direction, 1e-9).any() and companion == [len(points)]
+
+    def test_one_point_gives_one_flag(self, vamos_oracle):
+        # -x has the roots of x negated; -e would be an n-fold root, which the companion matrix splits.
+        rng = np.random.default_rng(122)
+        for oracle in (vamos_oracle, hp.product_oracle(3), gen.symmetric_matrix_oracle(3)):
+            x = gen.positive_point_tuple(oracle, rng, 1)[0]
+            got = oracle.form.interior(x, oracle.direction, 1e-9)
+            assert got.shape == () and bool(got)
+            assert not oracle.form.interior(-x, oracle.direction, 1e-9)
+
+    def test_cone_membership_takes_no_roots_inside(self, vamos_oracle, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hp.oracle, "roots_in_direction", lambda *args: calls.append(args))
+        x = np.random.default_rng(121).uniform(0.2, 2.0, 8)
+        assert hp.cone_membership(vamos_oracle, x) == hp.POSITIVE and calls == []
 
 
 def _term_sum(exponents, coefficients, z):

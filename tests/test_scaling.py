@@ -15,7 +15,7 @@ from hyperpoly.errors import (
     InvalidDocumentError,
     NonRealRootError,
 )
-from hyperpoly.oracle import DeterminantalPolynomial
+from hyperpoly.oracle import DEFAULT_RANK_TOL, DeterminantalPolynomial
 from references import (
     ZeroCapacityError,
     assert_stops_on_a_zero_certificate,
@@ -25,6 +25,8 @@ from references import (
     matrix_sinkhorn,
     partial_derivative,
     row_normalized,
+    root_interior,
+    root_interior_gradient,
     three_call_sinkhorn,
     tuple_as_matrix,
     van_der_waerden_ratio,
@@ -224,7 +226,7 @@ class TestSinkhornIteration:
         dense = hp.dense_from_oracle(base)
         pts = gen.positive_point_tuple(base, rng, 3)
         form = type(dense.form)
-        original = form.roots_and_gradient
+        original = form.interior_gradient
         calls = []
 
         def failing_after_first(*args, **kwargs):
@@ -233,7 +235,7 @@ class TestSinkhornIteration:
                 raise RuntimeError("unrelated failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(form, "roots_and_gradient", failing_after_first)
+        monkeypatch.setattr(form, "interior_gradient", failing_after_first)
         with pytest.raises(RuntimeError, match="unrelated failure"):
             hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14)
 
@@ -246,7 +248,7 @@ class TestSinkhornIteration:
         dense = hp.dense_from_oracle(base)
         pts = gen.positive_point_tuple(base, rng, 3)
         form = type(dense.form)
-        original = form.roots_and_gradient
+        original = form.interior_gradient
         calls = []
 
         def failing_after_first(*args, **kwargs):
@@ -255,7 +257,7 @@ class TestSinkhornIteration:
                 raise error
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(form, "roots_and_gradient", failing_after_first)
+        monkeypatch.setattr(form, "interior_gradient", failing_after_first)
         report = hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14)
         assert report.boundary_collapse and report.iterations == 0
         assert report.capacity_verdict == "undetermined"
@@ -300,8 +302,9 @@ class TestSinkhornIteration:
         assert not report.converged and not report.boundary_collapse and report.iterations == 1
         assert report.capacity_verdict == "undetermined"
         assert len(checks) == 1 and checks[0][1] is pts
-        # The prefix call, then the check's own peeling call and nothing more on a full-rank tuple.
-        assert len(ranks) == 2
+        # The prefix call and nothing more on a full-rank tuple: the check's peel finds every element
+        # inside the cone from the form's interior test, with no rank call.
+        assert len(ranks) == 1
 
 
     def test_state_keeps_k_scales_of_the_input_tuple(self):
@@ -354,7 +357,7 @@ class TestSinkhornIteration:
             assert "d" not in [f.name for f in fields(state)]
             np.testing.assert_array_equal(state.d, state.scales @ state.source)
             # The last energy is p at the loop's own d: the same call on state.d reproduces it bit for bit.
-            assert report.energy_history[-1] == oracle.form.roots_and_gradient(state.d, oracle.direction)[1]
+            assert report.energy_history[-1] == oracle.form.interior_gradient(state.d, oracle.direction, 1e-10)[0]
             for history in (report.defect_history, report.energy_history):
                 assert isinstance(history, np.ndarray) and history.dtype == np.float64
                 assert history.shape == (report.iterations + 1,)
@@ -589,7 +592,8 @@ class TestEdmondsRado:
         for mats, holds in ((full_rank, True), (deficient[::-1], False)):
             calls.clear()
             assert hp.edmonds_rado_check(*gen.matrix_tuple_points(mats)).holds is holds
-            assert 1 <= len(calls) <= 3 * 12**2
+            # The peel settles the full-rank tuple from the form's interior test alone, with no rank call.
+            assert int(not holds) <= len(calls) <= 3 * 12**2
 
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -622,16 +626,20 @@ class TestEdmondsRado:
         assert 30 <= violating <= 90
 
     def test_peeling_settles_a_full_rank_tuple_in_one_rank_call(self, monkeypatch):
-        # The tuples of test_rank_calls_polynomial: the full-rank one needs only its
-        # element ranks, and the deficient one runs Wolfe on its rank-one pair alone.
+        # The tuples of test_rank_calls_polynomial: the full-rank one needs only one stacked interior test
+        # of its elements and no rank call, and the deficient one runs Wolfe on its rank-one pair alone.
         rng = np.random.default_rng(12)
         full_rank = gen.psd_matrix_tuple(rng, 12)
         deficient, _ = gen.rank_deficient_matrix_tuple(rng, 12)
         original = scaling.hyperbolic_rank
-        calls = []
+        calls, interiors = [], []
         monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: calls.append(args) or original(*args))
-        assert hp.edmonds_rado_check(*gen.matrix_tuple_points(full_rank)).holds
-        assert len(calls) == 1 and calls[0][1].shape == (12, 78)
+        oracle, pts = gen.matrix_tuple_points(full_rank)
+        form = type(oracle.form)
+        original_interior = form.interior
+        monkeypatch.setattr(form, "interior", lambda *args: interiors.append(args) or original_interior(*args))
+        assert hp.edmonds_rado_check(oracle, pts).holds
+        assert calls == [] and len(interiors) == 1 and interiors[0][1].shape == (12, 78)
         calls.clear()
         report = hp.edmonds_rado_check(*gen.matrix_tuple_points(deficient[::-1]))
         assert report.witness == (10, 11)
@@ -651,11 +659,13 @@ class TestEdmondsRado:
             calls.clear()
             steps.clear()
             report = hp.edmonds_rado_check(oracle, pts)
-            if len(calls) == 1:  # peeling alone settled it
+            # The peel ranks the elements that the form's interior test does not place inside the cone.
+            peel = int(not oracle.form.interior(pts, oracle.direction, DEFAULT_RANK_TOL).all())
+            if len(calls) == peel:  # peeling alone settled it
                 assert report.holds and not steps
                 continue
             ran += 1
-            vertices = calls[1:] if report.holds else calls[1:-1]
+            vertices = calls[peel:] if report.holds else calls[peel:-1]
             assert len(vertices) == len(steps) + 1 + (not report.holds)
             k = vertices[0].shape[0]
             for prefixes in vertices:
@@ -985,6 +995,92 @@ class TestCapacityMatchesTheRankCheckFirst:
         for route in (hp.capacity, capacity_rank_check_first):
             with pytest.raises(DegenerateDirectionError):
                 route(hp.product_oracle(2), [[1.0, -1.0]])
+
+
+def _identity_tuples():
+    """The product and symmetric-basis forms at n = 3, 4 with the tuple that sums to their direction e:
+    the unit vectors, or the coordinates of the E_ii.  The sum e has the n-fold root 1."""
+    for n in (3, 4):
+        yield hp.product_oracle(n), np.eye(n)
+        yield gen.symmetric_matrix_oracle(n), gen.matrix_points([np.diag(row) for row in np.eye(n)])
+
+
+class TestRepeatedRootOnDenseForms:
+    """The dense expansion of a form, at a tuple whose sum is e: the interior certificate takes the
+    n-fold root of e, which a companion matrix splits into a non-real cluster."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_sinkhorn_capacity_and_cone_membership(self, case):
+        base, pts = list(_identity_tuples())[case]
+        dense = hp.dense_from_oracle(base)
+        np.testing.assert_array_equal(pts.sum(axis=0), dense.direction)
+        report = hp.sinkhorn_iteration(dense, pts)
+        assert (report.capacity_verdict, report.converged, report.iterations) == ("positive", True, 0)
+        assert report.defect_history[0] == 0.0
+        assert hp.doubly_stochastic_defect(dense, pts) == 0.0
+        result = hp.capacity(dense, pts)
+        assert result.status == "converged"
+        assert result.value == pytest.approx(hp.capacity(base, pts).value, rel=0.0, abs=1e-12)
+        assert hp.cone_membership(dense, dense.direction) == hp.POSITIVE
+
+
+def _dense_workload_tuples(seed: int):
+    """Positive tuples of the scaling benchmark's dense family: n = 3, 4, 5 elements for the dense
+    expansion of an m = 3 determinantal form."""
+    for n in (3, 4, 5):
+        rng = np.random.default_rng([seed, n])
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, n, m=3))
+        yield dense, gen.positive_point_tuple(dense, rng, n)
+
+
+def _scaling_fingerprint(oracle, pts) -> tuple:
+    """The bytes of a Sinkhorn report, a capacity result, the final defect of a converged run, and the
+    rank check's report."""
+    report = hp.sinkhorn_iteration(oracle, pts)
+    cap = hp.capacity(oracle, pts)
+    defect = hp.doubly_stochastic_defect(oracle, report.final_state.points) if report.converged else None
+    rank = hp.edmonds_rado_check(oracle, pts)
+    return (
+        (report.converged, report.iterations, report.capacity_verdict, report.boundary_collapse),
+        (report.defect_history.tobytes(), report.energy_history.tobytes(), report.final_state.scales.tobytes()),
+        (cap.status, cap.value, cap.gradient_norm, cap.iterations, cap.minimizer.tobytes()),
+        defect,
+        (rank.holds, rank.witness),
+    )
+
+
+class TestRootRouteParity:
+    """The interior certificate changes no result: the scaling solvers give the same bytes with the
+    root-based interior test and Sinkhorn step of tests/references.py patched into the form."""
+
+    @staticmethod
+    def _assert_parity(monkeypatch, oracle, pts) -> str:
+        new = _scaling_fingerprint(oracle, pts)
+        with monkeypatch.context() as patched:
+            patched.setattr(type(oracle.form), "interior", root_interior)
+            patched.setattr(type(oracle.form), "interior_gradient", root_interior_gradient)
+            old = _scaling_fingerprint(oracle, pts)
+        assert new == old
+        return new[0][2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_workload_tuples(self, seed, monkeypatch):
+        for oracle, pts in _dense_workload_tuples(seed):
+            assert self._assert_parity(monkeypatch, oracle, pts) == "positive"
+
+    def test_pencil_and_product_tuples(self, monkeypatch):
+        verdicts = []
+        for n in (3, 6, 9):
+            rng = np.random.default_rng([7, n])
+            pencil = gen.random_determinantal_oracle(rng, n, 4)
+            cases = [
+                gen.matrix_tuple_points(gen.psd_matrix_tuple(rng, n)),
+                gen.positive_product_tuple(rng, n),
+                (pencil, gen.positive_point_tuple(pencil, rng, n)),
+                gen.matrix_tuple_points(gen.rank_deficient_matrix_tuple(rng, n)[0]),
+            ]
+            verdicts += [self._assert_parity(monkeypatch, oracle, pts) for oracle, pts in cases]
+        assert verdicts == ["positive", "positive", "positive", "zero"] * 3
 
 
 class TestConcavityChecks:

@@ -59,11 +59,12 @@ class TestAgainstTheBasisPencil:
             for method, direction in (("roots", d), ("normalized_roots", e)):
                 got = getattr(form, method)(point, direction, DEFAULT_ROOT_TOL)
                 assert same_bits(got, getattr(ref, method)(point, direction, DEFAULT_ROOT_TOL))
+            assert same_bits(form.interior(point, e, 1e-10), ref.interior(point, e, 1e-10))
         for point in (d, x):  # with and without a gradient
-            got, want = form.roots_and_gradient(point, e), ref.roots_and_gradient(point, e)
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-            assert (got[2] is None) == (want[2] is None) and (got[2] is None or same_bits(got[2], want[2]))
-        assert form.roots_and_gradient(d, e)[2] is not None
+            got, want = form.interior_gradient(point, e, 1e-10), ref.interior_gradient(point, e, 1e-10)
+            assert same_bits(got[0], want[0])
+            assert (got[1] is None) == (want[1] is None) and (got[1] is None or same_bits(got[1], want[1]))
+        assert form.interior_gradient(d, e, 1e-10)[1] is not None
         tuple_form, coords = form.tuple_form(rows[:4])
         ref_tuple_form, ref_coords = ref.tuple_form(rows[:4])
         assert type(tuple_form) is DeterminantalPolynomial
