@@ -63,15 +63,12 @@ from .scaling import (
     CapacityResult,
     ConcavityReport,
     EdmondsRadoReport,
-    ReciprocalGradientReport,
     ScalingReport,
     ScalingState,
     capacity,
     capacity_concavity_check,
     doubly_stochastic_defect,
     edmonds_rado_check,
-    gradient,
-    gradient_reciprocal_check,
     mixed_concavity_check,
     sinkhorn_iteration,
     sinkhorn_map,

@@ -32,17 +32,9 @@ from .errors import (
     HyperpolyError,
     InvalidDocumentError,
     NonRealRootError,
-    integer_field,
     real_field,
 )
-from .generators import (
-    GeneratorSpec,
-    _matrix_stack,
-    generate_document,
-    is_symmetric_basis,
-    matrix_points,
-    symmetric_matrix_oracle,
-)
+from .generators import GeneratorSpec, generate_document
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -59,10 +51,9 @@ from .interlace import (
 )
 from .mixed import alexandrov_fenchel_verdict, mixed_value, newton_saturation_check
 from .oracle import (
-    SymmetricBasisPolynomial,
-    _symmetrize,
     evaluate,
     oracle_from_json,
+    paired_matrix_points,
     roots_in_direction,
     trace_in_direction,
 )
@@ -80,11 +71,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
-
-# Bound on the N of a {"kind": "symmetric", "n": N} document: what its oracle holds, an N x N table of
-# coordinates and three vectors over its N(N+1)/2 coordinates (the direction, and the row and the column
-# of each), 8 bytes an entry, fits in this many bytes (N <= 1831).  No command builds the O(N^4) basis.
-SYMMETRIC_ORACLE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -176,16 +162,10 @@ def _require(doc, path: str, *names: str) -> list:
 
 def _load_oracle(path: str):
     doc = _load_json(path)
-    if isinstance(doc, dict) and doc.get("kind") == "symmetric":
-        (n,) = _require(doc, path, "n")
-        n = integer_field(n, f"{path}: 'n'")
-        if n < 1 or 8 * (n * n + 3 * (n * (n + 1) // 2)) > SYMMETRIC_ORACLE_BYTES:
-            raise InvalidDocumentError(
-                f"{path}: 'n' must be at least 1 and keep the symmetric oracle within "
-                f"{SYMMETRIC_ORACLE_BYTES >> 20} MiB"
-            )
-        return symmetric_matrix_oracle(n)
-    return oracle_from_json(doc)
+    try:
+        return oracle_from_json(doc)
+    except InvalidDocumentError as exc:
+        raise InvalidDocumentError(f"{path}: {exc}") from exc
 
 
 def _load_point(path: str) -> np.ndarray:
@@ -206,25 +186,7 @@ def _load_tuple(path: str, oracle):
             raise InvalidDocumentError(f"{path}: 'points' must be a 2-d array")
         return oracle, pts
     if isinstance(doc, dict) and "matrices" in doc:
-        mats = _matrix_stack(doc["matrices"])
-        n = mats.shape[1]
-        # Matrix coordinates only make sense against the symmetric basis: the form that gathers them, or a
-        # stored pencil equal to that basis.
-        if isinstance(oracle.form, SymmetricBasisPolynomial):
-            pairs = oracle.n == n
-        else:
-            pairs = oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, n)
-        if not pairs:
-            raise InvalidDocumentError(
-                f"{path}: matrix tuples pair with the symmetric-basis oracle "
-                f'({{"kind": "symmetric", "n": {n}}})'
-            )
-        # The coordinates are the upper triangle, so an asymmetric matrix is refused, as in a pencil document.
-        try:
-            _symmetrize(mats)
-        except InvalidDocumentError as exc:
-            raise InvalidDocumentError(f"{path}: {exc}") from exc
-        return oracle, matrix_points(mats)
+        return oracle, paired_matrix_points(oracle, doc["matrices"], path)
     raise InvalidDocumentError(f"{path}: tuple document needs a 'points' or 'matrices' field")
 
 

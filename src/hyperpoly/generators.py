@@ -5,17 +5,19 @@ re-validated before they are handed out: doubly stochastic tuples against
 their defect, rank-deficient tuples against the rank condition, polynomial
 pairs against the residue test (and, for the non-hyperbolic kind, against the
 sampled pencil grid, so every emitted instance carries a grid-visible witness).
+The symmetric-matrix oracle and its coordinates belong to ``oracle``; the
+drawers, and their callers, reach ``symmetric_matrix_oracle``,
+``matrix_points`` and ``point_to_matrix`` through this module as well.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationError, InvalidDocumentError, real_field
+from .errors import GenerationError, InvalidDocumentError
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
@@ -25,12 +27,13 @@ from .interlace import (
 )
 from .oracle import (
     HyperbolicOracle,
-    SymmetricBasisPolynomial,
-    _pencil_blocks,
     determinantal_oracle,
     hyperbolic_rank,
+    matrix_points,
+    point_to_matrix,
     product_oracle,
     roots_in_direction,
+    symmetric_matrix_oracle,
 )
 from .scaling import capacity, doubly_stochastic_defect, sinkhorn_iteration
 
@@ -40,100 +43,6 @@ PSD_RIDGE = 1e-6
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (seed, key...) combination."""
     return np.random.default_rng((int(seed),) + tuple(int(v) for v in key))
-
-
-@functools.lru_cache(maxsize=16)
-def _coordinate_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each coordinate of a symmetric n x n matrix: the diagonal,
-    then the upper triangle row by row.  Cached per n; both arrays are read-only."""
-    rows, cols = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    indices = np.concatenate([diag, rows]), np.concatenate([diag, cols])
-    for table in indices:
-        table.setflags(write=False)
-    return indices
-
-
-@functools.lru_cache(maxsize=16)
-def _symmetric_form(n: int) -> SymmetricBasisPolynomial:
-    """The determinantal form on the coordinates of symmetric n x n matrices, with its read-only table
-    of the coordinate at each entry; cached per n, as every oracle of that size shares it."""
-    rows, cols = _coordinate_indices(n)
-    entries = np.empty((n, n), dtype=np.intp)
-    entries[rows, cols] = entries[cols, rows] = np.arange(rows.size)
-    entries.setflags(write=False)
-    return SymmetricBasisPolynomial(n=n, entries=entries)
-
-
-def _basis_matrices(n: int, start: int, stop: int) -> np.ndarray:
-    """Matrices start..stop-1 of symmetric_basis(n)."""
-    i, j = _coordinate_indices(n)
-    i, j = i[start:stop], j[start:stop]
-    basis = np.zeros((i.size, n, n))
-    k = np.arange(i.size)
-    basis[k, i, j] = 1.0
-    basis[k, j, i] = 1.0
-    return basis
-
-
-def symmetric_basis(n: int) -> np.ndarray:
-    """The (n(n+1)/2, n, n) pencil E_ii followed by E_ij + E_ji (i < j), in coordinate order."""
-    return _basis_matrices(n, 0, n * (n + 1) // 2)
-
-
-def is_symmetric_basis(pencil: np.ndarray, n: int) -> bool:
-    """Whether a pencil is symmetric_basis(n) within 1e-12, built only a block at a time to compare."""
-    return pencil.shape == (n * (n + 1) // 2, n, n) and all(
-        np.max(np.abs(block - _basis_matrices(n, start, start + len(block)))) <= 1e-12
-        for start, block in _pencil_blocks(pencil)
-    )
-
-
-def symmetric_matrix_oracle(n: int) -> HyperbolicOracle:
-    """Determinantal oracle over the full space of symmetric n x n matrices.
-
-    Its pencil is ``symmetric_basis(n)``, so a point is exactly a symmetric
-    matrix written in coordinates and the direction maps to the identity
-    matrix.  The form, ``SymmetricBasisPolynomial``, never stores that
-    basis: M(x) and the traces tr(B_j W) are O(n^2) gathers through the
-    cached n x n table of coordinates, where the basis would take
-    n^3 (n + 1) / 2 doubles.  M(e) = I exactly, so the metadata is that of a
-    pencil that needs no congruence.
-    """
-    if n < 1:
-        raise InvalidDocumentError("symmetric matrix oracle needs n >= 1")
-    form = _symmetric_form(n)
-    direction = np.zeros(n * (n + 1) // 2)
-    direction[:n] = 1.0
-    metadata = {"gram_determinant": 1.0, "congruence_applied": False}
-    return HyperbolicOracle(form=form, n=n, m=direction.size, direction=direction, metadata=metadata)
-
-
-def matrix_to_point(mat: np.ndarray) -> np.ndarray:
-    """Coordinates of a symmetric matrix in the basis used by symmetric_matrix_oracle."""
-    a = np.asarray(mat, dtype=float)
-    return a[_coordinate_indices(a.shape[0])]
-
-
-def point_to_matrix(point: np.ndarray, n: int) -> np.ndarray:
-    i, j = _coordinate_indices(n)
-    mat = np.zeros((n, n))
-    mat[i, j] = mat[j, i] = np.asarray(point, dtype=float)
-    return mat
-
-
-def _matrix_stack(matrices) -> np.ndarray:
-    """A tuple of square matrices of one size as one float array, shape (points, n, n)."""
-    mats = real_field(matrices, "a matrix tuple")
-    if mats.ndim != 3 or 0 in mats.shape or mats.shape[1] != mats.shape[2]:
-        raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
-    return mats
-
-
-def matrix_points(matrices) -> np.ndarray:
-    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each."""
-    mats = _matrix_stack(matrices)
-    return mats[(slice(None),) + _coordinate_indices(mats.shape[1])]
 
 
 def matrix_tuple_points(matrices) -> tuple[HyperbolicOracle, np.ndarray]:

@@ -366,12 +366,14 @@ class MajorizationReport(Report):
 
 
 def majorization_check(u, v, tol: float = 1e-9) -> MajorizationReport:
-    """Is u majorized by v?  prefix_gaps[k] is the slack of the k-th prefix inequality."""
-    u = np.sort(np.asarray(u, dtype=float))[::-1]
-    v = np.sort(np.asarray(v, dtype=float))[::-1]
+    """Is u majorized by v?  prefix_gaps[k] is the slack of the k-th prefix inequality.  u and v are
+    two nonempty vectors of one length."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise InvalidDocumentError("majorization needs vectors of equal length")
-    gaps = np.cumsum(v) - np.cumsum(u)
+    if u.ndim != 1 or u.size == 0:
+        raise InvalidDocumentError(f"majorization needs two nonempty vectors, got shape {u.shape}")
+    gaps = np.cumsum(np.sort(v)[::-1]) - np.cumsum(np.sort(u)[::-1])
     return MajorizationReport(
         majorized=bool(_majorized(gaps, tol)), prefix_gaps=tuple(float(g) for g in gaps), total_gap=float(gaps[-1])
     )

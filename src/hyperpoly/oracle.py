@@ -14,7 +14,11 @@ adjoint W -> (tr(B_j W))_j.  ``DeterminantalPolynomial`` stores the pencil and
 takes both as one matrix product with it; ``SymmetricBasisPolynomial``, whose
 points are the coordinates of symmetric n x n matrices, takes both as an
 O(n^2) gather through an n x n table of coordinates and builds its O(n^4)
-basis only when a document asks for it.  A form's
+basis only when a document asks for it.  That coordinate system lives here
+beside its form: ``symmetric_matrix_oracle(n)``, the maps ``matrix_points``
+and ``point_to_matrix``, and ``paired_matrix_points``, which turns a tuple of
+matrices into points of an oracle they pair with; ``oracle_from_json`` reads
+its ``{"kind": "symmetric", "n": N}`` document.  A form's
 ``evaluate_batch`` must accept complex rows as well as real ones, since
 polarization evaluates p at complex points.  Both root methods take one
 point or a stack of them, shape (..., m), and return (..., n).
@@ -279,10 +283,7 @@ class SymmetricBasisPolynomial(PencilForm):
     @property
     def pencil(self) -> np.ndarray:
         """The basis matrices, built on demand for documents and checks: no computation reads them."""
-        n = self.n
-        basis = np.zeros((n * (n + 1) // 2, n * n))
-        basis[self.entries.ravel(), np.arange(n * n)] = 1.0
-        return basis.reshape(-1, n, n)
+        return _basis_matrices(self.n, 0, self.n * (self.n + 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +426,123 @@ def determinantal_oracle(matrices, direction) -> HyperbolicOracle:
             _average_with_transpose(block)
         metadata["congruence_applied"] = True
     return HyperbolicOracle(form=DeterminantalPolynomial(pencil=pencil), n=n, m=m, direction=e, metadata=metadata)
+
+
+# Bound on the N of a {"kind": "symmetric", "n": N} document: what its oracle holds, an N x N table of
+# coordinates and three vectors over its N(N+1)/2 coordinates (the direction, and the row and the column
+# of each), 8 bytes an entry, fits in this many bytes (N <= 1831).  No command builds the O(N^4) basis.
+SYMMETRIC_ORACLE_BYTES = 64 << 20
+
+
+@functools.lru_cache(maxsize=16)
+def _coordinate_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each coordinate of a symmetric n x n matrix: the diagonal,
+    then the upper triangle row by row.  Cached per n; both arrays are read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    indices = np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    for table in indices:
+        table.setflags(write=False)
+    return indices
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetric_form(n: int) -> SymmetricBasisPolynomial:
+    """The determinantal form on the coordinates of symmetric n x n matrices, with its read-only table
+    of the coordinate at each entry; cached per n, as every oracle of that size shares it."""
+    rows, cols = _coordinate_indices(n)
+    entries = np.empty((n, n), dtype=np.intp)
+    entries[rows, cols] = entries[cols, rows] = np.arange(rows.size)
+    entries.setflags(write=False)
+    return SymmetricBasisPolynomial(n=n, entries=entries)
+
+
+def _basis_matrices(n: int, start: int, stop: int) -> np.ndarray:
+    """Matrices start..stop-1 of the symmetric basis in coordinate order: E_ii for a diagonal
+    coordinate, E_ij + E_ji for an off-diagonal one.  The one builder of basis matrices."""
+    i, j = _coordinate_indices(n)
+    i, j = i[start:stop], j[start:stop]
+    basis = np.zeros((i.size, n, n))
+    k = np.arange(i.size)
+    basis[k, i, j] = 1.0
+    basis[k, j, i] = 1.0
+    return basis
+
+
+def is_symmetric_basis(pencil: np.ndarray, n: int) -> bool:
+    """Whether a pencil is the symmetric basis of n x n matrices within 1e-12, built only a block at a
+    time to compare."""
+    return pencil.shape == (n * (n + 1) // 2, n, n) and all(
+        np.max(np.abs(block - _basis_matrices(n, start, start + len(block)))) <= 1e-12
+        for start, block in _pencil_blocks(pencil)
+    )
+
+
+def symmetric_matrix_oracle(n: int) -> HyperbolicOracle:
+    """Determinantal oracle over the full space of symmetric n x n matrices.
+
+    Its pencil is the symmetric basis, so a point is exactly a symmetric
+    matrix written in coordinates and the direction maps to the identity
+    matrix.  The form, ``SymmetricBasisPolynomial``, never stores that
+    basis: M(x) and the traces tr(B_j W) are O(n^2) gathers through the
+    cached n x n table of coordinates, where the basis would take
+    n^3 (n + 1) / 2 doubles.  M(e) = I exactly, so the metadata is that of a
+    pencil that needs no congruence.
+    """
+    if n < 1:
+        raise InvalidDocumentError("symmetric matrix oracle needs n >= 1")
+    form = _symmetric_form(n)
+    direction = np.zeros(n * (n + 1) // 2)
+    direction[:n] = 1.0
+    metadata = {"gram_determinant": 1.0, "congruence_applied": False}
+    return HyperbolicOracle(form=form, n=n, m=direction.size, direction=direction, metadata=metadata)
+
+
+def point_to_matrix(point: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose coordinates are point."""
+    i, j = _coordinate_indices(n)
+    mat = np.zeros((n, n))
+    mat[i, j] = mat[j, i] = np.asarray(point, dtype=float)
+    return mat
+
+
+def _matrix_stack(matrices) -> np.ndarray:
+    """A tuple of square matrices of one size as one float array, shape (points, n, n)."""
+    mats = real_field(matrices, "a matrix tuple")
+    if mats.ndim != 3 or 0 in mats.shape or mats.shape[1] != mats.shape[2]:
+        raise InvalidDocumentError("a matrix tuple is a nonempty list of square matrices of one size")
+    return mats
+
+
+def matrix_points(matrices) -> np.ndarray:
+    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each."""
+    mats = _matrix_stack(matrices)
+    return mats[(slice(None),) + _coordinate_indices(mats.shape[1])]
+
+
+def paired_matrix_points(oracle: HyperbolicOracle, matrices, source: str) -> np.ndarray:
+    """The coordinates of a tuple of symmetric matrices as points of an oracle they pair with, one row each.
+
+    Matrix coordinates only make sense against the symmetric basis: the form that gathers them, or a
+    stored pencil equal to that basis, compared a block at a time.  The coordinates are the upper
+    triangle, so a matrix that is not symmetric within ``_symmetrize``'s tolerance is refused; one that is
+    is averaged with its transpose.  ``source`` names the tuple in those two refusals."""
+    mats = _matrix_stack(matrices)
+    n = mats.shape[1]
+    if isinstance(oracle.form, SymmetricBasisPolynomial):
+        pairs = oracle.n == n
+    else:
+        pairs = oracle.kind == "determinantal" and is_symmetric_basis(oracle.form.pencil, n)
+    if not pairs:
+        raise InvalidDocumentError(
+            f'{source}: matrix tuples pair with the symmetric-basis oracle ({{"kind": "symmetric", "n": {n}}})'
+        )
+    mats = mats.copy()  # _symmetrize averages in place; the caller's array stays as given
+    try:
+        _symmetrize(mats)
+    except InvalidDocumentError as exc:
+        raise InvalidDocumentError(f"{source}: {exc}") from exc
+    return matrix_points(mats)
 
 
 def dense_oracle(m: int, n: int, terms, direction) -> HyperbolicOracle:
@@ -628,16 +746,16 @@ def classify_spectrum(lam: np.ndarray, tol: float) -> str:
     return OUTSIDE
 
 
-def cone_membership(oracle: HyperbolicOracle, x, tol: float = DEFAULT_CONE_TOL) -> str:
-    """Classify x by the sign of its smallest root relative to the root scale.
+def cone_membership(oracle: HyperbolicOracle, x) -> str:
+    """Classify x by the sign of its smallest root relative to the root scale, at DEFAULT_CONE_TOL.
 
     The form's ``interior`` answers POSITIVE first, with no roots on an evaluation-only form: its
     restriction coefficients certify the interior of a form hyperbolic in e.  Any other point is
     classified from its roots."""
     x = _as_point(oracle, x)
-    if oracle.form.interior(x, oracle.direction, tol):
+    if oracle.form.interior(x, oracle.direction, DEFAULT_CONE_TOL):
         return POSITIVE
-    return classify_spectrum(roots_in_direction(oracle, x, oracle.direction), tol)
+    return classify_spectrum(roots_in_direction(oracle, x, oracle.direction), DEFAULT_CONE_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -674,13 +792,22 @@ def oracle_to_json(oracle: HyperbolicOracle) -> dict:
 
 
 def oracle_from_json(doc) -> HyperbolicOracle:
-    """Parse an oracle document, rejecting anything that violates a type invariant."""
+    """Parse an oracle document, rejecting anything that violates a type invariant.  A
+    ``{"kind": "symmetric", "n": N}`` document is refused past SYMMETRIC_ORACLE_BYTES before any of its
+    tables exists, and loads the cached form of ``symmetric_matrix_oracle(N)``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidDocumentError("oracle document must be an object with a 'kind' field")
     kind = doc["kind"]
     try:
         if kind == "product":
             return product_oracle(integer_field(doc["n"], "'n'"))
+        if kind == "symmetric":
+            n = integer_field(doc["n"], "'n'")
+            if n < 1 or 8 * (n * n + 3 * (n * (n + 1) // 2)) > SYMMETRIC_ORACLE_BYTES:
+                raise InvalidDocumentError(
+                    f"'n' must be at least 1 and keep the symmetric oracle within {SYMMETRIC_ORACLE_BYTES >> 20} MiB"
+                )
+            return symmetric_matrix_oracle(n)
         if kind == "determinantal":
             matrices = doc["matrices"]
             if not isinstance(matrices, list) or not matrices:

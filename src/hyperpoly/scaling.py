@@ -45,7 +45,6 @@ from .oracle import (
     DEFAULT_RANK_TOL,
     HyperbolicOracle,
     evaluate,
-    evaluate_batch,
     hyperbolic_rank,
 )
 from .report import Report
@@ -68,29 +67,6 @@ STATUS_LIMIT = "iteration_limit"
 def traces_in_direction(oracle: HyperbolicOracle, points: np.ndarray, d: np.ndarray) -> np.ndarray:
     """tr_d(x_i) for every row x_i; the direction is assumed strictly inside the cone."""
     return as_tuple(points) @ oracle.form.grad_log_p(d)
-
-
-def gradient(oracle: HyperbolicOracle, alpha) -> np.ndarray:
-    """grad p(alpha) = p(alpha) * grad log p(alpha).
-
-    Where p(alpha) = 0 or the form's gradient cannot be formed (a singular
-    pencil), each component falls back to a central difference with step
-    cbrt(eps)*(1+|alpha_i|).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (oracle.m,):
-        raise DimensionMismatchError(f"point has shape {alpha.shape}, oracle expects ({oracle.m},)")
-    value = evaluate(oracle, alpha)
-    if np.isfinite(value) and value != 0.0:
-        try:
-            grad = value * oracle.form.grad_log_p(alpha)
-            if np.all(np.isfinite(grad)):
-                return grad
-        except np.linalg.LinAlgError:
-            pass
-    h = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(alpha))
-    steps = np.diag(h)
-    return (evaluate_batch(oracle, alpha + steps) - evaluate_batch(oracle, alpha - steps)) / (2.0 * h)
 
 
 def _defect(traces: np.ndarray) -> float:
@@ -574,32 +550,3 @@ def mixed_concavity_check(oracle: HyperbolicOracle, points, comps, weights) -> C
     """
     n = oracle.n
     return _concavity_report(lambda tup: mixed_value(oracle, tup), points, comps, weights, math.factorial(n) / n**n)
-
-
-@dataclass(frozen=True, slots=True)
-class ReciprocalGradientReport(Report):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def gradient_reciprocal_check(oracle: HyperbolicOracle, alpha, tol: float = 1e-9) -> ReciprocalGradientReport:
-    """Q(1/dQ_1, ..., 1/dQ_n) <= Q(alpha)^{-(n-1)} at a positive point.
-
-    This is the one-step energy decrease of the scaling map written through
-    partial derivatives; it can fail for homogeneous polynomials with
-    nonnegative coefficients that are not hyperbolic, so `holds` is a finding,
-    not an input check.  Requires as many variables as the degree.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if oracle.m != oracle.n:
-        raise InvalidDocumentError("the reciprocal-gradient inequality needs dimension equal to degree")
-    if np.any(alpha <= 0.0):
-        raise InvalidDocumentError("the evaluation point must be strictly positive")
-    partials = gradient(oracle, alpha)
-    if np.any(partials <= 0.0):
-        raise DegenerateDirectionError("a partial derivative vanishes at the evaluation point")
-    lhs = evaluate(oracle, 1.0 / partials)
-    rhs = evaluate(oracle, alpha) ** (-(oracle.n - 1))
-    holds = lhs <= rhs + tol * max(1.0, abs(rhs))
-    return ReciprocalGradientReport(lhs=float(lhs), rhs=float(rhs), holds=bool(holds))

@@ -4,16 +4,19 @@ Classical matrix Sinkhorn scaling and its column-tuple convention, a
 hyperbolic Sinkhorn loop that takes each step from three separate calls,
 capacity with the full rank check ahead of the minimization, the interior
 test and the fused Sinkhorn step taken from roots instead of restriction
-coefficients, partial
-derivatives, exhaustive subset and composition enumerators, the van
-der Waerden ratio through polarization, one Newton correction of computed
-roots, and Taylor shifts with the derivative-line polynomial built from them.
+coefficients, the gradient of p with its partial derivatives and the
+reciprocal-gradient inequality built on them, the symmetric basis and matrix
+coordinates built element by element, exhaustive subset and composition
+enumerators, the van der Waerden ratio through polarization, one Newton
+correction of computed roots, and Taylor shifts with the derivative-line
+polynomial built from them.
 None of them is a library route: each is the second, independent way to a
 quantity that the library computes another way, or the brute-force
 enumeration behind a check.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -23,6 +26,7 @@ from hyperpoly import scaling
 from hyperpoly.errors import DegenerateDirectionError, DimensionMismatchError, HyperpolyError, InvalidDocumentError
 from hyperpoly.interlace import MonicPolynomial, _derivative
 from hyperpoly.oracle import DEFAULT_ROOT_TOL, PencilForm, classify_spectrum
+from hyperpoly.report import Report
 
 
 class ZeroCapacityError(Exception):
@@ -217,9 +221,66 @@ def assert_stops_on_a_zero_certificate(doc: dict, scales, mats, reference) -> No
     assert np.any(ranks < np.arange(1, len(mats) + 1))
 
 
+def gradient(oracle, alpha) -> np.ndarray:
+    """grad p(alpha) = p(alpha) * grad log p(alpha), from the form's closed-form gradient: defined where
+    p(alpha) != 0 and the form can take grad log p there."""
+    alpha = np.asarray(alpha, dtype=float)
+    return hp.evaluate(oracle, alpha) * oracle.form.grad_log_p(alpha)
+
+
 def partial_derivative(oracle, alpha, i: int) -> float:
-    """dp/dx_i at alpha: component i of the library's gradient."""
-    return float(hp.gradient(oracle, alpha)[i])
+    """dp/dx_i at alpha: component i of ``gradient``."""
+    return float(gradient(oracle, alpha)[i])
+
+
+@dataclass(frozen=True, slots=True)
+class ReciprocalGradientReport(Report):
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def gradient_reciprocal_check(oracle, alpha, tol: float = 1e-9) -> ReciprocalGradientReport:
+    """Q(1/dQ_1, ..., 1/dQ_n) <= Q(alpha)^{-(n-1)} at a positive point.
+
+    This is the one-step energy decrease of the scaling map written through
+    partial derivatives; it can fail for homogeneous polynomials with
+    nonnegative coefficients that are not hyperbolic, so `holds` is a finding,
+    not an input check.  Requires as many variables as the degree.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if oracle.m != oracle.n:
+        raise InvalidDocumentError("the reciprocal-gradient inequality needs dimension equal to degree")
+    if np.any(alpha <= 0.0):
+        raise InvalidDocumentError("the evaluation point must be strictly positive")
+    partials = gradient(oracle, alpha)
+    if np.any(partials <= 0.0):
+        raise DegenerateDirectionError("a partial derivative vanishes at the evaluation point")
+    lhs = hp.evaluate(oracle, 1.0 / partials)
+    rhs = hp.evaluate(oracle, alpha) ** (-(oracle.n - 1))
+    holds = lhs <= rhs + tol * max(1.0, abs(rhs))
+    return ReciprocalGradientReport(lhs=float(lhs), rhs=float(rhs), holds=bool(holds))
+
+
+def symmetric_basis(n: int) -> np.ndarray:
+    """The (n(n+1)/2, n, n) pencil E_ii followed by E_ij + E_ji (i < j) row by row: the coordinate order
+    of ``symmetric_matrix_oracle(n)``, built here element by element rather than by its builder."""
+    basis = []
+    for i in range(n):
+        basis.append(np.zeros((n, n)))
+        basis[-1][i, i] = 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            basis.append(np.zeros((n, n)))
+            basis[-1][i, j] = basis[-1][j, i] = 1.0
+    return np.stack(basis)
+
+
+def matrix_to_point(mat) -> np.ndarray:
+    """Coordinates of a symmetric matrix in the order of ``symmetric_basis``: the diagonal, then the
+    upper triangle row by row."""
+    a = np.asarray(mat, dtype=float)
+    return np.concatenate([np.diag(a), a[np.triu_indices(a.shape[0], 1)]])
 
 
 def lexicographic_subsets(k: int) -> Iterator[tuple[int, ...]]:

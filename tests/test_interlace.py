@@ -389,6 +389,15 @@ class TestMajorization:
     def test_prefix_violation(self):
         assert not hp.majorization_check([2.0, 0.0], [1.0, 1.0]).majorized
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [([], []), (1.0, 1.0), ([[1.0, 2.0], [3.0, 4.0]], [[4.0, 3.0], [2.0, 1.0]]), ([1.0, 2.0], [1.0])],
+        ids=["empty", "scalars", "matrices", "lengths"],
+    )
+    def test_refuses_anything_but_two_vectors_of_one_length(self, u, v):
+        with pytest.raises(InvalidDocumentError, match="^majorization needs"):
+            hp.majorization_check(u, v)
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_mutual_majorization_means_equal(self, values):

@@ -11,7 +11,7 @@ from hyperpoly import generators as gen
 from hyperpoly import mixed
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
 from hyperpoly.mixed import SupportSet
-from references import compositions
+from references import compositions, matrix_to_point
 
 EPS = np.finfo(float).eps
 
@@ -25,7 +25,7 @@ class TestMixedValue:
     def test_repeated_point_is_factorial_times_value(self):
         oracle = gen.symmetric_matrix_oracle(3)
         rng = np.random.default_rng(0)
-        x = gen.matrix_to_point(gen.random_psd_matrix(rng, 3))
+        x = matrix_to_point(gen.random_psd_matrix(rng, 3))
         got = hp.mixed_value(oracle, np.tile(x, (3, 1)))
         assert got == pytest.approx(6.0 * hp.evaluate(oracle, x), rel=1e-9)
 
@@ -42,7 +42,7 @@ class TestMixedValue:
     def test_permutation_symmetry(self, seed):
         oracle = gen.symmetric_matrix_oracle(3)
         rng = np.random.default_rng(seed)
-        pts = np.vstack([gen.matrix_to_point(gen.random_psd_matrix(rng, 3)) for _ in range(3)])
+        pts = np.vstack([matrix_to_point(gen.random_psd_matrix(rng, 3)) for _ in range(3)])
         base = hp.mixed_value(oracle, pts)
         for perm in itertools.permutations(range(3)):
             assert hp.mixed_value(oracle, pts[list(perm)]) == pytest.approx(base, rel=1e-10)
@@ -66,7 +66,7 @@ class TestMixedValue:
         # p(sum alpha_i x_i) recovered from mixed values over all compositions.
         oracle = gen.symmetric_matrix_oracle(n)
         rng = np.random.default_rng(n)
-        pts = np.vstack([gen.matrix_to_point(gen.random_psd_matrix(rng, n)) for _ in range(n)])
+        pts = np.vstack([matrix_to_point(gen.random_psd_matrix(rng, n)) for _ in range(n)])
         alpha = rng.uniform(0.2, 1.5, n)
         direct = hp.evaluate(oracle, alpha @ pts)
         total = 0.0
@@ -178,7 +178,7 @@ class TestAlexandrovFenchel:
     def test_equal_first_two_points_vanish(self):
         oracle = gen.symmetric_matrix_oracle(3)
         rng = np.random.default_rng(3)
-        pts = np.vstack([gen.matrix_to_point(gen.random_psd_matrix(rng, 3)) for _ in range(3)])
+        pts = np.vstack([matrix_to_point(gen.random_psd_matrix(rng, 3)) for _ in range(3)])
         pts[1] = pts[0]
         assert hp.alexandrov_fenchel_verdict(oracle, pts)["residual"] == pytest.approx(0.0, abs=1e-9)
 

@@ -29,7 +29,7 @@ from hyperpoly.oracle import (
     chebyshev_restriction,
     classify_spectrum,
 )
-from references import partial_derivative
+from references import matrix_to_point, partial_derivative, symmetric_basis
 
 
 @pytest.fixture
@@ -65,7 +65,7 @@ class TestEvaluate:
     def test_determinantal_matches_det(self, sym3):
         rng = np.random.default_rng(0)
         a = gen.random_psd_matrix(rng, 3)
-        assert hp.evaluate(sym3, gen.matrix_to_point(a)) == pytest.approx(np.linalg.det(a))
+        assert hp.evaluate(sym3, matrix_to_point(a)) == pytest.approx(np.linalg.det(a))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -142,7 +142,7 @@ class TestRoots:
     def test_determinantal_eigenvalues(self, sym3):
         rng = np.random.default_rng(2)
         a = gen.random_psd_matrix(rng, 3)
-        lam = hp.roots_in_direction(sym3, gen.matrix_to_point(a), sym3.direction)
+        lam = hp.roots_in_direction(sym3, matrix_to_point(a), sym3.direction)
         assert lam == pytest.approx(np.sort(np.linalg.eigvalsh(a))[::-1])
 
     def test_positive_scaling(self, sym3):
@@ -209,7 +209,7 @@ class TestRoots:
             hp.cone_membership(sym3, np.ones((2, sym3.m)))
 
     def test_determinantal_indefinite_direction_unchecked(self, sym3):
-        d = gen.matrix_to_point(np.diag([1.0, -1.0, 1.0]))
+        d = matrix_to_point(np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(DegenerateDirectionError):
             hp.roots_in_direction(sym3, sym3.direction, d)
 
@@ -236,7 +236,7 @@ class TestTrace:
     def test_determinantal_trace(self, sym3):
         rng = np.random.default_rng(6)
         a = gen.random_psd_matrix(rng, 3)
-        got = hp.trace_in_direction(sym3, gen.matrix_to_point(a), sym3.direction)
+        got = hp.trace_in_direction(sym3, matrix_to_point(a), sym3.direction)
         assert got == pytest.approx(np.trace(a))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -325,9 +325,9 @@ class TestRankAndCone:
             (product, [1.0, 2.0, 3.0], hp.POSITIVE),
             (product, [1.0, 0.0, 2.0], hp.NONNEGATIVE),
             (product, [1.0, -1.0, 2.0], hp.OUTSIDE),
-            (sym3, gen.matrix_to_point(np.diag([1.0, 2.0, 3.0]) + 0.2), hp.POSITIVE),
-            (sym3, gen.matrix_to_point(np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0])), hp.NONNEGATIVE),
-            (sym3, gen.matrix_to_point(np.diag([1.0, -1.0, 2.0])), hp.OUTSIDE),
+            (sym3, matrix_to_point(np.diag([1.0, 2.0, 3.0]) + 0.2), hp.POSITIVE),
+            (sym3, matrix_to_point(np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0])), hp.NONNEGATIVE),
+            (sym3, matrix_to_point(np.diag([1.0, -1.0, 2.0])), hp.OUTSIDE),
         ]
         for oracle, x, expected in cases:
             assert hp.cone_membership(oracle, c * np.asarray(x)) == expected
@@ -346,7 +346,7 @@ class TestRankAndCone:
 
     def test_roots_along_a_tiny_interior_direction(self, sym3):
         # 1e-12 e is strictly inside the cone, and its roots are 1e12 times those along e.
-        cases = [(hp.product_oracle(3), [1.0, 2.0, 3.0]), (sym3, gen.matrix_to_point(np.diag([1.0, 2.0, 3.0])))]
+        cases = [(hp.product_oracle(3), [1.0, 2.0, 3.0]), (sym3, matrix_to_point(np.diag([1.0, 2.0, 3.0])))]
         for oracle, x in cases:
             expected = 1e12 * hp.roots_in_direction(oracle, x, oracle.direction)
             assert hp.roots_in_direction(oracle, x, 1e-12 * oracle.direction) == pytest.approx(expected, rel=1e-12)
@@ -466,7 +466,7 @@ class TestNormalizedRoots:
     def test_rank_and_cone_match_generalized_eigh_after_congruence(self, n):
         rng = np.random.default_rng(60 + n)
         g = rng.standard_normal((n, n))
-        basis = hp.determinantal_oracle(gen.symmetric_basis(n), gen.matrix_to_point(g @ g.T + 0.5 * np.eye(n)))
+        basis = hp.determinantal_oracle(symmetric_basis(n), matrix_to_point(g @ g.T + 0.5 * np.eye(n)))
         pencil = gen.random_determinantal_oracle(rng, n, 4)
         cases = [
             (basis, _signed_low_rank_points(rng, n, 40)),
@@ -490,7 +490,7 @@ class TestNormalizedRoots:
         n = 5
         rng = np.random.default_rng(70)
         g = rng.standard_normal((n, n))
-        basis = gen.symmetric_basis(n).copy()
+        basis = symmetric_basis(n).copy()
         basis[0] += 4e-13 * (g + g.T) / np.max(np.abs(g + g.T))
         oracle = hp.determinantal_oracle(basis, gen.symmetric_matrix_oracle(n).direction)
         gram = oracle.form.matrix(oracle.direction)
@@ -539,7 +539,7 @@ class TestRankOutsideTheCone:
         # -v v^T has roots -|v|^2, 0, 0; the sign of a computed zero root must not decide its rank.
         rng = np.random.default_rng(80 + seed)
         g = rng.standard_normal((3, 3))
-        oracle = hp.determinantal_oracle(gen.symmetric_basis(3), gen.matrix_to_point(g @ g.T + 0.5 * np.eye(3)))
+        oracle = hp.determinantal_oracle(symmetric_basis(3), matrix_to_point(g @ g.T + 0.5 * np.eye(3)))
         assert oracle.metadata["congruence_applied"]
         stack = gen.matrix_points([-np.outer(v, v) for v in rng.standard_normal((8, 3))])
         assert hp.hyperbolic_rank(oracle, stack).tolist() == [1] * 8
@@ -559,8 +559,8 @@ class TestRankOutsideTheCone:
         cases = [
             (product, [1.0, -1.0, 0.0], 2),
             (product, [-2.0, 0.0, 0.0], 1),
-            (sym3, gen.matrix_to_point(np.diag([1.0, -1.0, 0.0])), 2),
-            (sym3, gen.matrix_to_point(np.diag([-3.0, -1.0, 2.0])), 3),
+            (sym3, matrix_to_point(np.diag([1.0, -1.0, 0.0])), 2),
+            (sym3, matrix_to_point(np.diag([-3.0, -1.0, 2.0])), 3),
         ]
         for oracle, x, rank in cases:
             x = np.asarray(x)
@@ -964,7 +964,7 @@ class TestJson:
 
     def test_symmetric_oracle_peak_memory(self):
         # The basis once, not a stacked copy and full-size temporaries on top of it.
-        basis_bytes = gen.symmetric_basis(40).nbytes
+        basis_bytes = symmetric_basis(40).nbytes
         tracemalloc.start()
         try:
             oracle = gen.symmetric_matrix_oracle(40)
@@ -972,12 +972,12 @@ class TestJson:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * basis_bytes
-        assert np.array_equal(oracle.form.pencil, gen.symmetric_basis(40))
+        assert np.array_equal(oracle.form.pencil, symmetric_basis(40))
 
     def test_large_pencil_is_symmetrized_block_by_block(self):
         # 820 matrices of 40 x 40 span many blocks: the peak stays near the one stacked copy.
         rng = np.random.default_rng(9)
-        mats = gen.symmetric_basis(40)
+        mats = symmetric_basis(40)
         mats[40:] += 1e-12 * rng.standard_normal((780, 40, 40))  # M(e) stays the identity
         direction = np.concatenate([np.ones(40), np.zeros(780)])
         tracemalloc.start()

@@ -10,7 +10,9 @@ import pytest
 import hyperpoly as hp
 from hyperpoly import cli, mixed
 from hyperpoly import generators as gen
+from hyperpoly import oracle as oracle_module
 from hyperpoly.oracle import DEFAULT_ROOT_TOL, DeterminantalPolynomial, HyperbolicOracle, SymmetricBasisPolynomial
+from references import matrix_to_point, symmetric_basis
 
 
 def same_bits(a, b):
@@ -38,7 +40,7 @@ class TestAgainstTheBasisPencil:
     def test_every_method_is_bitwise_the_pencil_form(self, n):
         oracle = gen.symmetric_matrix_oracle(n)
         form = oracle.form
-        ref = DeterminantalPolynomial(pencil=gen.symmetric_basis(n))
+        ref = DeterminantalPolynomial(pencil=symmetric_basis(n))
         assert isinstance(form, SymmetricBasisPolynomial) and same_bits(form.pencil, ref.pencil)
         m, e = oracle.m, oracle.direction
         rng = np.random.default_rng(100 + n)
@@ -46,7 +48,7 @@ class TestAgainstTheBasisPencil:
         stack = with_signed_zeros(rng.standard_normal((2, 3, m)), rng)
         rows = stack.reshape(-1, m)
         z = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
-        d = gen.matrix_to_point(gen.random_psd_matrix(rng, n) + np.eye(n))
+        d = matrix_to_point(gen.random_psd_matrix(rng, n) + np.eye(n))
         for args in ((x,), (stack,), (rows,), (z,)):
             assert same_bits(form.matrix(*args), ref.matrix(*args))
         # A complex product in BLAS may give either sign of a zero, so signed zeros are compared by value.
@@ -75,7 +77,7 @@ class TestAgainstTheBasisPencil:
     def test_traces_of_any_matrix_are_bitwise_the_pencil_product(self, n):
         # The adjoint takes any W, a transposed view included; -0.0 sums read 0.0 as the pencil's do.
         form = gen.symmetric_matrix_oracle(n).form
-        ref = DeterminantalPolynomial(pencil=gen.symmetric_basis(n))
+        ref = DeterminantalPolynomial(pencil=symmetric_basis(n))
         rng = np.random.default_rng(n)
         w = with_signed_zeros(rng.standard_normal((n, n)), rng)
         w[np.triu_indices(n, 1)] = w.T[np.triu_indices(n, 1)] = -0.0
@@ -85,7 +87,7 @@ class TestAgainstTheBasisPencil:
     def test_oracle_document_is_the_basis_pencil(self):
         oracle = gen.symmetric_matrix_oracle(3)
         doc = hp.oracle_to_json(oracle)
-        assert doc["matrices"] == gen.symmetric_basis(3).tolist() and doc["m"] == 6
+        assert doc["matrices"] == symmetric_basis(3).tolist() and doc["m"] == 6
         assert doc["direction"] == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
         assert oracle.metadata == {"gram_determinant": 1.0, "congruence_applied": False}
         loaded = hp.oracle_from_json(json.loads(json.dumps(doc)))
@@ -104,7 +106,7 @@ class TestNoBasisOnComputePaths:
 
     def test_solvers_mixed_values_and_cli_never_build_the_basis(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(SymmetricBasisPolynomial, "pencil", property(self.refuse))
-        monkeypatch.setattr(gen, "_basis_matrices", self.refuse)
+        monkeypatch.setattr(oracle_module, "_basis_matrices", self.refuse)
         rng = np.random.default_rng(4)
         oracle, pts = gen.matrix_tuple_points(gen.psd_matrix_tuple(rng, 4))
         assert hp.edmonds_rado_check(oracle, pts).holds
@@ -153,8 +155,8 @@ class TestMemory:
         assert peak < bound
 
     def test_oracle_at_n200_stays_below_one_mib(self):
-        gen._coordinate_indices.cache_clear()
-        gen._symmetric_form.cache_clear()
+        oracle_module._coordinate_indices.cache_clear()
+        oracle_module._symmetric_form.cache_clear()
         tracemalloc.start()
         try:
             oracle = gen.symmetric_matrix_oracle(200)
@@ -166,10 +168,10 @@ class TestMemory:
 
 class TestCoordinateIndexCache:
     def test_indices_are_cached_read_only(self, monkeypatch):
-        rows, cols = gen._coordinate_indices(7)
-        assert gen._coordinate_indices(7)[0] is rows and gen._coordinate_indices(7)[1] is cols
+        rows, cols = oracle_module._coordinate_indices(7)
+        assert oracle_module._coordinate_indices(7)[0] is rows and oracle_module._coordinate_indices(7)[1] is cols
         assert not rows.flags.writeable and not cols.flags.writeable
-        assert not gen._symmetric_form(7).entries.flags.writeable
+        assert not oracle_module._symmetric_form(7).entries.flags.writeable
         assert gen.symmetric_matrix_oracle(7).form is gen.symmetric_matrix_oracle(7).form
 
         def refuse(*args, **kwargs):
@@ -177,8 +179,8 @@ class TestCoordinateIndexCache:
 
         a = np.arange(49.0).reshape(7, 7)
         a = a + a.T
+        point = matrix_to_point(a)
         monkeypatch.setattr(np, "triu_indices", refuse)
-        point = gen.matrix_to_point(a)
         assert np.array_equal(gen.point_to_matrix(point, 7), a)
         assert np.array_equal(gen.matrix_points([a, a])[1], point)
 
