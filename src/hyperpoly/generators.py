@@ -46,7 +46,8 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 
 def matrix_tuple_points(matrices) -> tuple[HyperbolicOracle, np.ndarray]:
-    """Wrap a list of symmetric matrices as points of the symmetric-basis oracle."""
+    """Wrap a list of symmetric matrices as points of the symmetric-basis oracle; ``matrix_points``
+    refuses a matrix that is not symmetric."""
     pts = matrix_points(matrices)
     return symmetric_matrix_oracle(len(matrices[0])), pts
 

@@ -14,11 +14,12 @@ adjoint W -> (tr(B_j W))_j.  ``DeterminantalPolynomial`` stores the pencil and
 takes both as one matrix product with it; ``SymmetricBasisPolynomial``, whose
 points are the coordinates of symmetric n x n matrices, takes both as an
 O(n^2) gather through an n x n table of coordinates and builds its O(n^4)
-basis only when a document asks for it.  That coordinate system lives here
+basis only when its ``pencil`` is read.  That coordinate system lives here
 beside its form: ``symmetric_matrix_oracle(n)``, the maps ``matrix_points``
 and ``point_to_matrix``, and ``paired_matrix_points``, which turns a tuple of
-matrices into points of an oracle they pair with; ``oracle_from_json`` reads
-its ``{"kind": "symmetric", "n": N}`` document.  A form's
+matrices into points of an oracle they pair with; ``oracle_to_json`` writes
+and ``oracle_from_json`` reads its ``{"kind": "symmetric", "n": N}``
+document.  A form's
 ``evaluate_batch`` must accept complex rows as well as real ones, since
 polarization evaluates p at complex points.  Both root methods take one
 point or a stack of them, shape (..., m), and return (..., n).
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -172,7 +173,7 @@ class PencilForm(Form):
     """p(x) = det M(x) for a linear map x -> M(x) = sum_j x_j B_j into real symmetric matrices with
     M(e) = I.  Every method goes through two primitives that a subclass supplies: ``matrix``, x -> M(x)
     for a point or a stack, and its adjoint ``traces``, W -> (tr(B_j W))_j; ``pencil`` is the stack of
-    the B_j, which only ``json_fields`` reads."""
+    the B_j, which only documents and checks read."""
 
     kind = "determinantal"
 
@@ -282,22 +283,25 @@ class SymmetricBasisPolynomial(PencilForm):
 
     @property
     def pencil(self) -> np.ndarray:
-        """The basis matrices, built on demand for documents and checks: no computation reads them."""
+        """The basis matrices, built on demand for checks: no computation or document reads them."""
         return _basis_matrices(self.n, 0, self.n * (self.n + 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)
 class DensePolynomial(Form):
-    """Homogeneous polynomial stored as exponent rows and matching coefficients."""
+    """Homogeneous polynomial stored as exponent rows and matching coefficients, with the derivative
+    table of its terms, which ``dense_oracle`` builds once per form."""
 
     m: int
     n: int
     exponents: np.ndarray  # (terms, m) nonnegative integers, each row sums to n
     coefficients: np.ndarray  # (terms,)
+    lowered: np.ndarray  # (m, terms, m): row i lowers exponent i of every term by one, clamped at zero
+    factors: np.ndarray  # (m, terms): exponents.T, exponent i of every term in row i
     kind = "dense"
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
-        monomials = np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
+        monomials = (pts[:, None, :] ** self.exponents[None, :, :]).prod(axis=2)
         return monomials @ self.coefficients
 
     def grad_log_p(self, d: np.ndarray) -> np.ndarray:
@@ -305,9 +309,7 @@ class DensePolynomial(Form):
         the (m, terms) monomial table lowers exponent i by one (clamped at zero, where the factor
         alpha_i vanishes anyway).  p(d) comes from the same table by Euler's identity
         n p(d) = d . grad p(d), so the monomials are evaluated once."""
-        exps = self.exponents
-        lowered = np.maximum(exps - np.eye(self.m, dtype=exps.dtype)[:, None, :], 0)
-        grad = (np.prod(d**lowered, axis=2) * exps.T) @ self.coefficients
+        grad = ((d**self.lowered).prod(axis=2) * self.factors) @ self.coefficients
         return grad * (self.n / (d @ grad))
 
     def json_fields(self, direction: np.ndarray) -> dict:
@@ -382,9 +384,9 @@ def _symmetrize(pencil: np.ndarray) -> None:
     """Average each matrix of the stack with its transpose in place, once all are symmetric
     within 1e-9 * max(1, max |entry|) of their own scale."""
     for start, block in _pencil_blocks(pencil):
-        transposed = np.transpose(block, (0, 2, 1))
-        scale = np.maximum(1.0, np.max(np.abs(block), axis=(1, 2)))
-        bad = np.flatnonzero(np.max(np.abs(block - transposed), axis=(1, 2)) > 1e-9 * scale)
+        # Array methods rather than np.max and np.abs: ``matrix_points`` runs this on every small tuple.
+        scale = np.maximum(1.0, abs(block).max(axis=(1, 2)))
+        bad = np.flatnonzero(abs(block - block.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-9 * scale)
         if bad.size:
             raise InvalidDocumentError(f"pencil matrix {start + bad[0]} is not symmetric within tolerance")
         _average_with_transpose(block)
@@ -515,18 +517,20 @@ def _matrix_stack(matrices) -> np.ndarray:
 
 
 def matrix_points(matrices) -> np.ndarray:
-    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each."""
-    mats = _matrix_stack(matrices)
+    """The coordinates of a tuple of symmetric matrices in the symmetric basis, one row each.  The
+    coordinates are the upper triangle, so a matrix that is not symmetric within ``_symmetrize``'s
+    tolerance is refused with InvalidDocumentError; one that is is averaged with its transpose first."""
+    mats = _matrix_stack(matrices).copy()  # _symmetrize averages in place; the caller's array stays as given
+    _symmetrize(mats)
     return mats[(slice(None),) + _coordinate_indices(mats.shape[1])]
 
 
 def paired_matrix_points(oracle: HyperbolicOracle, matrices, source: str) -> np.ndarray:
-    """The coordinates of a tuple of symmetric matrices as points of an oracle they pair with, one row each.
+    """The ``matrix_points`` of a tuple of symmetric matrices as points of an oracle they pair with.
 
     Matrix coordinates only make sense against the symmetric basis: the form that gathers them, or a
-    stored pencil equal to that basis, compared a block at a time.  The coordinates are the upper
-    triangle, so a matrix that is not symmetric within ``_symmetrize``'s tolerance is refused; one that is
-    is averaged with its transpose.  ``source`` names the tuple in those two refusals."""
+    stored pencil equal to that basis, compared a block at a time.  ``source`` names the tuple when it
+    does not pair or a matrix is not symmetric."""
     mats = _matrix_stack(matrices)
     n = mats.shape[1]
     if isinstance(oracle.form, SymmetricBasisPolynomial):
@@ -537,12 +541,10 @@ def paired_matrix_points(oracle: HyperbolicOracle, matrices, source: str) -> np.
         raise InvalidDocumentError(
             f'{source}: matrix tuples pair with the symmetric-basis oracle ({{"kind": "symmetric", "n": {n}}})'
         )
-    mats = mats.copy()  # _symmetrize averages in place; the caller's array stays as given
     try:
-        _symmetrize(mats)
+        return matrix_points(mats)
     except InvalidDocumentError as exc:
         raise InvalidDocumentError(f"{source}: {exc}") from exc
-    return matrix_points(mats)
 
 
 def dense_oracle(m: int, n: int, terms, direction) -> HyperbolicOracle:
@@ -569,14 +571,15 @@ def dense_oracle(m: int, n: int, terms, direction) -> HyperbolicOracle:
     e = np.asarray(direction, dtype=float)
     if e.shape != (m,):
         raise InvalidDocumentError(f"direction has shape {e.shape}, expected ({m},)")
-    pe = float(DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs).evaluate_batch(e[None, :])[0])
+    lowered = np.maximum(exps - np.eye(m, dtype=exps.dtype)[:, None, :], 0)
+    form = DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs, lowered=lowered, factors=exps.T)
+    pe = float(form.evaluate_batch(e[None, :])[0])
     # Vanishing is judged against the size of the terms at e, sum |c_t| |e|^alpha_t, so it does not depend on scale.
-    size = DensePolynomial(m=m, n=n, exponents=exps, coefficients=np.abs(coefs)).evaluate_batch(np.abs(e)[None, :])[0]
+    size = replace(form, coefficients=np.abs(coefs)).evaluate_batch(np.abs(e)[None, :])[0]
     if abs(pe) <= 1e-12 * size:
         raise InvalidDocumentError("polynomial vanishes at the declared direction")
     metadata = {"normalization_factor": pe}
-    form = DensePolynomial(m=m, n=n, exponents=exps, coefficients=coefs / pe)
-    return HyperbolicOracle(form=form, n=n, m=m, direction=e, metadata=metadata)
+    return HyperbolicOracle(form=replace(form, coefficients=coefs / pe), n=n, m=m, direction=e, metadata=metadata)
 
 
 def evaluate_batch(oracle: HyperbolicOracle, points: np.ndarray) -> np.ndarray:
@@ -788,6 +791,10 @@ def hyperbolicity_sample_test(oracle: HyperbolicOracle, num_samples: int, seed: 
 
 
 def oracle_to_json(oracle: HyperbolicOracle) -> dict:
+    """The oracle's document.  The symmetric-basis form, whose direction is always the identity, writes
+    ``{"kind": "symmetric", "n": N}`` rather than its O(N^4) basis, which reads back to the cached form."""
+    if isinstance(oracle.form, SymmetricBasisPolynomial):
+        return {"kind": "symmetric", "n": oracle.n}
     return {"kind": oracle.kind, "n": oracle.n, **oracle.form.json_fields(oracle.direction)}
 
 

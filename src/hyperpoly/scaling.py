@@ -41,12 +41,7 @@ from .errors import (
     InvalidDocumentError,
 )
 from .mixed import as_tuple, mixed_value, repeated_tuple
-from .oracle import (
-    DEFAULT_RANK_TOL,
-    HyperbolicOracle,
-    evaluate,
-    hyperbolic_rank,
-)
+from .oracle import DEFAULT_RANK_TOL, HyperbolicOracle, hyperbolic_rank
 from .report import Report
 
 # Slack for rounding in the integer certificates of edmonds_rado_check.
@@ -388,7 +383,9 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     elements.  A trial step at which p rounds to a value that is not positive
     and finite is rejected and the step halves; when the infimum is not
     attained (a tight subset) the run ends at its iteration limit with the
-    best value found.
+    best value found.  The tuple's width is checked once, at entry: a trial
+    costs one one-row ``evaluate_batch`` of the form, bound once, with no
+    validation of the point, and an iterate one ``traces_in_direction``.
 
     By the hyperbolic Edmonds-Rado theorem the capacity is zero exactly when
     the rank condition fails, and the run decides that from its own
@@ -412,13 +409,16 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     iterations.
     """
     pts = as_tuple(points)
+    if pts.shape[1] != oracle.m:
+        raise DimensionMismatchError(f"point has shape ({pts.shape[1]},), oracle expects (..., {oracle.m})")
     k, n = pts.shape[0], oracle.n
     zero = CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status=STATUS_ZERO)
+    evaluate_batch = oracle.form.evaluate_batch
 
     def objective(a: np.ndarray) -> float:
         # A trial step may overflow p; the value is then rejected, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            val = evaluate(oracle, np.exp(a) @ pts)
+            val = float(evaluate_batch((np.exp(a) @ pts)[None, :])[0])
         return math.log(val) if 0.0 < val < math.inf else math.inf
 
     a = np.zeros(k)
@@ -439,8 +439,8 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         alpha = np.exp(a)
         d = alpha @ pts
         grad = alpha * traces_in_direction(oracle, pts, d)
-        pgrad = grad - grad.mean()
-        gnorm = float(np.linalg.norm(pgrad))
+        pgrad = grad - grad.sum() / k
+        gnorm = math.sqrt(pgrad @ pgrad)
         # The bound needs rank(d) = n; a sum on the cone boundary can round to p(d) > 0 with traces of noise.
         if not settled and k <= n and gnorm * gnorm <= 1.0 / n:
             settled = bool(oracle.form.interior(d, oracle.direction, DEFAULT_RANK_TOL))
@@ -457,9 +457,9 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         if prev_a is not None:
             ds = a - prev_a
             dy = pgrad - prev_pgrad
-            dot = float(np.dot(ds, dy))
+            dot = float(ds @ dy)
             if dot > 0.0:
-                step = float(np.dot(ds, ds)) / dot
+                step = float(ds @ ds) / dot
             else:
                 step = min(step * 2.0, 1e6)
         step = min(max(step, 1e-18), 1e6)
@@ -471,7 +471,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         accepted = False
         while step > 1e-20:
             trial = a - step * pgrad
-            trial -= trial.mean()
+            trial -= trial.sum() / k
             g_trial = objective(trial)
             if g_trial <= g - 1e-4 * step * gnorm * gnorm + noise:
                 accepted = True

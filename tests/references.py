@@ -2,10 +2,12 @@
 
 Classical matrix Sinkhorn scaling and its column-tuple convention, a
 hyperbolic Sinkhorn loop that takes each step from three separate calls,
-capacity with the full rank check ahead of the minimization, the interior
+capacity with the full rank check ahead of the minimization and capacity
+with its per-call validation inside the loop, the interior
 test and the fused Sinkhorn step taken from roots instead of restriction
 coefficients, the gradient of p with its partial derivatives and the
-reciprocal-gradient inequality built on them, the symmetric basis and matrix
+reciprocal-gradient inequality built on them, a dense form's gradient
+differentiated one coordinate at a time, the symmetric basis and matrix
 coordinates built element by element, exhaustive subset and composition
 enumerators, the van der Waerden ratio through polarization, one Newton
 correction of computed roots, and Taylor shifts with the derivative-line
@@ -25,7 +27,7 @@ import hyperpoly as hp
 from hyperpoly import scaling
 from hyperpoly.errors import DegenerateDirectionError, DimensionMismatchError, HyperpolyError, InvalidDocumentError
 from hyperpoly.interlace import MonicPolynomial, _derivative
-from hyperpoly.oracle import DEFAULT_ROOT_TOL, PencilForm, classify_spectrum
+from hyperpoly.oracle import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, PencilForm, classify_spectrum
 from hyperpoly.report import Report
 
 
@@ -168,6 +170,68 @@ def capacity_rank_check_first(oracle, points, tol: float = 1e-8, max_iters: int 
     )
 
 
+def capacity_through_evaluate(oracle, points, tol: float = 1e-8, max_iters: int = 10000):
+    """capacity with its per-call work inside the loop: every trial evaluates p through oracle.evaluate,
+    which validates the point, and every iterate takes numpy's mean, norm and dot.  The same projected
+    gradient descent and the same decisions from the run's own trajectory, step for step."""
+    pts = np.asarray(points, dtype=float)
+    k, n = pts.shape[0], oracle.n
+    zero = scaling.CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status="zero_capacity")
+
+    def objective(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = hp.evaluate(oracle, np.exp(a) @ pts)
+        return math.log(val) if 0.0 < val < math.inf else math.inf
+
+    a = np.zeros(k)
+    g = objective(a)
+    if g == math.inf:
+        if scaling._fails_rank_condition(oracle, pts, np.ones(k)):
+            return zero
+        raise DegenerateDirectionError("p at the tuple's sum is not positive and finite")
+    status, gnorm, iterations, step = "iteration_limit", math.inf, 0, 1.0
+    prev_a = prev_pgrad = None
+    settled = False
+    while iterations < max_iters:
+        iterations += 1
+        alpha = np.exp(a)
+        d = alpha @ pts
+        grad = alpha * hp.traces_in_direction(oracle, pts, d)
+        pgrad = grad - np.mean(grad)
+        gnorm = float(np.linalg.norm(pgrad))
+        if not settled and k <= n and gnorm * gnorm <= 1.0 / n:
+            settled = bool(oracle.form.interior(d, oracle.direction, DEFAULT_RANK_TOL))
+        if iterations == 2 and not settled:
+            if scaling._fails_rank_condition(oracle, pts, alpha):
+                return zero
+            settled = True
+        if gnorm <= tol:
+            status = "converged"
+            break
+        if prev_a is not None:
+            ds, dy = a - prev_a, pgrad - prev_pgrad
+            dot = float(np.dot(ds, dy))
+            step = float(np.dot(ds, ds)) / dot if dot > 0.0 else min(step * 2.0, 1e6)
+        step = min(max(step, 1e-18), 1e6)
+        prev_a, prev_pgrad = a, pgrad
+        noise = 1e-15 * max(1.0, abs(g))
+        while step > 1e-20:
+            trial = a - step * pgrad
+            trial -= np.mean(trial)
+            g_trial = objective(trial)
+            if g_trial <= g - 1e-4 * step * gnorm * gnorm + noise:
+                break
+            step *= 0.5
+        else:
+            break
+        a, g = trial, g_trial
+    if not settled and scaling._fails_rank_condition(oracle, pts, np.exp(a)):
+        return zero
+    return scaling.CapacityResult(
+        value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations
+    )
+
+
 def roots_and_gradient(form, d: np.ndarray, e: np.ndarray):
     """The descending roots of d along e, p(d), and grad log p(d) when the smallest root and p(d) are
     positive (None otherwise): one eigh of M(d) on a pencil, the form's roots and one evaluation on any
@@ -231,6 +295,17 @@ def gradient(oracle, alpha) -> np.ndarray:
 def partial_derivative(oracle, alpha, i: int) -> float:
     """dp/dx_i at alpha: component i of ``gradient``."""
     return float(gradient(oracle, alpha)[i])
+
+
+def looped_dense_gradient(form, d) -> np.ndarray:
+    """grad p(d) of a dense form, one coordinate at a time: differentiate every term in x_i."""
+    grad = np.empty(form.m)
+    for i in range(form.m):
+        exps = form.exponents.copy()
+        coefs = form.coefficients * exps[:, i]
+        exps[:, i] = np.maximum(exps[:, i] - 1, 0)
+        grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
+    return grad
 
 
 @dataclass(frozen=True, slots=True)

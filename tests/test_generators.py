@@ -149,3 +149,35 @@ class TestSymmetricBasis:
         assert np.array_equal(matrix_to_point(a), np.asarray(coords))
         assert np.array_equal(gen.point_to_matrix(matrix_to_point(a), n), a)
         assert np.array_equal(gen.matrix_points([a, 2 * a]), np.vstack([coords, 2 * np.asarray(coords)]))
+
+
+class TestMatrixPointsRefuseAsymmetry:
+    """matrix_points reads the upper triangle, so it takes only matrices that ``_symmetrize`` takes."""
+
+    def test_asymmetric_matrix_is_refused(self):
+        for call in (gen.matrix_points, gen.matrix_tuple_points):
+            with pytest.raises(hp.InvalidDocumentError, match="pencil matrix 1 is not symmetric"):
+                call([np.eye(2), [[1, 5], [0, 1]]])
+
+    def test_asymmetry_within_tolerance_is_averaged(self):
+        a = np.array([[1.0, 2.0 + 5e-11], [2.0, 1.0]])
+        assert gen.matrix_points([a])[0].tolist() == [1.0, 1.0, (2.0 + 5e-11 + 2.0) * 0.5]
+        assert a[0, 1] == 2.0 + 5e-11  # the caller's matrix is left as given
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_generated_tuples_are_exactly_symmetric(self, n, monkeypatch):
+        # Every drawer's matrices equal their transposes bit for bit, so their points are the upper triangle.
+        drawn = []
+        original = gen.matrix_tuple_points
+        monkeypatch.setattr(gen, "matrix_tuple_points", lambda mats: drawn.append(mats) or original(mats))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            tuples = [gen.psd_matrix_tuple(rng, n), gen.doubly_stochastic_matrix_tuple(rng, n)]
+            tuples.append(gen.rank_deficient_matrix_tuple(rng, n)[0])
+            drawn.clear()
+            gen.structured_psd_points(rng, n)
+            tuples += drawn
+            for mats in tuples:
+                assert all(np.array_equal(a, a.T) for a in mats)
+                expected = np.stack([matrix_to_point(a) for a in mats])
+                assert gen.matrix_points(mats).tobytes() == expected.tobytes()

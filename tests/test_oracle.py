@@ -29,7 +29,7 @@ from hyperpoly.oracle import (
     chebyshev_restriction,
     classify_spectrum,
 )
-from references import matrix_to_point, partial_derivative, symmetric_basis
+from references import looped_dense_gradient, matrix_to_point, partial_derivative, symmetric_basis
 
 
 @pytest.fixture
@@ -576,17 +576,6 @@ class TestRankOutsideTheCone:
         assert ranks.tolist() == [np.linalg.matrix_rank(gen.point_to_matrix(x, 4)) for x in stack[outside]]
 
 
-def _looped_dense_gradient(form, d):
-    """grad p(d) of a dense form, one coordinate at a time: differentiate every term in x_i."""
-    grad = np.empty(form.m)
-    for i in range(form.m):
-        exps = form.exponents.copy()
-        coefs = form.coefficients * exps[:, i]
-        exps[:, i] = np.maximum(exps[:, i] - 1, 0)
-        grad[i] = np.prod(d[None, :] ** exps, axis=1) @ coefs
-    return grad
-
-
 def _points_with_a_zero_coordinate(oracle, points):
     """Each point with each of its coordinates set to zero in turn, kept where p does not vanish."""
     found = []
@@ -604,7 +593,7 @@ class TestDenseGradient:
 
     def _check(self, oracle, points):
         for d in points:
-            expected = _looped_dense_gradient(oracle.form, d) / hp.evaluate(oracle, d)
+            expected = looped_dense_gradient(oracle.form, d) / hp.evaluate(oracle, d)
             got = oracle.form.grad_log_p(d)
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
 
@@ -643,6 +632,61 @@ class TestDenseGradient:
         value, grad = dense.form.interior_gradient(d, dense.direction, DEFAULT_RANK_TOL)
         assert rows == [dense.n + 1, 1]
         assert value == hp.evaluate(dense, d) and grad is not None
+
+
+def _dense_table_cases(esym_oracle, vamos_oracle):
+    """(oracle, points inside its cone): dense expansions of m = 3 pencils at n = 2..6, Vamos and e_2."""
+    for n in range(2, 7):
+        rng = np.random.default_rng([112, n])
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, n, 3))
+        yield dense, gen.positive_point_tuple(dense, rng, 4)
+    rng = np.random.default_rng(113)
+    yield vamos_oracle, rng.uniform(0.2, 2.0, (4, 8))
+    yield esym_oracle(2, 5), rng.uniform(0.2, 2.0, (4, 5))
+
+
+class TestDenseDerivativeTable:
+    """``dense_oracle`` builds the lowered exponents and their factors once per form; ``grad_log_p`` reads
+    them, and the document does not carry them."""
+
+    def test_gradient_matches_term_differentiation_and_differences(self, esym_oracle, vamos_oracle):
+        for oracle, points in _dense_table_cases(esym_oracle, vamos_oracle):
+            exps = oracle.form.exponents
+            assert np.array_equal(oracle.form.lowered, np.maximum(exps - np.eye(oracle.m, dtype=int)[:, None, :], 0))
+            assert np.array_equal(oracle.form.factors, exps.T)
+            for d in points:
+                got = oracle.form.grad_log_p(d)
+                expected = looped_dense_gradient(oracle.form, d) / hp.evaluate(oracle, d)
+                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+                h = 1e-6 * np.eye(oracle.m)
+                logs = [math.log(hp.evaluate(oracle, d + s * h[i])) for i in range(oracle.m) for s in (1.0, -1.0)]
+                central = (np.asarray(logs[::2]) - np.asarray(logs[1::2])) / 2e-6
+                np.testing.assert_allclose(got, central, rtol=1e-6, atol=1e-8 * np.max(np.abs(got)))
+
+    def test_gradient_builds_no_table(self, vamos_oracle, monkeypatch):
+        rng = np.random.default_rng(114)
+        dense = hp.dense_from_oracle(gen.random_determinantal_oracle(rng, 4, 3))
+        expected = [oracle.form.grad_log_p(np.full(oracle.m, 1.5)) for oracle in (dense, vamos_oracle)]
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("grad_log_p built an identity matrix")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        for oracle, grad in zip((dense, vamos_oracle), expected):
+            assert oracle.form.grad_log_p(np.full(oracle.m, 1.5)).tobytes() == grad.tobytes()
+
+    def test_document_is_unchanged(self):
+        oracle = hp.dense_oracle(2, 3, {(3, 0): 0.5, (1, 2): 1.5}, [1.0, 1.0])
+        assert hp.oracle_to_json(oracle) == {
+            "kind": "dense",
+            "n": 3,
+            "m": 2,
+            "terms": [{"exps": [1, 2], "coef": 0.75}, {"exps": [3, 0], "coef": 0.25}],
+            "direction": [1.0, 1.0],
+        }
+        loaded = hp.oracle_from_json(hp.oracle_to_json(oracle))
+        for name in ("exponents", "coefficients", "lowered", "factors"):
+            assert getattr(loaded.form, name).tobytes() == getattr(oracle.form, name).tobytes()
 
 
 class _SecondElementaryForm(Form):

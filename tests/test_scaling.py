@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -20,6 +21,7 @@ from references import (
     ZeroCapacityError,
     assert_stops_on_a_zero_certificate,
     capacity_rank_check_first,
+    capacity_through_evaluate,
     gradient_reciprocal_check,
     lexicographic_subsets,
     matrix_as_tuple,
@@ -923,6 +925,49 @@ def _assert_same_capacity(got, expected) -> None:
         return result.status, result.value, result.gradient_norm, result.iterations, result.minimizer.tobytes()
 
     assert fields_of(got) == fields_of(expected)
+
+
+def _capacity_parity_tuples(n: int):
+    """(family, oracle, points) at size n: a symmetric-basis PSD tuple, a product tuple, a stored pencil
+    with m = n, the dense expansion of an m = 3 pencil (its points drawn by the pencil, whose roots are
+    the same and stay accurate at every n), and a rank-deficient tuple."""
+    rng = np.random.default_rng([9, n])
+    pencil = gen.random_determinantal_oracle(rng, n, n)
+    base = gen.random_determinantal_oracle(rng, n, 3)
+    yield "symmetric", *gen.matrix_tuple_points(gen.psd_matrix_tuple(rng, n))
+    yield "product", *gen.positive_product_tuple(rng, n)
+    yield "pencil", pencil, gen.positive_point_tuple(pencil, rng, n)
+    yield "dense", hp.dense_from_oracle(base), gen.positive_point_tuple(base, rng, n)
+    yield "deficient", *gen.matrix_tuple_points(gen.rank_deficient_matrix_tuple(rng, n)[0])
+
+
+class TestCapacityParity:
+    """capacity against the loop that validates every trial through oracle.evaluate and takes numpy's
+    mean, norm and dot on every iterate: the same result bit for bit."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_same_bytes_on_every_family(self, n):
+        statuses = {}
+        for family, oracle, pts in _capacity_parity_tuples(n):
+            got = hp.capacity(oracle, pts)
+            _assert_same_capacity(got, capacity_through_evaluate(oracle, pts))
+            statuses[family] = got.status
+        assert statuses["deficient"] == "zero_capacity"
+        assert {statuses[f] for f in ("symmetric", "product", "pencil", "dense")} == {"converged"}
+
+    def test_same_bytes_at_the_iteration_limit(self, tight_set_matrices):
+        # Tight singletons: the infimum is not attained, and the run ends at its iteration limit.
+        oracle, pts = gen.matrix_tuple_points(tight_set_matrices)
+        got = hp.capacity(oracle, pts, max_iters=300)
+        _assert_same_capacity(got, capacity_through_evaluate(oracle, pts, max_iters=300))
+        assert (got.status, got.iterations) == ("iteration_limit", 300)
+
+    def test_width_mismatch_raises_as_the_loop_does(self):
+        oracle, pts = gen.matrix_tuple_points(gen.psd_matrix_tuple(np.random.default_rng(10), 3))
+        with pytest.raises(hp.DimensionMismatchError) as expected:
+            capacity_through_evaluate(oracle, pts[:, :-1])
+        with pytest.raises(hp.DimensionMismatchError, match=f"^{re.escape(str(expected.value))}$"):
+            hp.capacity(oracle, pts[:, :-1])
 
 
 class TestCapacityMatchesTheRankCheckFirst:
