@@ -3,8 +3,7 @@
 One binary with subcommands wrapping every public operation, seeded
 generators, and the batch experiment suites.  Reports go to stdout (JSON by
 default, or plain text), diagnostics to stderr.  Exit codes: 0 success or
-property holds, 1 definite negative, 2 malformed input, 3 undetermined or
-inconclusive.
+property holds, 1 definite negative, 2 malformed input, 3 inconclusive.
 
 The point commands (eval, roots, trace) and the tuple commands (mixed,
 support, af, sinkhorn, capacity, edmonds-rado) each load their oracle and
@@ -61,7 +60,6 @@ from .scaling import (
     STATUS_CONVERGED,
     STATUS_ZERO,
     VERDICT_POSITIVE,
-    VERDICT_ZERO,
     capacity,
     edmonds_rado_check,
     sinkhorn_iteration,
@@ -268,9 +266,10 @@ def cmd_af(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
 
 
 def cmd_sinkhorn(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
+    if ns.threshold <= 0:
+        raise InvalidDocumentError("threshold must be positive")
     report = sinkhorn_iteration(oracle, pts, max_iters=config.max_iters, threshold=ns.threshold)
-    ok = report.capacity_verdict == VERDICT_POSITIVE and report.converged
-    return _code(ok, report.capacity_verdict == VERDICT_ZERO), report.to_json()
+    return _code(report.capacity_verdict == VERDICT_POSITIVE), report.to_json()
 
 
 def cmd_capacity(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:

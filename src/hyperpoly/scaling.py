@@ -17,12 +17,14 @@ certificate and the first pass of edmonds_rado_check's peel, are one
 scales over the input tuple, and its defect and energy histories as float64
 arrays.
 
-Neither solver runs the rank condition's check up front.  A Sinkhorn defect,
-or a squared projected capacity gradient, at or below 1/n certifies positive
-capacity; a run without that certificate ranks the prefix sums of the tuple
-in order of decreasing scale in one stacked call, whose violating prefix
-certifies zero capacity, and runs edmonds_rado_check only if no prefix
-violates.
+Both solvers take their verdict from one rule.  Their traces at scales s,
+tr_d(s_i x_i) against d = sum s_i x_i, are Sinkhorn's step traces and
+capacity's gradient at weights s; with k <= n elements, a spread of at most
+1/n around their mean certifies positive capacity.  Until it does, the
+prefix sums of the tuple in order of decreasing scale are ranked in one
+stacked call at steps 1 (Sinkhorn only), 2, 4, 8, ..., and a violating
+prefix certifies zero capacity.  A run that ends with neither runs
+edmonds_rado_check once.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ CONCAVITY_REL_SLACK = 1e-6
 
 VERDICT_POSITIVE = "positive"
 VERDICT_ZERO = "zero"
-VERDICT_UNDETERMINED = "undetermined"
 
 STATUS_CONVERGED = "converged"
 STATUS_ZERO = "zero_capacity"
@@ -268,6 +269,15 @@ def _traces_and_value(oracle: HyperbolicOracle, pts: np.ndarray, d: np.ndarray) 
     return found
 
 
+def _certifies_positive(traces: np.ndarray, n: int) -> bool:
+    """Whether the traces tr_d(s_i x_i) of k <= n elements against their sum d, inside the cone, certify
+    positive capacity: their squared spread around their mean n/k is at most 1/n.  The traces of a
+    violating set S sum to at most rank(sum_S x_i) <= |S| - 1, so S spreads at least 1/|S| on its own,
+    and S is not the whole tuple, whose sum d has rank n >= k; thus 1/|S| > 1/n."""
+    spread = traces - traces.sum() / traces.size
+    return traces.size <= n and float(spread @ spread) <= 1.0 / n
+
+
 def _prefix_violates(oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarray) -> bool:
     """Whether a prefix of the tuple in order of decreasing scale has rank below its size, every
     prefix sum ranked in one stacked call at the rank cutoff of edmonds_rado_check.  Such a prefix
@@ -275,12 +285,6 @@ def _prefix_violates(oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarr
     order = np.argsort(-scales, kind="stable")
     ranks = hyperbolic_rank(oracle, np.cumsum(pts[order], axis=0))
     return bool((ranks < np.arange(1, ranks.size + 1)).any())
-
-
-def _fails_rank_condition(oracle: HyperbolicOracle, pts: np.ndarray, scales: np.ndarray) -> bool:
-    """The rank check of a run that holds no certificate of positive capacity: the prefixes in order
-    of decreasing scale in one stacked rank call, then, only if none violates, edmonds_rado_check."""
-    return _prefix_violates(oracle, pts, scales) or not edmonds_rado_check(oracle, pts).holds
 
 
 def sinkhorn_iteration(
@@ -291,36 +295,31 @@ def sinkhorn_iteration(
 ) -> ScalingReport:
     """Iterate the scaling map, tracking the doubly-stochastic defect.
 
-    Stops converged once the defect reaches min(1/n, threshold); a defect that
-    small already certifies positive capacity, so a converged run is
-    "positive" without a rank check.  Only a defect above 1/n leaves zero
-    capacity open, and such a run reads a certificate off its own trajectory:
-    every step keeps the traces of a violating set S summing to at most
-    rank(sum_S x_i) < |S|, so the scales of S outgrow the others.  One stacked
-    rank call on the prefix sums of the tuple in order of decreasing scale
-    finds such an S as a prefix of rank below its size.  The iteration makes
-    that call at steps 1, 2, 4, 8, ... while the defect is above 1/n, at
-    most floor(log2 max_iters) + 1 calls, and stops at the first violating
-    prefix with the verdict "zero", converged=False and
-    boundary_collapse=False; the final state and the histories end at that
-    step.  On zero-capacity tuples the prefix shows at step 1 or 2.
+    Stops converged once the defect reaches min(1/n, threshold), or at
+    max_iters steps, or when the sum collapses onto the cone boundary: the
+    element scales of a zero-capacity tuple drift apart geometrically, and
+    within a few dozen steps the sum is too close to the boundary for the
+    traces to carry accurate digits, so the iteration stops with
+    boundary_collapse=True rather than fabricating them.
 
-    A run that finds no prefix goes on until it converges, exhausts its
-    budget, or its sum collapses onto the cone boundary: the element scales
-    of a zero-capacity tuple drift apart geometrically, and within a few
-    dozen steps the sum is too close to the boundary for the traces to carry
-    accurate digits, so the iteration stops with boundary_collapse=True
-    rather than fabricating them.  A run that stops without converging makes
-    the prefix call once more on its final scales; without a violating
-    prefix, edmonds_rado_check runs once, and a failed check makes the
-    verdict "zero" as well.  Every "zero" thus rests on a violating set.
-    Otherwise the verdict is the honest "undetermined": the limit is
-    guaranteed, a rate is not.
+    The verdict is "positive" from the first step whose traces certify it
+    (for k = n, a defect at or below 1/n), and the run goes on toward its
+    threshold.  Until then every step keeps the traces of a violating set S
+    summing to at most rank(sum_S x_i) < |S|, so the scales of S outgrow the
+    others.  One stacked rank call on the prefix sums of the tuple in order
+    of decreasing scale finds such an S as a prefix of rank below its size.
+    The iteration makes that call at steps 1, 2, 4, 8, ..., at most
+    floor(log2 max_iters) + 1 calls, and stops at the first violating prefix
+    with the verdict "zero", converged=False and boundary_collapse=False; the
+    final state and the histories end at that step.  On zero-capacity tuples
+    the prefix shows at step 1 or 2.  A run that stops with neither
+    certificate runs edmonds_rado_check once, whose verdict it reports.
     """
     pts = as_tuple(points)
+    n = oracle.n
     scales = np.ones(pts.shape[0])
     traces, energy = _traces_and_value(oracle, pts, scales @ pts)
-    effective = min(1.0 / oracle.n, threshold)
+    effective = min(1.0 / n, threshold)
     defects: list[float] = []
     energies: list[float] = []
     verdict = None
@@ -330,11 +329,12 @@ def sinkhorn_iteration(
     while True:
         defects.append(defect)
         energies.append(energy)
-        if defect <= effective:
+        if verdict is None and _certifies_positive(traces, n):
             verdict = VERDICT_POSITIVE
+        if defect <= effective:
             break
-        # Steps 1, 2, 4, 8, ...: at most floor(log2 max_iters) + 1 rank calls on a run that does not converge.
-        if 0 < iterations and iterations & (iterations - 1) == 0 and defect > 1.0 / oracle.n:
+        # Steps 1, 2, 4, 8, ...: at most floor(log2 max_iters) + 1 rank calls on a run without a certificate.
+        if verdict is None and 0 < iterations and iterations & (iterations - 1) == 0:
             if _prefix_violates(oracle, pts, scales):
                 verdict = VERDICT_ZERO
                 break
@@ -349,10 +349,10 @@ def sinkhorn_iteration(
         defect = _defect(traces)
         iterations += 1
     if verdict is None:
-        verdict = VERDICT_ZERO if _fails_rank_condition(oracle, pts, scales) else VERDICT_UNDETERMINED
+        verdict = VERDICT_POSITIVE if edmonds_rado_check(oracle, pts).holds else VERDICT_ZERO
     state = ScalingState(source=pts, scales=scales, defect=defect)
     return ScalingReport(
-        converged=verdict == VERDICT_POSITIVE,
+        converged=defect <= effective,
         iterations=iterations,
         defect_history=np.asarray(defects),
         final_state=state,
@@ -388,25 +388,19 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     validation of the point, and an iterate one ``traces_in_direction``.
 
     By the hyperbolic Edmonds-Rado theorem the capacity is zero exactly when
-    the rank condition fails, and the run decides that from its own
-    trajectory.  For a violating set S of a tuple in the closed cone, the
-    gradient entries over S sum to tr_d(sum_S exp(a_i) x_i) <= rank(sum_S x_i)
-    <= |S| - 1, and S is not the whole tuple while d has full rank and
-    k <= n; so the projected gradient then has squared norm at least
-    1/|S| > 1/n.  A computed squared norm at or below 1/n, at a d whose
-    smallest root clears the rank cutoff of hyperbolic_rank (one ``interior``
-    call of the form: eigenvalues on a pencil, the restriction coefficients'
-    certificate on an evaluation-only form), thus certifies positive
-    capacity, whatever tol is.  A run that holds no
-    such certificate at its second iterate, the first whose weights carry
-    information, ranks the prefix sums of the tuple in order of decreasing
-    weight in one stacked call, and runs edmonds_rado_check once only if no
-    prefix has rank below its size.  A run that stops before its second
-    iterate without the certificate makes the same check on its last
-    weights, and a start at which p is not positive and finite makes it on
-    unit weights before it raises DegenerateDirectionError.  A failed check
-    returns capacity zero, with unit weights, no gradient norm and no
-    iterations.
+    the rank condition fails, and the run decides that by the module's rule:
+    its gradient at weights alpha is the traces of the tuple alpha_i x_i
+    against their sum d, so a gradient that certifies positive capacity at a
+    d whose smallest root clears the rank cutoff of hyperbolic_rank (one
+    ``interior`` call of the form: eigenvalues on a pencil, the restriction
+    coefficients' certificate on an evaluation-only form) settles it,
+    whatever tol is.  Until then the run ranks the prefix sums of the tuple
+    in order of decreasing weight in one stacked call at iterations 2, 4, 8,
+    ... (the first iterate has unit weights, which carry no information), and
+    a run that ends with neither certificate runs edmonds_rado_check once; so
+    does a start at which p is not positive and finite, before it raises
+    DegenerateDirectionError.  A violating prefix or a failed check returns
+    capacity zero, with unit weights, no gradient norm and no iterations.
     """
     pts = as_tuple(points)
     if pts.shape[1] != oracle.m:
@@ -424,7 +418,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     a = np.zeros(k)
     g = objective(a)
     if g == math.inf:
-        if _fails_rank_condition(oracle, pts, np.ones(k)):
+        if not edmonds_rado_check(oracle, pts).holds:
             return zero
         raise DegenerateDirectionError("p at the tuple's sum is not positive and finite")
     status = STATUS_LIMIT
@@ -433,7 +427,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
     step = 1.0
     prev_a: Optional[np.ndarray] = None
     prev_pgrad: Optional[np.ndarray] = None
-    settled = False  # whether the run has settled the rank condition
+    settled = False  # whether the run has certified positive capacity
     while iterations < max_iters:
         iterations += 1
         alpha = np.exp(a)
@@ -442,12 +436,12 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         pgrad = grad - grad.sum() / k
         gnorm = math.sqrt(pgrad @ pgrad)
         # The bound needs rank(d) = n; a sum on the cone boundary can round to p(d) > 0 with traces of noise.
-        if not settled and k <= n and gnorm * gnorm <= 1.0 / n:
+        if not settled and _certifies_positive(grad, n):
             settled = bool(oracle.form.interior(d, oracle.direction, DEFAULT_RANK_TOL))
-        if iterations == 2 and not settled:
-            if _fails_rank_condition(oracle, pts, alpha):
+        # Iterations 2, 4, 8, ...: the prefix schedule of sinkhorn_iteration, less its uninformative first state.
+        if not settled and 1 < iterations and iterations & (iterations - 1) == 0:
+            if _prefix_violates(oracle, pts, alpha):
                 return zero
-            settled = True
         if gnorm <= tol:
             status = STATUS_CONVERGED
             break
@@ -480,7 +474,7 @@ def capacity(oracle: HyperbolicOracle, points, tol: float = 1e-8, max_iters: int
         if not accepted:
             break
         a, g = trial, g_trial
-    if not settled and _fails_rank_condition(oracle, pts, np.exp(a)):
+    if not settled and not edmonds_rado_check(oracle, pts).holds:
         return zero
     return CapacityResult(
         value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations

@@ -109,12 +109,7 @@ def three_call_sinkhorn(oracle, pts: np.ndarray, max_iters: int):
             break
         scales, traces = next_scales, next_traces
         iterations += 1
-    if converged:
-        verdict = "positive"
-    elif not hp.edmonds_rado_check(oracle, pts).holds:
-        verdict = "zero"
-    else:
-        verdict = "undetermined"
+    verdict = "positive" if converged or hp.edmonds_rado_check(oracle, pts).holds else "zero"
     outcome = (verdict, converged, collapsed, iterations)
     return outcome, np.asarray(energies), np.asarray(defects), np.asarray(scale_history)
 
@@ -170,10 +165,17 @@ def capacity_rank_check_first(oracle, points, tol: float = 1e-8, max_iters: int 
     )
 
 
+def _fails_rank_condition(oracle, pts: np.ndarray, weights: np.ndarray) -> bool:
+    """The prefixes in order of decreasing weight in one stacked rank call, then edmonds_rado_check."""
+    return scaling._prefix_violates(oracle, pts, weights) or not hp.edmonds_rado_check(oracle, pts).holds
+
+
 def capacity_through_evaluate(oracle, points, tol: float = 1e-8, max_iters: int = 10000):
     """capacity with its per-call work inside the loop: every trial evaluates p through oracle.evaluate,
     which validates the point, and every iterate takes numpy's mean, norm and dot.  The same projected
-    gradient descent and the same decisions from the run's own trajectory, step for step."""
+    gradient descent, step for step; a run that holds no certificate of positive capacity at its second
+    iterate settles the rank condition there, with the prefixes in order of decreasing weight and then,
+    only if none violates, edmonds_rado_check."""
     pts = np.asarray(points, dtype=float)
     k, n = pts.shape[0], oracle.n
     zero = scaling.CapacityResult(value=0.0, minimizer=np.ones(k), gradient_norm=None, status="zero_capacity")
@@ -186,7 +188,7 @@ def capacity_through_evaluate(oracle, points, tol: float = 1e-8, max_iters: int 
     a = np.zeros(k)
     g = objective(a)
     if g == math.inf:
-        if scaling._fails_rank_condition(oracle, pts, np.ones(k)):
+        if _fails_rank_condition(oracle, pts, np.ones(k)):
             return zero
         raise DegenerateDirectionError("p at the tuple's sum is not positive and finite")
     status, gnorm, iterations, step = "iteration_limit", math.inf, 0, 1.0
@@ -202,7 +204,7 @@ def capacity_through_evaluate(oracle, points, tol: float = 1e-8, max_iters: int 
         if not settled and k <= n and gnorm * gnorm <= 1.0 / n:
             settled = bool(oracle.form.interior(d, oracle.direction, DEFAULT_RANK_TOL))
         if iterations == 2 and not settled:
-            if scaling._fails_rank_condition(oracle, pts, alpha):
+            if _fails_rank_condition(oracle, pts, alpha):
                 return zero
             settled = True
         if gnorm <= tol:
@@ -225,7 +227,7 @@ def capacity_through_evaluate(oracle, points, tol: float = 1e-8, max_iters: int 
         else:
             break
         a, g = trial, g_trial
-    if not settled and scaling._fails_rank_condition(oracle, pts, np.exp(a)):
+    if not settled and _fails_rank_condition(oracle, pts, np.exp(a)):
         return zero
     return scaling.CapacityResult(
         value=math.exp(g), minimizer=np.exp(a), gradient_norm=gnorm, status=status, iterations=iterations

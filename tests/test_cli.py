@@ -189,6 +189,14 @@ class TestScalingCommands:
         code, report = run(capsys, "edmonds-rado", oracle, tup)
         assert code == 0 and report["holds"] is True
 
+    def test_sinkhorn_is_positive_on_a_tight_set_short_of_its_threshold(self, tmp_path, capsys, tight_set_matrices):
+        # Stopped at its iteration limit, the run is unconverged, but its traces certify positive capacity.
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 4})
+        tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in tight_set_matrices]})
+        code, report = run(capsys, "sinkhorn", oracle, tup, "--max-iters", "100")
+        assert code == 0 and report["capacity_verdict"] == "positive" and report["converged"] is False
+        assert report["iterations"] == 100
+
     def test_rank_commands_share_one_certificate(self, tmp_path, product2, capsys):
         # A small second coordinate is a relative root ratio of 5e-9: above
         # the rank cutoff, whatever --tol the solvers use.
@@ -670,7 +678,8 @@ def test_support_on_psd_tuple_leaves_scipy_optimize_unloaded(tmp_path):
 
 BIG_INT = "1" * 401  # a JSON integer beyond the float range
 
-# (id, argv, {name: raw JSON text}): every non-finite or overflowing number exits 2 with an error line.
+# (id, argv, {name: raw JSON text}): every non-finite or overflowing number, and a threshold that is not
+# positive, exits 2 with an error line.
 NON_FINITE = [
     ("eval-nan-point", ("eval", "symmetric2", "bad"), {"bad": "[NaN, 0.0, 1.0]"}),
     ("eval-big-int-point", ("eval", "symmetric2", "bad"), {"bad": f"[{BIG_INT}, 0.0, 1.0]"}),
@@ -695,6 +704,8 @@ NON_FINITE = [
     ("tol-nan", ("--tol", "nan", "majorize", "vectors"), {}),
     ("b-overflowing", ("line-convexity", "q", "--b", "1e400"), {}),
     ("threshold-infinite", ("sinkhorn", "symmetric2", "psd", "--threshold", "inf"), {}),
+    ("threshold-zero", ("sinkhorn", "symmetric2", "psd", "--threshold", "0"), {}),
+    ("threshold-negative", ("sinkhorn", "symmetric2", "psd", "--threshold", "-1"), {}),
 ]
 
 

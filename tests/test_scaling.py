@@ -257,8 +257,9 @@ class TestSinkhornIteration:
 
         monkeypatch.setattr(form, "interior_gradient", failing_after_first)
         report = hp.sinkhorn_iteration(dense, pts, max_iters=50, threshold=1e-14)
-        assert report.boundary_collapse and report.iterations == 0
-        assert report.capacity_verdict == "undetermined"
+        assert report.boundary_collapse and report.iterations == 0 and not report.converged
+        # The traces of the starting state already certify positive capacity.
+        assert report.capacity_verdict == "positive"
 
     def test_multiplier_grows_each_step(self):
         oracle = gen.symmetric_matrix_oracle(3)
@@ -278,8 +279,9 @@ class TestSinkhornIteration:
 
     def test_only_runs_that_do_not_converge_run_the_rank_check(self, monkeypatch):
         # A converged run ranks nothing; a zero-capacity run is settled by one stacked rank call on
-        # the prefixes in order of decreasing scale; a run that stops short with no violating prefix
-        # runs the full check once.
+        # the prefixes in order of decreasing scale; a run stopped short after its traces certify
+        # positive capacity ranks nothing either; a run that stops with neither certificate runs the
+        # full check once, and reads its verdict.
         checks, ranks = [], []
         original_check, original_rank = scaling.edmonds_rado_check, scaling.hyperbolic_rank
         monkeypatch.setattr(scaling, "edmonds_rado_check", lambda *args: checks.append(args) or original_check(*args))
@@ -298,12 +300,15 @@ class TestSinkhornIteration:
         ranks.clear()
         report = hp.sinkhorn_iteration(oracle, pts, max_iters=1)
         assert not report.converged and not report.boundary_collapse and report.iterations == 1
-        assert report.capacity_verdict == "undetermined"
-        assert len(checks) == 1 and checks[0][1] is pts
-        # The prefix call and nothing more on a full-rank tuple: the check's peel finds every element
-        # inside the cone from the form's interior test, with no rank call.
-        assert len(ranks) == 1
-
+        assert report.capacity_verdict == "positive" and report.defect_history[0] <= 1 / 3
+        assert checks == [] and ranks == []
+        # Scales three decades apart start the same tuple far from doubly stochastic; stopped there, its run
+        # holds neither certificate.
+        lopsided = pts * np.array([1e-3, 1.0, 1e3])[:, None]
+        report = hp.sinkhorn_iteration(oracle, lopsided, max_iters=0)
+        assert report.iterations == 0 and report.defect_history[0] > 1 / 3
+        assert report.capacity_verdict == "positive" and not report.converged
+        assert len(checks) == 1 and checks[0][1] is lopsided
 
     def test_state_keeps_k_scales_of_the_input_tuple(self):
         # A zero-capacity run ends near the cone boundary, where a trace carries up to
@@ -398,8 +403,10 @@ class TestOneFactorizationPerStep:
             expected, energies = _three_call_sinkhorn(oracle, pts, 300)
             assert got == expected
             _assert_same_energies(report.energy_history, energies)
-            outcomes.add(report.capacity_verdict)
-        assert outcomes == {"positive", "undetermined"}
+            outcomes.add(got[:2])
+        # The runs that stop short of the threshold are positive from their traces, as the reference's
+        # rank check confirms.
+        assert outcomes == {("positive", True), ("positive", False)}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_rank_deficient_and_dense_tuples(self, n, monkeypatch):
@@ -462,9 +469,10 @@ class TestZeroVerdictFromTheTrajectory:
         assert sizes == {2, 3, 4}
 
     def test_rank_calls_follow_the_doubling_schedule(self, monkeypatch, tight_set_matrices):
-        # A run ranks its prefixes at each step 1, 2, 4, ... that it reaches with a defect above 1/n, so a
-        # run of i steps makes at most i.bit_length() = floor(log2 i) + 1 rank calls before its final
-        # check.  A zero-capacity tuple is settled within two steps, with no collapse and no full check.
+        # A run ranks its prefixes at each step 1, 2, 4, ... that it reaches before its traces certify
+        # positive capacity, so a run of i steps makes at most i.bit_length() = floor(log2 i) + 1 rank
+        # calls before a final check.  A zero-capacity tuple is settled within two steps, with no collapse
+        # and no full check.
         ranks, check_entries = [], []
         original_rank, original_check = scaling.hyperbolic_rank, scaling.edmonds_rado_check
         monkeypatch.setattr(scaling, "hyperbolic_rank", lambda *args: ranks.append(args) or original_rank(*args))
@@ -476,11 +484,13 @@ class TestZeroVerdictFromTheTrajectory:
             ranks.clear()
             check_entries.clear()
             report = hp.sinkhorn_iteration(oracle, pts, max_iters=max_iters)
-            # A run that ends without a certificate ranks its final prefixes once, then runs the full check.
-            before_final = check_entries[0] - 1 if check_entries else len(ranks)
+            # A run that ends with neither certificate runs the full check after its scheduled calls.
+            before_final = check_entries[0] if check_entries else len(ranks)
             steps = report.iterations
+            # k = n throughout, where the traces certify positive capacity exactly when the defect is at most 1/n.
+            certified = [i for i, defect in enumerate(report.defect_history) if defect <= 1 / oracle.n]
             powers = [2**j for j in range(steps.bit_length())]
-            scheduled = [p for p in powers if report.defect_history[p] > 1 / oracle.n]
+            scheduled = [p for p in powers if not certified or p < certified[0]]
             assert before_final == len(scheduled) <= steps.bit_length()
             assert all(args[1].shape == pts.shape for args in ranks[:before_final])
             return report, before_final
@@ -490,11 +500,11 @@ class TestZeroVerdictFromTheTrajectory:
             assert report.capacity_verdict == "zero" and not report.boundary_collapse
             assert 1 <= report.iterations <= 2 and check_entries == [] and len(ranks) == calls
         # A tight set has positive capacity that the iteration only approaches; its defect is below 1/n from
-        # step 1 on, so its runs rank nothing before the final check, as the mixed-rank runs mostly do.
+        # step 1 on, so its runs are positive there and rank nothing, as the mixed-rank runs mostly do.
         for max_iters in (1, 8, 100):
             report, calls = run(*gen.matrix_tuple_points(tight_set_matrices), max_iters)
-            assert report.capacity_verdict == "undetermined" and report.iterations == max_iters
-            assert calls == 0 and len(check_entries) == 1
+            assert report.capacity_verdict == "positive" and report.iterations == max_iters
+            assert not report.converged and calls == 0 and check_entries == []
         for mats in [mats for mats in _mixed_rank_family(44) if len(mats) <= 5][:20]:
             run(*gen.matrix_tuple_points(mats), 300)
         # With every certificate hidden, a zero-capacity run ranks at each power of two up to its collapse.
@@ -880,8 +890,8 @@ def _positive_workload_tuples():
 
 class TestZeroCapacityFromTheMinimization:
     """capacity settles the rank condition from its own run: a squared projected gradient norm at or
-    below 1/n certifies it, and a run without that certificate by its second iterate ranks its prefixes
-    in order of decreasing weight once, then runs edmonds_rado_check only if no prefix violates."""
+    below 1/n certifies it, a run without that certificate ranks its prefixes in order of decreasing
+    weight at iterations 2, 4, 8, ..., and edmonds_rado_check runs only on a run that ends with neither."""
 
     def test_positive_tuples_make_no_rank_call(self, monkeypatch):
         ranks, checks = _counting_rank_calls(monkeypatch)
@@ -918,6 +928,76 @@ class TestZeroCapacityFromTheMinimization:
         result = hp.capacity(oracle, gen.positive_point_tuple(oracle, np.random.default_rng(2), 4))
         assert result.status == "zero_capacity"
         assert len(ranks) == 1 and checks == []
+
+
+def _scaled_planted_violations():
+    """400 zero-capacity tuples: rng = default_rng(11), per trial n in 3..8, j in 2..n-1 elements with
+    ranges inside one u-dimensional subspace, u in 1..j-1 (_planted_violation), and every element then
+    scaled by 10 ** uniform(-1, 1)."""
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(3, 9))
+        j = int(rng.integers(2, n))
+        mats = _planted_violation(rng, n, j, int(rng.integers(1, j)))
+        yield [a * c for a, c in zip(mats, 10.0 ** rng.uniform(-1, 1, size=n))]
+
+
+class TestOneVerdictRule:
+    """Both solvers read positive capacity from one certificate on their traces, zero capacity from a
+    violating prefix at steps 1 (Sinkhorn only), 2, 4, 8, ..., and run edmonds_rado_check only when a
+    run ends with neither."""
+
+    def test_sinkhorn_traces_are_the_capacity_gradient_at_its_scales(self):
+        # At k = n the spread of the traces around their mean is the defect.
+        oracle, pts = gen.matrix_tuple_points(gen.psd_matrix_tuple(np.random.default_rng(13), 4))
+        report = hp.sinkhorn_iteration(oracle, pts, max_iters=3)
+        state = report.final_state
+        traces = hp.traces_in_direction(oracle, state.points, state.d)
+        gradient = state.scales * hp.traces_in_direction(oracle, pts, state.d)
+        np.testing.assert_allclose(gradient, traces, rtol=1e-12)
+        spread = traces - traces.mean()
+        assert float(spread @ spread) == pytest.approx(state.defect, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_one_element_more_than_the_degree_is_zero_in_all_three_checks(self, n, monkeypatch):
+        # Full-rank elements, k = n + 1: the whole tuple violates the rank condition, yet Sinkhorn drives
+        # every trace toward n / (n + 1), a spread far below 1/n.  Only k <= n makes that spread a certificate.
+        oracle = gen.symmetric_matrix_oracle(n)
+        pts = gen.positive_point_tuple(oracle, np.random.default_rng([12, n]), n + 1)
+        assert not hp.edmonds_rado_check(oracle, pts).holds
+        assert hp.capacity(oracle, pts).status == "zero_capacity"
+        assert hp.sinkhorn_iteration(oracle, pts).capacity_verdict == "zero"
+        # A threshold above the least defect (k - n)^2 / k = 1 / (n + 1) converges, and the verdict stays zero.
+        report = hp.sinkhorn_iteration(oracle, pts, threshold=0.9 / n)
+        assert report.converged and report.capacity_verdict == "zero"
+        # With the prefix hidden, the runs reach that spread and still take zero from the full check.
+        monkeypatch.setattr(scaling, "_prefix_violates", lambda *args: False)
+        report = hp.sinkhorn_iteration(oracle, pts, max_iters=100)
+        traces = hp.traces_in_direction(oracle, report.final_state.points, report.final_state.d)
+        spread = traces - traces.mean()
+        assert float(spread @ spread) <= 1.0 / n and report.capacity_verdict == "zero"
+        assert hp.capacity(oracle, pts, max_iters=100).status == "zero_capacity"
+
+    def test_later_prefixes_settle_what_the_second_iterate_misses(self, monkeypatch):
+        # Element scales a decade either way hide the violating set from capacity's prefix call at its
+        # second iterate on 30 of these tuples; the call at its fourth finds it, with no full check.  Left
+        # to the second iterate alone, each of them would end on the full check, most after spending the
+        # whole iteration budget.  Sinkhorn settles every tuple by its eighth step.
+        ranks, checks = _counting_rank_calls(monkeypatch)
+        late = []
+        for trial, mats in enumerate(_scaled_planted_violations()):
+            oracle, pts = gen.matrix_tuple_points(mats)
+            ranks.clear()
+            result = hp.capacity(oracle, pts)
+            assert result.status == "zero_capacity" and 1 <= len(ranks) <= 2 and checks == []
+            if len(ranks) == 2:
+                late.append(trial)
+            report = hp.sinkhorn_iteration(oracle, pts)
+            assert report.capacity_verdict == "zero" and report.iterations <= 8 and checks == []
+        assert late == [
+            3, 31, 35, 50, 51, 53, 56, 80, 101, 110, 114, 116, 141, 152, 202,
+            236, 240, 245, 251, 260, 273, 297, 301, 325, 326, 329, 330, 353, 362, 363,
+        ]
 
 
 def _assert_same_capacity(got, expected) -> None:
