@@ -80,6 +80,7 @@ from .interlace import (
     MonicPolynomial,
     PairReport,
     SymmetricConvexReport,
+    bezoutian_pair_test,
     companion,
     derivative_line_convexity,
     hyperbolic_lidskii,

@@ -36,9 +36,9 @@ from .errors import (
 from .generators import GeneratorSpec, generate_document
 from .interlace import (
     HYPERBOLIC,
-    NOT_HYPERBOLIC,
     SWEEP_GRID_CAP,
     MonicPolynomial,
+    bezoutian_pair_test,
     derivative_line_convexity,
     lidskii_check,
     majorization_check,
@@ -320,9 +320,16 @@ def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
     q, r = _load_pair(ns.pair)
     first = obreschkoff_pair_test(q, r, tol=config.tol)
     second = sampled_pencil_test(q, r, num_dirs=ns.num_dirs, tol=config.tol)
-    agree, verdict = pair_agreement(first, second)
-    report = {"obreschkoff": first.to_json(), "sampled": second.to_json(), "agree": agree, "verdict": verdict}
-    return _code(verdict == HYPERBOLIC, verdict == NOT_HYPERBOLIC), report
+    certificate = bezoutian_pair_test(q, r)
+    agree, _ = pair_agreement(first, second)
+    report = {
+        "obreschkoff": first.to_json(),
+        "sampled": second.to_json(),
+        "bezoutian": certificate.to_json(),
+        "agree": agree,
+        "verdict": certificate.verdict,
+    }
+    return _code(certificate.verdict == HYPERBOLIC), report
 
 
 def cmd_majorize(ns, config: RunConfig) -> tuple[int, dict]:
@@ -417,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threshold", type=_finite, default=1e-10)
         p.set_defaults(fn=_tuple_command(handler))
 
-    p = sub.add_parser("pair-test", parents=[common], help="hyperbolic pair test (residues + sampled pencil)")
+    p = sub.add_parser("pair-test", parents=[common], help="hyperbolic pair test (Bezoutian certificate)")
     p.add_argument("pair")
     p.add_argument("--num-dirs", type=int, default=64)
     p.set_defaults(fn=cmd_pair_test)

@@ -29,13 +29,13 @@ from .interlace import (
     _minus_derivative,
     _sweep,
     _sweep_points,
+    bezoutian_pair_test,
     lidskii_check,
     obreschkoff_pair_test,
     pair_agreement,
     pair_spectrum,
     pencil_characteristic_polynomial,
     real_roots_from_coefficients,
-    sampled_pencil_test,
     shifted_pencil_majorization,
 )
 from .mixed import (
@@ -235,7 +235,7 @@ def _pair_agreement_trial(args) -> dict:
     else:
         q, r = gen.nonhyperbolic_pair(rng, degree)
     first = obreschkoff_pair_test(q, r)
-    agree, _ = pair_agreement(first, sampled_pencil_test(q, r))
+    agree, _ = pair_agreement(first, bezoutian_pair_test(q, r))
     expected = HYPERBOLIC if want_hyperbolic else NOT_HYPERBOLIC
     ok = agree and first.verdict == expected
     return {"ok": bool(ok), "slack": 1.0 if ok else -1.0}

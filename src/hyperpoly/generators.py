@@ -3,8 +3,7 @@
 Everything here is deterministic in the seed.  Generated instances are
 re-validated before they are handed out: doubly stochastic tuples against
 their defect, rank-deficient tuples against the rank condition, polynomial
-pairs against the residue test (and, for the non-hyperbolic kind, against the
-sampled pencil grid, so every emitted instance carries a grid-visible witness).
+pairs against the exact Bezoutian certificate ``bezoutian_pair_test``.
 The symmetric-matrix oracle and its coordinates belong to ``oracle``; the
 drawers, and their callers, reach ``symmetric_matrix_oracle``,
 ``matrix_points`` and ``point_to_matrix`` through this module as well.
@@ -22,8 +21,7 @@ from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
     MonicPolynomial,
-    obreschkoff_pair_test,
-    sampled_pencil_test,
+    bezoutian_pair_test,
 )
 from .oracle import (
     HyperbolicOracle,
@@ -191,40 +189,43 @@ def _separated_roots(rng: np.random.Generator, degree: int) -> np.ndarray:
     return start + np.concatenate([[0.0], np.cumsum(gaps)])
 
 
-def _pair_from_residues(roots: np.ndarray, residues: np.ndarray) -> tuple[MonicPolynomial, MonicPolynomial]:
-    """The pair (q, r) with q monic on `roots` and r = q + sum_k a_k q / (x - lambda_k)."""
-    q = MonicPolynomial.from_roots(roots)
+def _quotients(q: MonicPolynomial, roots: np.ndarray) -> np.ndarray:
+    """Row k holds the ascending coefficients of q / (x - lambda_k), for the roots lambda_k of q: synthetic
+    division of every quotient at once, b_(j-1) = c_j + lambda_k b_j from the top."""
     qc = q._coeffs
     n = roots.size
-    # Row k holds the ascending coefficients of q / (x - lambda_k): synthetic division of every
-    # quotient at once, b_(j-1) = c_j + lambda_k b_j from the top.
     quotients = np.empty((n, n))
     carry = np.zeros(n)
     for j in range(n, 0, -1):
         carry = qc[j] + roots * carry
         quotients[:, j - 1] = carry
-    rc = qc.copy()
-    rc[:n] += residues @ quotients
+    return quotients
+
+
+def _pair_from_residues(roots: np.ndarray, residues: np.ndarray) -> tuple[MonicPolynomial, MonicPolynomial]:
+    """The pair (q, r) with q monic on `roots` and r = q + sum_k a_k q / (x - lambda_k)."""
+    q = MonicPolynomial.from_roots(roots)
+    rc = q._coeffs.copy()
+    rc[: roots.size] += residues @ _quotients(q, roots)
     return q, MonicPolynomial.from_standard(rc)
 
 
 def hyperbolic_pair(rng: np.random.Generator, degree: int) -> tuple[MonicPolynomial, MonicPolynomial]:
-    """Pair with positive partial-fraction residues, verified before emission."""
+    """Pair with positive partial-fraction residues, verified by the Bezoutian certificate before emission."""
     roots = _separated_roots(rng, degree)
     residues = rng.uniform(0.2, 2.0, size=degree)
     q, r = _pair_from_residues(roots, residues)
-    if obreschkoff_pair_test(q, r).verdict != HYPERBOLIC:
-        raise GenerationError("constructed pair failed its residue verification")
+    if bezoutian_pair_test(q, r).verdict != HYPERBOLIC:
+        raise GenerationError("constructed pair failed its Bezoutian verification")
     return q, r
 
 
 def nonhyperbolic_pair(rng: np.random.Generator, degree: int) -> tuple[MonicPolynomial, MonicPolynomial]:
-    """Pair with mixed-sign residues whose failure is visible on the sampled grid.
+    """Pair with mixed-sign residues, confirmed by the Bezoutian certificate before emission.
 
-    Mixed residues already guarantee some direction has non-real roots; the
-    emission check additionally requires the default grid to catch one, since
-    a fixed grid cannot certify arbitrarily narrow failure arcs.  Gives up
-    after 200 candidates.
+    Mixed residues guarantee that some direction has non-real roots, and the
+    certificate reads them exactly, however narrow the failing arc of
+    directions.  A candidate it does not confirm is drawn again, 200 at most.
     """
     if degree < 2:
         raise GenerationError("a non-hyperbolic pair needs degree >= 2")
@@ -234,11 +235,9 @@ def nonhyperbolic_pair(rng: np.random.Generator, degree: int) -> tuple[MonicPoly
         if np.all(residues > 0) or np.all(residues < 0):
             residues[int(rng.integers(degree))] *= -1.0
         q, r = _pair_from_residues(roots, residues)
-        if obreschkoff_pair_test(q, r).verdict != NOT_HYPERBOLIC:
-            continue
-        if sampled_pencil_test(q, r).verdict == NOT_HYPERBOLIC:
+        if bezoutian_pair_test(q, r).verdict == NOT_HYPERBOLIC:
             return q, r
-    raise GenerationError("no grid-visible non-hyperbolic pair found in 200 attempts")
+    raise GenerationError("no non-hyperbolic pair confirmed in 200 attempts")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Univariate real-rootedness machinery.
 
-Companion matrices, root extraction, hyperbolic-pair tests (partial-fraction
-residues and sampled pencils), and majorization.  Every root extraction is one
-call of the kernel ``_companion_roots``: one eigvals call on a stack of
+Companion matrices, root extraction, hyperbolic-pair tests, and majorization.
+A pair (q, r) is decided exactly, by the Hermite / Krein-Naimark criterion, in
+``bezoutian_pair_test``: one eigvalsh call on the stack [B(q, r), B(q, q')] of
+Bezoutians, which ``bezoutian_matrices`` gathers from q (x) r - r (x) q in
+O(d^2) over index tables cached per degree.  The partial-fraction residue test
+(inconclusive at close roots) and the sampled pencil grid (evidence, not a
+proof) stay as cross-checks.  Every root extraction is one call of the kernel ``_companion_roots``: one eigvals call on a stack of
 ``companion_matrices``, with a non-real flag per row.  Where the roots must be
 real, the first flagged row in stack order raises NonRealRootError, naming its
 root with the largest imaginary excess.  Leading coefficients are trimmed, by
@@ -53,6 +57,10 @@ ROOT_SEPARATION_FLOOR = 1e-6
 # Leading coefficients below this fraction of the largest coefficient are
 # treated as exact zeros (degree drop along degenerate pencil directions).
 LEADING_TRIM = 1e-12
+
+# A Bezoutian counts as semidefinite when no eigenvalue of the other sign exceeds this fraction of its
+# largest |eigenvalue|.
+BEZOUTIAN_TOL = 1e-9
 
 # Rows per kernel call in sampled_pencil_test, so that memory stays O(_CHUNK * n^2) for any grid.
 _CHUNK = 256
@@ -257,14 +265,90 @@ def _nonreal_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     return nonreal
 
 
+# Per degree d, the two read-only index tables of ``bezoutian_matrices``; see there.
+_BEZOUTIAN_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _bezoutian_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather tables of a degree-d Bezoutian.  ``layout`` (2d - 1, d) places the flat index of N_ab at
+    row a + b - 1 and column d - a, for 1 <= a <= d and 0 <= b <= d; its other cells read N_00, which is
+    exactly zero.  ``entries`` (d, d) finds B_ij at row i + j, column d - 1 - i of the layout's running sums."""
+    tables = _BEZOUTIAN_TABLES.get(d)
+    if tables is None:
+        s, a = np.ogrid[1 : 2 * d, d : 0 : -1]
+        b = s - a
+        layout = np.where((b >= 0) & (b <= d), a * (d + 1) + b, 0)
+        i, j = np.ogrid[:d, :d]
+        entries = (i + j) * d + (d - 1 - i)
+        layout.setflags(write=False)
+        entries.setflags(write=False)
+        tables = _BEZOUTIAN_TABLES[d] = (layout, entries)
+    return tables
+
+
+def bezoutian_matrices(q_rows: np.ndarray, r_rows: np.ndarray) -> np.ndarray:
+    """The Bezoutian B(q, r) of each pair of rows of two broadcasting stacks of ascending coefficients
+    (..., d + 1): the (..., d, d) stack with (q(x) r(y) - r(x) q(y)) / (x - y) = sum_ij B_ij x^i y^j.
+
+    Dividing by x - y gives B_(a-1)b = N_ab + B_a(b-1) with N = q (x) r - r (x) q, so B_ij is the sum of
+    N_ab over a + b = i + j + 1 and a > i: a running sum along each anti-diagonal of N, read at a = i + 1.
+    One gather lays the anti-diagonals out as rows, one cumsum runs them and one gather reads B.
+    """
+    d = q_rows.shape[-1] - 1
+    layout, entries = _bezoutian_tables(d)
+    outer = q_rows[..., :, None] * r_rows[..., None, :]
+    n = outer - np.swapaxes(outer, -1, -2)
+    sums = np.cumsum(n.reshape(n.shape[:-2] + (-1,))[..., layout], axis=-1)
+    return sums.reshape(sums.shape[:-2] + (-1,))[..., entries]
+
+
 @dataclass(frozen=True, slots=True)
 class PairReport(Report):
-    """Outcome of a hyperbolic-pair test."""
+    """Outcome of a hyperbolic-pair test.  The Bezoutian certificate fills in the smallest and largest
+    eigenvalues of B(q, r) and of the Hermite matrix B(q, q')."""
 
     verdict: str
     residues: Optional[tuple[float, ...]] = None
     counterexample_direction: Optional[tuple[float, float]] = None
     roots_of_q: Optional[np.ndarray] = None
+    bezoutian_range: Optional[tuple[float, float]] = None
+    hermite_range: Optional[tuple[float, float]] = None
+
+
+def bezoutian_pair_test(q: MonicPolynomial, r) -> PairReport:
+    """Exact test of the pencil {x*q + y*r}, deg r <= deg q, from one eigvalsh call on the stack
+    [B(q, r), B(q, q')].
+
+    By the Hermite / Krein-Naimark criterion every real x*q + y*r is
+    real-rooted exactly when q is real-rooted, that is the Hermite matrix
+    B(q, q') is positive semidefinite, and B(q, r) is semidefinite of either
+    sign.  B(q, r) alone does not decide: a common factor of q and r with
+    non-real roots drops out of its inertia (q = (x^2 + 1)(x - 1) and
+    r = x^2 + 1 give eigenvalues 0, 0, 2).  Repeated and close roots need no
+    special case.  Both matrices are first scaled to D B D, with D the
+    inverse square roots of the Hermite diagonal: a congruence, so the
+    inertias are kept, that brings the power-basis entries to one scale.
+    An eigenvalue of the other sign counts as zero up to BEZOUTIAN_TOL times
+    its scaled matrix's largest |eigenvalue|; the report carries the
+    smallest and largest eigenvalue of each scaled matrix.
+    """
+    n = q.degree
+    qc = q._coeffs
+    rc = standard_coefficients(r)
+    if rc.size - 1 > n:
+        raise InvalidDocumentError(f"deg(r) = {rc.size - 1} exceeds deg(q) = {n}")
+    rows = np.zeros((2, n + 1))
+    rows[0, : rc.size] = rc
+    rows[1, :n] = _derivative(qc)
+    mats = bezoutian_matrices(qc, rows)
+    diag = np.abs(np.diagonal(mats[1]))
+    d = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    eig = np.linalg.eigvalsh(d[:, None] * mats * d)
+    (low, hermite_low), (high, hermite_high) = eig[:, 0].tolist(), eig[:, -1].tolist()
+    semidefinite = min(-low, high) <= BEZOUTIAN_TOL * max(-low, high)
+    real_rooted = -hermite_low <= BEZOUTIAN_TOL * max(-hermite_low, hermite_high)
+    verdict = HYPERBOLIC if semidefinite and real_rooted else NOT_HYPERBOLIC
+    return PairReport(verdict=verdict, bezoutian_range=(low, high), hermite_range=(hermite_low, hermite_high))
 
 
 def obreschkoff_pair_test(q: MonicPolynomial, r, tol: float = 1e-8) -> PairReport:
@@ -325,7 +409,8 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
 
 
 def pair_agreement(first: PairReport, second: PairReport) -> tuple[bool, str]:
-    """Whether a residue report and a sampled-pencil report agree, and their joint verdict.
+    """Whether two pair reports agree, and their joint verdict: the residue test against the sampled
+    pencil grid, or either against the Bezoutian certificate.
 
     They disagree only when both are definite and differ.  The joint verdict
     is their common definite verdict; otherwise a found counterexample (or

@@ -10,8 +10,9 @@ reciprocal-gradient inequality built on them, a dense form's gradient
 differentiated one coordinate at a time, the symmetric basis and matrix
 coordinates built element by element, exhaustive subset and composition
 enumerators, the van der Waerden ratio through polarization, one Newton
-correction of computed roots, and Taylor shifts with the derivative-line
-polynomial built from them.
+correction of computed roots, Taylor shifts with the derivative-line
+polynomial built from them, and the pair generators that filtered their
+candidates through the residue test and the sampled pencil grid.
 None of them is a library route: each is the second, independent way to a
 quantity that the library computes another way, or the brute-force
 enumeration behind a check.
@@ -24,9 +25,16 @@ from typing import Iterator
 import numpy as np
 
 import hyperpoly as hp
+from hyperpoly import generators as gen
 from hyperpoly import scaling
-from hyperpoly.errors import DegenerateDirectionError, DimensionMismatchError, HyperpolyError, InvalidDocumentError
-from hyperpoly.interlace import MonicPolynomial, _derivative
+from hyperpoly.errors import (
+    DegenerateDirectionError,
+    DimensionMismatchError,
+    GenerationError,
+    HyperpolyError,
+    InvalidDocumentError,
+)
+from hyperpoly.interlace import HYPERBOLIC, NOT_HYPERBOLIC, MonicPolynomial, _derivative
 from hyperpoly.oracle import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, PencilForm, classify_spectrum
 from hyperpoly.report import Report
 
@@ -427,3 +435,33 @@ def derivative_line_polynomial(q: MonicPolynomial, b: float, c: float, a: float)
     """Ascending coefficients of P_a(x) = q(x + b + c a) - a q'(x + b + c a)."""
     base = taylor_shift(q._coeffs, b + c * a)
     return base - a * np.pad(_derivative(base), (0, 1))
+
+
+def residue_filtered_hyperbolic_pair(rng: np.random.Generator, degree: int) -> tuple[MonicPolynomial, MonicPolynomial]:
+    """``generators.hyperbolic_pair`` with the residue test as its verification."""
+    roots = gen._separated_roots(rng, degree)
+    residues = rng.uniform(0.2, 2.0, size=degree)
+    q, r = gen._pair_from_residues(roots, residues)
+    if hp.obreschkoff_pair_test(q, r).verdict != HYPERBOLIC:
+        raise GenerationError("constructed pair failed its residue verification")
+    return q, r
+
+
+def grid_filtered_nonhyperbolic_pair(
+    rng: np.random.Generator, degree: int
+) -> tuple[MonicPolynomial, MonicPolynomial]:
+    """``generators.nonhyperbolic_pair`` confirmed by the residue test and then by the 64-direction sampled
+    pencil grid, 200 candidates at most."""
+    if degree < 2:
+        raise GenerationError("a non-hyperbolic pair needs degree >= 2")
+    for _ in range(200):
+        roots = gen._separated_roots(rng, degree)
+        residues = rng.uniform(0.2, 2.0, size=degree) * rng.choice([-1.0, 1.0], size=degree)
+        if np.all(residues > 0) or np.all(residues < 0):
+            residues[int(rng.integers(degree))] *= -1.0
+        q, r = gen._pair_from_residues(roots, residues)
+        if hp.obreschkoff_pair_test(q, r).verdict != NOT_HYPERBOLIC:
+            continue
+        if hp.sampled_pencil_test(q, r).verdict == NOT_HYPERBOLIC:
+            return q, r
+    raise GenerationError("no grid-visible non-hyperbolic pair found in 200 attempts")

@@ -288,6 +288,25 @@ class TestPairCommands:
         code, report = run(capsys, "pair-test", doc)
         assert code == 0 and report["agree"] is True
 
+    def test_pair_test_decides_a_double_root(self, tmp_path, capsys):
+        # q = (x - 1)^2 (x + 1) against r = q' / 3: the residue test is inconclusive at the double root (this
+        # pair exited 3), and the Bezoutian certificate decides.
+        doc = {"q": {"degree": 3, "a": [1.0, 1.0, -1.0]}, "r": {"degree": 2, "a": [2.0 / 3.0, 1.0 / 3.0]}}
+        code, report = run(capsys, "pair-test", write(tmp_path / "pair.json", doc))
+        assert code == 0 and report["verdict"] == "hyperbolic"
+        assert report["obreschkoff"]["verdict"] == "inconclusive" and report["bezoutian"]["verdict"] == "hyperbolic"
+        for low, high in (report["bezoutian"]["bezoutian_range"], report["bezoutian"]["hermite_range"]):
+            assert -1e-12 < low < high
+
+    def test_pair_test_verdict_is_the_certificate(self, tmp_path, capsys):
+        # One residue of -1e-4 among three of +1: the 64-direction grid passes the pair, the residue test and
+        # the certificate do not.
+        q, r = gen._pair_from_residues(np.array([-2.0, -0.5, 1.0, 2.2]), np.array([1.0, 1.0, -1e-4, 1.0]))
+        doc = write(tmp_path / "pair.json", {"q": q.to_json(), "r": r.to_json()})
+        code, report = run(capsys, "pair-test", doc)
+        assert code == 1 and report["verdict"] == "not_hyperbolic" and report["agree"] is False
+        assert report["sampled"]["verdict"] == "hyperbolic" and report["bezoutian"]["verdict"] == "not_hyperbolic"
+
 
 class TestGridCap:
     """A --grid past the line sweep cap exits 2 with an error line and no report: a range is refused
@@ -516,7 +535,7 @@ EVERY_SUBCOMMAND = [
     (("sinkhorn", "symmetric2", "psd"), 0, SINKHORN_KEYS),
     (("capacity", "symmetric2", "psd"), 0, {"gradient_norm", "iterations", "minimizer", "status", "value"}),
     (("edmonds-rado", "product2", "basis"), 0, {"holds", "witness"}),
-    (("pair-test", "pair"), 0, {"agree", "obreschkoff", "sampled", "verdict"}),
+    (("pair-test", "pair"), 0, {"agree", "bezoutian", "obreschkoff", "sampled", "verdict"}),
     (("majorize", "vectors"), 0, {"majorized", "prefix_gaps", "total_gap"}),
     (("line-convexity", "q"), 0, {"convex", "fn_constant", "min_at_zero", "values"}),
     (("gen", "--kind", "psd_tuple", "--n", "2"), 0, {"matrices"}),

@@ -7,7 +7,12 @@ from hyperpoly.errors import GenerationError
 from hyperpoly.generators import GeneratorSpec, generate_document
 from hyperpoly.interlace import HYPERBOLIC, NOT_HYPERBOLIC, MonicPolynomial
 from hyperpoly.oracle import classify_spectrum
-from references import matrix_to_point, symmetric_basis
+from references import (
+    grid_filtered_nonhyperbolic_pair,
+    matrix_to_point,
+    residue_filtered_hyperbolic_pair,
+    symmetric_basis,
+)
 
 
 class TestDeterminism:
@@ -89,6 +94,20 @@ class TestPairs:
         q, r = gen.nonhyperbolic_pair(np.random.default_rng(degree), degree)
         assert hp.obreschkoff_pair_test(q, r).verdict == NOT_HYPERBOLIC
         assert hp.sampled_pencil_test(q, r).verdict == NOT_HYPERBOLIC
+
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_same_pairs_as_the_residue_and_grid_filters(self, degree):
+        # The Bezoutian certificate accepts the first candidate wherever the residue test and the sampled
+        # grid did, so both generators draw and emit bitwise the same pairs.
+        for seed in range(50):
+            for make, reference in (
+                (gen.hyperbolic_pair, residue_filtered_hyperbolic_pair),
+                (gen.nonhyperbolic_pair, grid_filtered_nonhyperbolic_pair),
+            ):
+                rng, ref_rng = np.random.default_rng((seed, degree)), np.random.default_rng((seed, degree))
+                (q, r), (q_ref, r_ref) = make(rng, degree), reference(ref_rng, degree)
+                assert q.a == q_ref.a and r.a == r_ref.a
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def polyfromroots_pair(roots, residues):

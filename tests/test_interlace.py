@@ -19,7 +19,7 @@ from hyperpoly.interlace import (
     pair_agreement,
     standard_coefficients,
 )
-from references import derivative_line_polynomial, newton_polish, taylor_shift
+from references import derivative_line_polynomial, grid_filtered_nonhyperbolic_pair, newton_polish, taylor_shift
 
 Q2 = MonicPolynomial((0.0, 1.0))  # x^2 - 1
 R2 = MonicPolynomial.from_standard([0.0, 1.0, 1.0])  # x^2 + x
@@ -224,6 +224,188 @@ class TestSampledPencil:
             expected = NOT_HYPERBOLIC
         assert hp.obreschkoff_pair_test(q, r).verdict == expected
         assert hp.sampled_pencil_test(q, r).verdict == expected
+
+
+def poly(*roots):
+    """Ascending coefficients of the monic polynomial on these roots."""
+    return NP_POLY.polyfromroots(roots)
+
+
+class TestBezoutianCertificate:
+    """The Hermite / Krein-Naimark certificate: x q + y r is real-rooted for every real (x, y) exactly when
+    B(q, q') is positive semidefinite and B(q, r) is semidefinite of either sign."""
+
+    @pytest.mark.parametrize("degree", range(1, 10))
+    def test_builder_is_the_residue_sum(self, degree):
+        # r = q + sum_k a_k q_k with q_k = q / (x - lambda_k), so B(q, r) = sum_k a_k q_k q_k^T.
+        rng = np.random.default_rng(90 + degree)
+        for _ in range(10):
+            roots = gen._separated_roots(rng, degree)
+            residues = rng.uniform(0.2, 2.0, size=degree) * rng.choice([-1.0, 1.0], size=degree)
+            q, r = gen._pair_from_residues(roots, residues)
+            quotients = gen._quotients(q, roots)
+            expected = quotients.T @ (residues[:, None] * quotients)
+            got = interlace.bezoutian_matrices(q.standard_coefficients(), r.standard_coefficients())
+            assert got.shape == (degree, degree)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_builder_takes_broadcasting_stacks(self):
+        # Rows of stacks (2, 3, d + 1) against one q row: each matrix is the one-pair builder's.
+        rng = np.random.default_rng(99)
+        qc = poly(-1.0, 0.5, 2.0, 3.0)
+        rows = rng.standard_normal((2, 3, 5))
+        stacked = interlace.bezoutian_matrices(qc, rows)
+        assert stacked.shape == (2, 3, 4, 4)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(stacked[index], interlace.bezoutian_matrices(qc, rows[index]))
+
+    def test_builder_definition(self):
+        # (q(x) r(y) - r(x) q(y)) / (x - y) = sum_ij B_ij x^i y^j at random points.
+        rng = np.random.default_rng(98)
+        qc, rc = rng.standard_normal(6), rng.standard_normal(6)
+        b = interlace.bezoutian_matrices(qc, rc)
+        for x, y in rng.uniform(-2.0, 2.0, size=(5, 2)):
+            lhs = (NP_POLY.polyval(x, qc) * NP_POLY.polyval(y, rc) - NP_POLY.polyval(x, rc) * NP_POLY.polyval(y, qc))
+            assert lhs / (x - y) == pytest.approx(x ** np.arange(5) @ b @ y ** np.arange(5), rel=1e-10)
+
+    def test_index_tables_are_cached_and_read_only(self):
+        assert interlace._bezoutian_tables(5) is interlace._bezoutian_tables(5)
+        for table in interlace._bezoutian_tables(5):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+    def test_one_eigvalsh_call_on_the_stack(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(mats):
+            shapes.append(mats.shape)
+            return eigvalsh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        q, r = gen.hyperbolic_pair(np.random.default_rng(4), 6)
+        shapes.clear()
+        assert hp.bezoutian_pair_test(q, r).verdict == HYPERBOLIC
+        assert shapes == [(2, 6, 6)]
+
+    def test_agrees_with_the_residue_test_on_generated_pairs(self):
+        # 1,000 generated pairs of degrees 2..8, half of each kind.
+        for t in range(500):
+            degree = 2 + t % 7
+            for make in (gen.hyperbolic_pair, gen.nonhyperbolic_pair):
+                q, r = make(gen.rng_for(37, t), degree)
+                first = hp.obreschkoff_pair_test(q, r).verdict
+                assert first in (HYPERBOLIC, NOT_HYPERBOLIC)
+                assert hp.bezoutian_pair_test(q, r).verdict == first
+
+    def test_agrees_with_the_residue_test_on_unfiltered_candidates(self):
+        # The candidates of both generators before any filter: residues of random signs, degrees 2..8.
+        rng = np.random.default_rng(38)
+        for t in range(1000):
+            degree = 2 + t % 7
+            roots = gen._separated_roots(rng, degree)
+            residues = rng.uniform(0.2, 2.0, size=degree) * rng.choice([-1.0, 1.0], size=degree)
+            q, r = gen._pair_from_residues(roots, residues)
+            assert hp.bezoutian_pair_test(q, r).verdict == hp.obreschkoff_pair_test(q, r).verdict
+
+    @pytest.mark.parametrize(
+        "roots, rc, verdict",
+        [
+            # q = (x - 1)^2 (x + 1) against q' / 3, and against x - 1, which leaves mixed residues of q / (x - 1).
+            ((1.0, 1.0, -1.0), NP_POLY.polyder(poly(1.0, 1.0, -1.0)) / 3.0, HYPERBOLIC),
+            ((1.0, 1.0, -1.0), poly(1.0), NOT_HYPERBOLIC),
+            ((1.0, 1.0), [1.0], NOT_HYPERBOLIC),
+            ((0.0, 0.0, 0.0, 2.0), NP_POLY.polyder(poly(0.0, 0.0, 0.0, 2.0)), HYPERBOLIC),
+            # Roots 1e-8 apart: r interlacing them, q', and x^2 + 1 with residues of about +-1e8.
+            ((0.0, 1e-8, 1.0), poly(0.5e-8, 0.5), HYPERBOLIC),
+            ((0.0, 1e-8, 1.0), NP_POLY.polyder(poly(0.0, 1e-8, 1.0)), HYPERBOLIC),
+            ((0.0, 1e-8, 1.0), [1.0, 0.0, 1.0], NOT_HYPERBOLIC),
+            # Two close pairs: r with a root inside each and one between them, then a line between them.
+            ((-1.0, -1.0 + 1e-8, 2.0, 2.0 + 1e-8), poly(-1.0 + 0.5e-8, 0.5, 2.0 + 0.5e-8), HYPERBOLIC),
+            ((-1.0, -1.0 + 1e-8, 2.0, 2.0 + 1e-8), poly(0.5), NOT_HYPERBOLIC),
+        ],
+        ids=[
+            "double-root-derivative",
+            "double-root-common-factor",
+            "double-root-constant",
+            "triple-root-derivative",
+            "close-roots-interlaced",
+            "close-roots-derivative",
+            "close-roots-mixed",
+            "two-close-pairs-interlaced",
+            "two-close-pairs-line",
+        ],
+    )
+    def test_decides_what_the_residue_test_cannot(self, roots, rc, verdict):
+        q = MonicPolynomial.from_roots(roots)
+        assert hp.obreschkoff_pair_test(q, rc).verdict == INCONCLUSIVE
+        assert hp.bezoutian_pair_test(q, rc).verdict == verdict
+
+    def test_narrow_failure_the_grid_misses(self):
+        # One residue of -1e-4 among three of +1: non-real roots on an arc of directions narrower than the
+        # 64-direction grid's spacing.
+        q, r = gen._pair_from_residues(np.array([-2.0, -0.5, 1.0, 2.2]), np.array([1.0, 1.0, -1e-4, 1.0]))
+        assert hp.sampled_pencil_test(q, r, num_dirs=64).verdict == HYPERBOLIC
+        assert hp.obreschkoff_pair_test(q, r).verdict == NOT_HYPERBOLIC
+        report = hp.bezoutian_pair_test(q, r)
+        assert report.verdict == NOT_HYPERBOLIC
+        low, high = report.bezoutian_range
+        assert low < 0.0 < high and report.hermite_range[0] > 0.0
+
+    def test_common_factor_with_nonreal_roots(self):
+        # q = (x^2 + 1)(x - 1), r = x^2 + 1: B(q, r) has eigenvalues 0, 0 and a positive one, but
+        # x q + y r = (x^2 + 1)(x (x - 1) + y) is never real-rooted; the Hermite matrix of q shows it.
+        q = MonicPolynomial.from_standard(NP_POLY.polymul([1.0, 0.0, 1.0], [-1.0, 1.0]))
+        report = hp.bezoutian_pair_test(q, [1.0, 0.0, 1.0])
+        low, high = report.bezoutian_range
+        assert abs(low) <= 1e-12 * high and report.hermite_range[0] < 0.0
+        assert report.verdict == NOT_HYPERBOLIC
+
+    def test_zero_r(self):
+        x2_plus_1 = MonicPolynomial.from_standard([1.0, 0.0, 1.0])
+        report = hp.bezoutian_pair_test(x2_plus_1, [0.0])
+        assert report.bezoutian_range == (0.0, 0.0) and report.verdict == NOT_HYPERBOLIC
+        assert hp.bezoutian_pair_test(Q2, [0.0]).verdict == HYPERBOLIC
+
+    @pytest.mark.parametrize(
+        "rc, verdict",
+        [
+            ([0.0, 1.0], HYPERBOLIC),
+            ([-5.0, 1.0], NOT_HYPERBOLIC),
+            ([2.0], NOT_HYPERBOLIC),
+            ([0.5, 1.0, 0.0], HYPERBOLIC),
+        ],
+        ids=["interlacing-line", "line-outside", "constant", "padded-line"],
+    )
+    def test_lower_degree_r(self, rc, verdict):
+        # q = x^2 - 1: r = x and r = x + 0.5 interlace it; r = x - 5 leaves residues -2 and 3, and a
+        # constant c leaves c / 2 and -c / 2.
+        assert hp.bezoutian_pair_test(Q2, rc).verdict == verdict
+        assert hp.obreschkoff_pair_test(Q2, rc).verdict == verdict
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_lower_degree_r_agrees_with_the_residue_test(self, degree):
+        rng = np.random.default_rng(95 + degree)
+        q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
+        for low in range(degree):
+            for _ in range(5):
+                rc = rng.standard_normal(low + 1)
+                assert hp.bezoutian_pair_test(q, rc).verdict == hp.obreschkoff_pair_test(q, rc).verdict
+
+    def test_scaling_keeps_a_small_eigenvalue_of_the_other_sign(self):
+        # A degree-8 candidate with mixed residues: unscaled, the one positive eigenvalue of B(q, r) is 2e-11
+        # of its largest |eigenvalue|, inside the tolerance; after the Hermite-diagonal congruence it is 5e-8.
+        q, r = grid_filtered_nonhyperbolic_pair(np.random.default_rng((1567, 8)), 8)
+        eig = np.linalg.eigvalsh(interlace.bezoutian_matrices(q.standard_coefficients(), r.standard_coefficients()))
+        assert 0.0 < eig[-1] <= interlace.BEZOUTIAN_TOL * -eig[0]
+        assert hp.obreschkoff_pair_test(q, r).verdict == NOT_HYPERBOLIC
+        report = hp.bezoutian_pair_test(q, r)
+        low, high = report.bezoutian_range
+        assert report.verdict == NOT_HYPERBOLIC and high > 10.0 * interlace.BEZOUTIAN_TOL * -low
+
+    def test_degree_cap(self):
+        with pytest.raises(InvalidDocumentError):
+            hp.bezoutian_pair_test(Q2, [0.0, 0.0, 0.0, 1.0])
 
 
 def sampled_pencil_loop(q, r, num_dirs, tol):
