@@ -251,7 +251,10 @@ def cmd_trace(config: RunConfig, oracle, x, d) -> tuple[int, dict]:
 
 def cmd_mixed(ns, config: RunConfig, oracle, pts) -> tuple[int, dict]:
     if oracle.n >= 15:
-        print(f"note: polarizing at 2^{oracle.n - 2} complex points", file=sys.stderr)
+        # The kernel's count: 2^(n-2), or 2^(n-2-k) when the form takes k slots in closed form.
+        route = oracle.form.closed_form_slots(pts) if pts.shape == (oracle.n, oracle.m) else None
+        closed = 0 if route is None else route[0]
+        print(f"note: polarizing at 2^{oracle.n - 2 - closed} complex points", file=sys.stderr)
     return EXIT_OK, {"mixed_value": mixed_value(oracle, pts)}
 
 
@@ -318,15 +321,18 @@ def _tuple_command(handler):
 
 def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
     q, r = _load_pair(ns.pair)
-    first = obreschkoff_pair_test(q, r, tol=config.tol)
+    try:
+        first = obreschkoff_pair_test(q, r, tol=config.tol)
+    except NonRealRootError as exc:
+        # The residue test needs the real roots of q; the certificate and the grid decide without them.
+        first, error = None, str(exc)
     second = sampled_pencil_test(q, r, num_dirs=ns.num_dirs, tol=config.tol)
     certificate = bezoutian_pair_test(q, r)
-    agree, _ = pair_agreement(first, second)
     report = {
-        "obreschkoff": first.to_json(),
+        "obreschkoff": {"error": error} if first is None else first.to_json(),
         "sampled": second.to_json(),
         "bezoutian": certificate.to_json(),
-        "agree": agree,
+        "agree": None if first is None else pair_agreement(first, second)[0],
         "verdict": certificate.verdict,
     }
     return _code(certificate.verdict == HYPERBOLIC), report

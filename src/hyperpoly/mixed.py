@@ -4,10 +4,13 @@ Polarization, mixed discriminants, supports and Newton-polytope membership,
 Alexandrov-Fenchel residuals, k-hyperbolicity polynomials, and log-concavity
 profiles.  One tuple is polarized at 2^(n-2) complex points: its first point
 takes the imaginary slot, and the conjugate points come free from
-p(conj z) = conj p(z).  Supports, dense expansions and log-concavity profiles
-need the mixed value of every composition r of n into k parts at once: those
-real sign sums meet at few distinct block sums, and the union of their
-lattices is one cached table per (n, k).  Every stacked evaluation takes
+p(conj z) = conj p(z).  A form may take k slots in closed form
+(``Form.closed_form_slots``): a pencil tuple with a positive definite
+element takes three from n = 10 on, at 2^(n-5) points, unless the closed
+form cancels too deeply.  Supports, dense expansions and log-concavity
+profiles need the mixed value of every composition r of n into k parts at
+once: those real sign sums meet at few distinct block sums, and the union
+of their lattices is one cached table per (n, k).  Every stacked evaluation takes
 blocks of at most _CHUNK = 1024 real rows or _CHUNK // 2 complex ones, so a
 pencil's working set is O(1024 n^2) doubles (1.6 MB at n = 14), not
 O(2^(n-2) n^2).  Every tuple stays under POLARIZATION_CAP slots and every
@@ -21,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,13 +55,18 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-# Polarization sums 2^(n-2) complex evaluations; anything past this is not desk scale.
+# Polarization sums 2^(n-2) complex evaluations, or 2^(n-2-k) when k slots come in closed form; anything
+# past this is not desk scale.
 POLARIZATION_CAP = 20
 # Real rows per stacked evaluation, so that a pencil's temporaries stay O(_CHUNK * n^2) doubles however
 # many rows are summed: 1.6 MB at n = 14, 3.3 MB at the cap.  A complex row takes two doubles per entry,
 # so the kernel's blocks hold _CHUNK // 2 of them: one call up to n = 11.  A lattice of at most this
 # many block sums (support at n = 5 has 591) is one call.
 _CHUNK = 1 << 10
+# Complex points per block on a closed-form route (``Form.closed_form_slots``), each of which holds
+# k + 2 complex n x n matrices: 64 was the fastest of 32, 64 and 128 at n = 12 to 14, and such a block
+# takes about 1.6 MB at n = 16 and 2.5 MB at the cap.
+_ROUTE_BLOCK = 64
 
 # The lattice table of all compositions of n into k parts has C(n+2k-1, 2k-1)
 # points of k block sums each; it is not built past this many cells.  Its build
@@ -76,14 +84,18 @@ def as_tuple(points) -> np.ndarray:
     return pts
 
 
+def _check_slots(n: int) -> None:
+    if n > POLARIZATION_CAP:
+        raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
+
+
 def _tuple_evaluator(oracle: HyperbolicOracle, points: np.ndarray, n: int):
     """The map from rows c, shape (N, k), real block sums or complex points, to p(c @ points) for the
     k points, through the form that ``tuple_form`` returns for them, which contracts a determinantal
     pencil once per tuple; refuses more than POLARIZATION_CAP slots.  Identity coordinates, as a
     pencil's tuple form has, are not multiplied: the rows are already the form's points, and the
     product would only copy them."""
-    if n > POLARIZATION_CAP:
-        raise BudgetExceededError(f"polarization over {n} slots exceeds the 2^{POLARIZATION_CAP} cap")
+    _check_slots(n)
     form, coords = oracle.form.tuple_form(points)
     # Only evaluated, so the direction is a placeholder.
     tuple_oracle = HyperbolicOracle(form=form, n=n, m=coords.shape[1], direction=np.ones(coords.shape[1]))
@@ -92,32 +104,51 @@ def _tuple_evaluator(oracle: HyperbolicOracle, points: np.ndarray, n: int):
     return lambda sums: evaluate_batch(tuple_oracle, sums @ coords)
 
 
-def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> float:
-    """Polarized multilinear value: the coefficient of t_1 ... t_n in p(sum_i t_i x_i).
-
-    2^-(n-2) * sum over b in {+-1}^(n-2) of prod(b) * Im p(i x_1 + b_1 x_2 + ... + b_(n-2) x_(n-1) + x_n).
-    Summing p(i x_1 + sum_(j>1) s_j x_j) * prod(s) over every real sign vector s keeps the monomials
-    odd in each of the last n - 1 slots; at total degree n those are linear in the first, so the sum
-    is 2^(n-1) i M.  The term of s with s_n = -1 is minus the conjugate of the term of -s, since
-    p(-y) = (-1)^n p(y) and p(conj z) = conj p(z), so the two have one imaginary part: only s_n = +1
-    is evaluated and the imaginary parts are doubled.  At n = 1 the one point gives
-    Im p(i x_1) = p(x_1).  The points go in blocks of _CHUNK // 2, summed in a fixed order, so
-    results are bitwise reproducible.
-    """
-    n = points.shape[0]
-    evaluate = _tuple_evaluator(oracle, points, n)
-    middle = max(n - 2, 0)
+def _sign_sum(evaluate, slots: int, block: int) -> Optional[float]:
+    """2^-(s-2) * sum over b in {+-1}^(s-2) of prod(b) * Im of evaluate at the complex row
+    (i, b_1, ..., b_(s-2), 1) over s slots, b_1 varying fastest, in blocks of this many rows summed in a
+    fixed order; None as soon as evaluate refuses a block."""
+    middle = max(slots - 2, 0)
     shifts = np.arange(middle, dtype=np.int64)
     count = 1 << middle
     total = 0.0
-    for start in range(0, count, _CHUNK // 2):
-        idx = np.arange(start, min(start + _CHUNK // 2, count), dtype=np.int64)
+    for start in range(0, count, block):
+        idx = np.arange(start, min(start + block, count), dtype=np.int64)
         middle_signs = 1.0 - 2.0 * ((idx[:, None] >> shifts[None, :]) & 1)
-        signs = np.ones((len(idx), n), dtype=complex)
+        signs = np.ones((len(idx), slots), dtype=complex)
         signs[:, 0] = 1j
-        signs[:, 1 : n - 1] = middle_signs
-        total += float(np.dot(evaluate(signs).imag, middle_signs.prod(axis=1)))
+        signs[:, 1 : slots - 1] = middle_signs
+        values = evaluate(signs)
+        if values is None:
+            return None
+        total += float(np.dot(values.imag, middle_signs.prod(axis=1)))
     return total * 0.5**middle
+
+
+def _polarization(oracle: HyperbolicOracle, points: np.ndarray) -> float:
+    """Polarized multilinear value: the coefficient of t_1 ... t_n in p(sum_i t_i x_i).
+
+    With k slots D taken in closed form (``Form.closed_form_slots``), q = the mixed derivative of p along
+    the x_d, d in D, is a form of degree s = n - k whose mixed value at the other s points is M, and
+    M = 2^-(s-2) * sum over b in {+-1}^(s-2) of prod(b) * Im q(i y_1 + b_1 y_2 + ... + b_(s-2) y_(s-1) + y_s)
+    over those points y.  Summing q(i y_1 + sum_(j>1) c_j y_j) * prod(c) over every real sign vector c
+    keeps the monomials odd in each of the last s - 1 slots; at total degree s those are linear in the
+    first, so the sum is 2^(s-1) i M.  The term of c with c_s = -1 is minus the conjugate of the term of
+    -c, since q(-y) = (-1)^s q(y) and q(conj z) = conj q(z), so the two have one imaginary part: only
+    c_s = +1 is evaluated and the imaginary parts are doubled.  At s = 1 the one point gives
+    Im q(i y_1) = q(y_1).  A route sums blocks of _ROUTE_BLOCK points.  With no closed slots, or when
+    the route refuses a block, q is p, through ``_tuple_evaluator``, at 2^(n-2) points in blocks of
+    _CHUNK // 2.  The blocks are summed in a fixed order, so results are bitwise reproducible.
+    """
+    n = points.shape[0]
+    _check_slots(n)
+    route = oracle.form.closed_form_slots(points)
+    if route is not None:
+        closed, derivative = route
+        total = _sign_sum(derivative, n - closed, _ROUTE_BLOCK)
+        if total is not None:
+            return total
+    return _sign_sum(_tuple_evaluator(oracle, points, n), n, _CHUNK // 2)
 
 
 def mixed_value(oracle: HyperbolicOracle, points) -> float:
@@ -137,9 +168,10 @@ def mixed_value(oracle: HyperbolicOracle, points) -> float:
 def mixed_discriminant(matrices) -> float:
     """D(A_1, ..., A_n): the n-fold mixed partial of det(sum_i x_i A_i) at the tuple.
 
-    Computed by the same polarization at 2^(n-2) complex points applied directly
-    to the determinant; no normalization of the tuple is needed since the form
-    is multilinear.
+    Computed by the same polarization applied directly to the determinant: at
+    2^(n-5) complex points from n = 10 on when one A_i is positive definite
+    and the closed form does not cancel too deeply, at 2^(n-2) otherwise.
+    No normalization of the tuple is needed since the form is multilinear.
     """
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim != 3 or mats.shape[0] != mats.shape[1] or mats.shape[1] != mats.shape[2]:

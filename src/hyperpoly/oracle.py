@@ -95,6 +95,38 @@ def _interior_rule(smallest, largest, ratio: float):
     return smallest > ratio * abs(largest)
 
 
+# Slots of a tuple that ``PencilForm.closed_form_slots`` takes in closed form, and the least degree at which
+# it does.  Three slots cut the 2^(n-2) evaluations of polarization to 2^(n-5) points of about four times
+# the cost of one; on one core the route was the slower at n = 9 and the faster from n = 10 on.
+CLOSED_FORM_SLOTS = 3
+CLOSED_FORM_MIN_DEGREE = 10
+# Most by which the magnitudes of the five terms of c_3 at a point of the route may sum past |c_3|; a point
+# loses about eps times that sum, and a block with a point past the bound is refused.  On the
+# diag(delta, 1, ..., 1) tuples of ``PencilForm.closed_form_slots`` the route's error was about 1e-3 of the
+# sign-row sum's 8 n eps max |p| at ratios near 1e3 and reached it near 3e6; Wishart and commuting tuples
+# stay under 20.
+CLOSED_FORM_MAX_CANCELLATION = 1e3
+
+
+def _det_coefficient_3(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_3(Y_1, Y_2, Y_3) for stacks ys of shape (N, 3, n, n), and the sum of the magnitudes of its terms.
+
+    c_3 is the coefficient of t_1 t_2 t_3 in det(I + sum_j t_j Y_j), the generalized Jacobi formula:
+    t_1 t_2 t_3 - t_1 T_23 - t_2 T_13 - t_3 T_12 + T_123 + T_132, with t_j = tr Y_j, T_ab = tr(Y_a Y_b)
+    and T_abc = tr(Y_a Y_b Y_c).  For Y_j = B_j Z^-1 with B_j and Z symmetric, transposing the product
+    gives T_132 = T_123, so one matrix product Y_1 Y_2 is taken."""
+    y1, y2, y3 = ys[:, 0], ys[:, 1], ys[:, 2]
+    t1, t2, t3 = np.trace(ys, axis1=-2, axis2=-1).T
+    terms = (
+        t1 * t2 * t3,
+        -t1 * np.einsum("...ij,...ji->...", y2, y3),
+        -t2 * np.einsum("...ij,...ji->...", y1, y3),
+        -t3 * np.einsum("...ij,...ji->...", y1, y2),
+        2.0 * np.einsum("...ij,...ji->...", y1 @ y2, y3),
+    )
+    return sum(terms), sum(np.abs(term) for term in terms)
+
+
 class Form:
     """A polynomial form known only by its evaluation and gradient: the protocol methods that a form
     with a faster route overrides.  A form's ``evaluate_batch`` takes real or complex rows, since
@@ -142,6 +174,15 @@ class Form:
     def tuple_form(self, pts: np.ndarray) -> tuple[Form, np.ndarray]:
         """A form q and coordinates C with q(s @ C) = p(s @ pts) for every row s: here p and pts."""
         return self, pts
+
+    def closed_form_slots(self, pts: np.ndarray) -> Optional[tuple[int, Callable[[np.ndarray], Optional[np.ndarray]]]]:
+        """None, or a route to the mixed value of the n-point tuple pts of this degree-n form that takes k of
+        its slots in closed form: k, and the map from complex rows c, shape (N, n - k), over the other
+        slots, in an order of the route's choosing, to the k-fold mixed derivative of p at sum_j c_j y_j
+        along the closed points, or None for a block whose values it cannot vouch for, on which
+        polarization drops the route.  Column 0 of c is the imaginary slot, the last column the slot that
+        keeps its + sign.  A form known by evaluation has none, so polarization evaluates p itself."""
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +268,51 @@ class PencilForm(Form):
         matrices M(x_i), formed once, and C is the identity.
         """
         return DeterminantalPolynomial(pencil=self.matrix(pts)), np.eye(pts.shape[0])
+
+    def closed_form_slots(self, pts: np.ndarray) -> Optional[tuple[int, Callable[[np.ndarray], Optional[np.ndarray]]]]:
+        """CLOSED_FORM_SLOTS slots of an n-point tuple from n = CLOSED_FORM_MIN_DEGREE on, when its matrices
+        B_i = M(x_i) are exactly symmetric and one B_0 of them is positive definite: the
+        POSITIVE class of ``classify_spectrum`` at DEFAULT_CONE_TOL, from one eigvalsh of the stack, and
+        the best conditioned such B_0 if there are several.
+
+        B_0 takes the imaginary slot, the last k other matrices B_d the closed slots, and a point of the
+        route is Z = i B_0 + sum_j c_j B_j over the rest.  The mixed derivative of det along the B_d at Z
+        is det Z * c_3(Z^-1 B_d), the generalized Jacobi formula of ``_det_coefficient_3``, which takes
+        c_3(B_d Z^-1), the same value (Sylvester's determinant identity).  Z is invertible with
+        |Z^-1| <= 1 / lambda_min(B_0), since |x* Z x| >= x* B_0 x for complex x and real c.  Each point
+        costs one det, one inverse, one real product for all B_d Z^-1 (Z^-1 read as real, B_d being
+        real) and one complex product, where plain evaluation would take det at 2^k points.
+
+        That bound does not keep c_3 from cancelling: when Z is near singular in a direction that the B_d
+        fill, as for B_0 = diag(delta, 1, ..., 1) with every other open matrix zero on e_1, its terms grow
+        like delta^-3 while c_3 grows like delta^-1.  A block in which some point's terms exceed |c_3| by
+        more than CLOSED_FORM_MAX_CANCELLATION is refused (None)."""
+        n = pts.shape[0]
+        if n < CLOSED_FORM_MIN_DEGREE:
+            return None
+        mats = self.matrix(pts)
+        if not np.array_equal(mats, mats.swapaxes(1, 2)):
+            return None
+        lam = np.linalg.eigvalsh(mats)
+        definite = np.flatnonzero(_interior_rule(lam[:, 0], lam[:, -1], DEFAULT_CONE_TOL))
+        if not definite.size:
+            return None
+        first = definite[np.argmax(lam[definite, 0] / lam[definite, -1])]
+        order = np.concatenate([[first], np.delete(np.arange(n), first)])
+        k = CLOSED_FORM_SLOTS
+        rest = mats[order[:-k]].reshape(n - k, n * n)
+        closed = mats[order[-k:]].reshape(k * n, n)
+
+        def mixed_derivative(rows: np.ndarray) -> Optional[np.ndarray]:
+            z = (rows @ rest).reshape(-1, n, n)
+            # B_d Z^-1 for every d in one real product: the columns of Z^-1 viewed as pairs of reals.
+            ys = (closed @ np.linalg.inv(z).view(float)).view(complex).reshape(-1, k, n, n)
+            coefficient, spread = _det_coefficient_3(ys)
+            if np.any(spread > CLOSED_FORM_MAX_CANCELLATION * np.abs(coefficient)):
+                return None
+            return np.linalg.det(z) * coefficient
+
+        return k, mixed_derivative
 
     def json_fields(self, direction: np.ndarray) -> dict:
         pencil = self.pencil

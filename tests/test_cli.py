@@ -79,6 +79,16 @@ class TestTupleCommands:
         assert json.loads(captured.out)["mixed_value"] == pytest.approx(1.0, rel=1e-12)
         assert captured.err == "note: polarizing at 2^13 complex points\n"
 
+    def test_mixed_at_n15_notes_the_closed_form_point_count(self, tmp_path, capsys):
+        # A positive definite element lets three slots come in closed form: 2^(15 - 5) points, not 2^13.
+        mats = gen.psd_matrix_tuple(np.random.default_rng(15), 15)
+        oracle = write(tmp_path / "o.json", {"kind": "symmetric", "n": 15})
+        tup = write(tmp_path / "t.json", {"matrices": [a.tolist() for a in mats]})
+        assert main(["mixed", oracle, tup]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["mixed_value"] == pytest.approx(hyperpoly.mixed_discriminant(mats), rel=1e-12)
+        assert captured.err == "note: polarizing at 2^10 complex points\n"
+
     def test_support_basis_tuple(self, tmp_path, product2, capsys):
         tup = write(tmp_path / "t.json", {"points": [[1.0, 0.0], [0.0, 1.0]]})
         code, report = run(capsys, "support", product2, tup)
@@ -297,6 +307,15 @@ class TestPairCommands:
         assert report["obreschkoff"]["verdict"] == "inconclusive" and report["bezoutian"]["verdict"] == "hyperbolic"
         for low, high in (report["bezoutian"]["bezoutian_range"], report["bezoutian"]["hermite_range"]):
             assert -1e-12 < low < high
+
+    def test_pair_test_reports_the_certificate_when_q_has_nonreal_roots(self, tmp_path, capsys):
+        # The residue test needs the real roots of q and raises NonRealRootError; this pair exited 1 with
+        # only an error line.
+        doc = write(tmp_path / "pair.json", {"q": {"a": [1, -1, 1]}, "r": {"a": [-1, 0]}})
+        code, report = run(capsys, "pair-test", doc)
+        assert code == 1 and report["verdict"] == "not_hyperbolic" and report["agree"] is None
+        assert "imaginary part" in report["obreschkoff"]["error"]
+        assert report["bezoutian"]["verdict"] == report["sampled"]["verdict"] == "not_hyperbolic"
 
     def test_pair_test_verdict_is_the_certificate(self, tmp_path, capsys):
         # One residue of -1e-4 among three of +1: the 64-direction grid passes the pair, the residue test and

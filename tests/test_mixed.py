@@ -9,6 +9,7 @@ import pytest
 import hyperpoly as hp
 from hyperpoly import generators as gen
 from hyperpoly import mixed
+from hyperpoly import oracle as oracle_module
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
 from hyperpoly.mixed import SupportSet
 from references import compositions, matrix_to_point
@@ -448,6 +449,41 @@ def complex_point_polarization(oracle, points):
     return total * 0.5**middle, np.vstack(rows)
 
 
+def closed_form_polarization(oracle, points):
+    """The polarization as the closed-form route sums it: Im of the route's map at the 2^(s-2) complex rows
+    (i, b_1, ..., b_(s-2), 1) over its s = n - k open slots, b_1 varying fastest, times prod(b), in blocks of
+    ``mixed._ROUTE_BLOCK``; its value and its rows, or None if the map refuses a block."""
+    k, derivative = oracle.form.closed_form_slots(points)
+    middle = points.shape[0] - k - 2
+    signs = np.array([b[::-1] for b in itertools.product((1.0, -1.0), repeat=middle)])
+    coefficients = np.hstack([np.full((len(signs), 1), 1j), signs, np.ones((len(signs), 1))])
+    total, rows = 0.0, []
+    for start in range(0, len(signs), mixed._ROUTE_BLOCK):
+        rows.append(coefficients[start : start + mixed._ROUTE_BLOCK])
+        parity = np.prod(signs[start : start + mixed._ROUTE_BLOCK], axis=1)
+        values = derivative(rows[-1])
+        if values is None:
+            return None
+        total += float(np.dot(values.imag, parity))
+    return total * 0.5**middle, np.vstack(rows)
+
+
+def recorded_route_rows(monkeypatch):
+    """The complex row stacks that the map of a pencil's closed-form route receives."""
+    stacks = []
+    original = oracle_module.PencilForm.closed_form_slots
+
+    def recorded(form, points):
+        route = original(form, points)
+        if route is None:
+            return None
+        closed, derivative = route
+        return closed, lambda rows: stacks.append(np.array(rows)) or derivative(rows)
+
+    monkeypatch.setattr(oracle_module.PencilForm, "closed_form_slots", recorded)
+    return stacks
+
+
 def recorded_rows(monkeypatch):
     """The row stacks, in their own dtype, that every ``evaluate_batch`` call of the polarization kernels
     receives."""
@@ -565,13 +601,24 @@ class TestBoundedPolarization:
     def test_kernel_evaluates_blocks_of_at_most_chunk_rows(self, monkeypatch, form, n):
         rng = np.random.default_rng(500 + n)
         oracle, pts = POLARIZATION_FORMS[form](rng, n)
-        stacks = recorded_rows(monkeypatch)
+        route = oracle.form.closed_form_slots(pts)
+        # The pencil3 tuples at these seeds hold positive definite elements: they take the closed-form route.
+        assert (route is not None) == (form == "pencil3")
+        stacks = recorded_rows(monkeypatch) if route is None else recorded_route_rows(monkeypatch)
         value = mixed._polarization(oracle, pts)
+        seen = np.vstack(stacks)
         assert all(rows.dtype == complex for rows in stacks)
-        assert max(len(rows) for rows in stacks) <= mixed._CHUNK // 2
-        assert len(stacks) == math.ceil(2 ** (n - 2) / (mixed._CHUNK // 2))
-        expected, rows = complex_point_polarization(oracle, pts)
-        np.testing.assert_array_equal(np.vstack(stacks), rows)
+        if route is None:
+            assert max(len(rows) for rows in stacks) <= mixed._CHUNK // 2
+            assert len(stacks) == math.ceil(2 ** (n - 2) / (mixed._CHUNK // 2))
+            expected, rows = complex_point_polarization(oracle, pts)
+        else:
+            assert max(len(rows) for rows in stacks) <= mixed._ROUTE_BLOCK
+            assert len(stacks) == math.ceil(2 ** (n - 2 - route[0]) / mixed._ROUTE_BLOCK)
+            expected, rows = closed_form_polarization(oracle, pts)
+            # The reference above runs the route's own map; the sign rows check its value.
+            assert abs(value - sign_row_polarization(oracle, pts)) <= 8 * n * EPS * full_sign_sum(oracle, pts)[1]
+        np.testing.assert_array_equal(seen, rows)
         assert value == expected
 
     @pytest.mark.parametrize("n", [14, 16])
@@ -600,6 +647,144 @@ class TestBoundedPolarization:
         assert peak == pytest.approx(float(np.max(np.abs(vals))), rel=1e-12)
         for r, expected in zip(lattice.keys, weighted * 0.5**n):
             assert abs(values[r] - expected) <= 8 * n * EPS * peak
+
+
+def discriminant_oracle(mats):
+    """The determinantal oracle of a tuple of n symmetric n x n matrices, whose mixed value at the identity
+    tuple is the tuple's mixed discriminant."""
+    n = len(mats)
+    return hp.HyperbolicOracle(form=hp.DeterminantalPolynomial(pencil=np.asarray(mats)), n=n, m=n, direction=np.ones(n))
+
+
+def symmetrized(mats):
+    return [0.5 * (a + a.T) for a in mats]
+
+
+def commuting_tuple(rng, n, low, high, log_weights):
+    """Q diag(W[:, i]) Q^T, made exactly symmetric, with W uniform on [low, high] or 10^U(low, high)."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.uniform(low, high, size=(n, n))
+    return symmetrized([(q * (10.0**w[:, i] if log_weights else w[:, i])) @ q.T for i in range(n)])
+
+
+# Tuples of n symmetric n x n matrices with at least one positive definite element, by family.
+DEFINITE_TUPLES = {
+    "psd": lambda rng, n: gen.psd_matrix_tuple(rng, n),
+    "commuting": lambda rng, n: commuting_tuple(rng, n, 0.5, 1.5, False),
+    "wide-diagonal": lambda rng, n: [np.diag(10.0 ** rng.uniform(-3.0, 3.0, size=n)) for _ in range(n)],
+    "wide-commuting": lambda rng, n: commuting_tuple(rng, n, -3.0, 3.0, True),
+    "last-definite": lambda rng, n: [a + a.T for a in rng.standard_normal((n - 1, n, n))] + [gen.random_psd_matrix(rng, n)],
+}
+
+
+def det_sign_sum_coefficient(xs):
+    """The coefficient of t_1 ... t_k in det(I + sum_j t_j X_j) for n x n matrices X_j, by brute force: the
+    mixed value of det at (I, ..., I, X_1, ..., X_k), n - k copies of I, is (n - k)! times it, and that mixed
+    value is 2^-n times the sum over all 2^n sign vectors b of det(sum_i b_i y_i) * prod(b)."""
+    k, n = len(xs), xs[0].shape[0]
+    slots = np.concatenate([np.broadcast_to(np.eye(n), (n - k, n, n)), xs])
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    dets = np.linalg.det(np.einsum("si,ijk->sjk", signs, slots))
+    return complex(dets @ np.prod(signs, axis=1)) / 2**n / math.factorial(n - k)
+
+
+def thin_definite_tuple(rng, n, delta):
+    """B_0 = diag(delta, 1, ..., 1), the only positive definite element; n - 4 open matrices zero on the first
+    row and column, alternately PSD and indefinite; and three closed PSD matrices of rank n - 1.  Every point
+    Z of the route is diag(i delta, Z'), so each B_d Z^-1 has a column of size 1/delta and the terms of c_3
+    grow like delta^-3 where c_3 grows like delta^-1."""
+    mats = [np.diag([delta] + [1.0] * (n - 1))]
+    for j in range(n - 4):
+        g = rng.standard_normal((n - 1, n - 1))
+        mats.append(np.zeros((n, n)))
+        mats[-1][1:, 1:] = g + g.T if j % 2 else g @ g.T
+    return mats + [g @ g.T for g in rng.standard_normal((3, n, n - 1))]
+
+
+class TestClosedFormSlots:
+    """Pencil tuples with a positive definite element B_0 from n = CLOSED_FORM_MIN_DEGREE on: three slots come
+    from the mixed derivative of det at Z = i B_0 + sum_j b_j B_j, det Z * c_3(Z^-1 B_d), and the kernel sums
+    2^(n-5) points unless c_3 cancels too deeply at one of them."""
+
+    def test_det_coefficient_is_the_sign_sum_of_det(self):
+        # Y_j = B_j Z^-1 with B_j and Z symmetric, the shape that the route hands over.
+        rng = np.random.default_rng(803)
+        n = 6
+        for _ in range(5):
+            mats = [a + a.T for a in rng.standard_normal((5, n, n))]
+            z_inv = np.linalg.inv(1j * gen.random_psd_matrix(rng, n) + mats[0] + 0.5 * mats[1])
+            ys = np.stack([b @ z_inv for b in mats[2:]])
+            got, spread = oracle_module._det_coefficient_3(ys[None])
+            expected = det_sign_sum_coefficient(list(ys))
+            assert abs(complex(got[0]) - expected) <= 1e-10 * max(1.0, abs(expected))
+            assert spread[0] >= abs(got[0])
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    @pytest.mark.parametrize("family", sorted(DEFINITE_TUPLES))
+    def test_route_matches_the_sign_rows(self, family, n):
+        mats = DEFINITE_TUPLES[family](np.random.default_rng([900, n]), n)
+        oracle = discriminant_oracle(mats)
+        assert oracle.form.closed_form_slots(np.eye(n))[0] == oracle_module.CLOSED_FORM_SLOTS
+        if family in ("psd", "commuting"):
+            # Their c_3 cancels little (its terms sum to at most 20 times |c_3| at these seeds): no block is refused.
+            assert closed_form_polarization(oracle, np.eye(n)) is not None
+        value = hp.mixed_discriminant(mats)
+        expected, peak = full_sign_sum(oracle, np.eye(n))
+        assert abs(value - sign_row_polarization(oracle, np.eye(n))) <= 8 * n * EPS * peak
+        assert abs(value - expected) <= 8 * n * EPS * peak
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+    def test_deep_cancellation_keeps_the_complex_point_rows(self, monkeypatch, delta):
+        # Without the refusal the route missed the sign rows by 6 times 8 n eps max |p| at delta = 1e-3
+        # and by 7e8 times at delta = 1e-7.
+        n = 10
+        mats = thin_definite_tuple(np.random.default_rng([960, n]), n, delta)
+        oracle = discriminant_oracle(mats)
+        assert oracle.form.closed_form_slots(np.eye(n))[0] == oracle_module.CLOSED_FORM_SLOTS
+        assert closed_form_polarization(oracle, np.eye(n)) is None
+        stacks = recorded_rows(monkeypatch)
+        value = mixed._polarization(oracle, np.eye(n))
+        expected, rows = complex_point_polarization(oracle, np.eye(n))
+        assert value == expected
+        np.testing.assert_array_equal(np.vstack(stacks), rows)
+        peak = full_sign_sum(oracle, np.eye(n))[1]
+        assert abs(value - sign_row_polarization(oracle, np.eye(n))) <= 8 * n * EPS * peak
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("family", ["indefinite", "singular-psd"])
+    def test_refused_tuples_keep_the_complex_point_rows(self, monkeypatch, family, n):
+        rng = np.random.default_rng([950, n])
+        if family == "indefinite":
+            mats = [a + a.T for a in rng.standard_normal((n, n, n))]
+        else:
+            mats = [g @ g.T for g in rng.standard_normal((n, n, n - 1))]
+        oracle = discriminant_oracle(mats)
+        assert oracle.form.closed_form_slots(np.eye(n)) is None
+        stacks = recorded_rows(monkeypatch)
+        value = mixed._polarization(oracle, np.eye(n))
+        expected, rows = complex_point_polarization(oracle, np.eye(n))
+        assert value == expected
+        np.testing.assert_array_equal(np.vstack(stacks), rows)
+
+    def test_below_the_least_degree_the_route_is_refused(self):
+        n = oracle_module.CLOSED_FORM_MIN_DEGREE - 1
+        assert discriminant_oracle(gen.psd_matrix_tuple(np.random.default_rng(n), n)).form.closed_form_slots(np.eye(n)) is None
+
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_route_takes_one_det_and_one_inverse_per_point(self, monkeypatch, n):
+        mats = gen.psd_matrix_tuple(np.random.default_rng(n), n)
+        counts = {"det": 0, "inv": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(a, name=name, original=original):
+                counts[name] += math.prod(np.shape(a)[:-2])
+                return original(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        hp.mixed_discriminant(mats)
+        points = 2 ** (n - 2 - oracle_module.CLOSED_FORM_SLOTS)
+        assert counts == {"det": points, "inv": points}
 
 
 # The instance families of acceptance criterion 14.
