@@ -83,6 +83,7 @@ from .interlace import (
     bezoutian_pair_test,
     companion,
     derivative_line_convexity,
+    derivative_line_sweep,
     hyperbolic_lidskii,
     lidskii_check,
     majorization_check,

@@ -24,12 +24,8 @@ from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
     MonicPolynomial,
-    _above_chord,
-    _majorized,
-    _minus_derivative,
-    _sweep,
-    _sweep_points,
     bezoutian_pair_test,
+    derivative_line_sweep,
     lidskii_check,
     obreschkoff_pair_test,
     pair_agreement,
@@ -273,31 +269,12 @@ def _shifted_majorization_trial(args) -> dict:
 
 
 def _derivative_line_trial(args) -> dict:
+    """``derivative_line_sweep`` of a real-rooted q of degree 2..5, all four of whose verdicts must hold."""
     seed, trial = args
     rng = gen.rng_for(seed, 100, trial)
-    degree = 2 + trial % 4
-    q = MonicPolynomial.from_roots(gen._separated_roots(rng, degree))
-    grid = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
-    # P_a = q(x + a) - a q'(x + a) has the spectrum of the pair (q - q', q) at (a, 1 - a, -a).  One stacked
-    # extraction gives the spectra at every grid point and then at the midpoint of every pair of the one
-    # ``_sweep``, in the order of ``spectral_line_convexity``; one cumsum of those descending spectra holds
-    # every k's top-k sum.
-    spectrum = pair_spectrum(_minus_derivative(q), q, 1e-7)
-    sweep = _sweep(grid)
-    tops = np.cumsum(spectrum(_sweep_points(np.array([0.0, 1.0, 0.0]), np.array([1.0, -1.0, -1.0]), sweep)), axis=1)
-    values, mids = tops[: grid.size], tops[grid.size :]
-    _, low, high = sweep
-    convex = not np.any(_above_chord(mids, values[low], values[high], 1e-7))
-    at_zero = grid.tolist().index(0.0)
-    min_at_zero = bool(np.all(values.min(axis=0) >= values[at_zero] - 1e-7))
-    # k = degree sums every root: q.a[0], the same at every a.
-    full = values[:, -1]
-    constant = np.ptp(full) <= 1e-9 * max(1.0, float(np.max(np.abs(full))))
-    # Majorization of the spectrum at a by the one at b, for every pair 0 <= a < b on the grid.
-    low, high = np.triu_indices(grid.size - at_zero, 1)
-    gaps = values[at_zero + high] - values[at_zero + low]
-    majorized = bool(np.all(_majorized(gaps, 1e-7)))
-    return {"ok": bool(convex and min_at_zero and constant and majorized), "slack": float(np.min(gaps))}
+    q = MonicPolynomial.from_roots(gen._separated_roots(rng, 2 + trial % 4))
+    sweep = derivative_line_sweep(q)
+    return {"ok": sweep.convex and sweep.min_at_zero and sweep.fn_constant and sweep.majorized, "slack": sweep.slack}
 
 
 def _interlace_jobs(seed: int, trials: int) -> list:

@@ -68,6 +68,10 @@ _CHUNK = 256
 # Grid points of a line sweep at most; it takes a spectrum at each and at the midpoint of every pair.
 SWEEP_GRID_CAP = 256
 
+# The grid -1, -0.75, ..., 1 and the tolerance of ``derivative_line_sweep``, those of the interlace suite.
+_SUITE_GRID = np.arange(-4, 5) / 4
+_SUITE_TOL = 1e-7
+
 # Directions of a sampled pencil test at most; it builds one pencil row per direction before the kernel.
 SAMPLED_DIRECTION_CAP = 1 << 16
 
@@ -555,9 +559,21 @@ class LineConvexityReport(Report):
     values: tuple[float, ...]
 
 
-def _minus_derivative(q: MonicPolynomial) -> MonicPolynomial:
-    """q - q': with q it makes the pair (q - q', q) behind every derivative line."""
-    return MonicPolynomial.from_standard(q._coeffs - np.pad(_derivative(q._coeffs), (0, 1)))
+def _derivative_line(q: MonicPolynomial, z0: float, dz: float, stat, grid: Sequence[float], tol: float):
+    """``_line_sweep`` of stat along P_a(x) = (q - a q')(x - z0 - dz a), the pair spectrum of (q - q', q) at
+    (a, 1 - a, z0 + dz a), and, if P_0 = q, whether no column is below its value at a = 0 by more than tol."""
+    spectrum = pair_spectrum(MonicPolynomial.from_standard(q._coeffs - np.pad(_derivative(q._coeffs), (0, 1))), q, tol)
+    sweep, values, convex = _line_sweep(spectrum, (0.0, 1.0, z0), (1.0, -1.0, dz), stat, grid, tol)
+    if z0 != 0.0 or dz != -1.0:
+        return sweep, values, convex, None
+    zero = np.flatnonzero(sweep[0] == 0.0)
+    at_zero = values[zero[0]] if zero.size else stat(spectrum(np.array([0.0, 1.0, 0.0])))
+    return sweep, values, convex, bool(np.all(values.min(axis=0) >= at_zero - tol))
+
+
+def _constant(sums) -> bool:
+    """Whether the sums agree to 1e-9 of max(1, |sum|)."""
+    return bool(np.ptp(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
 
 
 def derivative_line_convexity(
@@ -574,22 +590,35 @@ def derivative_line_convexity(
     whenever c = 1).
     """
     n = q.degree
-    spectrum = pair_spectrum(_minus_derivative(q), q, tol)
-    pair = spectral_line_convexity(spectrum, n, (0.0, 1.0, -b), (1.0, -1.0, -c), f"topk_sum:{k}", grid, tol)
-    min_at_zero: Optional[bool] = None
-    if b == 0.0 and c == 1.0:
-        # P_0 = q: its spectrum is the pair spectrum at (0, 1, 0), the sweep's point at a = 0 when 0 is on
-        # the grid.
-        grid_values = [float(a) for a in grid]
-        if 0.0 in grid_values:
-            at_zero = pair.values[grid_values.index(0.0)]
-        else:
-            at_zero = float(np.sum(spectrum((0.0, 1.0, 0.0))[:k]))
-        min_at_zero = bool(min(pair.values) >= at_zero - tol)
+    _, f, convex, min_at_zero = _derivative_line(q, -b, -c, root_statistic(f"topk_sum:{k}", n), grid, tol)
     # The root sum of P_a in closed form: q.a[0] is the root sum of q.
-    sums = [q.a[0] - n * (b + c * float(a)) + n * float(a) for a in grid]
-    fn_constant = bool(np.max(sums) - np.min(sums) <= 1e-9 * max(1.0, float(np.max(np.abs(sums)))))
-    return LineConvexityReport(convex=pair.convex, min_at_zero=min_at_zero, fn_constant=fn_constant, values=pair.values)
+    constant = _constant([q.a[0] - n * (b + c * float(a)) + n * float(a) for a in grid])
+    return LineConvexityReport(convex=convex, min_at_zero=min_at_zero, fn_constant=constant, values=tuple(f.tolist()))
+
+
+@dataclass(frozen=True, slots=True)
+class DerivativeLineReport(Report):
+    convex: bool
+    min_at_zero: bool
+    fn_constant: bool
+    majorized: bool
+    slack: float
+    values: tuple[tuple[float, ...], ...]
+
+
+def derivative_line_sweep(q: MonicPolynomial) -> DerivativeLineReport:
+    """``derivative_line_convexity`` at (b, c) = (0, 1) for every k on the grid a = -1, -0.75, ..., 1, from one
+    cumsum of the spectra of its one extraction: values[i][k - 1] is the top-k sum at the i-th a (from k = 8 on
+    it may differ in the last bit from np.sum).  majorized: the spectrum at a is majorized by the one at b for
+    every 0 <= a < b, and slack is the least prefix gap."""
+    cumsum = lambda lam: np.cumsum(lam, axis=-1)
+    (grid, low, high), values, convex, min_at_zero = _derivative_line(q, 0.0, -1.0, cumsum, _SUITE_GRID, _SUITE_TOL)
+    pairs = grid[low] >= 0.0
+    gaps = values[high[pairs]] - values[low[pairs]]
+    return DerivativeLineReport(
+        convex=convex, min_at_zero=min_at_zero, fn_constant=_constant(values[:, -1]), slack=float(np.min(gaps)),
+        majorized=bool(np.all(_majorized(gaps, _SUITE_TOL))), values=tuple(map(tuple, values.tolist())),
+    )
 
 
 def root_statistic(f_id: str, degree: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -631,21 +660,22 @@ def spectral_line_convexity(
 
     Every symmetric convex function f of the roots of a hyperbolic polynomial
     is convex along lines (Bauschke, Guler, Lewis & Sendov 2001); degree is
-    the length of the root vectors.  The spectrum map is called once, on
-    ``_sweep_points``: every grid point, then every midpoint.
+    the length of the root vectors.  The spectrum map is called once (see ``_line_sweep``).
     """
-    stat = root_statistic(f_id, degree)
-    sweep = _sweep(grid)
-    grid_values, low, high = sweep
-    f = stat(spectrum(_sweep_points(x0, dx, sweep)))
-    values = f[: grid_values.size]
-    convex = not np.any(_above_chord(f[grid_values.size :], values[low], values[high], tol))
+    _, values, convex = _line_sweep(spectrum, x0, dx, root_statistic(f_id, degree), grid, tol)
     return SymmetricConvexReport(convex=convex, values=tuple(values.tolist()))
 
 
-def _above_chord(mid, a, b, tol: float):
-    """The midpoint convexity rule, broken where F at the midpoint is above 0.5 (F(a) + F(b)) by more than tol."""
-    return mid > 0.5 * (a + b) + tol
+def _line_sweep(spectrum: Spectrum, x0, dx, stat, grid: Sequence[float], tol: float):
+    """The ``_sweep`` triple, F = stat(lambda(x0 + a dx)) at the grid points in their order (one value or a
+    row of columns per point), and whether no pair's midpoint is above 0.5 (F(a) + F(b)) by more than tol.
+    The spectrum map is called once, on every grid point and then every pair's midpoint."""
+    sweep = grid_values, low, high = _sweep(grid)
+    a = np.concatenate([grid_values, 0.5 * (grid_values[low] + grid_values[high])])
+    f = stat(spectrum(np.asarray(x0, dtype=float) + a[:, None] * np.asarray(dx, dtype=float)))
+    values = f[: grid_values.size]
+    convex = not np.any(f[grid_values.size :] > 0.5 * (values[low] + values[high]) + tol)
+    return sweep, values, convex
 
 
 def _sweep(grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -657,14 +687,6 @@ def _sweep(grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(grid_values, kind="stable")
     low, high = np.triu_indices(grid_values.size, 1)
     return grid_values, order[low], order[high]
-
-
-def _sweep_points(x0, dx, sweep: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Every point x0 + a dx at which ``spectral_line_convexity`` takes a spectrum, in its order: the grid
-    points, then the midpoint of every pair, given the triple of ``_sweep``."""
-    grid_values, low, high = sweep
-    a = np.concatenate([grid_values, 0.5 * (grid_values[low] + grid_values[high])])
-    return np.asarray(x0, dtype=float) + a[:, None] * np.asarray(dx, dtype=float)
 
 
 def symmetric_convex_line_check(

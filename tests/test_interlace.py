@@ -1201,3 +1201,78 @@ class TestDerivativeLineTrial:
         # those of one sweep per k and one majorization check per pair.
         for trial in range(12):
             assert experiments._derivative_line_trial((seed, trial)) == derivative_line_trial_by_sweeps(seed, trial)
+
+
+TRIAL_GRID = np.round(np.arange(-1.0, 1.0 + 1e-9, 0.25), 10)
+
+
+def separated_q(seed, degree):
+    return MonicPolynomial.from_roots(gen._separated_roots(np.random.default_rng(seed), degree))
+
+
+def minus_derivative_spectrum(q):
+    qc = q.standard_coefficients()
+    return hp.pair_spectrum(MonicPolynomial.from_standard(qc - np.pad(NP_POLY.polyder(qc), (0, 1))), q, 1e-7)
+
+
+class TestDerivativeLineSweep:
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_values_are_derivative_line_convexity_bitwise(self, degree):
+        # Below k = 8 a cumsum column and np.sum of the top k roots agree bit for bit, so the CLI and the
+        # interlace suite read one source of numbers.
+        q = separated_q(400 + degree, degree)
+        sweep = hp.derivative_line_sweep(q)
+        values = np.array(sweep.values)
+        assert values.shape == (9, degree)
+        reports = [hp.derivative_line_convexity(q, 0.0, 1.0, k, TRIAL_GRID) for k in range(1, degree + 1)]
+        for k, report in enumerate(reports, start=1):
+            assert np.array(report.values).tobytes() == values[:, k - 1].tobytes()
+        assert sweep.convex == all(r.convex for r in reports) and sweep.convex
+        assert sweep.min_at_zero == all(r.min_at_zero for r in reports) and sweep.min_at_zero
+        assert sweep.fn_constant and sweep.majorized
+        assert hp.derivative_line_sweep(q) == sweep
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degree_nine_top_sums_stay_np_sum(self, seed):
+        # derivative_line_convexity sums the top k roots with np.sum, whose pairwise order differs in the
+        # last bit from a cumsum column from k = 8 on; its values must stay np.sum.
+        q = separated_q(500 + seed, 9)
+        points = np.array([0.0, 1.0, 0.0]) + TRIAL_GRID[:, None] * np.array([1.0, -1.0, -1.0])
+        spectra = minus_derivative_spectrum(q)(points)
+        cumsum = np.array(hp.derivative_line_sweep(q).values)
+        differs = False
+        for k in (8, 9):
+            values = np.array(hp.derivative_line_convexity(q, 0.0, 1.0, k, TRIAL_GRID).values)
+            assert values.tobytes() == np.sum(spectra[:, :k], axis=-1).tobytes()
+            differs = differs or values.tobytes() != cumsum[:, k - 1].tobytes()
+        assert differs
+
+    def test_one_extraction_one_sort_and_one_pairing(self, monkeypatch):
+        sweeps, pairs = [], []
+        original_sweep, original_triu = interlace._sweep, np.triu_indices
+        monkeypatch.setattr(interlace, "_sweep", lambda grid: sweeps.append(grid) or original_sweep(grid))
+        monkeypatch.setattr(np, "triu_indices", lambda *args: pairs.append(args) or original_triu(*args))
+        stacks, counts = record_extractions(monkeypatch)
+        q = separated_q(13, 4)
+        hp.derivative_line_sweep(q)
+        assert len(sweeps) == len(pairs) == 1
+        qc = q.standard_coefficients()
+        q_minus_dq = qc - np.pad(NP_POLY.polyder(qc), (0, 1))
+        assert_rows_are_sweep(stacks, counts, q_minus_dq, qc, (0.0, 1.0), (1.0, -1.0), TRIAL_GRID)
+
+    def test_slack_is_the_least_prefix_gap_over_pairs_with_both_points_nonnegative(self):
+        q = separated_q(16, 4)
+        report = hp.derivative_line_sweep(q)
+        spectrum = minus_derivative_spectrum(q)
+        nonneg = [a for a in TRIAL_GRID.tolist() if a >= 0.0]
+        gaps = [
+            min(hp.majorization_check(spectrum((a, 1.0 - a, -a)), spectrum((b, 1.0 - b, -b)), 1e-7).prefix_gaps)
+            for i, a in enumerate(nonneg)
+            for b in nonneg[i + 1 :]
+        ]
+        assert len(gaps) == 10 and report.majorized
+        assert report.slack == min(gaps)
+
+    def test_nonreal_q_raises(self):
+        with pytest.raises(NonRealRootError):
+            hp.derivative_line_sweep(MonicPolynomial.from_standard([1.0, 0.0, 1.0]))
