@@ -35,7 +35,6 @@ from .oracle import (
     hyperbolic_rank,
     hyperbolicity_sample_test,
     oracle_from_json,
-    oracle_to_json,
     pencil_matrix,
     product_oracle,
     roots_in_direction,
@@ -49,8 +48,6 @@ from .mixed import (
     alexandrov_fenchel_verdict,
     brute_force_permanent,
     dense_from_oracle,
-    k_hyperbolic_check,
-    k_hyperbolicity_polynomial,
     log_concavity_profile,
     mixed_discriminant,
     mixed_value,

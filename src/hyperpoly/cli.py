@@ -332,7 +332,7 @@ def cmd_pair_test(ns, config: RunConfig) -> tuple[int, dict]:
         "obreschkoff": {"error": error} if first is None else first.to_json(),
         "sampled": second.to_json(),
         "bezoutian": certificate.to_json(),
-        "agree": None if first is None else pair_agreement(first, second)[0],
+        "agree": None if first is None else pair_agreement(first, second),
         "verdict": certificate.verdict,
     }
     return _code(certificate.verdict == HYPERBOLIC), report
@@ -363,7 +363,9 @@ def cmd_line_convexity(ns, config: RunConfig) -> tuple[int, dict]:
     if ns.check == "derivative":
         (q,) = _require(_load_json(ns.file), ns.file, "q")
         report = derivative_line_convexity(MonicPolynomial.from_json(q), ns.b, ns.c, ns.k, grid, tol=config.tol)
-        return _code(report.convex and report.min_at_zero is not False and report.fn_constant), report.to_json()
+        # The root sum of P_a moves by n (1 - c) per unit of a: its constancy is a claim only at c = 1.
+        constant = report.fn_constant or ns.c != 1.0
+        return _code(report.convex and report.min_at_zero is not False and constant), report.to_json()
     q, r = _load_pair(ns.file)
     try:
         report = symmetric_convex_line_check(q, r, ns.b, ns.c, ns.statistic, grid, tol=config.tol)

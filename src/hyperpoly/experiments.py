@@ -23,7 +23,6 @@ from .errors import InvalidDocumentError
 from .interlace import (
     HYPERBOLIC,
     NOT_HYPERBOLIC,
-    MonicPolynomial,
     bezoutian_pair_test,
     derivative_line_sweep,
     lidskii_check,
@@ -231,7 +230,7 @@ def _pair_agreement_trial(args) -> dict:
     else:
         q, r = gen.nonhyperbolic_pair(rng, degree)
     first = obreschkoff_pair_test(q, r)
-    agree, _ = pair_agreement(first, bezoutian_pair_test(q, r))
+    agree = pair_agreement(first, bezoutian_pair_test(q, r))
     expected = HYPERBOLIC if want_hyperbolic else NOT_HYPERBOLIC
     ok = agree and first.verdict == expected
     return {"ok": bool(ok), "slack": 1.0 if ok else -1.0}
@@ -272,7 +271,7 @@ def _derivative_line_trial(args) -> dict:
     """``derivative_line_sweep`` of a real-rooted q of degree 2..5, all four of whose verdicts must hold."""
     seed, trial = args
     rng = gen.rng_for(seed, 100, trial)
-    q = MonicPolynomial.from_roots(gen._separated_roots(rng, 2 + trial % 4))
+    q = gen.real_rooted_monic(rng, 2 + trial % 4)
     sweep = derivative_line_sweep(q)
     return {"ok": sweep.convex and sweep.min_at_zero and sweep.fn_constant and sweep.majorized, "slack": sweep.slack}
 

@@ -189,6 +189,12 @@ def _separated_roots(rng: np.random.Generator, degree: int) -> np.ndarray:
     return start + np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def real_rooted_monic(rng: np.random.Generator, degree: int) -> MonicPolynomial:
+    """A monic q of this degree with distinct real roots, the first in [-3, -1) and each next one 0.3 to 1.2
+    above the last."""
+    return MonicPolynomial.from_roots(_separated_roots(rng, degree))
+
+
 def _quotients(q: MonicPolynomial, roots: np.ndarray) -> np.ndarray:
     """Row k holds the ascending coefficients of q / (x - lambda_k), for the roots lambda_k of q: synthetic
     division of every quotient at once, b_(j-1) = c_j + lambda_k b_j from the top."""

@@ -412,25 +412,11 @@ def sampled_pencil_test(q: MonicPolynomial, r, num_dirs: int = 64, tol: float = 
     return PairReport(verdict=HYPERBOLIC)
 
 
-def pair_agreement(first: PairReport, second: PairReport) -> tuple[bool, str]:
-    """Whether two pair reports agree, and their joint verdict: the residue test against the sampled
-    pencil grid, or either against the Bezoutian certificate.
-
-    They disagree only when both are definite and differ.  The joint verdict
-    is their common definite verdict; otherwise a found counterexample (or
-    mixed residues) is decisive even if the other route could not commit,
-    unless the residue test found the pair hyperbolic, which leaves it
-    inconclusive.
-    """
+def pair_agreement(first: PairReport, second: PairReport) -> bool:
+    """Whether two pair reports agree: the residue test against the sampled pencil grid, or against the
+    Bezoutian certificate.  They disagree only when both are definite and differ."""
     definite = (HYPERBOLIC, NOT_HYPERBOLIC)
-    agree = first.verdict == second.verdict or not (first.verdict in definite and second.verdict in definite)
-    if first.verdict == second.verdict and first.verdict in definite:
-        verdict = first.verdict
-    elif NOT_HYPERBOLIC in (first.verdict, second.verdict):
-        verdict = NOT_HYPERBOLIC if first.verdict != HYPERBOLIC else INCONCLUSIVE
-    else:
-        verdict = INCONCLUSIVE
-    return agree, verdict
+    return first.verdict == second.verdict or not (first.verdict in definite and second.verdict in definite)
 
 
 def pencil_characteristic_polynomial(q: MonicPolynomial, r: MonicPolynomial, x: float, y: float) -> np.ndarray:

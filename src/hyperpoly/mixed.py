@@ -1,13 +1,12 @@
 """Mixed forms of hyperbolic polynomials.
 
 Polarization, mixed discriminants, supports and Newton-polytope membership,
-Alexandrov-Fenchel residuals, k-hyperbolicity polynomials, and log-concavity
-profiles.  One tuple is polarized at 2^(n-2) complex points: its first point
-takes the imaginary slot, and the conjugate points come free from
-p(conj z) = conj p(z).  A form may take k slots in closed form
-(``Form.closed_form_slots``): a pencil tuple with a positive definite
-element takes three from n = 10 on, at 2^(n-5) points, unless the closed
-form cancels too deeply.  Supports, dense expansions and log-concavity
+Alexandrov-Fenchel residuals, and log-concavity profiles.  One tuple is
+polarized at 2^(n-2) complex points: its first point takes the imaginary
+slot, and the conjugate points come free from p(conj z) = conj p(z).  A
+form may take k slots in closed form (``Form.closed_form_slots``): a pencil
+tuple with a positive definite element takes three from n = 10 on, at
+2^(n-5) points, unless the closed form cancels too deeply.  Supports, dense expansions and log-concavity
 profiles need the mixed value of every composition r of n into k parts at
 once: those real sign sums meet at few distinct block sums, and the union
 of their lattices is one cached table per (n, k).  Every stacked evaluation takes
@@ -33,14 +32,11 @@ from .errors import (
     DimensionMismatchError,
     HyperpolyError,
     InvalidDocumentError,
-    NonRealRootError,
 )
-from .interlace import real_roots_of_rows
 from .oracle import (
     POSITIVE,
     DeterminantalPolynomial,
     HyperbolicOracle,
-    chebyshev_restriction,
     cone_membership,
     dense_oracle,
     evaluate_batch,
@@ -431,45 +427,6 @@ def alexandrov_fenchel_verdict(oracle: HyperbolicOracle, points) -> dict:
     residual = m_ab * m_ab - m_aa * m_bb
     scale = max(1.0, m_ab * m_ab, abs(m_aa * m_bb))
     return {"residual": residual, "scale": scale, "holds": bool(residual >= -1e-9 * scale)}
-
-
-def k_hyperbolicity_polynomial(oracle: HyperbolicOracle, x, tail, k: int) -> np.ndarray:
-    """Ascending coefficients of t -> M(x + t e, ..., x + t e, tail) with k moving slots.
-
-    Recovered by ``chebyshev_restriction``, the sampler every restriction
-    uses, from the mixed value at k+1 Chebyshev nodes.  Real-rootedness of
-    this polynomial for every real x is the k-hyperbolicity property; at
-    k = 2 a nonnegative discriminant is exactly the Alexandrov-Fenchel
-    inequality.
-    """
-    x = np.asarray(x, dtype=float)
-    tail = np.asarray(tail, dtype=float).reshape(-1, oracle.m)
-    if not 1 <= k <= oracle.n:
-        raise InvalidDocumentError(f"k must lie in 1..{oracle.n}")
-    if tail.shape[0] != oracle.n - k:
-        raise DimensionMismatchError(f"tail must hold {oracle.n - k} points")
-    for row in tail:
-        if cone_membership(oracle, row) != POSITIVE:
-            raise InvalidDocumentError("tail points must be strictly inside the cone")
-
-    def moving_slots(rows: np.ndarray) -> np.ndarray:
-        return np.array([mixed_value(oracle, np.vstack([np.repeat(row[None, :], k, axis=0), tail])) for row in rows])
-
-    return chebyshev_restriction(moving_slots, k, x, oracle.direction)
-
-
-def k_hyperbolic_check(oracle: HyperbolicOracle, x, tail, k: int) -> bool:
-    """True when the k-slot polynomial at this x is real-rooted, to a relative imaginary part of 1e-7.
-
-    Its leading coefficient M(e, ..., e, tail) is positive, so it is never trimmed: the answer does not
-    depend on the scale of x.
-    """
-    coeffs = k_hyperbolicity_polynomial(oracle, x, tail, k)
-    try:
-        real_roots_of_rows(coeffs, 1e-7)
-    except NonRealRootError:
-        return False
-    return True
 
 
 def log_concavity_profile(oracle: HyperbolicOracle, x, y) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 An oracle bundles one of three polynomial forms (product, determinantal,
 dense) with its degree n, ambient dimension m, and distinguished direction e,
-normalized so that p(e) = 1.  A form supplies ``kind``, ``evaluate_batch(points)``,
-``grad_log_p(d)`` and ``json_fields(direction)``; the base class ``Form``
+normalized so that p(e) = 1.  A form supplies ``n``, ``kind``,
+``evaluate_batch(points)`` and ``grad_log_p(d)``; the base class ``Form``
 derives ``roots(x, d, tol)``, ``normalized_roots(x, e, tol)``,
 ``interior(x, e, ratio)``, ``interior_gradient(d, e, ratio)`` and
 ``tuple_form(points)`` from the degree ``n`` and evaluation.  Pencils
@@ -13,13 +13,12 @@ primitives only: x -> M(x) = sum_j x_j B_j, for a point or a stack, and the
 adjoint W -> (tr(B_j W))_j.  ``DeterminantalPolynomial`` stores the pencil and
 takes both as one matrix product with it; ``SymmetricBasisPolynomial``, whose
 points are the coordinates of symmetric n x n matrices, takes both as an
-O(n^2) gather through an n x n table of coordinates and builds its O(n^4)
-basis only when its ``pencil`` is read.  That coordinate system lives here
-beside its form: ``symmetric_matrix_oracle(n)``, the maps ``matrix_points``
-and ``point_to_matrix``, and ``paired_matrix_points``, which turns a tuple of
-matrices into points of an oracle they pair with; ``oracle_to_json`` writes
-and ``oracle_from_json`` reads its ``{"kind": "symmetric", "n": N}``
-document.  A form's
+O(n^2) gather through an n x n table of coordinates and never builds its
+O(n^4) basis.  That coordinate system lives here beside its form:
+``symmetric_matrix_oracle(n)``, the maps ``matrix_points`` and
+``point_to_matrix``, and ``paired_matrix_points``, which turns a tuple of
+matrices into points of an oracle they pair with; ``oracle_from_json`` reads
+its ``{"kind": "symmetric", "n": N}`` document.  A form's
 ``evaluate_batch`` must accept complex rows as well as real ones, since
 polarization evaluates p at complex points.  Both root methods take one
 point or a stack of them, shape (..., m), and return (..., n).
@@ -43,9 +42,9 @@ their inputs and delegate to those: evaluation, univariate restrictions
 along a direction, root spectra, directional traces, rank, and cone
 membership.  Polarization in ``mixed`` evaluates the form that
 ``tuple_form`` returns; that form is not normalized, so it is only ever
-evaluated.  Every univariate restriction, of p or of a mixed value, is
-sampled by ``chebyshev_restriction``, a stack of lines at a time, and turned
-into power coefficients by one product with a cached per-degree table.
+evaluated.  Every univariate restriction of p is sampled by
+``chebyshev_restriction``, a stack of lines at a time, and turned into power
+coefficients by one product with a cached per-degree table.
 Traces need no per-form code: tr_d(x) = <grad p(d), x> / p(d) = x . grad_log_p(d).
 """
 
@@ -206,15 +205,11 @@ class ProductPolynomial(Form):
         lam = x / e
         return _interior_rule(lam.min(axis=-1), lam.max(axis=-1), ratio)
 
-    def json_fields(self, direction: np.ndarray) -> dict:
-        return {}
-
 
 class PencilForm(Form):
     """p(x) = det M(x) for a linear map x -> M(x) = sum_j x_j B_j into real symmetric matrices with
     M(e) = I.  Every method goes through two primitives that a subclass supplies: ``matrix``, x -> M(x)
-    for a point or a stack, and its adjoint ``traces``, W -> (tr(B_j W))_j; ``pencil`` is the stack of
-    the B_j, which only documents and checks read."""
+    for a point or a stack, and its adjoint ``traces``, W -> (tr(B_j W))_j."""
 
     kind = "determinantal"
 
@@ -314,14 +309,6 @@ class PencilForm(Form):
 
         return k, mixed_derivative
 
-    def json_fields(self, direction: np.ndarray) -> dict:
-        pencil = self.pencil
-        return {
-            "m": pencil.shape[0],
-            "matrices": [b.tolist() for b in pencil],
-            "direction": direction.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class DeterminantalPolynomial(PencilForm):
@@ -367,11 +354,6 @@ class SymmetricBasisPolynomial(PencilForm):
         summing W^T instead gives the same terms."""
         return np.bincount(self.entries.ravel(), weights=w.ravel())
 
-    @property
-    def pencil(self) -> np.ndarray:
-        """The basis matrices, built on demand for checks: no computation or document reads them."""
-        return _basis_matrices(self.n, 0, self.n * (self.n + 1) // 2)
-
 
 @dataclass(frozen=True, eq=False)
 class DensePolynomial(Form):
@@ -397,15 +379,6 @@ class DensePolynomial(Form):
         n p(d) = d . grad p(d), so the monomials are evaluated once."""
         grad = ((d**self.lowered).prod(axis=2) * self.factors) @ self.coefficients
         return grad * (self.n / (d @ grad))
-
-    def json_fields(self, direction: np.ndarray) -> dict:
-        return {
-            "m": self.m,
-            "terms": [
-                {"exps": [int(v) for v in e], "coef": float(c)} for e, c in zip(self.exponents, self.coefficients)
-            ],
-            "direction": direction.tolist(),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -853,6 +826,10 @@ class HyperbolicityReport(Report):
     counterexample: Optional[np.ndarray]
 
 
+# Only the tests call this check, but it stays here: it is this module's one use of
+# real_roots_from_coefficients, and bench/selftest.py requires the tracer to wrap
+# hyperpoly.oracle.real_roots_from_coefficients.  It moves once a Hermite-matrix test replaces its companion
+# roots and the tracer stops pinning internal names (ROADMAP items 13 and 23).
 def hyperbolicity_sample_test(oracle: HyperbolicOracle, num_samples: int, seed: int) -> HyperbolicityReport:
     """Sample random points and check the restriction along e has n real roots at each.
 
@@ -874,14 +851,6 @@ def hyperbolicity_sample_test(oracle: HyperbolicOracle, num_samples: int, seed: 
         if not real:
             return HyperbolicityReport(verdict=False, counterexample=x)
     return HyperbolicityReport(verdict=True, counterexample=None)
-
-
-def oracle_to_json(oracle: HyperbolicOracle) -> dict:
-    """The oracle's document.  The symmetric-basis form, whose direction is always the identity, writes
-    ``{"kind": "symmetric", "n": N}`` rather than its O(N^4) basis, which reads back to the cached form."""
-    if isinstance(oracle.form, SymmetricBasisPolynomial):
-        return {"kind": "symmetric", "n": oracle.n}
-    return {"kind": oracle.kind, "n": oracle.n, **oracle.form.json_fields(oracle.direction)}
 
 
 def oracle_from_json(doc) -> HyperbolicOracle:

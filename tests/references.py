@@ -16,6 +16,14 @@ candidates through the residue test and the sampled pencil grid.
 None of them is a library route: each is the second, independent way to a
 quantity that the library computes another way, or the brute-force
 enumeration behind a check.
+
+Two more kinds live here because only tests use them.  ``oracle_to_json``
+is the writer of the oracle documents that ``hyperpoly.oracle_from_json``
+reads: the tests and CI write their oracles through it, from each form's
+public fields.  ``k_hyperbolicity_polynomial`` and ``k_hyperbolic_check``
+are checks of the paper's k-hyperbolicity property, which the tests compare
+with the Alexandrov-Fenchel inequality and a known non-hyperbolic form.
+Neither is a second route to a library quantity.
 """
 
 import math
@@ -33,9 +41,17 @@ from hyperpoly.errors import (
     GenerationError,
     HyperpolyError,
     InvalidDocumentError,
+    NonRealRootError,
 )
-from hyperpoly.interlace import HYPERBOLIC, NOT_HYPERBOLIC, MonicPolynomial, _derivative
-from hyperpoly.oracle import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, PencilForm, classify_spectrum
+from hyperpoly.interlace import HYPERBOLIC, NOT_HYPERBOLIC, MonicPolynomial, _derivative, real_roots_of_rows
+from hyperpoly.oracle import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_ROOT_TOL,
+    PencilForm,
+    SymmetricBasisPolynomial,
+    chebyshev_restriction,
+    classify_spectrum,
+)
 from hyperpoly.report import Report
 
 
@@ -465,3 +481,60 @@ def grid_filtered_nonhyperbolic_pair(
         if hp.sampled_pencil_test(q, r).verdict == NOT_HYPERBOLIC:
             return q, r
     raise GenerationError("no grid-visible non-hyperbolic pair found in 200 attempts")
+
+
+def oracle_to_json(oracle) -> dict:
+    """The oracle's document, which ``hyperpoly.oracle_from_json`` reads back, from the public fields of
+    its form: a stored pencil's matrices, a dense form's terms.  The symmetric-basis form, whose direction
+    is always the identity, writes ``{"kind": "symmetric", "n": N}`` rather than its O(N^4) basis."""
+    form = oracle.form
+    if isinstance(form, SymmetricBasisPolynomial):
+        return {"kind": "symmetric", "n": oracle.n}
+    doc = {"kind": oracle.kind, "n": oracle.n}
+    if oracle.kind == "product":
+        return doc
+    if oracle.kind == "determinantal":
+        doc |= {"m": form.pencil.shape[0], "matrices": [b.tolist() for b in form.pencil]}
+    else:
+        terms = zip(form.exponents, form.coefficients)
+        doc |= {"m": form.m, "terms": [{"exps": [int(v) for v in e], "coef": float(c)} for e, c in terms]}
+    return doc | {"direction": oracle.direction.tolist()}
+
+
+def k_hyperbolicity_polynomial(oracle, x, tail, k: int) -> np.ndarray:
+    """Ascending coefficients of t -> M(x + t e, ..., x + t e, tail) with k moving slots.
+
+    Recovered by ``chebyshev_restriction``, the sampler every restriction
+    uses, from the mixed value at k+1 Chebyshev nodes.  Real-rootedness of
+    this polynomial for every real x is the k-hyperbolicity property; at
+    k = 2 a nonnegative discriminant is exactly the Alexandrov-Fenchel
+    inequality.
+    """
+    x = np.asarray(x, dtype=float)
+    tail = np.asarray(tail, dtype=float).reshape(-1, oracle.m)
+    if not 1 <= k <= oracle.n:
+        raise InvalidDocumentError(f"k must lie in 1..{oracle.n}")
+    if tail.shape[0] != oracle.n - k:
+        raise DimensionMismatchError(f"tail must hold {oracle.n - k} points")
+    for row in tail:
+        if hp.cone_membership(oracle, row) != hp.POSITIVE:
+            raise InvalidDocumentError("tail points must be strictly inside the cone")
+
+    def moving_slots(rows: np.ndarray) -> np.ndarray:
+        return np.array([hp.mixed_value(oracle, np.vstack([np.repeat(row[None, :], k, axis=0), tail])) for row in rows])
+
+    return chebyshev_restriction(moving_slots, k, x, oracle.direction)
+
+
+def k_hyperbolic_check(oracle, x, tail, k: int) -> bool:
+    """True when the k-slot polynomial at this x is real-rooted, to a relative imaginary part of 1e-7.
+
+    Its leading coefficient M(e, ..., e, tail) is positive, so it is never trimmed: the answer does not
+    depend on the scale of x.
+    """
+    coeffs = k_hyperbolicity_polynomial(oracle, x, tail, k)
+    try:
+        real_roots_of_rows(coeffs, 1e-7)
+    except NonRealRootError:
+        return False
+    return True

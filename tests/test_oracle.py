@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -29,7 +30,7 @@ from hyperpoly.oracle import (
     chebyshev_restriction,
     classify_spectrum,
 )
-from references import looped_dense_gradient, matrix_to_point, partial_derivative, symmetric_basis
+from references import looped_dense_gradient, matrix_to_point, oracle_to_json, partial_derivative, symmetric_basis
 
 
 @pytest.fixture
@@ -677,14 +678,14 @@ class TestDenseDerivativeTable:
 
     def test_document_is_unchanged(self):
         oracle = hp.dense_oracle(2, 3, {(3, 0): 0.5, (1, 2): 1.5}, [1.0, 1.0])
-        assert hp.oracle_to_json(oracle) == {
+        assert oracle_to_json(oracle) == {
             "kind": "dense",
             "n": 3,
             "m": 2,
             "terms": [{"exps": [1, 2], "coef": 0.75}, {"exps": [3, 0], "coef": 0.25}],
             "direction": [1.0, 1.0],
         }
-        loaded = hp.oracle_from_json(hp.oracle_to_json(oracle))
+        loaded = hp.oracle_from_json(oracle_to_json(oracle))
         for name in ("exponents", "coefficients", "lowered", "factors"):
             assert getattr(loaded.form, name).tobytes() == getattr(oracle.form, name).tobytes()
 
@@ -703,13 +704,10 @@ class _SecondElementaryForm(Form):
     def grad_log_p(self, d):
         return (d.sum() - d) / (d[0] * d[1] + d[0] * d[2] + d[1] * d[2])
 
-    def json_fields(self, direction):
-        return {"direction": direction.tolist()}
-
 
 class TestFormBase:
-    """A form that supplies only n, kind, evaluate_batch, grad_log_p and json_fields runs every solver,
-    in agreement with the dense form of the same polynomial."""
+    """A form that supplies only its four protocol members, n, kind, evaluate_batch and grad_log_p, runs
+    every solver, in agreement with the dense form of the same polynomial."""
 
     @pytest.fixture
     def pair(self, esym_oracle):
@@ -855,16 +853,19 @@ def _term_sum(exponents, coefficients, z):
     ]
 
 
-def _pencil_det(oracle, z):
+def _pencil_det(pencil, z):
     """det(sum_j z_j B_j) at each row of z, the pencil contracted by ``np.tensordot``."""
-    return np.linalg.det(np.tensordot(z, oracle.form.pencil, axes=1))
+    return np.linalg.det(np.tensordot(z, pencil, axes=1))
 
 
 # Each form in the protocol, with an independent reference for its value at complex rows.
 COMPLEX_ROW_FORMS = {
     "product": (lambda rng: hp.product_oracle(4), lambda oracle, z: [math.prod(row) for row in z.tolist()]),
-    "symmetric": (lambda rng: gen.symmetric_matrix_oracle(3), _pencil_det),
-    "pencil": (lambda rng: gen.random_determinantal_oracle(rng, 4, 3), _pencil_det),
+    "symmetric": (lambda rng: gen.symmetric_matrix_oracle(3), lambda oracle, z: _pencil_det(symmetric_basis(3), z)),
+    "pencil": (
+        lambda rng: gen.random_determinantal_oracle(rng, 4, 3),
+        lambda oracle, z: _pencil_det(oracle.form.pencil, z),
+    ),
     "dense": (
         lambda rng: hp.dense_from_oracle(gen.random_determinantal_oracle(rng, 4, 3)),
         lambda oracle, z: _term_sum(oracle.form.exponents, oracle.form.coefficients, z),
@@ -984,16 +985,31 @@ class TestJson:
             lambda: hp.product_oracle(4),
             lambda: gen.symmetric_matrix_oracle(3),
             lambda: hp.dense_oracle(2, 3, {(3, 0): 0.25, (1, 2): 0.75}, [1.0, 1.0]),
+            lambda: gen.random_determinantal_oracle(np.random.default_rng(0), 4, 3),
+            lambda: hp.dense_from_oracle(hp.product_oracle(4)),
         ],
     )
     def test_round_trip(self, make):
+        # The document read back writes the same bytes: the writer takes it from the form's public fields.
         oracle = make()
-        doc = hp.oracle_to_json(oracle)
-        loaded = hp.oracle_from_json(doc)
+        doc = oracle_to_json(oracle)
+        loaded = hp.oracle_from_json(json.loads(json.dumps(doc)))
+        assert json.dumps(oracle_to_json(loaded), sort_keys=True) == json.dumps(doc, sort_keys=True)
         rng = np.random.default_rng(10)
         for _ in range(5):
             x = rng.standard_normal(oracle.m)
             assert hp.evaluate(loaded, x) == pytest.approx(hp.evaluate(oracle, x), rel=1e-10, abs=1e-12)
+
+    def test_documents_of_each_kind(self):
+        assert oracle_to_json(hp.product_oracle(4)) == {"kind": "product", "n": 4}
+        pencil = gen.random_determinantal_oracle(np.random.default_rng(0), 4, 3)
+        assert oracle_to_json(pencil) == {
+            "kind": "determinantal",
+            "n": 4,
+            "m": 3,
+            "matrices": pencil.form.pencil.tolist(),
+            "direction": [1.0, 1.0, 1.0],
+        }
 
     def test_rejects_asymmetric_matrix(self):
         doc = {
@@ -1016,7 +1032,7 @@ class TestJson:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * basis_bytes
-        assert np.array_equal(oracle.form.pencil, symmetric_basis(40))
+        assert np.array_equal(oracle.form.matrix(np.eye(oracle.m)), symmetric_basis(40))
 
     def test_large_pencil_is_symmetrized_block_by_block(self):
         # 820 matrices of 40 x 40 span many blocks: the peak stays near the one stacked copy.
